@@ -23,9 +23,9 @@ from .context import CemParams, cem_forward, global_context
 from .detector import DetectorConfig, DetectorModel
 from .evaluation import Detection, EvalResult, evaluate_ap, nms
 from .gating import FbsmParams, fbsm_forward, fuse_gates, gate
-from .pyramid import BackboneConfig, PyramidSet, build_fpn, efpn_bs_forward
+from .pyramid import BackboneConfig, build_fpn, efpn_bs_forward
 from .scenes import Scene, SceneSpec, generate_scene, read_dataset, write_dataset
-from .tensor import ParamStore, Tensor, tensor
+from .tensor import ParamStore, Tensor
 from .training import TrainConfig, evaluate_model, train
 
 __version__ = "0.1.0"

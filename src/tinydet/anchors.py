@@ -10,8 +10,6 @@ the lowest anchor index).
 
 from __future__ import annotations
 
-import csv
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,8 +27,6 @@ __all__ = [
     "assign_maxiou",
     "pyramid_anchors",
     "level_stats",
-    "write_level_stats_csv",
-    "write_level_stats_json",
 ]
 
 NEGATIVE = -1
@@ -135,21 +131,20 @@ def assign_maxiou(anchors: np.ndarray, gts, pos_thr: float = 0.5,
 
 def pyramid_anchors(image_hw, base_size: float = 2.0, levels=None):
     """Anchors for every pyramid level of an image: returns (concatenated
-    anchors [N,4], level name per anchor, per-level slices)."""
+    anchors [N,4], per-level slices into them).  Level grids are
+    ceil(H/stride) x ceil(W/stride)."""
     h, w = int(image_hw[0]), int(image_hw[1])
     names = list(levels) if levels is not None else list(LEVEL_STRIDES)
     per_level = []
-    tags = []
     slices = {}
     start = 0
     for name in names:
         s = LEVEL_STRIDES[name]
         a = gen_anchors(s, ((h + s - 1) // s, (w + s - 1) // s), base_size)
         per_level.append(a)
-        tags.extend([name] * len(a))
         slices[name] = slice(start, start + len(a))
         start += len(a)
-    return np.concatenate(per_level, axis=0), np.array(tags), slices
+    return np.concatenate(per_level, axis=0), slices
 
 
 def level_stats(annotations, image_hw, base_size: float = 2.0,
@@ -163,7 +158,7 @@ def level_stats(annotations, image_hw, base_size: float = 2.0,
     the forced best match picks the globally best level.  A custom
     ``assigner(anchors, gts) -> labels`` may replace the max-IoU rule.
     """
-    anchors, tags, slices = pyramid_anchors(image_hw, base_size, levels)
+    anchors, slices = pyramid_anchors(image_hw, base_size, levels)
     names = list(slices.keys())
     stats = {name: LevelStats(level=name) for name in names}
     for gts in annotations:
@@ -178,20 +173,3 @@ def level_stats(annotations, image_hw, base_size: float = 2.0,
             stats[name].ignored += int((sub == IGNORED).sum())
     return [stats[name] for name in names]
 
-
-def write_level_stats_csv(stats: list[LevelStats], path: str):
-    with open(path, "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(["level", "positives", "negatives", "ignored"])
-        for s in stats:
-            writer.writerow([s.level, s.positives, s.negatives, s.ignored])
-
-
-def write_level_stats_json(stats: list[LevelStats], path: str):
-    payload = [
-        {"level": s.level, "positives": s.positives, "negatives": s.negatives,
-         "ignored": s.ignored}
-        for s in stats
-    ]
-    with open(path, "w") as f:
-        json.dump(payload, f, indent=2, sort_keys=True)

@@ -167,7 +167,8 @@ class TheoremReport:
     observed_convexity_intervals: list = field(default_factory=list)
     discrepancy_notes: list = field(default_factory=list)
 
-    def to_json(self) -> str:
+    def as_dict(self) -> dict:
+        """JSON-ready payload; infinite interval ends become null."""
         def enc(v):
             if isinstance(v, float) and math.isinf(v):
                 return None
@@ -184,7 +185,10 @@ class TheoremReport:
             ],
             "discrepancy_notes": list(self.discrepancy_notes),
         }
-        return json.dumps(payload, indent=2, sort_keys=True)
+        return payload
+
+    def to_json(self) -> str:
+        return json.dumps(self.as_dict(), indent=2, sort_keys=True)
 
 
 # numeric claim often quoted for this loss at delta = 0.15; the verifier

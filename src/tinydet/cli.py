@@ -21,10 +21,11 @@ from .experiments import (
     level_subset_ablation,
     reports_dir,
     run_training,
+    write_report,
 )
 from .pyramid import BackboneConfig
 from .scenes import SceneSpec, read_dataset, write_dataset
-from .tensor import ParamStore, Tensor
+from .tensor import ParamStore
 from .training import DivergenceError, TrainConfig, evaluate_model
 
 
@@ -91,10 +92,7 @@ def cmd_verify_loss(args, cfg):
     params = DCLossParams(k=cfg.get("k", 10.0), delta=cfg.get("delta", 0.15),
                           swap_weights=cfg.get("swap_weights", False))
     report = verify_theorem1(params)
-    rep = reports_dir(args.out)
-    path = os.path.join(rep, "theorem_report.json")
-    with open(path, "w") as f:
-        f.write(report.to_json())
+    write_report(args.out, "theorem_report", report.as_dict())
     print(report.to_json())
     return 0
 
@@ -122,9 +120,7 @@ def cmd_eval(args, cfg):
     store = ParamStore.load(args.checkpoint)
     model = DetectorModel(det_cfg, store=store)
     metrics = evaluate_model(model, scenes).as_dict()
-    rep = reports_dir(args.out)
-    with open(os.path.join(rep, "metrics_eval.json"), "w") as f:
-        json.dump(metrics, f, indent=2, sort_keys=True)
+    write_report(args.out, "metrics_eval", metrics)
     print(json.dumps(metrics, indent=2, sort_keys=True))
     return 0
 

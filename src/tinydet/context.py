@@ -31,9 +31,14 @@ class CemParams:
     bias: Tensor    # [C_l]
 
     @classmethod
+    def from_store(cls, store: ParamStore, prefix: str = "cem.proj"):
+        """The projection's tensors, looked up in ``store`` by name."""
+        return cls(weight=store[f"{prefix}.w"], bias=store[f"{prefix}.b"])
+
+    @classmethod
     def create(cls, store: ParamStore, c_high: int, c_low: int, prefix: str = "cem.proj"):
-        w, b = store.register_conv(prefix, c_low, c_high, 1)
-        return cls(weight=w, bias=b)
+        store.register_conv(prefix, c_low, c_high, 1)
+        return cls.from_store(store, prefix)
 
 
 def global_context(p_high: Tensor, params: CemParams) -> Tensor:

@@ -14,22 +14,30 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .anchors import IGNORED, assign_maxiou, gen_anchors, Box
+from .anchors import IGNORED, Box, assign_maxiou, pyramid_anchors
 from .balanced_loss import DCLossParams, dcloss_term, smooth_l1_term
 from .context import CemParams
 from .evaluation import Detection, nms
 from .gating import FbsmParams
 from .pyramid import (
     BackboneConfig,
-    LEVEL_STRIDES,
-    PyramidSet,
     backbone_forward,
     build_backbone_params,
     build_fpn,
     build_fpn_params,
     efpn_bs_forward,
 )
-from .tensor import ParamStore, Tensor, add, concat_columns, conv2d, gather_hw, relu, weighted_bce_with_logits
+from .tensor import (
+    ParamStore,
+    Tensor,
+    add,
+    concat_columns,
+    conv2d,
+    gather_hw,
+    relu,
+    reshape,
+    weighted_bce_with_logits,
+)
 
 __all__ = [
     "DetectorConfig",
@@ -68,12 +76,12 @@ def build_head_params(store: ParamStore, channels: int, num_classes: int,
     store.register_conv(f"{prefix}.reg", 4, c, 1)
 
 
-def head_forward(pyr: PyramidSet, store: ParamStore, levels,
+def head_forward(pyr: dict[str, Tensor], store: ParamStore, levels,
                  prefix: str = "head"):
     """Per-level (class logits [K,H,W], box deltas [4,H,W])."""
     out = {}
     for name in levels:
-        f = pyr.feature(name)
+        f = pyr[name]
         trunk = relu(conv2d(f, store[f"{prefix}.trunk.w"], store[f"{prefix}.trunk.b"]))
         cls = conv2d(trunk, store[f"{prefix}.cls.w"], store[f"{prefix}.cls.b"])
         reg = conv2d(trunk, store[f"{prefix}.reg.w"], store[f"{prefix}.reg.b"])
@@ -128,26 +136,16 @@ class ImageAssignment:
 
 def assign_image(gts, image_hw, cfg: DetectorConfig) -> ImageAssignment:
     """Run max-IoU assignment jointly over all configured levels."""
-    h, w = image_hw
-    per_level = {}
-    all_anchors = []
-    for name in cfg.levels:
-        s = LEVEL_STRIDES[name]
-        a = gen_anchors(s, (h // s if h % s == 0 else h // s + 1,
-                            w // s if w % s == 0 else w // s + 1), cfg.base_anchor)
-        per_level[name] = a
-        all_anchors.append(a)
-    concat = np.concatenate(all_anchors, axis=0)
+    anchors, slices = pyramid_anchors(image_hw, cfg.base_anchor, cfg.levels)
     gt_boxes = np.array([b.as_array() for b, _ in gts]) if gts else np.zeros((0, 4))
     gt_classes = np.array([c for _, c in gts], dtype=np.int64)
-    labels_all = assign_maxiou(concat, gt_boxes, cfg.pos_thr, cfg.neg_thr)
-    labels, reg_idx, reg_targets, cls_targets = {}, {}, {}, {}
-    start = 0
+    labels_all = assign_maxiou(anchors, gt_boxes, cfg.pos_thr, cfg.neg_thr)
+    per_level, labels, reg_idx, reg_targets, cls_targets = {}, {}, {}, {}, {}
     n_pos = n_neg = 0
-    for name in cfg.levels:
-        a = per_level[name]
-        lab = labels_all[start:start + len(a)]
-        start += len(a)
+    for name, sl in slices.items():
+        a = anchors[sl]
+        lab = labels_all[sl]
+        per_level[name] = a
         labels[name] = lab
         pos = np.nonzero(lab >= 0)[0]
         reg_idx[name] = pos
@@ -179,21 +177,13 @@ class DetectorModel:
             CemParams.create(store, c, c)
             FbsmParams.create(store, c, c, gate_width=cfg.gate_width)
         self.store = store
-        c = cfg.backbone.pyramid_channels
-        self.cem = CemParams(weight=store["cem.proj.w"], bias=store["cem.proj.b"])
-        g = store["fbsm.psi_h1.w"].data.shape[0]
-        self.fbsm = FbsmParams(
-            store["fbsm.psi_h1.w"], store["fbsm.psi_h1.b"],
-            store["fbsm.psi_h2.w"], store["fbsm.psi_h2.b"],
-            store["fbsm.psi_l1.w"], store["fbsm.psi_l1.b"],
-            store["fbsm.psi_l2.w"], store["fbsm.psi_l2.b"],
-            store["fbsm.phi_f.w"], store["fbsm.phi_f.b"],
-            store["fbsm.phi_r.w"], store["fbsm.phi_r.b"],
-            gate_width=g)
+        self.cem = CemParams.from_store(store)
+        self.fbsm = FbsmParams.from_store(store)
         if "head.trunk.w" not in store:
-            build_head_params(store, c, cfg.num_classes, cfg.head_channels)
+            build_head_params(store, cfg.backbone.pyramid_channels, cfg.num_classes,
+                              cfg.head_channels)
 
-    def pyramid(self, image: Tensor) -> PyramidSet:
+    def pyramid(self, image: Tensor) -> dict[str, Tensor]:
         feats = backbone_forward(image, self.store, self.cfg.backbone)
         pyr = build_fpn(feats, self.store, self.cfg.backbone)
         return efpn_bs_forward(pyr, self.cem, self.fbsm, enabled=self.cfg.enhance,
@@ -216,7 +206,7 @@ class DetectorModel:
         for name in cfg.levels:
             cls_map, reg_map = outputs[name]
             ni = cls_map.data.shape[1] * cls_map.data.shape[2]
-            logits = gather_hw(cls_map, np.arange(ni))  # [K,Ni] view for weighting
+            logits = reshape(cls_map, (k, ni))
             lab = assignment.labels[name]
             w = np.zeros((k, ni))
             w[:, lab >= 0] = 0.5 / (n_pos * k)
@@ -254,16 +244,15 @@ class DetectorModel:
         cfg = self.cfg
         h, w = image.data.shape[1:]
         outputs = self.forward(image)
+        anchors, slices = pyramid_anchors((h, w), cfg.base_anchor, cfg.levels)
         detections = []
         for name in cfg.levels:
             cls_map, reg_map = outputs[name]
-            kh, hw_h, hw_w = cls_map.data.shape
-            s = LEVEL_STRIDES[name]
-            anchors = gen_anchors(s, (hw_h, hw_w), cfg.base_anchor)
+            kh = cls_map.data.shape[0]
             z = cls_map.data.reshape(kh, -1).astype(np.float64)
             scores = 1.0 / (1.0 + np.exp(-z))
             deltas = reg_map.data.reshape(4, -1).astype(np.float64)
-            boxes = decode_deltas(anchors, deltas, image_hw=(h, w))
+            boxes = decode_deltas(anchors[slices[name]], deltas, image_hw=(h, w))
             for cls in range(kh):
                 keep = np.nonzero(scores[cls] >= cfg.score_floor)[0]
                 for i in keep:

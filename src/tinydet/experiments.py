@@ -1,6 +1,7 @@
 """Experiment suite: anchor-starvation audit, level-subset ablation, and the
 loss-threshold sweep.  Every experiment emits CSV plus a JSON mirror under
-<out>/reports/ and is bitwise-reproducible for a fixed seed.
+<out>/reports/, all through ``write_report``, and is bitwise-reproducible for
+a fixed seed.
 """
 
 from __future__ import annotations
@@ -12,12 +13,13 @@ from dataclasses import asdict, replace
 
 import numpy as np
 
-from .anchors import level_stats, write_level_stats_csv, write_level_stats_json
+from .anchors import level_stats
 from .detector import DetectorConfig
 from .training import TrainConfig, evaluate_model, train
 
 __all__ = [
     "reports_dir",
+    "write_report",
     "audit_positive_samples",
     "run_training",
     "level_subset_ablation",
@@ -31,39 +33,41 @@ def reports_dir(out_dir: str) -> str:
     return path
 
 
+def write_report(out_dir: str, stem: str, payload, columns=None, rows=None):
+    """Write ``payload`` to <out>/reports/<stem>.json.  With ``columns``, also
+    write one CSV line per record of ``rows`` (default: the payload, a list of
+    dicts) to <stem>.csv; floats are written with repr, so they reload exactly."""
+    rep = reports_dir(out_dir)
+    with open(os.path.join(rep, f"{stem}.json"), "w") as f:
+        json.dump(payload, f, indent=2, sort_keys=True)
+    if columns is not None:
+        with open(os.path.join(rep, f"{stem}.csv"), "w", newline="") as f:
+            w = csv.writer(f)
+            w.writerow(columns)
+            w.writerows([r[c] for c in columns] for r in (payload if rows is None else rows))
+
+
 def audit_positive_samples(scenes, image_hw, out_dir: str, base_anchor: float = 2.0,
                            pos_thr: float = 0.5, neg_thr: float = 0.4):
     """Per-level positive/negative anchor counts over a dataset (CSV + JSON)."""
     annotations = [[b for b, _ in s.gts] for s in scenes]
     stats = level_stats(annotations, image_hw, base_anchor, pos_thr, neg_thr)
-    rep = reports_dir(out_dir)
-    write_level_stats_csv(stats, os.path.join(rep, "level_stats.csv"))
-    write_level_stats_json(stats, os.path.join(rep, "level_stats.json"))
+    write_report(out_dir, "level_stats", [asdict(s) for s in stats],
+                 columns=["level", "positives", "negatives", "ignored"])
     return stats
-
-
-def _write_json(path: str, payload):
-    with open(path, "w") as f:
-        json.dump(payload, f, indent=2, sort_keys=True)
 
 
 def run_training(train_scenes, val_scenes, det_cfg: DetectorConfig,
                  train_cfg: TrainConfig, out_dir: str, tag: str = "train"):
     """Train, evaluate, and persist checkpoint + loss curve + metrics."""
     result = train(train_scenes, det_cfg, train_cfg)
-    rep = reports_dir(out_dir)
     result.model.store.save(os.path.join(out_dir, f"checkpoint_{tag}"))
-    _write_json(os.path.join(rep, f"loss_curve_{tag}.json"), result.loss_curve)
-    with open(os.path.join(rep, f"loss_curve_{tag}.csv"), "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(["epoch", "lr", "cls", "reg", "total"])
-        for row in result.loss_curve:
-            w.writerow([row["epoch"], repr(row["lr"]), repr(row["cls"]),
-                        repr(row["reg"]), repr(row["total"])])
+    write_report(out_dir, f"loss_curve_{tag}", result.loss_curve,
+                 columns=["epoch", "lr", "cls", "reg", "total"])
     metrics = None
     if val_scenes:
         metrics = evaluate_model(result.model, val_scenes).as_dict()
-        _write_json(os.path.join(rep, f"metrics_{tag}.json"), metrics)
+        write_report(out_dir, f"metrics_{tag}", metrics)
     return result, metrics
 
 
@@ -96,15 +100,8 @@ def level_subset_ablation(train_scenes, val_scenes, det_cfg: DetectorConfig,
             entry[k] = {"mean": mean, "std": std,
                         "ci95": [mean - half, mean + half]}
         summary.append(entry)
-    rep = reports_dir(out_dir)
-    _write_json(os.path.join(rep, "ablation.json"),
-                {"runs": rows, "summary": summary})
-    with open(os.path.join(rep, "ablation.csv"), "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(["subset", "seed", "ap", "ap50", "ap75", "ap_vt", "ap_t"])
-        for r in rows:
-            w.writerow([r["subset"], r["seed"]] +
-                       [repr(r[k]) for k in ("ap", "ap50", "ap75", "ap_vt", "ap_t")])
+    write_report(out_dir, "ablation", {"runs": rows, "summary": summary},
+                 columns=["subset", "seed", "ap", "ap50", "ap75", "ap_vt", "ap_t"], rows=rows)
     return rows, summary
 
 
@@ -121,12 +118,6 @@ def delta_sweep(train_scenes, val_scenes, det_cfg: DetectorConfig,
         result = train(train_scenes, det_cfg, cfg_d)
         metrics = evaluate_model(result.model, val_scenes).as_dict()
         rows.append({"delta": float(delta), "k": float(k), **metrics})
-    rep = reports_dir(out_dir)
-    _write_json(os.path.join(rep, "delta_sweep.json"), rows)
-    with open(os.path.join(rep, "delta_sweep.csv"), "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(["delta", "k", "ap", "ap50", "ap75", "ap_vt", "ap_t"])
-        for r in rows:
-            w.writerow([repr(r["delta"]), repr(r["k"])] +
-                       [repr(r[m]) for m in ("ap", "ap50", "ap75", "ap_vt", "ap_t")])
+    write_report(out_dir, "delta_sweep", rows,
+                 columns=["delta", "k", "ap", "ap50", "ap75", "ap_vt", "ap_t"])
     return rows

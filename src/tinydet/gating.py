@@ -2,10 +2,9 @@
 the context-enhanced low-level map, fused into one spatial mask that
 multiplies the enhanced features before a 3x3 refinement.
 
-Masks are single-channel by default ("spatial" gating, broadcast across
-feature channels at the Hadamard step); per-channel masks are available via
-``mask_channels``.  The refinement is plain relu(conv(.)); an optional skip
-connection around it is off by default.
+Every mask is single-channel ("spatial" gating), broadcast across feature
+channels when it multiplies the enhanced map.  The refinement is plain
+relu(conv(.)).
 """
 
 from __future__ import annotations
@@ -24,11 +23,13 @@ from .tensor import (
 
 __all__ = ["FbsmParams", "gate", "fuse_gates", "fbsm_forward"]
 
+_CONVS = ("psi_h1", "psi_h2", "psi_l1", "psi_l2", "phi_f", "phi_r")
+
 
 @dataclass
 class FbsmParams:
     """Conv parameters for the two gate branches, the fusion conv, and the
-    refinement conv.  ``gate_width`` is the hidden width G of each branch."""
+    refinement conv."""
 
     psi_h1_w: Tensor
     psi_h1_b: Tensor
@@ -42,24 +43,29 @@ class FbsmParams:
     phi_f_b: Tensor
     phi_r_w: Tensor
     phi_r_b: Tensor
-    gate_width: int
-    mask_channels: int = 1
-    residual_refine: bool = False
+
+    @property
+    def gate_width(self) -> int:
+        """Hidden width G of each gate branch."""
+        return self.psi_h1_w.data.shape[0]
+
+    @classmethod
+    def from_store(cls, store: ParamStore, prefix: str = "fbsm"):
+        """The module's tensors, looked up in ``store`` by name."""
+        return cls(**{f"{conv}_{p}": store[f"{prefix}.{conv}.{p}"]
+                      for conv in _CONVS for p in ("w", "b")})
 
     @classmethod
     def create(cls, store: ParamStore, c_high: int, c_low: int,
-               gate_width: int | None = None, mask_channels: int = 1,
-               residual_refine: bool = False, prefix: str = "fbsm"):
+               gate_width: int | None = None, prefix: str = "fbsm"):
         g = gate_width if gate_width is not None else max(4, c_low // 4)
-        h1 = store.register_conv(f"{prefix}.psi_h1", g, c_high, 3)
-        h2 = store.register_conv(f"{prefix}.psi_h2", mask_channels, g, 1)
-        l1 = store.register_conv(f"{prefix}.psi_l1", g, c_low, 3)
-        l2 = store.register_conv(f"{prefix}.psi_l2", mask_channels, g, 1)
-        ff = store.register_conv(f"{prefix}.phi_f", mask_channels, mask_channels, 3)
-        fr = store.register_conv(f"{prefix}.phi_r", c_low, c_low, 3)
-        return cls(h1[0], h1[1], h2[0], h2[1], l1[0], l1[1], l2[0], l2[1],
-                   ff[0], ff[1], fr[0], fr[1], gate_width=g,
-                   mask_channels=mask_channels, residual_refine=residual_refine)
+        store.register_conv(f"{prefix}.psi_h1", g, c_high, 3)
+        store.register_conv(f"{prefix}.psi_h2", 1, g, 1)
+        store.register_conv(f"{prefix}.psi_l1", g, c_low, 3)
+        store.register_conv(f"{prefix}.psi_l2", 1, g, 1)
+        store.register_conv(f"{prefix}.phi_f", 1, 1, 3)
+        store.register_conv(f"{prefix}.phi_r", c_low, c_low, 3)
+        return cls.from_store(store, prefix)
 
 
 def gate(x: Tensor, psi1_w: Tensor, psi1_b: Tensor, psi2_w: Tensor, psi2_b: Tensor) -> Tensor:
@@ -93,7 +99,4 @@ def fbsm_forward(p_high_aligned: Tensor, c_enhanced: Tensor, params: FbsmParams)
                  params.psi_l2_w, params.psi_l2_b)
     mask = fuse_gates(m_high, m_low, params.phi_f_w, params.phi_f_b)
     gated = mul_mask(c_enhanced, mask)
-    refined = conv2d(gated, params.phi_r_w, params.phi_r_b)
-    if params.residual_refine:
-        refined = add(refined, c_enhanced)
-    return relu(refined)
+    return relu(conv2d(gated, params.phi_r_w, params.phi_r_b))

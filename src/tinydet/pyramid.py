@@ -8,7 +8,7 @@ every other level passes through untouched.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .context import CemParams, cem_forward
 from .gating import FbsmParams, fbsm_forward
@@ -26,7 +26,6 @@ from .tensor import (
 __all__ = [
     "LEVEL_STRIDES",
     "BackboneConfig",
-    "PyramidSet",
     "build_backbone_params",
     "backbone_forward",
     "build_fpn_params",
@@ -49,22 +48,6 @@ class BackboneConfig:
     def __post_init__(self):
         if len(self.stage_channels) != 4:
             raise ValueError("backbone needs exactly 4 stages (strides 4/8/16/32)")
-
-
-@dataclass
-class PyramidSet:
-    """Ordered P2..P6 features tagged with their strides."""
-
-    levels: dict = field(default_factory=dict)  # name -> (Tensor, stride)
-
-    def feature(self, name: str) -> Tensor:
-        return self.levels[name][0]
-
-    def stride(self, name: str) -> int:
-        return self.levels[name][1]
-
-    def names(self):
-        return list(self.levels.keys())
 
 
 def build_backbone_params(store: ParamStore, cfg: BackboneConfig, prefix: str = "backbone"):
@@ -101,9 +84,11 @@ def build_fpn_params(store: ParamStore, cfg: BackboneConfig, prefix: str = "fpn"
         store.register_conv(f"{prefix}.smooth{i + 2}", c, c, 3)
 
 
-def build_fpn(features, store: ParamStore, cfg: BackboneConfig, prefix: str = "fpn") -> PyramidSet:
+def build_fpn(features, store: ParamStore, cfg: BackboneConfig,
+              prefix: str = "fpn") -> dict[str, Tensor]:
     """Standard top-down pyramid: lateral 1x1, upsample-and-add, 3x3 smoothing;
-    P6 is a stride-2 max pool of P5."""
+    P6 is a stride-2 max pool of P5.  Returns features keyed P2..P6 in order;
+    level strides are ``LEVEL_STRIDES``."""
     if len(features) != 4:
         raise ValueError(f"build_fpn expects 4 backbone features, got {len(features)}")
     c = cfg.pyramid_channels
@@ -120,28 +105,28 @@ def build_fpn(features, store: ParamStore, cfg: BackboneConfig, prefix: str = "f
     for i in (2, 1, 0):
         up = bilinear_upsample(merged[i + 1], laterals[i].data.shape[1:])
         merged[i] = add(laterals[i], up)
-    pyr = PyramidSet()
+    pyr = {}
     for i, name in enumerate(("P2", "P3", "P4", "P5")):
-        smooth = conv2d(merged[i], store[f"{prefix}.smooth{i + 2}.w"], store[f"{prefix}.smooth{i + 2}.b"])
-        pyr.levels[name] = (smooth, LEVEL_STRIDES[name])
-    pyr.levels["P6"] = (max_pool_2x2(pyr.feature("P5")), LEVEL_STRIDES["P6"])
-    assert c == pyr.feature("P2").data.shape[0]
+        pyr[name] = conv2d(merged[i], store[f"{prefix}.smooth{i + 2}.w"],
+                           store[f"{prefix}.smooth{i + 2}.b"])
+    pyr["P6"] = max_pool_2x2(pyr["P5"])
+    assert c == pyr["P2"].data.shape[0]
     return pyr
 
 
-def efpn_bs_forward(pyr: PyramidSet, cem_params: CemParams | None,
+def efpn_bs_forward(pyr: dict[str, Tensor], cem_params: CemParams | None,
                     fbsm_params: FbsmParams | None, enabled: bool = True,
-                    levels=("P2",)) -> PyramidSet:
+                    levels=("P2",)) -> dict[str, Tensor]:
     """Replace the configured low levels (default P2 only) with the
     context-enhanced, gated version driven by an upsampled P5; identity when
     disabled.  All other levels pass through unchanged."""
     if not enabled:
         return pyr
-    out = PyramidSet(levels=dict(pyr.levels))
-    p5 = pyr.feature("P5")
+    out = dict(pyr)
+    p5 = pyr["P5"]
     for name in levels:
-        low, stride = pyr.levels[name]
+        low = pyr[name]
         p5_aligned = bilinear_upsample(p5, low.data.shape[1:])
         enhanced = cem_forward(p5_aligned, low, cem_params)
-        out.levels[name] = (fbsm_forward(p5_aligned, enhanced, fbsm_params), stride)
+        out[name] = fbsm_forward(p5_aligned, enhanced, fbsm_params)
     return out

@@ -14,6 +14,7 @@ fixtures.
 from __future__ import annotations
 
 import json
+import math
 import os
 import struct
 
@@ -21,13 +22,11 @@ import numpy as np
 
 __all__ = [
     "Tensor",
-    "tensor",
     "ParamStore",
     "conv2d",
     "relu",
     "sigmoid",
     "add",
-    "hadamard",
     "mul_mask",
     "scale",
     "shift",
@@ -111,11 +110,6 @@ class Tensor:
         return f"Tensor(shape={self.data.shape}, dtype={self.data.dtype}, requires_grad={self.requires_grad})"
 
 
-def tensor(data, requires_grad: bool = False, dtype=np.float32) -> Tensor:
-    """Build a Tensor, coercing to the given dtype (float32 default)."""
-    return Tensor(np.asarray(data, dtype=dtype), requires_grad=requires_grad)
-
-
 def _make(data, parents, backward_fn):
     out = Tensor(data)
     if any(p.requires_grad or p._parents for p in parents):
@@ -144,18 +138,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
             b._accumulate(g)
 
     return _make(a.data + b.data, (a, b), backward)
-
-
-def hadamard(a: Tensor, b: Tensor) -> Tensor:
-    _check_same_shape(a, b, "hadamard")
-
-    def backward(g):
-        if a.requires_grad or a._parents:
-            a._accumulate(g * b.data)
-        if b.requires_grad or b._parents:
-            b._accumulate(g * a.data)
-
-    return _make(a.data * b.data, (a, b), backward)
 
 
 def mul_mask(x: Tensor, mask: Tensor) -> Tensor:
@@ -606,19 +588,28 @@ def write_tensor_file(path: str, array: np.ndarray):
 
 
 def read_tensor_file(path: str) -> np.ndarray:
+    """Read an EFBT file; a header the file's size cannot back raises ValueError."""
     with open(path, "rb") as f:
         magic = f.read(4)
         if magic != _EFBT_MAGIC:
             raise ValueError(f"{path}: bad magic {magic!r}, expected 'EFBT'")
-        version, dtype_code, ndim = struct.unpack("<BBB", f.read(3))
+        header = f.read(3)
+        if len(header) != 3:
+            raise ValueError(f"{path}: truncated header")
+        version, dtype_code, ndim = struct.unpack("<BBB", header)
         if version != 1:
             raise ValueError(f"{path}: unsupported version {version}")
         if dtype_code != 0:
             raise ValueError(f"{path}: unsupported dtype code {dtype_code}")
-        dims = struct.unpack(f"<{ndim}I", f.read(4 * ndim)) if ndim else ()
-        count = int(np.prod(dims)) if dims else 1
+        raw_dims = f.read(4 * ndim)
+        if len(raw_dims) != 4 * ndim:
+            raise ValueError(f"{path}: truncated header")
+        dims = struct.unpack(f"<{ndim}I", raw_dims)
+        count = math.prod(dims)  # Python ints: a crafted header cannot overflow
+        left = os.fstat(f.fileno()).st_size - f.tell()
+        if 4 * count > left:
+            raise ValueError(f"{path}: truncated payload: header declares {count} "
+                             f"float32 values, {left} bytes follow")
         payload = f.read(4 * count)
-        if len(payload) != 4 * count:
-            raise ValueError(f"{path}: truncated payload")
         arr = np.frombuffer(payload, dtype="<f4", count=count)
         return arr.reshape(dims).copy()

@@ -120,16 +120,12 @@ def test_criterion_1_gradient_suite():
         for t in store.tensors():
             t.data = rng.standard_normal(t.data.shape) * 0.5
 
-        class _Pyr:
-            def feature(self, name):
-                return feat
-
         feat = f64(3, 5, 5)
 
         from tinydet.tensor import add
 
         def build():
-            cls_map, reg_map = head_forward(_Pyr(), store, ("P2",))["P2"]
+            cls_map, reg_map = head_forward({"P2": feat}, store, ("P2",))["P2"]
             return add(tensor_sum(cls_map), tensor_sum(reg_map))
 
         check_gradients(build, [feat] + list(store.tensors()))
@@ -259,8 +255,8 @@ def test_criterion_4_module_contracts():
     pyr = build_fpn(backbone_forward(img, store, cfg), store, cfg)
     enhanced = efpn_bs_forward(pyr, cem, fbsm)
     for name in ("P3", "P4", "P5", "P6"):
-        assert enhanced.feature(name).data.tobytes() == pyr.feature(name).data.tobytes()
-    tensor_sum(enhanced.feature("P2")).backward()
+        assert enhanced[name].data.tobytes() == pyr[name].data.tobytes()
+    tensor_sum(enhanced["P2"]).backward()
     lat5 = store["fpn.lateral5.w"]
     assert lat5.grad is not None and np.abs(lat5.grad).max() > 0
     print("\nCRITERION 4: PASS — module contracts hold")

@@ -16,9 +16,10 @@ from tinydet.anchors import (
     iou_matrix,
     level_stats,
     pyramid_anchors,
-    write_level_stats_csv,
-    write_level_stats_json,
 )
+from tinydet.experiments import audit_positive_samples
+from tinydet.pyramid import LEVEL_STRIDES
+from tinydet.scenes import Scene
 
 rng = np.random.default_rng(3)
 
@@ -90,12 +91,25 @@ def test_gen_anchors_rejects_empty_grid():
 
 
 def test_pyramid_anchors_counts_for_128():
-    anchors, tags, slices = pyramid_anchors((128, 128))
+    anchors, slices = pyramid_anchors((128, 128))
     expect = {"P2": 32 * 32, "P3": 16 * 16, "P4": 8 * 8, "P5": 4 * 4, "P6": 2 * 2}
+    assert list(slices) == list(expect)
     assert anchors.shape == (sum(expect.values()), 4)
+    start = 0
     for name, n in expect.items():
-        assert slices[name].stop - slices[name].start == n
-        assert np.all(tags[slices[name]] == name)
+        assert slices[name] == slice(start, start + n)
+        start += n
+        # each slice holds exactly its own level's grid
+        side = 128 // LEVEL_STRIDES[name]
+        np.testing.assert_array_equal(anchors[slices[name]],
+                                      gen_anchors(LEVEL_STRIDES[name], (side, side)))
+
+
+def test_pyramid_anchors_grid_is_ceil_of_image_over_stride():
+    anchors, slices = pyramid_anchors((100, 70), base_size=3.0, levels=("P2", "P6"))
+    assert list(slices) == ["P2", "P6"]
+    np.testing.assert_array_equal(anchors[slices["P2"]], gen_anchors(4, (25, 18), 3.0))
+    np.testing.assert_array_equal(anchors[slices["P6"]], gen_anchors(64, (2, 2), 3.0))
 
 
 # ---------------------------------------------------------------------------
@@ -188,11 +202,10 @@ def test_level_stats_custom_assigner():
 
 def test_level_stats_writers(tmp_path):
     stats = level_stats([[Box(10, 10, 20, 20)]], (128, 128))
-    csv_path, json_path = str(tmp_path / "s.csv"), str(tmp_path / "s.json")
-    write_level_stats_csv(stats, csv_path)
-    write_level_stats_json(stats, json_path)
-    rows = list(csv.DictReader(open(csv_path)))
-    payload = json.load(open(json_path))
+    scene = Scene(image=np.zeros((3, 128, 128), np.float32), gts=[(Box(10, 10, 20, 20), 0)])
+    assert audit_positive_samples([scene], (128, 128), str(tmp_path)) == stats
+    rows = list(csv.DictReader(open(tmp_path / "reports" / "level_stats.csv")))
+    payload = json.load(open(tmp_path / "reports" / "level_stats.json"))
     assert len(rows) == len(payload) == 5
     for row, rec, s in zip(rows, payload, stats):
         assert row["level"] == rec["level"] == s.level

@@ -1,0 +1,30 @@
+"""Smoke test: the narrative demos run to completion from the source tree.
+
+05_tiny_training_run.py (a training run of about 20 s) is left out; the
+acceptance training gate covers the train/evaluate calls it makes.
+"""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+DEMOS = [
+    "01_autodiff_gradcheck.py",
+    "02_context_and_gating.py",
+    "03_loss_analysis.py",
+    "04_anchor_audit.py",
+]
+
+
+@pytest.mark.parametrize("name", DEMOS)
+def test_demo_runs(name, tmp_path):
+    path = os.pathsep.join(p for p in (str(ROOT / "src"), os.environ.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, str(ROOT / "demos" / name)], cwd=tmp_path,
+                          env=dict(os.environ, PYTHONPATH=path),
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip()

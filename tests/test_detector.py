@@ -218,9 +218,9 @@ def test_enhancement_flag_changes_p2_path_only():
     model_off = DetectorModel(plain_cfg, seed=5)
     pyr_on = model_on.pyramid(Tensor(scene.image))
     pyr_off = model_off.pyramid(Tensor(scene.image))
-    assert not np.array_equal(pyr_on.feature("P2").data, pyr_off.feature("P2").data)
+    assert not np.array_equal(pyr_on["P2"].data, pyr_off["P2"].data)
     for name in ("P3", "P4", "P5", "P6"):
-        assert pyr_on.feature(name).data.tobytes() == pyr_off.feature(name).data.tobytes()
+        assert pyr_on[name].data.tobytes() == pyr_off[name].data.tobytes()
 
 
 def test_checkpoint_roundtrip_preserves_predictions(tmp_path):

@@ -1,12 +1,13 @@
 import csv
 import json
 import os
+import struct
 
 import numpy as np
 import pytest
 
 from tinydet.cli import main
-from tinydet.detector import DetectorConfig
+from tinydet.detector import DetectorConfig, DetectorModel
 from tinydet.experiments import (
     audit_positive_samples,
     delta_sweep,
@@ -182,6 +183,17 @@ def test_cli_error_exit_codes(tmp_path, capsys):
     bad.write_text("[1, 2]")
     assert main(["verify-loss", "--config", str(bad),
                  "--out", str(tmp_path / "o")]) == 1
+
+
+def test_cli_eval_rejects_checkpoint_with_crafted_header(tmp_path, dataset, capsys):
+    ckpt = tmp_path / "ckpt"
+    DetectorModel(DetectorConfig(), seed=0).store.save(str(ckpt))
+    # dims 2^31 x 2^31 x 3: 4 * count overflows int64 and far exceeds the file
+    (ckpt / "params" / "p0000.efbt").write_bytes(
+        b"EFBT" + struct.pack("<BBB3I", 1, 0, 3, 2 ** 31, 2 ** 31, 3) + bytes(16))
+    assert main(["eval", "--data", dataset, "--checkpoint", str(ckpt),
+                 "--out", str(tmp_path / "ev")]) == 1
+    assert "truncated payload" in capsys.readouterr().err
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")

@@ -68,25 +68,6 @@ def test_forward_rejects_spatial_mismatch():
         fbsm_forward(rand(6, 8, 8), rand(4, 4, 4), p)
 
 
-def test_per_channel_mask_variant():
-    p = make_params(6, 4, mask_channels=4)
-    high, low = rand(6, 8, 8), rand(4, 8, 8)
-    m = gate(high, p.psi_h1_w, p.psi_h1_b, p.psi_h2_w, p.psi_h2_b)
-    assert m.data.shape == (4, 8, 8)
-    out = fbsm_forward(high, low, p)
-    assert out.data.shape == (4, 8, 8)
-
-
-def test_residual_refine_variant():
-    base = make_params(6, 4, seed=3)
-    skip = make_params(6, 4, seed=3, residual_refine=True)
-    high, low = rand(6, 8, 8), rand(4, 8, 8)
-    out_base = fbsm_forward(high, low, base)
-    out_skip = fbsm_forward(high, low, skip)
-    # same weights, so the skip output is relu(pre-activation + low)
-    assert not np.array_equal(out_base.data, out_skip.data)
-
-
 def test_gradients_through_full_module():
     p = make_params(3, 2, seed=1)
     high = rand(3, 5, 5, requires_grad=True)

@@ -55,17 +55,17 @@ def test_backbone_rejects_bad_input():
 def test_pyramid_shapes_and_strides():
     store, _, _ = make_store()
     pyr = build_fpn(backbone_forward(image(), store, CFG), store, CFG)
-    assert pyr.names() == ["P2", "P3", "P4", "P5", "P6"]
+    assert list(pyr) == ["P2", "P3", "P4", "P5", "P6"]
     for name, side in [("P2", 32), ("P3", 16), ("P4", 8), ("P5", 4), ("P6", 2)]:
-        f = pyr.feature(name)
+        f = pyr[name]
         assert f.data.shape == (CFG.pyramid_channels, side, side)
-        assert pyr.stride(name) == 128 // side
+        assert LEVEL_STRIDES[name] == 128 // side
 
 
 def test_p6_is_max_pool_of_p5():
     store, _, _ = make_store()
     pyr = build_fpn(backbone_forward(image(), store, CFG), store, CFG)
-    p5, p6 = pyr.feature("P5").data, pyr.feature("P6").data
+    p5, p6 = pyr["P5"].data, pyr["P6"].data
     for c in range(p5.shape[0]):
         for i in range(p6.shape[1]):
             for j in range(p6.shape[2]):
@@ -76,10 +76,10 @@ def test_enhancement_replaces_only_p2():
     store, cem, fbsm = make_store()
     pyr = build_fpn(backbone_forward(image(), store, CFG), store, CFG)
     out = efpn_bs_forward(pyr, cem, fbsm)
-    assert not np.array_equal(out.feature("P2").data, pyr.feature("P2").data)
-    assert out.feature("P2").data.shape == pyr.feature("P2").data.shape
+    assert not np.array_equal(out["P2"].data, pyr["P2"].data)
+    assert out["P2"].data.shape == pyr["P2"].data.shape
     for name in ("P3", "P4", "P5", "P6"):
-        assert out.feature(name).data.tobytes() == pyr.feature(name).data.tobytes()
+        assert out[name].data.tobytes() == pyr[name].data.tobytes()
 
 
 def test_enhancement_disabled_is_identity():
@@ -93,9 +93,9 @@ def test_enhancement_configurable_levels():
     pyr = build_fpn(backbone_forward(image(), store, CFG), store, CFG)
     out = efpn_bs_forward(pyr, cem, fbsm, levels=("P2", "P3"))
     for name in ("P2", "P3"):
-        assert not np.array_equal(out.feature(name).data, pyr.feature(name).data)
+        assert not np.array_equal(out[name].data, pyr[name].data)
     for name in ("P4", "P5", "P6"):
-        assert out.feature(name).data.tobytes() == pyr.feature(name).data.tobytes()
+        assert out[name].data.tobytes() == pyr[name].data.tobytes()
 
 
 def test_gradient_reaches_p5_through_enhanced_p2():
@@ -104,7 +104,7 @@ def test_gradient_reaches_p5_through_enhanced_p2():
     store, cem, fbsm = make_store()
     pyr = build_fpn(backbone_forward(image(), store, CFG), store, CFG)
     out = efpn_bs_forward(pyr, cem, fbsm)
-    tensor_sum(out.feature("P2")).backward()
+    tensor_sum(out["P2"]).backward()
     lat5 = store["fpn.lateral5.w"]
     assert lat5.grad is not None and np.abs(lat5.grad).max() > 0
     assert np.abs(store["backbone.stem0.w"].grad).max() > 0
@@ -116,7 +116,7 @@ def test_full_pipeline_deterministic():
         store, cem, fbsm = make_store(seed=4)
         img = Tensor(np.random.default_rng(1).standard_normal((3, 128, 128)).astype(np.float32))
         pyr = efpn_bs_forward(build_fpn(backbone_forward(img, store, CFG), store, CFG), cem, fbsm)
-        return pyr.feature("P2").data.tobytes()
+        return pyr["P2"].data.tobytes()
 
     assert run() == run()
 

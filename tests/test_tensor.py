@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -14,14 +16,12 @@ from tinydet.tensor import (
     concat_columns,
     conv2d,
     gather_hw,
-    hadamard,
     max_pool_2x2,
     mul_mask,
     read_tensor_file,
     relu,
     reshape,
     sigmoid,
-    tensor,
     tensor_mean,
     tensor_sum,
     weighted_bce_with_logits,
@@ -112,11 +112,9 @@ def test_relu_definition_and_idempotence():
     np.testing.assert_array_equal(relu(Tensor(once)).data, once)
 
 
-def test_add_hadamard_shape_mismatch_rejected():
+def test_add_shape_mismatch_rejected():
     with pytest.raises(ValueError, match="shape"):
         add(rand64(2, 3), rand64(3, 2))
-    with pytest.raises(ValueError, match="shape"):
-        hadamard(rand64(4), rand64(5))
 
 
 def test_broadcast_add_channel_on_zero_map():
@@ -127,9 +125,9 @@ def test_broadcast_add_channel_on_zero_map():
 
 
 def test_elementwise_gradients():
-    a = rand64(3, 4, requires_grad=True)
-    b = rand64(3, 4, requires_grad=True)
-    check_gradients(lambda: tensor_sum(hadamard(sigmoid(a), relu(add(a, b)))), [a, b])
+    a = rand64(3, 4, 2, requires_grad=True)
+    b = rand64(3, 4, 2, requires_grad=True)
+    check_gradients(lambda: tensor_sum(mul_mask(sigmoid(a), relu(add(a, b)))), [a, b])
 
 
 def test_mul_mask_broadcast_gradient():
@@ -207,7 +205,7 @@ def test_bilinear_downsample_rejected():
 def test_bilinear_gradient():
     x = rand64(2, 3, 3, requires_grad=True)
     w = rand64(2, 7, 8)
-    check_gradients(lambda: tensor_sum(hadamard(bilinear_upsample(x, (7, 8)), Tensor(w.data))), [x])
+    check_gradients(lambda: tensor_sum(mul_mask(bilinear_upsample(x, (7, 8)), Tensor(w.data))), [x])
 
 
 # ---------------------------------------------------------------------------
@@ -294,7 +292,8 @@ def test_forward_backward_repeatable_bitwise():
     def run():
         s = ParamStore(seed=3)
         w, b = s.register_conv("c", 2, 2, 3)
-        x = tensor(np.random.default_rng(0).standard_normal((2, 6, 6)), requires_grad=True)
+        x = Tensor(np.asarray(np.random.default_rng(0).standard_normal((2, 6, 6)), np.float32),
+                   requires_grad=True)
         loss = tensor_sum(sigmoid(conv2d(x, w, b)))
         loss.backward()
         return loss.data.tobytes(), w.grad.tobytes(), x.grad.tobytes()
@@ -346,3 +345,30 @@ def test_efbt_bad_magic_rejected(tmp_path):
         f.write(b"NOPE" + bytes(16))
     with pytest.raises(ValueError, match="magic"):
         read_tensor_file(path)
+
+
+def efbt_header(dims):
+    return b"EFBT" + struct.pack(f"<BBB{len(dims)}I", 1, 0, len(dims), *dims)
+
+
+@pytest.mark.parametrize("raw, match", [
+    (b"EFBT\x01", "truncated header"),
+    (efbt_header((2, 3))[:-2], "truncated header"),
+    (efbt_header((2, 3)) + bytes(4 * 6 - 1), "truncated payload"),
+    (efbt_header((2 ** 20, 2 ** 20, 2 ** 10)) + bytes(16), "truncated payload"),
+    (efbt_header((2 ** 31, 2 ** 31, 3)) + bytes(16), "truncated payload"),
+])
+def test_efbt_header_the_file_cannot_back_rejected(tmp_path, raw, match):
+    path = tmp_path / "bad.efbt"
+    path.write_bytes(raw)
+    with pytest.raises(ValueError, match=match):
+        read_tensor_file(str(path))
+
+
+def test_tensor_submodule_is_importable_by_name():
+    import types
+
+    import tinydet.tensor as T
+
+    assert isinstance(T, types.ModuleType)
+    assert T.Tensor is Tensor
