@@ -8,12 +8,12 @@ Global flags: --seed, --config <json>, --out <dir>.  Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import os
 import sys
 
 from .balanced_loss import DCLossParams, verify_theorem1
+from .config import coerce, from_dict
 from .detector import DetectorConfig, DetectorModel
 from .experiments import (
     audit_positive_samples,
@@ -23,41 +23,37 @@ from .experiments import (
     run_training,
     write_report,
 )
-from .pyramid import BackboneConfig
 from .scenes import SceneSpec, read_dataset, write_dataset
-from .tensor import ParamStore
 from .training import DivergenceError, TrainConfig, evaluate_model
 
+SECTIONS = {"scene": SceneSpec, "detector": DetectorConfig, "train": TrainConfig}
+EXPERIMENT_KEYS = {"subsets": tuple[tuple[str, ...], ...], "n_seeds": int,
+                   "deltas": tuple[float, ...]}
 
-def _load_config(path: str | None) -> dict:
-    if not path:
-        return {}
-    try:
-        with open(path) as f:
-            cfg = json.load(f)
-    except (OSError, json.JSONDecodeError) as e:
-        raise ValueError(f"--config {path}: {e}") from e
-    if not isinstance(cfg, dict):
-        raise ValueError(f"--config {path}: top level must be an object")
+
+def _read_config(path: str | None, seed: int) -> dict:
+    """Every section of the --config file, parsed; absent sections take the
+    defaults and ``seed`` comes from --seed.  Experiment keys appear only when
+    the file sets them."""
+    raw = {}
+    if path:
+        try:
+            with open(path) as f:
+                raw = json.load(f)
+        except (OSError, json.JSONDecodeError) as e:
+            raise ValueError(f"--config {path}: {e}") from e
+        if not isinstance(raw, dict):
+            raise ValueError(f"--config {path}: top level must be an object")
+    unknown = raw.keys() - SECTIONS.keys() - EXPERIMENT_KEYS.keys()
+    if unknown:
+        raise ValueError(f"--config {path}: unknown keys {sorted(unknown)}; known keys: "
+                         f"{', '.join([*SECTIONS, *EXPERIMENT_KEYS])}")
+    cfg = {key: coerce(raw[key], hint, key)
+           for key, hint in EXPERIMENT_KEYS.items() if key in raw}
+    for name, cls in SECTIONS.items():
+        fixed = {} if cls is DetectorConfig else {"seed": seed}
+        cfg[name] = from_dict(cls, raw.get(name, {}), name, **fixed)
     return cfg
-
-
-def _build(dc_cls, overrides: dict, **extra):
-    fields = {f.name for f in dataclasses.fields(dc_cls)}
-    kwargs = {k: v for k, v in overrides.items() if k in fields}
-    kwargs.update(extra)
-    return dc_cls(**kwargs)
-
-
-def _detector_config(cfg: dict) -> DetectorConfig:
-    backbone = _build(BackboneConfig, cfg.get("backbone", {}))
-    det = {k: v for k, v in cfg.items() if k != "backbone"}
-    dc = _build(DetectorConfig, det, backbone=backbone)
-    if "levels" in det:
-        dc = dataclasses.replace(dc, levels=tuple(det["levels"]))
-    if "enhance_levels" in det:
-        dc = dataclasses.replace(dc, enhance_levels=tuple(det["enhance_levels"]))
-    return dc
 
 
 def _read_scenes(path: str):
@@ -68,20 +64,18 @@ def _read_scenes(path: str):
 
 
 def cmd_gen(args, cfg):
-    spec = _build(SceneSpec, cfg.get("scene", cfg), seed=args.seed)
-    manifest = write_dataset(spec, args.count, args.out)
+    manifest = write_dataset(cfg["scene"], args.count, args.out)
     print(f"wrote {manifest['count']} scenes to {args.out}")
     return 0
 
 
 def cmd_audit(args, cfg):
     scenes, manifest = _read_scenes(args.data)
-    spec = manifest.get("spec", {})
-    hw = (spec.get("height", 128), spec.get("width", 128))
+    spec = from_dict(SceneSpec, manifest.get("spec"), f"{args.data} manifest: spec")
+    det = cfg["detector"]
     stats = audit_positive_samples(
-        scenes, hw, args.out,
-        base_anchor=cfg.get("base_anchor", 2.0),
-        pos_thr=cfg.get("pos_thr", 0.5), neg_thr=cfg.get("neg_thr", 0.4))
+        scenes, (spec.height, spec.width), args.out,
+        base_anchor=det.base_anchor, pos_thr=det.pos_thr, neg_thr=det.neg_thr)
     for s in stats:
         print(f"{s.level}: positives={s.positives} negatives={s.negatives} "
               f"ignored={s.ignored}")
@@ -89,25 +83,19 @@ def cmd_audit(args, cfg):
 
 
 def cmd_verify_loss(args, cfg):
-    params = DCLossParams(k=cfg.get("k", 10.0), delta=cfg.get("delta", 0.15),
-                          swap_weights=cfg.get("swap_weights", False))
+    t = cfg["train"]
+    params = DCLossParams(k=t.dc_k, delta=t.dc_delta,
+                          swap_weights=t.reg_loss == "dcloss_swapped")
     report = verify_theorem1(params)
     write_report(args.out, "theorem_report", report.as_dict())
     print(report.to_json())
     return 0
 
 
-def _train_cfgs(args, cfg):
-    det_cfg = _detector_config(cfg.get("detector", {}))
-    train_cfg = _build(TrainConfig, cfg.get("train", {}), seed=args.seed)
-    return det_cfg, train_cfg
-
-
 def cmd_train(args, cfg):
     scenes, _ = _read_scenes(args.data)
     val_scenes = _read_scenes(args.val_data)[0] if args.val_data else []
-    det_cfg, train_cfg = _train_cfgs(args, cfg)
-    _, metrics = run_training(scenes, val_scenes, det_cfg, train_cfg, args.out)
+    _, metrics = run_training(scenes, val_scenes, cfg["detector"], cfg["train"], args.out)
     print(f"training finished; reports under {reports_dir(args.out)}")
     if metrics:
         print(json.dumps(metrics, indent=2, sort_keys=True))
@@ -116,9 +104,10 @@ def cmd_train(args, cfg):
 
 def cmd_eval(args, cfg):
     scenes, _ = _read_scenes(args.data)
-    det_cfg = _detector_config(cfg.get("detector", {}))
-    store = ParamStore.load(args.checkpoint)
-    model = DetectorModel(det_cfg, store=store)
+    model = DetectorModel.load(args.checkpoint)
+    if args.config and cfg["detector"] != model.cfg:
+        raise ValueError(f"--config {args.config}: detector section differs from the "
+                         f"config of checkpoint {args.checkpoint}")
     metrics = evaluate_model(model, scenes).as_dict()
     write_report(args.out, "metrics_eval", metrics)
     print(json.dumps(metrics, indent=2, sort_keys=True))
@@ -128,11 +117,9 @@ def cmd_eval(args, cfg):
 def cmd_ablate(args, cfg):
     scenes, _ = _read_scenes(args.data)
     val_scenes, _ = _read_scenes(args.val_data)
-    det_cfg, train_cfg = _train_cfgs(args, cfg)
-    subsets = cfg.get("subsets", [["P2", "P3"], ["P2", "P3", "P4", "P5", "P6"]])
     _, summary = level_subset_ablation(
-        scenes, val_scenes, det_cfg, train_cfg, args.out,
-        subsets=[tuple(s) for s in subsets], n_seeds=cfg.get("n_seeds", 3))
+        scenes, val_scenes, cfg["detector"], cfg["train"], args.out,
+        **{k: cfg[k] for k in ("subsets", "n_seeds") if k in cfg})
     print(json.dumps(summary, indent=2, sort_keys=True))
     return 0
 
@@ -140,10 +127,8 @@ def cmd_ablate(args, cfg):
 def cmd_sweep_delta(args, cfg):
     scenes, _ = _read_scenes(args.data)
     val_scenes, _ = _read_scenes(args.val_data)
-    det_cfg, train_cfg = _train_cfgs(args, cfg)
-    rows = delta_sweep(scenes, val_scenes, det_cfg, train_cfg, args.out,
-                       deltas=tuple(cfg.get("deltas", (0.05, 0.1, 0.15, 0.3, 0.5))),
-                       k=cfg.get("k", 10.0))
+    rows = delta_sweep(scenes, val_scenes, cfg["detector"], cfg["train"], args.out,
+                       **{k: cfg[k] for k in ("deltas",) if k in cfg})
     print(json.dumps(rows, indent=2, sort_keys=True))
     return 0
 
@@ -202,7 +187,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        cfg = _load_config(args.config)
+        cfg = _read_config(args.config, args.seed)
         os.makedirs(args.out, exist_ok=True)
         return args.fn(args, cfg)
     except DivergenceError as e:

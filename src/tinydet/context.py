@@ -31,14 +31,10 @@ class CemParams:
     bias: Tensor    # [C_l]
 
     @classmethod
-    def from_store(cls, store: ParamStore, prefix: str = "cem.proj"):
-        """The projection's tensors, looked up in ``store`` by name."""
-        return cls(weight=store[f"{prefix}.w"], bias=store[f"{prefix}.b"])
-
-    @classmethod
-    def create(cls, store: ParamStore, c_high: int, c_low: int, prefix: str = "cem.proj"):
-        store.register_conv(prefix, c_low, c_high, 1)
-        return cls.from_store(store, prefix)
+    def create(cls, store: ParamStore, c_high: int, c_low: int):
+        """Register the projection in ``store`` as ``cem.proj``."""
+        weight, bias = store.register_conv("cem.proj", c_low, c_high, 1)
+        return cls(weight=weight, bias=bias)
 
 
 def global_context(p_high: Tensor, params: CemParams) -> Tensor:

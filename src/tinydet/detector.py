@@ -10,16 +10,18 @@ positive anchors only with a pluggable loss.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from .anchors import IGNORED, Box, assign_maxiou, pyramid_anchors
 from .balanced_loss import DCLossParams, dcloss_term, smooth_l1_term
+from .config import from_dict
 from .context import CemParams
 from .evaluation import Detection, nms
 from .gating import FbsmParams
 from .pyramid import (
+    LEVEL_STRIDES,
     BackboneConfig,
     backbone_forward,
     build_backbone_params,
@@ -55,9 +57,9 @@ __all__ = [
 class DetectorConfig:
     backbone: BackboneConfig = field(default_factory=BackboneConfig)
     num_classes: int = 3
-    levels: tuple = ("P2", "P3", "P4", "P5", "P6")
+    levels: tuple[str, ...] = ("P2", "P3", "P4", "P5", "P6")
     enhance: bool = True
-    enhance_levels: tuple = ("P2",)
+    enhance_levels: tuple[str, ...] = ("P2",)
     gate_width: int | None = None
     head_channels: int = 32
     base_anchor: float = 2.0
@@ -67,24 +69,31 @@ class DetectorConfig:
     nms_iou: float = 0.5
     max_detections: int = 100
 
+    def __post_init__(self):
+        if not self.levels:
+            raise ValueError("levels must name at least one pyramid level")
+        for name in (*self.levels, *self.enhance_levels):
+            if name not in LEVEL_STRIDES:
+                raise ValueError(f"unknown pyramid level {name!r}; levels are "
+                                 f"{', '.join(LEVEL_STRIDES)}")
+
 
 def build_head_params(store: ParamStore, channels: int, num_classes: int,
-                      trunk_channels: int | None = None, prefix: str = "head"):
+                      trunk_channels: int | None = None):
     c = trunk_channels if trunk_channels is not None else channels
-    store.register_conv(f"{prefix}.trunk", c, channels, 3)
-    store.register_conv(f"{prefix}.cls", num_classes, c, 1)
-    store.register_conv(f"{prefix}.reg", 4, c, 1)
+    store.register_conv("head.trunk", c, channels, 3)
+    store.register_conv("head.cls", num_classes, c, 1)
+    store.register_conv("head.reg", 4, c, 1)
 
 
-def head_forward(pyr: dict[str, Tensor], store: ParamStore, levels,
-                 prefix: str = "head"):
+def head_forward(pyr: dict[str, Tensor], store: ParamStore, levels):
     """Per-level (class logits [K,H,W], box deltas [4,H,W])."""
     out = {}
     for name in levels:
         f = pyr[name]
-        trunk = relu(conv2d(f, store[f"{prefix}.trunk.w"], store[f"{prefix}.trunk.b"]))
-        cls = conv2d(trunk, store[f"{prefix}.cls.w"], store[f"{prefix}.cls.b"])
-        reg = conv2d(trunk, store[f"{prefix}.reg.w"], store[f"{prefix}.reg.b"])
+        trunk = relu(conv2d(f, store["head.trunk.w"], store["head.trunk.b"]))
+        cls = conv2d(trunk, store["head.cls.w"], store["head.cls.b"])
+        reg = conv2d(trunk, store["head.reg.w"], store["head.reg.b"])
         out[name] = (cls, reg)
     return out
 
@@ -167,21 +176,36 @@ def assign_image(gts, image_hw, cfg: DetectorConfig) -> ImageAssignment:
 class DetectorModel:
     """Wires backbone, pyramid, enhancement modules, and head over one ParamStore."""
 
-    def __init__(self, cfg: DetectorConfig, seed: int = 0, store: ParamStore | None = None):
+    def __init__(self, cfg: DetectorConfig, seed: int = 0):
         self.cfg = cfg
-        if store is None:
-            store = ParamStore(seed=seed)
-            build_backbone_params(store, cfg.backbone)
-            build_fpn_params(store, cfg.backbone)
-            c = cfg.backbone.pyramid_channels
-            CemParams.create(store, c, c)
-            FbsmParams.create(store, c, c, gate_width=cfg.gate_width)
-        self.store = store
-        self.cem = CemParams.from_store(store)
-        self.fbsm = FbsmParams.from_store(store)
-        if "head.trunk.w" not in store:
-            build_head_params(store, cfg.backbone.pyramid_channels, cfg.num_classes,
-                              cfg.head_channels)
+        self.store = store = ParamStore(seed=seed)
+        build_backbone_params(store, cfg.backbone)
+        build_fpn_params(store, cfg.backbone)
+        c = cfg.backbone.pyramid_channels
+        self.cem = CemParams.create(store, c, c)
+        self.fbsm = FbsmParams.create(store, c, c, gate_width=cfg.gate_width)
+        build_head_params(store, c, cfg.num_classes, cfg.head_channels)
+
+    def save(self, directory: str):
+        """Checkpoint the parameters together with the config that built them."""
+        self.store.save(directory, asdict(self.cfg))
+
+    @classmethod
+    def load(cls, directory: str) -> "DetectorModel":
+        """Rebuild the model a checkpoint's config describes and copy its
+        parameters in; names and shapes must match the fresh model's exactly."""
+        saved, config = ParamStore.load(directory)
+        model = cls(from_dict(DetectorConfig, config, f"checkpoint {directory}: config"),
+                    seed=saved.seed)
+        want = {n: t.data.shape for n, t in model.store.items()}
+        got = {n: t.data.shape for n, t in saved.items()}
+        if got != want:
+            bad = sorted(n for n in want.keys() | got.keys() if want.get(n) != got.get(n))
+            raise ValueError(f"checkpoint {directory}: parameters do not fit its config: "
+                             f"{', '.join(bad)}")
+        for name, t in model.store.items():
+            t.data[...] = saved[name].data
+        return model
 
     def pyramid(self, image: Tensor) -> dict[str, Tensor]:
         feats = backbone_forward(image, self.store, self.cfg.backbone)

@@ -161,19 +161,19 @@ def average_precision(dets_per_image, gts_per_image, class_id: int,
     return float(ap)
 
 
-def _mean_ap(dets_per_image, gts_per_image, classes, thresholds, bucket=None) -> float:
+def _per_threshold_ap(dets_per_image, gts_per_image, classes, bucket=None) -> list[float]:
+    """Class-mean AP at each of IOU_THRESHOLDS; 0.0 when no class has an
+    in-bucket ground truth."""
     per_thr = []
-    for thr in thresholds:
+    for thr in IOU_THRESHOLDS:
         vals = [average_precision(dets_per_image, gts_per_image, c, thr, bucket)
                 for c in classes]
         vals = [v for v in vals if v is not None]
-        if vals:
-            per_thr.append(float(np.mean(vals)))
-    return float(np.mean(per_thr)) if per_thr else 0.0
+        per_thr.append(float(np.mean(vals)) if vals else 0.0)
+    return per_thr
 
 
-def evaluate_ap(dets_per_image, gts_per_image, num_classes: int | None = None,
-                iou_thresholds=IOU_THRESHOLDS) -> EvalResult:
+def evaluate_ap(dets_per_image, gts_per_image, num_classes: int | None = None) -> EvalResult:
     """Full metric set over matched detection/ground-truth image lists."""
     if len(dets_per_image) != len(gts_per_image):
         raise ValueError("detections and ground truths must align per image")
@@ -183,12 +183,13 @@ def evaluate_ap(dets_per_image, gts_per_image, num_classes: int | None = None,
         classes = sorted(seen) if seen else [0]
     else:
         classes = list(range(num_classes))
+    per_thr = _per_threshold_ap(dets_per_image, gts_per_image, classes)
     return EvalResult(
-        ap=_mean_ap(dets_per_image, gts_per_image, classes, iou_thresholds),
-        ap50=_mean_ap(dets_per_image, gts_per_image, classes, [0.5]),
-        ap75=_mean_ap(dets_per_image, gts_per_image, classes, [0.75]),
-        ap_vt=_mean_ap(dets_per_image, gts_per_image, classes, iou_thresholds,
-                       SIZE_BUCKETS["vt"]),
-        ap_t=_mean_ap(dets_per_image, gts_per_image, classes, iou_thresholds,
-                      SIZE_BUCKETS["t"]),
+        ap=float(np.mean(per_thr)),
+        ap50=per_thr[IOU_THRESHOLDS.index(0.5)],
+        ap75=per_thr[IOU_THRESHOLDS.index(0.75)],
+        ap_vt=float(np.mean(_per_threshold_ap(dets_per_image, gts_per_image, classes,
+                                              SIZE_BUCKETS["vt"]))),
+        ap_t=float(np.mean(_per_threshold_ap(dets_per_image, gts_per_image, classes,
+                                             SIZE_BUCKETS["t"]))),
     )

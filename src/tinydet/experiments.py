@@ -61,7 +61,7 @@ def run_training(train_scenes, val_scenes, det_cfg: DetectorConfig,
                  train_cfg: TrainConfig, out_dir: str, tag: str = "train"):
     """Train, evaluate, and persist checkpoint + loss curve + metrics."""
     result = train(train_scenes, det_cfg, train_cfg)
-    result.model.store.save(os.path.join(out_dir, f"checkpoint_{tag}"))
+    result.model.save(os.path.join(out_dir, f"checkpoint_{tag}"))
     write_report(out_dir, f"loss_curve_{tag}", result.loss_curve,
                  columns=["epoch", "lr", "cls", "reg", "total"])
     metrics = None
@@ -77,13 +77,15 @@ def level_subset_ablation(train_scenes, val_scenes, det_cfg: DetectorConfig,
                           n_seeds: int = 3):
     """Train one detector per (subset, seed) with shared seeds and report
     EvalResults side by side with mean/std and a normal-approximation 95% CI."""
+    if n_seeds < 1:
+        raise ValueError("n_seeds must be >= 1")
+    det_cfgs = [replace(det_cfg, levels=tuple(subset)) for subset in subsets]
     rows = []
-    for subset in subsets:
+    for subset, det_s in zip(subsets, det_cfgs):
         name = "+".join(subset)
         for s in range(n_seeds):
             seed = train_cfg.seed + s
             cfg_s = replace(train_cfg, seed=seed)
-            det_s = replace(det_cfg, levels=tuple(subset))
             result = train(train_scenes, det_s, cfg_s)
             metrics = evaluate_model(result.model, val_scenes).as_dict()
             rows.append({"subset": name, "seed": seed, **metrics})
@@ -107,13 +109,15 @@ def level_subset_ablation(train_scenes, val_scenes, det_cfg: DetectorConfig,
 
 def delta_sweep(train_scenes, val_scenes, det_cfg: DetectorConfig,
                 train_cfg: TrainConfig, out_dir: str,
-                deltas=(0.05, 0.1, 0.15, 0.3, 0.5), k: float = 10.0):
-    """One training run per transition threshold (fixed slope k, shared seed)."""
+                deltas=(0.05, 0.1, 0.15, 0.3, 0.5)):
+    """One training run per transition threshold (fixed slope ``train_cfg.dc_k``,
+    shared seed)."""
     if not deltas:
         raise ValueError("deltas must be non-empty")
+    k = train_cfg.dc_k
     rows = []
     for delta in deltas:
-        cfg_d = replace(train_cfg, reg_loss="dcloss", dc_k=k, dc_delta=float(delta),
+        cfg_d = replace(train_cfg, reg_loss="dcloss", dc_delta=float(delta),
                         dc_learnable=False)
         result = train(train_scenes, det_cfg, cfg_d)
         metrics = evaluate_model(result.model, val_scenes).as_dict()

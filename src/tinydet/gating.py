@@ -23,8 +23,6 @@ from .tensor import (
 
 __all__ = ["FbsmParams", "gate", "fuse_gates", "fbsm_forward"]
 
-_CONVS = ("psi_h1", "psi_h2", "psi_l1", "psi_l2", "phi_f", "phi_r")
-
 
 @dataclass
 class FbsmParams:
@@ -50,22 +48,16 @@ class FbsmParams:
         return self.psi_h1_w.data.shape[0]
 
     @classmethod
-    def from_store(cls, store: ParamStore, prefix: str = "fbsm"):
-        """The module's tensors, looked up in ``store`` by name."""
-        return cls(**{f"{conv}_{p}": store[f"{prefix}.{conv}.{p}"]
-                      for conv in _CONVS for p in ("w", "b")})
-
-    @classmethod
     def create(cls, store: ParamStore, c_high: int, c_low: int,
-               gate_width: int | None = None, prefix: str = "fbsm"):
+               gate_width: int | None = None):
+        """Register the six convs in ``store`` as ``fbsm.<conv>``."""
         g = gate_width if gate_width is not None else max(4, c_low // 4)
-        store.register_conv(f"{prefix}.psi_h1", g, c_high, 3)
-        store.register_conv(f"{prefix}.psi_h2", 1, g, 1)
-        store.register_conv(f"{prefix}.psi_l1", g, c_low, 3)
-        store.register_conv(f"{prefix}.psi_l2", 1, g, 1)
-        store.register_conv(f"{prefix}.phi_f", 1, 1, 3)
-        store.register_conv(f"{prefix}.phi_r", c_low, c_low, 3)
-        return cls.from_store(store, prefix)
+        shapes = {"psi_h1": (g, c_high, 3), "psi_h2": (1, g, 1), "psi_l1": (g, c_low, 3),
+                  "psi_l2": (1, g, 1), "phi_f": (1, 1, 3), "phi_r": (c_low, c_low, 3)}
+        params = {}
+        for conv, shape in shapes.items():
+            params[f"{conv}_w"], params[f"{conv}_b"] = store.register_conv(f"fbsm.{conv}", *shape)
+        return cls(**params)
 
 
 def gate(x: Tensor, psi1_w: Tensor, psi1_b: Tensor, psi2_w: Tensor, psi2_b: Tensor) -> Tensor:

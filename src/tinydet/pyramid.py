@@ -41,7 +41,7 @@ class BackboneConfig:
     """Four-stage strided conv stack standing in for a deep backbone."""
 
     stem_channels: int = 8
-    stage_channels: tuple = (8, 16, 16, 16)
+    stage_channels: tuple[int, ...] = (8, 16, 16, 16)
     pyramid_channels: int = 8
     input_offset: float = 0.4  # subtracted from the image to center intensities
 
@@ -50,16 +50,15 @@ class BackboneConfig:
             raise ValueError("backbone needs exactly 4 stages (strides 4/8/16/32)")
 
 
-def build_backbone_params(store: ParamStore, cfg: BackboneConfig, prefix: str = "backbone"):
-    store.register_conv(f"{prefix}.stem0", cfg.stem_channels, 3, 3)
-    store.register_conv(f"{prefix}.stem1", cfg.stage_channels[0], cfg.stem_channels, 3)
+def build_backbone_params(store: ParamStore, cfg: BackboneConfig):
+    store.register_conv("backbone.stem0", cfg.stem_channels, 3, 3)
+    store.register_conv("backbone.stem1", cfg.stage_channels[0], cfg.stem_channels, 3)
     for i in range(1, 4):
-        store.register_conv(f"{prefix}.stage{i}", cfg.stage_channels[i],
+        store.register_conv(f"backbone.stage{i}", cfg.stage_channels[i],
                             cfg.stage_channels[i - 1], 3)
 
 
-def backbone_forward(image: Tensor, store: ParamStore, cfg: BackboneConfig,
-                     prefix: str = "backbone"):
+def backbone_forward(image: Tensor, store: ParamStore, cfg: BackboneConfig):
     """Image [3,H,W] (H, W divisible by 64) -> features C2..C5 at strides 4..32."""
     if image.data.ndim != 3 or image.data.shape[0] != 3:
         raise ValueError(f"backbone expects [3,H,W], got {image.data.shape}")
@@ -68,24 +67,23 @@ def backbone_forward(image: Tensor, store: ParamStore, cfg: BackboneConfig,
         raise ValueError(f"image dims must be divisible by 64, got {h}x{w}")
     if cfg.input_offset:
         image = shift(image, -cfg.input_offset)
-    x = relu(conv2d(image, store[f"{prefix}.stem0.w"], store[f"{prefix}.stem0.b"], stride=2))
-    x = relu(conv2d(x, store[f"{prefix}.stem1.w"], store[f"{prefix}.stem1.b"], stride=2))
+    x = relu(conv2d(image, store["backbone.stem0.w"], store["backbone.stem0.b"], stride=2))
+    x = relu(conv2d(x, store["backbone.stem1.w"], store["backbone.stem1.b"], stride=2))
     feats = [x]  # C2, stride 4
     for i in range(1, 4):
-        x = relu(conv2d(x, store[f"{prefix}.stage{i}.w"], store[f"{prefix}.stage{i}.b"], stride=2))
+        x = relu(conv2d(x, store[f"backbone.stage{i}.w"], store[f"backbone.stage{i}.b"], stride=2))
         feats.append(x)
     return feats  # [C2, C3, C4, C5]
 
 
-def build_fpn_params(store: ParamStore, cfg: BackboneConfig, prefix: str = "fpn"):
+def build_fpn_params(store: ParamStore, cfg: BackboneConfig):
     c = cfg.pyramid_channels
     for i, ci in enumerate(cfg.stage_channels):
-        store.register_conv(f"{prefix}.lateral{i + 2}", c, ci, 1)
-        store.register_conv(f"{prefix}.smooth{i + 2}", c, c, 3)
+        store.register_conv(f"fpn.lateral{i + 2}", c, ci, 1)
+        store.register_conv(f"fpn.smooth{i + 2}", c, c, 3)
 
 
-def build_fpn(features, store: ParamStore, cfg: BackboneConfig,
-              prefix: str = "fpn") -> dict[str, Tensor]:
+def build_fpn(features, store: ParamStore, cfg: BackboneConfig) -> dict[str, Tensor]:
     """Standard top-down pyramid: lateral 1x1, upsample-and-add, 3x3 smoothing;
     P6 is a stride-2 max pool of P5.  Returns features keyed P2..P6 in order;
     level strides are ``LEVEL_STRIDES``."""
@@ -94,12 +92,12 @@ def build_fpn(features, store: ParamStore, cfg: BackboneConfig,
     c = cfg.pyramid_channels
     laterals = []
     for i, f in enumerate(features):
-        w = store[f"{prefix}.lateral{i + 2}.w"]
+        w = store[f"fpn.lateral{i + 2}.w"]
         if f.data.shape[0] != w.data.shape[1]:
             raise ValueError(
                 f"build_fpn: C{i + 2} has {f.data.shape[0]} channels, lateral expects {w.data.shape[1]}"
             )
-        laterals.append(conv2d(f, w, store[f"{prefix}.lateral{i + 2}.b"]))
+        laterals.append(conv2d(f, w, store[f"fpn.lateral{i + 2}.b"]))
     merged = [None] * 4
     merged[3] = laterals[3]
     for i in (2, 1, 0):
@@ -107,8 +105,8 @@ def build_fpn(features, store: ParamStore, cfg: BackboneConfig,
         merged[i] = add(laterals[i], up)
     pyr = {}
     for i, name in enumerate(("P2", "P3", "P4", "P5")):
-        pyr[name] = conv2d(merged[i], store[f"{prefix}.smooth{i + 2}.w"],
-                           store[f"{prefix}.smooth{i + 2}.b"])
+        pyr[name] = conv2d(merged[i], store[f"fpn.smooth{i + 2}.w"],
+                           store[f"fpn.smooth{i + 2}.b"])
     pyr["P6"] = max_pool_2x2(pyr["P5"])
     assert c == pyr["P2"].data.shape[0]
     return pyr

@@ -240,6 +240,8 @@ def read_dataset(directory: str):
             manifest = json.load(f)
     except (OSError, json.JSONDecodeError) as e:
         raise ValueError(f"{manifest_path}: {e}") from e
+    if not isinstance(manifest, dict):
+        raise ValueError(f"{manifest_path}: top level must be an object")
     try:
         with open(ann_path) as f:
             payload = json.load(f)

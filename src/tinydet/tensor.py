@@ -112,7 +112,7 @@ class Tensor:
 
 def _make(data, parents, backward_fn):
     out = Tensor(data)
-    if any(p.requires_grad or p._parents for p in parents):
+    if any(p.requires_grad for p in parents):
         out.requires_grad = True
         out._parents = tuple(parents)
         out._backward = backward_fn
@@ -132,9 +132,9 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     _check_same_shape(a, b, "add")
 
     def backward(g):
-        if a.requires_grad or a._parents:
+        if a.requires_grad:
             a._accumulate(g)
-        if b.requires_grad or b._parents:
+        if b.requires_grad:
             b._accumulate(g)
 
     return _make(a.data + b.data, (a, b), backward)
@@ -154,9 +154,9 @@ def mul_mask(x: Tensor, mask: Tensor) -> Tensor:
         )
 
     def backward(g):
-        if x.requires_grad or x._parents:
+        if x.requires_grad:
             x._accumulate(g * mask.data)
-        if mask.requires_grad or mask._parents:
+        if mask.requires_grad:
             gm = g * x.data
             if mask.data.shape[0] == 1 and x.data.shape[0] != 1:
                 gm = gm.sum(axis=0, keepdims=True, dtype=np.float64)
@@ -217,9 +217,9 @@ def broadcast_add_channel(feature_map: Tensor, vec: Tensor) -> Tensor:
         )
 
     def backward(g):
-        if feature_map.requires_grad or feature_map._parents:
+        if feature_map.requires_grad:
             feature_map._accumulate(g)
-        if vec.requires_grad or vec._parents:
+        if vec.requires_grad:
             vec._accumulate(g.sum(axis=(1, 2), dtype=np.float64))
 
     return _make(feature_map.data + vec.data[:, None, None], (feature_map, vec), backward)
@@ -372,11 +372,11 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor, stride: int = 1) -> Tensor:
 
     def backward(g):
         gmat = g.reshape(co, oh * ow)
-        if weight.requires_grad or weight._parents:
+        if weight.requires_grad:
             weight._accumulate((gmat @ cols.T).reshape(weight.data.shape))
-        if bias.requires_grad or bias._parents:
+        if bias.requires_grad:
             bias._accumulate(gmat.sum(axis=1, dtype=np.float64))
-        if x.requires_grad or x._parents:
+        if x.requires_grad:
             gcols = (wmat.T @ gmat).reshape(ci, kh, kw, oh, ow)
             gpad = np.zeros_like(padded)
             for i in range(kh):
@@ -456,7 +456,7 @@ def concat_columns(tensors) -> Tensor:
 
     def backward(g):
         for t, lo, hi in zip(tensors, offsets[:-1], offsets[1:]):
-            if t.requires_grad or t._parents:
+            if t.requires_grad:
                 t._accumulate(g[:, lo:hi])
 
     return _make(np.concatenate([t.data for t in tensors], axis=1), tuple(tensors), backward)
@@ -485,6 +485,8 @@ def weighted_bce_with_logits(logits: Tensor, targets, weights) -> Tensor:
 
 # ---------------------------------------------------------------------------
 # parameter store
+
+_CHECKPOINT_FORMAT = "tinydet-checkpoint-v1"
 
 
 class ParamStore:
@@ -540,32 +542,56 @@ class ParamStore:
         for t in self.params.values():
             t.zero_grad()
 
-    def save(self, directory: str):
-        """Checkpoint: one EFBT file per tensor plus a JSON manifest."""
+    def save(self, directory: str, config: dict):
+        """Checkpoint: one EFBT file per tensor plus a JSON manifest that also
+        carries ``config``, the model's config as a JSON object."""
         os.makedirs(os.path.join(directory, "params"), exist_ok=True)
         entries = []
         for i, (name, t) in enumerate(self.params.items()):
             fname = f"params/p{i:04d}.efbt"
             write_tensor_file(os.path.join(directory, fname), t.data)
             entries.append({"name": name, "shape": list(t.data.shape), "file": fname})
-        manifest = {"format": "tinydet-checkpoint-v1", "seed": self.seed,
-                    "params": entries}
+        manifest = {"format": _CHECKPOINT_FORMAT, "seed": self.seed,
+                    "params": entries, "config": config}
         with open(os.path.join(directory, "manifest.json"), "w") as f:
             json.dump(manifest, f, indent=2, sort_keys=True)
 
     @classmethod
-    def load(cls, directory: str) -> "ParamStore":
-        with open(os.path.join(directory, "manifest.json")) as f:
-            manifest = json.load(f)
-        store = cls(seed=manifest.get("seed", 0))
-        for e in manifest["params"]:
-            data = read_tensor_file(os.path.join(directory, e["file"]))
-            if list(data.shape) != e["shape"]:
+    def load(cls, directory: str) -> tuple["ParamStore", object]:
+        """Read a checkpoint written by ``save``: returns (store, config).
+
+        A missing or malformed manifest, a manifest without a config, and a
+        tensor file outside ``directory`` raise ValueError.
+        """
+        path = os.path.join(directory, "manifest.json")
+        try:
+            with open(path) as f:
+                manifest = json.load(f)
+        except (OSError, json.JSONDecodeError) as e:
+            raise ValueError(f"checkpoint {path}: {e}") from e
+        if not (isinstance(manifest, dict) and manifest.get("format") == _CHECKPOINT_FORMAT
+                and isinstance(manifest.get("seed"), int)
+                and isinstance(manifest.get("params"), list)):
+            raise ValueError(f"checkpoint {path}: not a {_CHECKPOINT_FORMAT} manifest "
+                             f"(format, integer seed, params array)")
+        if "config" not in manifest:
+            raise ValueError(f"checkpoint {path}: carries no model config")
+        store = cls(seed=manifest["seed"])
+        for i, e in enumerate(manifest["params"]):
+            if not (isinstance(e, dict) and isinstance(e.get("name"), str)
+                    and isinstance(e.get("file"), str)):
+                raise ValueError(f"checkpoint {path}: params[{i}] needs string 'name' and 'file'")
+            rel = os.path.normpath(e["file"])
+            if os.path.isabs(rel) or rel.split(os.sep)[0] == os.pardir:
+                raise ValueError(f"checkpoint {path}: params[{i}] file {e['file']!r} "
+                                 f"is outside the checkpoint directory")
+            data = read_tensor_file(os.path.join(directory, rel))
+            if list(data.shape) != e.get("shape"):
                 raise ValueError(
-                    f"checkpoint {e['file']}: shape {list(data.shape)} != manifest {e['shape']}"
+                    f"checkpoint {e['file']}: shape {list(data.shape)} != manifest {e.get('shape')}"
                 )
             store.params[e["name"]] = Tensor(data.astype(store.dtype), requires_grad=True)
-        return store
+        return store, manifest["config"]
 
 
 # ---------------------------------------------------------------------------
@@ -588,8 +614,13 @@ def write_tensor_file(path: str, array: np.ndarray):
 
 
 def read_tensor_file(path: str) -> np.ndarray:
-    """Read an EFBT file; a header the file's size cannot back raises ValueError."""
-    with open(path, "rb") as f:
+    """Read an EFBT file; an unreadable file or a header the file's size
+    cannot back raises ValueError."""
+    try:
+        f = open(path, "rb")
+    except OSError as e:
+        raise ValueError(f"{path}: {e.strerror}") from e
+    with f:
         magic = f.read(4)
         if magic != _EFBT_MAGIC:
             raise ValueError(f"{path}: bad magic {magic!r}, expected 'EFBT'")

@@ -26,7 +26,7 @@ class TrainConfig:
     momentum: float = 0.9
     weight_decay: float = 1e-4
     epochs: int = 12
-    decay_epochs: tuple = (8, 11)
+    decay_epochs: tuple[int, ...] = (8, 11)
     decay_factor: float = 0.1
     batch_size: int = 4
     grad_scale: float = 16.0  # loss multiplier for backward only; curves stay unscaled

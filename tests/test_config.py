@@ -1,0 +1,89 @@
+import json
+from dataclasses import asdict
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from tinydet.config import from_dict
+from tinydet.detector import DetectorConfig
+from tinydet.pyramid import LEVEL_STRIDES, BackboneConfig
+from tinydet.scenes import SceneSpec
+from tinydet.training import TrainConfig
+
+floats = st.floats(allow_nan=False, allow_infinity=False)
+sizes = st.integers(1, 512)
+level_names = st.sampled_from(list(LEVEL_STRIDES))
+
+
+@st.composite
+def scene_specs(draw):
+    tiny_only = draw(st.booleans())
+    side_min = draw(st.floats(0.5, 16.0))
+    side_max = draw(st.floats(side_min, 16.0 if tiny_only else 1e6))
+    objects_min = draw(st.integers(0, 20))
+    return SceneSpec(height=draw(sizes), width=draw(sizes), objects_min=objects_min,
+                     objects_max=draw(st.integers(objects_min, 40)), side_min=side_min,
+                     side_max=side_max, side_scale=draw(floats),
+                     num_classes=draw(st.integers(1, 10)), contrast=draw(floats),
+                     noise_sigma=draw(floats), tiny_only=tiny_only,
+                     seed=draw(st.integers(0, 2 ** 64 - 1)))
+
+
+backbones = st.builds(BackboneConfig, stem_channels=sizes,
+                      stage_channels=st.tuples(sizes, sizes, sizes, sizes),
+                      pyramid_channels=sizes, input_offset=floats)
+
+detector_configs = st.builds(
+    DetectorConfig, backbone=backbones, num_classes=sizes,
+    levels=st.lists(level_names, min_size=1).map(tuple), enhance=st.booleans(),
+    enhance_levels=st.lists(level_names).map(tuple), gate_width=st.none() | sizes,
+    head_channels=sizes, base_anchor=floats, pos_thr=floats, neg_thr=floats,
+    score_floor=floats, nms_iou=floats, max_detections=sizes)
+
+train_configs = st.builds(
+    TrainConfig, learning_rate=st.floats(1e-9, 10.0), momentum=floats,
+    weight_decay=floats, epochs=st.integers(1, 100),
+    decay_epochs=st.lists(st.integers(0, 100)).map(tuple), decay_factor=floats,
+    batch_size=sizes, grad_scale=floats,
+    reg_loss=st.sampled_from(["smooth_l1", "dcloss", "dcloss_swapped"]),
+    dc_k=floats, dc_delta=floats, dc_learnable=st.booleans(),
+    seed=st.integers(0, 2 ** 32))
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.one_of(scene_specs(), backbones, detector_configs, train_configs))
+def test_asdict_then_from_dict_roundtrips_through_json(config):
+    payload = json.loads(json.dumps(asdict(config)))
+    assert from_dict(type(config), payload, "config") == config
+
+
+@pytest.mark.parametrize("cls, payload, fixed, match", [
+    (TrainConfig, [1], {}, "expected an object"),
+    (TrainConfig, {"epoch": 1}, {}, "unknown key 'epoch'"),
+    (TrainConfig, {"seed": 1}, {"seed": 0}, "set on the command line"),
+    (TrainConfig, {"decay_epochs": 8}, {}, r"section\.decay_epochs: expected an array"),
+    (TrainConfig, {"epochs": "4"}, {}, r"section\.epochs: expected int"),
+    (TrainConfig, {"epochs": 4.0}, {}, "expected int"),
+    (TrainConfig, {"dc_learnable": 1}, {}, "expected bool"),
+    (TrainConfig, {"epochs": True}, {}, "expected int"),
+    (TrainConfig, {"epochs": 0}, {}, "epochs must be >= 1"),
+    (DetectorConfig, {"levels": "P2"}, {}, "expected an array"),
+    (DetectorConfig, {"levels": ["P7"]}, {}, "unknown pyramid level 'P7'"),
+    (DetectorConfig, {"levels": [2]}, {}, r"levels\[0\]: expected str"),
+    (DetectorConfig, {"gate_width": "4"}, {}, r"expected int \| None"),
+    (DetectorConfig, {"backbone": {"stages": 4}}, {}, r"section\.backbone: unknown key"),
+    (DetectorConfig, {"backbone": []}, {}, "expected an object"),
+])
+def test_from_dict_rejects(cls, payload, fixed, match):
+    with pytest.raises(ValueError, match=match):
+        from_dict(cls, payload, "section", **fixed)
+
+
+def test_from_dict_converts_arrays_and_fills_fixed_fields():
+    cfg = from_dict(TrainConfig, {"decay_epochs": [2, 3], "learning_rate": 1}, "train",
+                    seed=7)
+    assert cfg == TrainConfig(decay_epochs=(2, 3), learning_rate=1, seed=7)
+    det = from_dict(DetectorConfig, {"backbone": {"stage_channels": [4, 4, 4, 4]},
+                                     "gate_width": None}, "detector")
+    assert det.backbone == BackboneConfig(stage_channels=(4, 4, 4, 4))

@@ -224,12 +224,36 @@ def test_enhancement_flag_changes_p2_path_only():
 
 
 def test_checkpoint_roundtrip_preserves_predictions(tmp_path):
-    from tinydet.tensor import ParamStore
-
-    model = DetectorModel(CFG, seed=0)
     scene, _ = scene_and_assignment()
-    before = model.predict(Tensor(scene.image))
-    model.store.save(str(tmp_path / "ckpt"))
-    restored = DetectorModel(CFG, store=ParamStore.load(str(tmp_path / "ckpt")))
-    after = restored.predict(Tensor(scene.image))
-    assert before == after
+    for i, cfg in enumerate([CFG, DetectorConfig(levels=("P2", "P3"), enhance=False,
+                                                 gate_width=6, base_anchor=2.5)]):
+        model = DetectorModel(cfg, seed=i)
+        before = model.predict(Tensor(scene.image))
+        model.save(str(tmp_path / f"ckpt{i}"))
+        restored = DetectorModel.load(str(tmp_path / f"ckpt{i}"))
+        assert restored.cfg == cfg
+        assert restored.predict(Tensor(scene.image)) == before
+
+
+def test_checkpoint_load_rejects_parameters_that_do_not_fit_its_config(tmp_path):
+    import json
+
+    ckpt = tmp_path / "ckpt"
+    DetectorModel(CFG, seed=0).save(str(ckpt))
+    manifest = json.loads((ckpt / "manifest.json").read_text())
+    manifest["config"]["num_classes"] = 5  # head.cls would need 5 output channels
+    (ckpt / "manifest.json").write_text(json.dumps(manifest))
+    with pytest.raises(ValueError, match="head.cls"):
+        DetectorModel.load(str(ckpt))
+    del manifest["config"]["num_classes"]
+    manifest["params"] = [e for e in manifest["params"] if not e["name"].startswith("head.")]
+    (ckpt / "manifest.json").write_text(json.dumps(manifest))
+    with pytest.raises(ValueError, match="head.trunk.w"):
+        DetectorModel.load(str(ckpt))
+
+
+def test_detector_config_rejects_unknown_levels():
+    for kw in ({"levels": ("P7",)}, {"levels": "P2"}, {"levels": ()},
+               {"enhance_levels": ("P1",)}):
+        with pytest.raises(ValueError, match="level"):
+            DetectorConfig(**kw)

@@ -162,7 +162,7 @@ def test_cli_train_eval_roundtrip(tmp_path, dataset, capsys):
 
 def test_cli_ablate_and_sweep(tmp_path, dataset, capsys):
     cfg = cli_config(tmp_path, {"subsets": [["P2", "P3"]], "n_seeds": 1,
-                                "deltas": [0.15]})
+                                "deltas": [0.15], "train": {**FAST_TRAIN, "dc_k": 8.0}})
     assert main(["ablate", "--data", dataset, "--val-data", dataset,
                  "--config", cfg, "--out", str(tmp_path / "ab")]) == 0
     assert '"subset"' in capsys.readouterr().out
@@ -171,6 +171,7 @@ def test_cli_ablate_and_sweep(tmp_path, dataset, capsys):
                  "--config", cfg, "--out", str(tmp_path / "sw")]) == 0
     rows = json.load(open(tmp_path / "sw" / "reports" / "delta_sweep.json"))
     assert [r["delta"] for r in rows] == [0.15]
+    assert [r["k"] for r in rows] == [8.0]
 
 
 def test_cli_error_exit_codes(tmp_path, capsys):
@@ -185,9 +186,88 @@ def test_cli_error_exit_codes(tmp_path, capsys):
                  "--out", str(tmp_path / "o")]) == 1
 
 
+@pytest.mark.parametrize("payload", [
+    {"train": {"epoch": 1}},                    # unknown key
+    {"train": {"epochs": "4"}},                 # wrong type
+    {"train": {"seed": 1}},                     # set by --seed
+    {"scene": {"seed": 1}},
+    {"train": [1]},                             # section not an object
+    {"detector": {"levels": "P2"}},             # not an array
+    {"detector": {"levels": ["P7"]}},           # no such level
+    {"detector": {"backbone": {"stage_channels": [8, 16]}}},
+    {"height": 256},                            # flat scene keys
+    {"k": 8.0}, {"base_anchor": 4.0},           # former top-level spellings
+    {"n_seeds": "2"},
+])
+def test_cli_config_faults_exit_1(tmp_path, dataset, capsys, payload):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(payload))
+    for argv in (["gen", "--count", "1"], ["train", "--data", dataset]):
+        assert main([*argv, "--config", str(path), "--out", str(tmp_path / "o")]) == 1
+        assert "error:" in capsys.readouterr().err
+    assert not os.path.exists(tmp_path / "o" / "images")
+
+
+def test_cli_audit_and_verify_loss_read_the_sections(tmp_path, dataset, capsys):
+    from tinydet.balanced_loss import DCLossParams, verify_theorem1
+    from tinydet.scenes import read_dataset
+
+    cfg = cli_config(tmp_path, {"detector": {"base_anchor": 4.0, "pos_thr": 0.45},
+                                "train": {"dc_k": 8.0, "dc_delta": 0.2,
+                                          "reg_loss": "dcloss_swapped"}})
+    assert main(["audit", "--data", dataset, "--config", cfg, "--out", str(tmp_path)]) == 0
+    expected = audit_positive_samples(read_dataset(dataset)[0], (128, 128),
+                                      str(tmp_path / "lib"), base_anchor=4.0, pos_thr=0.45)
+    default = audit_positive_samples(read_dataset(dataset)[0], (128, 128),
+                                     str(tmp_path / "default"))
+    assert expected != default
+    assert read_file(tmp_path / "reports" / "level_stats.json") == \
+        read_file(tmp_path / "lib" / "reports" / "level_stats.json")
+    assert main(["verify-loss", "--config", cfg, "--out", str(tmp_path)]) == 0
+    report = json.load(open(tmp_path / "reports" / "theorem_report.json"))
+    params = DCLossParams(k=8.0, delta=0.2, swap_weights=True)
+    assert report == json.loads(verify_theorem1(params).to_json())
+
+
+def test_cli_eval_rebuilds_the_checkpoint_config(tmp_path, capsys):
+    # crowded scenes, so that AP after one epoch is above 0 and tells models apart
+    dataset = str(tmp_path / "data")
+    write_dataset(SceneSpec(seed=3, objects_min=12, objects_max=20, side_min=8.0), 6, dataset)
+    detector = {"levels": ["P2", "P3"], "enhance": False, "num_classes": 4}
+    cfg = cli_config(tmp_path, {"detector": detector})
+    out = str(tmp_path / "run")
+    assert main(["train", "--data", dataset, "--val-data", dataset,
+                 "--config", cfg, "--out", out]) == 0
+    ckpt = os.path.join(out, "checkpoint_train")
+    train_metrics = read_file(os.path.join(out, "reports", "metrics_train.json"))
+    assert json.loads(train_metrics)["ap50"] > 0
+    for argv in ([], ["--config", cfg]):
+        ev = str(tmp_path / f"ev{len(argv)}")
+        assert main(["eval", "--data", dataset, "--checkpoint", ckpt, "--out", ev, *argv]) == 0
+        assert read_file(os.path.join(ev, "reports", "metrics_eval.json")) == train_metrics
+    capsys.readouterr()
+    for other in ({**detector, "enhance": True}, {"levels": ["P2", "P3"]}):
+        conflicting = cli_config(tmp_path, {"detector": other})
+        assert main(["eval", "--data", dataset, "--checkpoint", ckpt, "--config",
+                     conflicting, "--out", str(tmp_path / "ev")]) == 1
+        assert "differs from the config of checkpoint" in capsys.readouterr().err
+
+
+def test_cli_eval_rejects_bad_checkpoints(tmp_path, dataset, capsys):
+    ckpt = tmp_path / "ckpt"
+    assert main(["eval", "--data", dataset, "--checkpoint", str(ckpt),
+                 "--out", str(tmp_path / "ev")]) == 1
+    assert "manifest.json" in capsys.readouterr().err
+    ckpt.mkdir()
+    (ckpt / "manifest.json").write_text(json.dumps({"format": "x"}))
+    assert main(["eval", "--data", dataset, "--checkpoint", str(ckpt),
+                 "--out", str(tmp_path / "ev")]) == 1
+    assert "format" in capsys.readouterr().err
+
+
 def test_cli_eval_rejects_checkpoint_with_crafted_header(tmp_path, dataset, capsys):
     ckpt = tmp_path / "ckpt"
-    DetectorModel(DetectorConfig(), seed=0).store.save(str(ckpt))
+    DetectorModel(DetectorConfig(), seed=0).save(str(ckpt))
     # dims 2^31 x 2^31 x 3: 4 * count overflows int64 and far exceeds the file
     (ckpt / "params" / "p0000.efbt").write_bytes(
         b"EFBT" + struct.pack("<BBB3I", 1, 0, 3, 2 ** 31, 2 ** 31, 3) + bytes(16))

@@ -311,10 +311,41 @@ def test_param_store_duplicate_name_rejected():
 def test_checkpoint_roundtrip(tmp_path):
     s = ParamStore(seed=11)
     s.register_conv("layer", 3, 2, 3)
-    s.save(str(tmp_path / "ckpt"))
-    loaded = ParamStore.load(str(tmp_path / "ckpt"))
+    s.save(str(tmp_path / "ckpt"), {"levels": ["P2"]})
+    loaded, config = ParamStore.load(str(tmp_path / "ckpt"))
+    assert config == {"levels": ["P2"]} and loaded.seed == 11
+    assert list(loaded.params) == list(s.params)
     for name, t in s.items():
         np.testing.assert_array_equal(loaded[name].data, t.data.astype(np.float32))
+
+
+def test_checkpoint_load_rejects_bad_manifests(tmp_path):
+    import json
+
+    with pytest.raises(ValueError, match="manifest.json"):
+        ParamStore.load(str(tmp_path / "missing"))
+    s = ParamStore(seed=0)
+    s.register_conv("layer", 3, 2, 1)
+    s.save(str(tmp_path / "ckpt"), {})
+    manifest = json.loads((tmp_path / "ckpt" / "manifest.json").read_text())
+    (tmp_path / "outside.efbt").write_bytes(
+        (tmp_path / "ckpt" / "params" / "p0000.efbt").read_bytes())
+    entry = manifest["params"][0]
+    bad = [
+        ({"format": "x"}, "format"),
+        ({**manifest, "params": None}, "params array"),
+        ({k: v for k, v in manifest.items() if k != "config"}, "no model config"),
+        ({**manifest, "params": [{**entry, "name": 3}]}, "string 'name'"),
+        ({**manifest, "params": [{**entry, "file": "../outside.efbt"}]}, "outside"),
+        ({**manifest, "params": [{**entry, "file": "params/../../outside.efbt"}]}, "outside"),
+        ({**manifest, "params": [{**entry, "file": str(tmp_path / "outside.efbt")}]},
+         "outside"),
+        ({**manifest, "params": [{**entry, "file": "params/p9999.efbt"}]}, "p9999.efbt"),
+    ]
+    for payload, match in bad:
+        (tmp_path / "ckpt" / "manifest.json").write_text(json.dumps(payload))
+        with pytest.raises(ValueError, match=match):
+            ParamStore.load(str(tmp_path / "ckpt"))
 
 
 # ---------------------------------------------------------------------------
