@@ -14,7 +14,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .anchors import IGNORED, Box, assign_maxiou, pyramid_anchors
+from .anchors import NEGATIVE, Box, assign_maxiou, pyramid_anchors
 from .balanced_loss import DCLossParams, dcloss_term, smooth_l1_term
 from .config import from_dict
 from .context import CemParams
@@ -35,7 +35,7 @@ from .tensor import (
     add,
     concat_columns,
     conv2d,
-    gather_hw,
+    gather_columns,
     relu,
     reshape,
     weighted_bce_with_logits,
@@ -58,7 +58,6 @@ class DetectorConfig:
     backbone: BackboneConfig = field(default_factory=BackboneConfig)
     num_classes: int = 3
     levels: tuple[str, ...] = ("P2", "P3", "P4", "P5", "P6")
-    enhance: bool = True
     enhance_levels: tuple[str, ...] = ("P2",)
     gate_width: int | None = None
     head_channels: int = 32
@@ -76,6 +75,23 @@ class DetectorConfig:
             if name not in LEVEL_STRIDES:
                 raise ValueError(f"unknown pyramid level {name!r}; levels are "
                                  f"{', '.join(LEVEL_STRIDES)}")
+        for field_name in ("levels", "enhance_levels"):
+            names = getattr(self, field_name)
+            if len(set(names)) != len(names):
+                raise ValueError(f"{field_name} names a level twice: {list(names)}")
+        counts = {"num_classes": self.num_classes, "head_channels": self.head_channels,
+                  "max_detections": self.max_detections}
+        if self.gate_width is not None:
+            counts["gate_width"] = self.gate_width
+        for name, value in counts.items():
+            if value < 1:
+                raise ValueError(f"{name} must be >= 1, got {value}")
+        for name in ("score_floor", "nms_iou"):
+            if not 0.0 <= getattr(self, name) <= 1.0:
+                raise ValueError(f"{name} must lie in [0, 1], got {getattr(self, name)}")
+        if not 0.0 <= self.neg_thr <= self.pos_thr <= 1.0:
+            raise ValueError(f"need 0 <= neg_thr <= pos_thr <= 1, got neg_thr "
+                             f"{self.neg_thr}, pos_thr {self.pos_thr}")
 
 
 def build_head_params(store: ParamStore, channels: int, num_classes: int,
@@ -87,15 +103,22 @@ def build_head_params(store: ParamStore, channels: int, num_classes: int,
 
 
 def head_forward(pyr: dict[str, Tensor], store: ParamStore, levels):
-    """Per-level (class logits [K,H,W], box deltas [4,H,W])."""
-    out = {}
+    """(class logits [K,N], box deltas [4,N]) over every anchor of ``levels``.
+
+    Column j belongs to anchor j of ``pyramid_anchors``: the levels in turn,
+    each level's cells row-major.  This is the only per-level loop of the
+    detector; assignment, loss and ``predict`` all work on these columns.
+    """
+    cls_cols, reg_cols = [], []
     for name in levels:
         f = pyr[name]
+        n = f.data.shape[1] * f.data.shape[2]
         trunk = relu(conv2d(f, store["head.trunk.w"], store["head.trunk.b"]))
         cls = conv2d(trunk, store["head.cls.w"], store["head.cls.b"])
         reg = conv2d(trunk, store["head.reg.w"], store["head.reg.b"])
-        out[name] = (cls, reg)
-    return out
+        cls_cols.append(reshape(cls, (cls.data.shape[0], n)))
+        reg_cols.append(reshape(reg, (4, n)))
+    return concat_columns(cls_cols), concat_columns(reg_cols)
 
 
 def encode_deltas(anchors: np.ndarray, gt: np.ndarray) -> np.ndarray:
@@ -132,45 +155,33 @@ def decode_deltas(anchors: np.ndarray, deltas: np.ndarray,
 
 @dataclass
 class ImageAssignment:
-    """Precomputed anchor labels and regression targets for one image."""
+    """Anchor labels and regression targets for one image, in the anchor order
+    of ``pyramid_anchors`` (N anchors, Np of them positive)."""
 
-    anchors: dict          # level -> [Ni,4]
-    labels: dict           # level -> [Ni] (gt index, NEGATIVE, IGNORED)
-    reg_idx: dict          # level -> flat positions of positives
-    reg_targets: dict      # level -> [4,Np] encoded deltas
-    cls_targets: dict      # level -> [K,Ni] one-hot
+    labels: np.ndarray       # [N] gt index, NEGATIVE or IGNORED
+    cls_targets: np.ndarray  # [K,N] one-hot
+    reg_idx: np.ndarray      # [Np] anchor index of each positive
+    reg_targets: np.ndarray  # [4,Np] encoded deltas
     n_pos: int
     n_neg: int
 
 
 def assign_image(gts, image_hw, cfg: DetectorConfig) -> ImageAssignment:
     """Run max-IoU assignment jointly over all configured levels."""
-    anchors, slices = pyramid_anchors(image_hw, cfg.base_anchor, cfg.levels)
+    anchors, _ = pyramid_anchors(image_hw, cfg.base_anchor, cfg.levels)
     gt_boxes = np.array([b.as_array() for b, _ in gts]) if gts else np.zeros((0, 4))
     gt_classes = np.array([c for _, c in gts], dtype=np.int64)
-    labels_all = assign_maxiou(anchors, gt_boxes, cfg.pos_thr, cfg.neg_thr)
-    per_level, labels, reg_idx, reg_targets, cls_targets = {}, {}, {}, {}, {}
-    n_pos = n_neg = 0
-    for name, sl in slices.items():
-        a = anchors[sl]
-        lab = labels_all[sl]
-        per_level[name] = a
-        labels[name] = lab
-        pos = np.nonzero(lab >= 0)[0]
-        reg_idx[name] = pos
-        if len(pos):
-            reg_targets[name] = encode_deltas(a[pos], gt_boxes[lab[pos]])
-        else:
-            reg_targets[name] = np.zeros((4, 0))
-        tgt = np.zeros((cfg.num_classes, len(a)), dtype=np.float64)
-        if len(pos):
-            tgt[gt_classes[lab[pos]], pos] = 1.0
-        cls_targets[name] = tgt
-        n_pos += len(pos)
-        n_neg += int((lab == -1).sum())
-    return ImageAssignment(anchors=per_level, labels=labels, reg_idx=reg_idx,
-                           reg_targets=reg_targets, cls_targets=cls_targets,
-                           n_pos=n_pos, n_neg=n_neg)
+    bad = [int(c) for c in gt_classes if not 0 <= c < cfg.num_classes]
+    if bad:
+        raise ValueError(f"class {bad[0]} outside [0, {cfg.num_classes}) "
+                         f"for a {cfg.num_classes}-class detector")
+    labels = assign_maxiou(anchors, gt_boxes, cfg.pos_thr, cfg.neg_thr)
+    pos = np.nonzero(labels >= 0)[0]
+    cls_targets = np.zeros((cfg.num_classes, len(anchors)), dtype=np.float64)
+    cls_targets[gt_classes[labels[pos]], pos] = 1.0
+    return ImageAssignment(labels=labels, cls_targets=cls_targets, reg_idx=pos,
+                           reg_targets=encode_deltas(anchors[pos], gt_boxes[labels[pos]]),
+                           n_pos=len(pos), n_neg=int((labels == NEGATIVE).sum()))
 
 
 class DetectorModel:
@@ -210,80 +221,51 @@ class DetectorModel:
     def pyramid(self, image: Tensor) -> dict[str, Tensor]:
         feats = backbone_forward(image, self.store, self.cfg.backbone)
         pyr = build_fpn(feats, self.store, self.cfg.backbone)
-        return efpn_bs_forward(pyr, self.cem, self.fbsm, enabled=self.cfg.enhance,
-                               levels=self.cfg.enhance_levels)
+        return efpn_bs_forward(pyr, self.cem, self.fbsm, levels=self.cfg.enhance_levels)
 
     def forward(self, image: Tensor):
+        """(class logits [K,N], box deltas [4,N]), see ``head_forward``."""
         return head_forward(self.pyramid(image), self.store, self.cfg.levels)
 
     # -- loss ---------------------------------------------------------------
 
     def loss(self, outputs, assignment: ImageAssignment,
-             reg_loss: str = "smooth_l1", dc_params: DCLossParams | None = None):
-        """Scalar total loss plus float (cls, reg) components for the curves."""
-        cfg = self.cfg
-        k = cfg.num_classes
-        n_pos = max(assignment.n_pos, 1)
-        n_neg = max(assignment.n_neg, 1)
-        cls_terms = []
-        preds, targets = [], []
-        for name in cfg.levels:
-            cls_map, reg_map = outputs[name]
-            ni = cls_map.data.shape[1] * cls_map.data.shape[2]
-            logits = reshape(cls_map, (k, ni))
-            lab = assignment.labels[name]
-            w = np.zeros((k, ni))
-            w[:, lab >= 0] = 0.5 / (n_pos * k)
-            w[:, lab == -1] = 0.5 / (n_neg * k)
-            w[:, lab == IGNORED] = 0.0
-            cls_terms.append(weighted_bce_with_logits(logits, assignment.cls_targets[name], w))
-            pos = assignment.reg_idx[name]
-            if len(pos):
-                preds.append(gather_hw(reg_map, pos))
-                targets.append(assignment.reg_targets[name])
-        cls_loss = cls_terms[0]
-        for t in cls_terms[1:]:
-            cls_loss = add(cls_loss, t)
-        if preds:
-            pred = concat_columns(preds) if len(preds) > 1 else preds[0]
-            tgt = np.concatenate(targets, axis=1)
-            if reg_loss == "smooth_l1":
-                reg = smooth_l1_term(pred, tgt, beta=1.0)
-            elif reg_loss in ("dcloss", "dcloss_swapped"):
-                if dc_params is None:
-                    dc_params = DCLossParams(swap_weights=reg_loss == "dcloss_swapped")
-                reg = dcloss_term(pred, tgt, dc_params)
-            else:
-                raise ValueError(f"unknown regression loss {reg_loss!r}")
-            total = add(cls_loss, reg)
-            reg_val = float(reg.data)
+             dc_params: DCLossParams | None = None):
+        """Scalar total loss plus float (cls, reg) components for the curves.
+        Regression uses smooth L1, or the adaptive loss when ``dc_params`` is
+        given."""
+        cls_out, reg_out = outputs
+        k = self.cfg.num_classes
+        lab = assignment.labels
+        w = np.zeros(len(lab))
+        w[lab >= 0] = 0.5 / (max(assignment.n_pos, 1) * k)
+        w[lab == NEGATIVE] = 0.5 / (max(assignment.n_neg, 1) * k)
+        cls_loss = weighted_bce_with_logits(cls_out, assignment.cls_targets, w)
+        if not len(assignment.reg_idx):
+            return cls_loss, float(cls_loss.data), 0.0
+        pred = gather_columns(reg_out, assignment.reg_idx)
+        if dc_params is None:
+            reg = smooth_l1_term(pred, assignment.reg_targets, beta=1.0)
         else:
-            total = cls_loss
-            reg_val = 0.0
-        return total, float(cls_loss.data), reg_val
+            reg = dcloss_term(pred, assignment.reg_targets, dc_params)
+        return add(cls_loss, reg), float(cls_loss.data), float(reg.data)
 
     # -- inference ----------------------------------------------------------
 
     def predict(self, image: Tensor) -> list[Detection]:
         cfg = self.cfg
         h, w = image.data.shape[1:]
-        outputs = self.forward(image)
-        anchors, slices = pyramid_anchors((h, w), cfg.base_anchor, cfg.levels)
+        cls_out, reg_out = self.forward(image)
+        anchors, _ = pyramid_anchors((h, w), cfg.base_anchor, cfg.levels)
+        scores = 1.0 / (1.0 + np.exp(-cls_out.data.astype(np.float64)))
+        boxes = decode_deltas(anchors, reg_out.data.astype(np.float64), image_hw=(h, w))
         detections = []
-        for name in cfg.levels:
-            cls_map, reg_map = outputs[name]
-            kh = cls_map.data.shape[0]
-            z = cls_map.data.reshape(kh, -1).astype(np.float64)
-            scores = 1.0 / (1.0 + np.exp(-z))
-            deltas = reg_map.data.reshape(4, -1).astype(np.float64)
-            boxes = decode_deltas(anchors[slices[name]], deltas, image_hw=(h, w))
-            for cls in range(kh):
-                keep = np.nonzero(scores[cls] >= cfg.score_floor)[0]
-                for i in keep:
-                    b = boxes[i]
-                    if b[2] - b[0] <= 1e-3 or b[3] - b[1] <= 1e-3:
-                        continue
-                    detections.append(Detection(Box(*b), cls, float(scores[cls, i])))
+        for cls in range(cfg.num_classes):
+            for i in np.nonzero(scores[cls] >= cfg.score_floor)[0]:
+                b = boxes[i]
+                if b[2] - b[0] <= 1e-3 or b[3] - b[1] <= 1e-3:
+                    continue
+                detections.append(Detection(Box(*b), cls, float(scores[cls, i])))
         kept = nms(detections, cfg.nms_iou)
         kept.sort(key=lambda d: -d.score)
         return kept[: cfg.max_detections]

@@ -48,6 +48,11 @@ class BackboneConfig:
     def __post_init__(self):
         if len(self.stage_channels) != 4:
             raise ValueError("backbone needs exactly 4 stages (strides 4/8/16/32)")
+        widths = {"stem_channels": self.stem_channels, "pyramid_channels": self.pyramid_channels,
+                  **{f"stage_channels[{i}]": c for i, c in enumerate(self.stage_channels)}}
+        for name, value in widths.items():
+            if value < 1:
+                raise ValueError(f"{name} must be >= 1, got {value}")
 
 
 def build_backbone_params(store: ParamStore, cfg: BackboneConfig):
@@ -112,14 +117,11 @@ def build_fpn(features, store: ParamStore, cfg: BackboneConfig) -> dict[str, Ten
     return pyr
 
 
-def efpn_bs_forward(pyr: dict[str, Tensor], cem_params: CemParams | None,
-                    fbsm_params: FbsmParams | None, enabled: bool = True,
-                    levels=("P2",)) -> dict[str, Tensor]:
+def efpn_bs_forward(pyr: dict[str, Tensor], cem_params: CemParams,
+                    fbsm_params: FbsmParams, levels=("P2",)) -> dict[str, Tensor]:
     """Replace the configured low levels (default P2 only) with the
-    context-enhanced, gated version driven by an upsampled P5; identity when
-    disabled.  All other levels pass through unchanged."""
-    if not enabled:
-        return pyr
+    context-enhanced, gated version driven by an upsampled P5; no levels
+    means no enhancement.  All other levels pass through unchanged."""
     out = dict(pyr)
     p5 = pyr["P5"]
     for name in levels:

@@ -13,13 +13,14 @@ from __future__ import annotations
 
 import colorsys
 import json
+import math
 import os
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from .anchors import Box
-from .tensor import read_tensor_file, write_tensor_file
+from .tensor import path_inside, read_tensor_file, write_tensor_file
 
 __all__ = [
     "SceneSpec",
@@ -62,7 +63,7 @@ ANNOTATION_SCHEMA = {
                         "minItems": 4,
                         "maxItems": 4,
                     },
-                    "category": {"type": "integer"},
+                    "category": {"type": "integer", "minimum": 0},
                 },
             },
         },
@@ -188,23 +189,47 @@ def generate_scene(spec: SceneSpec, index: int = 0) -> Scene:
 # dataset directory layout: manifest.json, annotations.json, images/NNNNN.efbt
 
 
+_ARTICLES = {"object": "an object", "array": "an array", "string": "a string",
+             "integer": "an integer", "number": "a number"}
+
+
+def _is_json_type(value, kind: str) -> bool:
+    # JSON Schema types: a bool is no number, an integral float is an integer
+    if isinstance(value, bool):
+        return False
+    if kind == "integer":
+        return isinstance(value, int) or isinstance(value, float) and value.is_integer()
+    return isinstance(value, {"object": dict, "array": list, "string": str,
+                              "number": (int, float)}[kind])
+
+
+def _check_schema(value, schema: dict, path: str, where: str):
+    name = where or "top level"
+    kind = schema.get("type")
+    if kind and not _is_json_type(value, kind):
+        raise ValueError(f"{path}: {name} must be {_ARTICLES[kind]}, got {value!r}")
+    for key in schema.get("required", ()):
+        if key not in value:
+            raise ValueError(f"{path}: {name} missing {key!r}")
+    for key, sub in schema.get("properties", {}).items():
+        if key in value:
+            _check_schema(value[key], sub, path, f"{where}.{key}" if where else key)
+    if "items" in schema:
+        for i, item in enumerate(value):
+            _check_schema(item, schema["items"], path, f"{where}[{i}]")
+    if "minItems" in schema and len(value) < schema["minItems"]:
+        raise ValueError(f"{path}: {name} must have at least {schema['minItems']} entries")
+    if "maxItems" in schema and len(value) > schema["maxItems"]:
+        raise ValueError(f"{path}: {name} must have at most {schema['maxItems']} entries")
+    if "minimum" in schema and value < schema["minimum"]:
+        raise ValueError(f"{path}: {name} must be >= {schema['minimum']}, got {value!r}")
+
+
 def validate_annotations(payload, path: str = "<annotations>"):
-    """Minimal structural validation with record-level diagnostics."""
-    if not isinstance(payload, dict):
-        raise ValueError(f"{path}: top level must be an object")
-    for key in ("images", "annotations"):
-        if key not in payload or not isinstance(payload[key], list):
-            raise ValueError(f"{path}: missing or non-array field {key!r}")
-    for i, rec in enumerate(payload["images"]):
-        for field_name in ("id", "file", "height", "width"):
-            if field_name not in rec:
-                raise ValueError(f"{path}: images[{i}] missing {field_name!r}")
-    for i, rec in enumerate(payload["annotations"]):
-        for field_name in ("image_id", "bbox", "category"):
-            if field_name not in rec:
-                raise ValueError(f"{path}: annotations[{i}] missing {field_name!r}")
-        if len(rec["bbox"]) != 4:
-            raise ValueError(f"{path}: annotations[{i}] bbox must have 4 entries")
+    """Check ``payload`` against ``ANNOTATION_SCHEMA`` (the type, required,
+    properties, items, minItems, maxItems and minimum keywords it uses), with
+    record-level diagnostics."""
+    _check_schema(payload, ANNOTATION_SCHEMA, path, "")
 
 
 def write_dataset(spec: SceneSpec, n: int, out_dir: str):
@@ -253,10 +278,12 @@ def read_dataset(directory: str):
         if rec["image_id"] not in by_image:
             raise ValueError(f"{ann_path}: annotations[{i}] references unknown image "
                              f"{rec['image_id']}")
+        if not all(math.isfinite(v) for v in rec["bbox"]):
+            raise ValueError(f"{ann_path}: annotations[{i}].bbox is not finite: {rec['bbox']}")
         x1, y1, x2, y2 = rec["bbox"]
         by_image[rec["image_id"]].append((Box(x1, y1, x2, y2), int(rec["category"])))
     scenes = []
-    for rec in payload["images"]:
-        img = read_tensor_file(os.path.join(directory, rec["file"]))
+    for i, rec in enumerate(payload["images"]):
+        img = read_tensor_file(path_inside(directory, rec["file"], f"{ann_path}: images[{i}]"))
         scenes.append(Scene(image=img, gts=by_image[rec["id"]]))
     return scenes, manifest

@@ -37,9 +37,10 @@ __all__ = [
     "reshape",
     "tensor_sum",
     "tensor_mean",
-    "gather_hw",
+    "gather_columns",
     "concat_columns",
     "weighted_bce_with_logits",
+    "path_inside",
     "write_tensor_file",
     "read_tensor_file",
 ]
@@ -421,25 +422,20 @@ def tensor_mean(x: Tensor) -> Tensor:
     return _make(out, (x,), backward)
 
 
-def gather_hw(x: Tensor, flat_idx) -> Tensor:
-    """Select spatial positions from a [C,H,W] map: returns [C,N].
-
-    ``flat_idx`` holds row-major positions into the HxW plane.
-    """
-    if x.data.ndim != 3:
-        raise ValueError(f"gather_hw expects [C,H,W], got {x.data.shape}")
-    idx = np.asarray(flat_idx, dtype=np.int64)
-    c = x.data.shape[0]
-    flat = x.data.reshape(c, -1)
-    if idx.size and (idx.min() < 0 or idx.max() >= flat.shape[1]):
-        raise ValueError("gather_hw: index out of range")
+def gather_columns(x: Tensor, idx) -> Tensor:
+    """Select columns of a [C,N] tensor: returns [C,len(idx)]."""
+    if x.data.ndim != 2:
+        raise ValueError(f"gather_columns expects [C,N], got {x.data.shape}")
+    idx = np.asarray(idx, dtype=np.int64)
+    if idx.size and (idx.min() < 0 or idx.max() >= x.data.shape[1]):
+        raise ValueError("gather_columns: index out of range")
 
     def backward(g):
-        gx = np.zeros_like(flat)
+        gx = np.zeros_like(x.data)
         np.add.at(gx, (slice(None), idx), g)
-        x._accumulate(gx.reshape(x.data.shape))
+        x._accumulate(gx)
 
-    return _make(flat[:, idx], (x,), backward)
+    return _make(x.data[:, idx], (x,), backward)
 
 
 def concat_columns(tensors) -> Tensor:
@@ -485,6 +481,16 @@ def weighted_bce_with_logits(logits: Tensor, targets, weights) -> Tensor:
 
 # ---------------------------------------------------------------------------
 # parameter store
+
+
+def path_inside(directory: str, file: str, where: str) -> str:
+    """``file``, a path relative to ``directory``, joined to it.  A path that is
+    absolute or whose ``..`` leaves ``directory`` raises ValueError naming
+    ``where``.  The check is lexical: a symlink inside the directory is followed."""
+    rel = os.path.normpath(file)
+    if os.path.isabs(rel) or rel.split(os.sep)[0] == os.pardir:
+        raise ValueError(f"{where}: file {file!r} is outside {directory}")
+    return os.path.join(directory, rel)
 
 _CHECKPOINT_FORMAT = "tinydet-checkpoint-v1"
 
@@ -581,11 +587,8 @@ class ParamStore:
             if not (isinstance(e, dict) and isinstance(e.get("name"), str)
                     and isinstance(e.get("file"), str)):
                 raise ValueError(f"checkpoint {path}: params[{i}] needs string 'name' and 'file'")
-            rel = os.path.normpath(e["file"])
-            if os.path.isabs(rel) or rel.split(os.sep)[0] == os.pardir:
-                raise ValueError(f"checkpoint {path}: params[{i}] file {e['file']!r} "
-                                 f"is outside the checkpoint directory")
-            data = read_tensor_file(os.path.join(directory, rel))
+            data = read_tensor_file(path_inside(directory, e["file"],
+                                                f"checkpoint {path}: params[{i}]"))
             if list(data.shape) != e.get("shape"):
                 raise ValueError(
                     f"checkpoint {e['file']}: shape {list(data.shape)} != manifest {e.get('shape')}"

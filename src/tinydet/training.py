@@ -41,6 +41,8 @@ class TrainConfig:
             raise ValueError("epochs must be >= 1")
         if self.learning_rate <= 0:
             raise ValueError("learning rate must be positive")
+        if self.batch_size < 1:
+            raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.reg_loss not in ("smooth_l1", "dcloss", "dcloss_swapped"):
             raise ValueError(f"unknown regression loss {self.reg_loss!r}")
 
@@ -132,8 +134,7 @@ def train(scenes, det_cfg: DetectorConfig, cfg: TrainConfig) -> TrainResult:
             for idx in batch:
                 image = Tensor(scenes[idx].image)
                 outputs = model.forward(image)
-                total, cls_v, reg_v = model.loss(outputs, assignments[idx],
-                                                 cfg.reg_loss, dc_params)
+                total, cls_v, reg_v = model.loss(outputs, assignments[idx], dc_params)
                 scaled = scale(total, cfg.grad_scale / len(batch))
                 scaled.backward()
                 batch_stats += (cls_v, reg_v, float(total.data))

@@ -125,8 +125,8 @@ def test_criterion_1_gradient_suite():
         from tinydet.tensor import add
 
         def build():
-            cls_map, reg_map = head_forward({"P2": feat}, store, ("P2",))["P2"]
-            return add(tensor_sum(cls_map), tensor_sum(reg_map))
+            cls_out, reg_out = head_forward({"P2": feat}, store, ("P2",))
+            return add(tensor_sum(cls_out), tensor_sum(reg_out))
 
         check_gradients(build, [feat] + list(store.tensors()))
         cases += 1

@@ -1,0 +1,52 @@
+"""The benchmark's tracer (perfbench/tracer.py) wraps tinydet functions by
+module and name, and checks how often the traced run calls them.  The suite
+does not run the benchmark, so these tests read the tracer's own tables and
+fail when a rename or a changed call count would break it."""
+
+import importlib
+import importlib.util
+import os
+import sys
+
+import pytest
+
+from tinydet.detector import DetectorConfig, DetectorModel
+from tinydet.scenes import SceneSpec, generate_scene
+from tinydet.tensor import Tensor
+from tinydet.training import TrainConfig, train
+
+TRACER = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                      "perfbench", "tracer.py")
+
+
+@pytest.fixture(scope="module")
+def tracer():
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # its dataclass looks its module up by name
+    try:
+        spec.loader.exec_module(module)
+        yield module
+    finally:
+        del sys.modules[spec.name]
+
+
+def test_every_tracer_target_resolves(tracer):
+    for module, attr, _, _ in tracer.TARGETS:
+        owner = importlib.import_module(f"tinydet.{module}")
+        for part in attr.split("."):
+            assert hasattr(owner, part), f"tracer target tinydet.{module}.{attr} is gone"
+            owner = getattr(owner, part)
+        assert callable(owner), f"tinydet.{module}.{attr}"
+
+
+def test_a_traced_training_step_and_predict_meet_the_tracer_coverage(tracer):
+    scene = generate_scene(SceneSpec(seed=0), 0)
+    with tracer.Tracer() as t:
+        train([scene], DetectorConfig(), TrainConfig(epochs=1, batch_size=1, reg_loss="dcloss",
+                                                     dc_learnable=True))
+    assert tracer.coverage_errors(t.spans, "train", 1) == []
+    with tracer.Tracer() as t:
+        DetectorModel(DetectorConfig(), seed=0).predict(Tensor(scene.image))
+    assert tracer.coverage_errors(t.spans, "infer", 1) == []
+    assert t.spans["detector.head_forward"].calls == 1

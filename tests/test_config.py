@@ -34,12 +34,18 @@ backbones = st.builds(BackboneConfig, stem_channels=sizes,
                       stage_channels=st.tuples(sizes, sizes, sizes, sizes),
                       pyramid_channels=sizes, input_offset=floats)
 
-detector_configs = st.builds(
-    DetectorConfig, backbone=backbones, num_classes=sizes,
-    levels=st.lists(level_names, min_size=1).map(tuple), enhance=st.booleans(),
-    enhance_levels=st.lists(level_names).map(tuple), gate_width=st.none() | sizes,
-    head_channels=sizes, base_anchor=floats, pos_thr=floats, neg_thr=floats,
-    score_floor=floats, nms_iou=floats, max_detections=sizes)
+unit = st.floats(0.0, 1.0)
+
+
+@st.composite
+def detector_configs(draw):
+    neg_thr, pos_thr = sorted(draw(st.tuples(unit, unit)))
+    return DetectorConfig(
+        backbone=draw(backbones), num_classes=draw(sizes),
+        levels=tuple(draw(st.lists(level_names, min_size=1, unique=True))),
+        enhance_levels=tuple(draw(st.lists(level_names, unique=True))), gate_width=draw(st.none() | sizes),
+        head_channels=draw(sizes), base_anchor=draw(floats), pos_thr=pos_thr, neg_thr=neg_thr,
+        score_floor=draw(unit), nms_iou=draw(unit), max_detections=draw(sizes))
 
 train_configs = st.builds(
     TrainConfig, learning_rate=st.floats(1e-9, 10.0), momentum=floats,
@@ -52,7 +58,7 @@ train_configs = st.builds(
 
 
 @settings(max_examples=50, deadline=None)
-@given(st.one_of(scene_specs(), backbones, detector_configs, train_configs))
+@given(st.one_of(scene_specs(), backbones, detector_configs(), train_configs))
 def test_asdict_then_from_dict_roundtrips_through_json(config):
     payload = json.loads(json.dumps(asdict(config)))
     assert from_dict(type(config), payload, "config") == config
@@ -74,6 +80,9 @@ def test_asdict_then_from_dict_roundtrips_through_json(config):
     (DetectorConfig, {"gate_width": "4"}, {}, r"expected int \| None"),
     (DetectorConfig, {"backbone": {"stages": 4}}, {}, r"section\.backbone: unknown key"),
     (DetectorConfig, {"backbone": []}, {}, "expected an object"),
+    (TrainConfig, {"batch_size": 0}, {}, "batch_size must be >= 1"),
+    (DetectorConfig, {"num_classes": 0}, {}, "num_classes must be >= 1"),
+    (DetectorConfig, {"enhance": False}, {}, "unknown key 'enhance'"),
 ])
 def test_from_dict_rejects(cls, payload, fixed, match):
     with pytest.raises(ValueError, match=match):

@@ -1,19 +1,22 @@
 import numpy as np
 import pytest
 
-from tinydet.anchors import IGNORED, NEGATIVE, Box, gen_anchors
-from tinydet.balanced_loss import DCLossParams
+from tinydet.anchors import IGNORED, NEGATIVE, Box, pyramid_anchors
+from tinydet.balanced_loss import DCLossParams, dcloss_term, smooth_l1_term
 from tinydet.detector import (
     DetectorConfig,
     DetectorModel,
     ImageAssignment,
     assign_image,
+    build_head_params,
     decode_deltas,
     encode_deltas,
+    head_forward,
 )
 from tinydet.evaluation import Detection
+from tinydet.pyramid import LEVEL_STRIDES, BackboneConfig
 from tinydet.scenes import SceneSpec, generate_scene
-from tinydet.tensor import Tensor
+from tinydet.tensor import ParamStore, Tensor
 
 rng = np.random.default_rng(31)
 
@@ -71,41 +74,43 @@ def test_decode_caps_log_scale():
 def test_assign_image_shapes_and_counts():
     gts = [(Box(16.0, 16.0, 24.0, 24.0), 1), (Box(60.0, 60.0, 70.0, 70.0), 2)]
     asn = assign_image(gts, (128, 128), CFG)
-    assert set(asn.anchors) == set(CFG.levels)
-    total_pos = 0
-    for name in CFG.levels:
-        n = len(asn.anchors[name])
-        assert asn.labels[name].shape == (n,)
-        assert asn.cls_targets[name].shape == (CFG.num_classes, n)
-        pos = asn.reg_idx[name]
-        assert asn.reg_targets[name].shape == (4, len(pos))
-        total_pos += len(pos)
-        # one-hot targets agree with the labels
-        for i in pos:
-            gt_idx = asn.labels[name][i]
-            cls = gts[gt_idx][1]
-            assert asn.cls_targets[name][cls, i] == 1.0
-    assert asn.n_pos == total_pos >= len(gts)  # forced best match covers every gt
-    assert asn.n_pos + asn.n_neg <= sum(len(a) for a in asn.anchors.values())
+    anchors, _ = pyramid_anchors((128, 128), CFG.base_anchor, CFG.levels)
+    n = len(anchors)
+    assert asn.labels.shape == (n,)
+    assert asn.cls_targets.shape == (CFG.num_classes, n)
+    np.testing.assert_array_equal(asn.reg_idx, np.nonzero(asn.labels >= 0)[0])
+    assert asn.reg_targets.shape == (4, len(asn.reg_idx))
+    # one-hot targets agree with the labels, and only positives carry one
+    for i in asn.reg_idx:
+        cls = gts[asn.labels[i]][1]
+        assert asn.cls_targets[cls, i] == 1.0
+    assert asn.cls_targets.sum() == len(asn.reg_idx)
+    assert asn.n_pos == len(asn.reg_idx) >= len(gts)  # forced best match covers every gt
+    assert asn.n_neg == int((asn.labels == NEGATIVE).sum())
+    assert asn.n_pos + asn.n_neg <= n
 
 
 def test_assign_image_no_gts():
     asn = assign_image([], (128, 128), CFG)
-    assert asn.n_pos == 0
-    for name in CFG.levels:
-        assert np.all(asn.labels[name] == NEGATIVE)
+    assert asn.n_pos == 0 and asn.reg_targets.shape == (4, 0)
+    assert np.all(asn.labels == NEGATIVE)
+    assert asn.n_neg == len(asn.labels)
+
+
+def test_assign_image_rejects_classes_the_detector_lacks():
+    for cls in (-1, CFG.num_classes):
+        with pytest.raises(ValueError, match=f"class {cls} outside"):
+            assign_image([(Box(16.0, 16.0, 24.0, 24.0), cls)], (128, 128), CFG)
 
 
 def test_assign_regression_targets_recover_gt():
     gts = [(Box(16.0, 16.0, 24.0, 24.0), 0)]
     asn = assign_image(gts, (128, 128), CFG)
-    for name in CFG.levels:
-        pos = asn.reg_idx[name]
-        if not len(pos):
-            continue
-        back = decode_deltas(asn.anchors[name][pos], asn.reg_targets[name])
-        np.testing.assert_allclose(back, np.tile(gts[0][0].as_array(), (len(pos), 1)),
-                                   atol=1e-9)
+    anchors, _ = pyramid_anchors((128, 128), CFG.base_anchor, CFG.levels)
+    assert len(asn.reg_idx) >= 1
+    back = decode_deltas(anchors[asn.reg_idx], asn.reg_targets)
+    np.testing.assert_allclose(back, np.tile(gts[0][0].as_array(), (len(asn.reg_idx), 1)),
+                               atol=1e-9)
 
 
 # ---------------------------------------------------------------------------
@@ -120,12 +125,40 @@ def scene_and_assignment(seed=0):
 def test_forward_output_shapes():
     model = DetectorModel(CFG, seed=0)
     scene, _ = scene_and_assignment()
-    outputs = model.forward(Tensor(scene.image))
-    sides = {"P2": 32, "P3": 16, "P4": 8, "P5": 4, "P6": 2}
-    for name, side in sides.items():
-        cls_map, reg_map = outputs[name]
-        assert cls_map.data.shape == (CFG.num_classes, side, side)
-        assert reg_map.data.shape == (4, side, side)
+    cls_out, reg_out = model.forward(Tensor(scene.image))
+    n = 32 ** 2 + 16 ** 2 + 8 ** 2 + 4 ** 2 + 2 ** 2  # P2..P6 cells at 128x128
+    assert cls_out.data.shape == (CFG.num_classes, n)
+    assert reg_out.data.shape == (4, n)
+
+
+def test_head_column_j_is_anchor_j_of_pyramid_anchors():
+    # Centre-tap identity weights make the head copy its input: trunk, cls and
+    # reg pass channels 0..3 through.  Each level's map holds, per cell, the
+    # anchor index that pyramid_anchors gives that cell and the anchor's
+    # centre and side, so column j must read back anchor j.
+    levels = ("P2", "P4", "P3", "P6")  # out of stride order on purpose
+    store = ParamStore(seed=0)
+    build_head_params(store, 4, 1)
+    for t in store.tensors():
+        t.data[...] = 0.0
+    for c in range(4):
+        store["head.trunk.w"].data[c, c, 1, 1] = 1.0
+        store["head.reg.w"].data[c, c, 0, 0] = 1.0
+    store["head.cls.w"].data[0, 0, 0, 0] = 1.0
+    anchors, slices = pyramid_anchors((128, 64), 2.0, levels)
+    pyr = {}
+    for name in levels:
+        s = LEVEL_STRIDES[name]
+        h, w = 128 // s, 64 // s
+        ys, xs = np.mgrid[0:h, 0:w]
+        pyr[name] = Tensor(np.stack([slices[name].start + ys * w + xs, (xs + 0.5) * s,
+                                     (ys + 0.5) * s, np.full((h, w), 2.0 * s)]))
+    cls_out, reg_out = head_forward(pyr, store, levels)
+    np.testing.assert_array_equal(cls_out.data[0], np.arange(len(anchors)))
+    np.testing.assert_array_equal(reg_out.data[0], np.arange(len(anchors)))
+    centre_side = np.stack([(anchors[:, 0] + anchors[:, 2]) / 2,
+                            (anchors[:, 1] + anchors[:, 3]) / 2, anchors[:, 2] - anchors[:, 0]])
+    np.testing.assert_array_equal(reg_out.data[1:], centre_side)
 
 
 def test_loss_finite_and_components():
@@ -152,18 +185,24 @@ def test_loss_backward_touches_all_parameters():
 
 
 def test_loss_variants_agree_at_zero_error():
-    # when predictions equal targets both regression losses are ~0; loss
-    # selection must not change the classification term
+    # the regression loss (smooth L1 without dc_params, the adaptive loss with
+    # them) must not change the classification term; each regression value is
+    # its term over the positives' columns
     model = DetectorModel(CFG, seed=0)
     scene, asn = scene_and_assignment()
-    outputs = model.forward(Tensor(scene.image))
-    _, cls_a, _ = model.loss(outputs, asn, reg_loss="smooth_l1")
-    outputs = model.forward(Tensor(scene.image))
-    _, cls_b, _ = model.loss(outputs, asn, reg_loss="dcloss",
-                             dc_params=DCLossParams())
-    assert cls_a == pytest.approx(cls_b, rel=1e-6)
-    with pytest.raises(ValueError, match="unknown regression loss"):
-        model.loss(model.forward(Tensor(scene.image)), asn, reg_loss="l2")
+    cls_out, reg_out = model.forward(Tensor(scene.image))
+    _, cls_a, reg_a = model.loss((cls_out, reg_out), asn)
+    _, cls_b, reg_b = model.loss((cls_out, reg_out), asn, DCLossParams())
+    assert cls_a == cls_b
+    pred = Tensor(reg_out.data[:, asn.reg_idx])
+    assert reg_a == float(smooth_l1_term(pred, asn.reg_targets, beta=1.0).data)
+    assert reg_b == float(dcloss_term(pred, asn.reg_targets, DCLossParams()).data)
+    assert reg_a != reg_b
+    # at zero error both regression terms vanish
+    zero = Tensor(reg_out.data.copy())
+    zero.data[:, asn.reg_idx] = asn.reg_targets
+    for dc in (None, DCLossParams()):
+        assert model.loss((cls_out, zero), asn, dc)[2] == pytest.approx(0.0, abs=1e-6)
 
 
 def test_ignored_anchors_carry_no_loss_weight():
@@ -173,11 +212,9 @@ def test_ignored_anchors_carry_no_loss_weight():
     base_total, _, _ = model.loss(outputs, asn)
     # perturbing the assignment so everything is ignored zeroes the cls loss
     empty = ImageAssignment(
-        anchors=asn.anchors,
-        labels={n: np.full_like(asn.labels[n], IGNORED) for n in asn.labels},
-        reg_idx={n: np.zeros(0, dtype=np.int64) for n in asn.reg_idx},
-        reg_targets={n: np.zeros((4, 0)) for n in asn.reg_targets},
-        cls_targets={n: np.zeros_like(asn.cls_targets[n]) for n in asn.cls_targets},
+        labels=np.full_like(asn.labels, IGNORED),
+        cls_targets=np.zeros_like(asn.cls_targets),
+        reg_idx=np.zeros(0, dtype=np.int64), reg_targets=np.zeros((4, 0)),
         n_pos=0, n_neg=0)
     outputs = model.forward(Tensor(scene.image))
     total, cls_v, reg_v = model.loss(outputs, empty)
@@ -213,7 +250,7 @@ def test_model_deterministic_across_instances():
 
 def test_enhancement_flag_changes_p2_path_only():
     scene, _ = scene_and_assignment()
-    plain_cfg = DetectorConfig(enhance=False)
+    plain_cfg = DetectorConfig(enhance_levels=())
     model_on = DetectorModel(CFG, seed=5)
     model_off = DetectorModel(plain_cfg, seed=5)
     pyr_on = model_on.pyramid(Tensor(scene.image))
@@ -225,7 +262,7 @@ def test_enhancement_flag_changes_p2_path_only():
 
 def test_checkpoint_roundtrip_preserves_predictions(tmp_path):
     scene, _ = scene_and_assignment()
-    for i, cfg in enumerate([CFG, DetectorConfig(levels=("P2", "P3"), enhance=False,
+    for i, cfg in enumerate([CFG, DetectorConfig(levels=("P2", "P3"), enhance_levels=(),
                                                  gate_width=6, base_anchor=2.5)]):
         model = DetectorModel(cfg, seed=i)
         before = model.predict(Tensor(scene.image))
@@ -250,6 +287,48 @@ def test_checkpoint_load_rejects_parameters_that_do_not_fit_its_config(tmp_path)
     (ckpt / "manifest.json").write_text(json.dumps(manifest))
     with pytest.raises(ValueError, match="head.trunk.w"):
         DetectorModel.load(str(ckpt))
+
+
+def test_checkpoint_with_an_enhance_key_no_longer_loads(tmp_path):
+    import json
+
+    ckpt = tmp_path / "ckpt"
+    DetectorModel(CFG, seed=0).save(str(ckpt))
+    manifest = json.loads((ckpt / "manifest.json").read_text())
+    manifest["config"]["enhance"] = False
+    (ckpt / "manifest.json").write_text(json.dumps(manifest))
+    with pytest.raises(ValueError, match="unknown key 'enhance'"):
+        DetectorModel.load(str(ckpt))
+
+
+@pytest.mark.parametrize("cls, kw, match", [
+    (DetectorConfig, {"num_classes": 0}, "num_classes must be >= 1"),
+    (DetectorConfig, {"head_channels": 0}, "head_channels must be >= 1"),
+    (DetectorConfig, {"gate_width": 0}, "gate_width must be >= 1"),
+    (DetectorConfig, {"max_detections": -1}, "max_detections must be >= 1"),
+    (DetectorConfig, {"max_detections": 0}, "max_detections must be >= 1"),
+    (DetectorConfig, {"score_floor": -0.1}, r"score_floor must lie in \[0, 1\]"),
+    (DetectorConfig, {"score_floor": 1.5}, r"score_floor must lie in \[0, 1\]"),
+    (DetectorConfig, {"nms_iou": 2.0}, r"nms_iou must lie in \[0, 1\]"),
+    (DetectorConfig, {"neg_thr": 0.6}, "need 0 <= neg_thr <= pos_thr <= 1"),
+    (DetectorConfig, {"neg_thr": -0.1}, "need 0 <= neg_thr <= pos_thr <= 1"),
+    (DetectorConfig, {"pos_thr": 1.1}, "need 0 <= neg_thr <= pos_thr <= 1"),
+    (DetectorConfig, {"levels": ("P3", "P3")}, "levels names a level twice"),
+    (DetectorConfig, {"enhance_levels": ("P2", "P3", "P2")}, "enhance_levels names a level twice"),
+    (BackboneConfig, {"pyramid_channels": 0}, "pyramid_channels must be >= 1"),
+    (BackboneConfig, {"stem_channels": 0}, "stem_channels must be >= 1"),
+    (BackboneConfig, {"stage_channels": (8, 0, 16, 16)}, r"stage_channels\[1\] must be >= 1"),
+])
+def test_config_rejects_out_of_range_values(cls, kw, match):
+    with pytest.raises(ValueError, match=match):
+        cls(**kw)
+
+
+def test_detector_config_accepts_the_range_edges():
+    DetectorConfig(num_classes=1, head_channels=1, gate_width=1, max_detections=1,
+                   score_floor=0.0, nms_iou=1.0, neg_thr=0.5, pos_thr=0.5)
+    DetectorConfig(score_floor=1.0, nms_iou=0.0, neg_thr=0.0, pos_thr=1.0,
+                   backbone=BackboneConfig(1, (1, 1, 1, 1), 1))
 
 
 def test_detector_config_rejects_unknown_levels():

@@ -1,6 +1,7 @@
 import csv
 import json
 import os
+import re
 import struct
 
 import numpy as np
@@ -18,11 +19,21 @@ from tinydet.scenes import SceneSpec, generate_scene, write_dataset
 from tinydet.training import TrainConfig
 
 FAST_TRAIN = {"epochs": 1, "batch_size": 4}
+METRICS = ("ap", "ap50", "ap75", "ap_vt", "ap_t")
+
+
+def crowded(seed):
+    """Crowded scenes, so that AP after one epoch is above 0 and tells models apart."""
+    return SceneSpec(seed=seed, objects_min=12, objects_max=20, side_min=8.0)
 
 
 def small_scenes(n=6, seed=0):
-    spec = SceneSpec(seed=seed)
+    spec = crowded(seed)
     return [generate_scene(spec, i) for i in range(n)]
+
+
+def assert_not_all_zero(records):
+    assert any(r[m] != 0 for r in records for m in METRICS), records
 
 
 def read_file(path):
@@ -68,6 +79,7 @@ def test_ablation_summary_and_determinism(tmp_path):
                                           out_dir=str(tmp_path / "a"), **kwargs)
     assert len(rows) == 4  # 2 subsets x 2 seeds
     assert {r["subset"] for r in rows} == {"P2+P3", "P2+P3+P4+P5+P6"}
+    assert_not_all_zero(rows)
     for entry in summary:
         assert entry["n_seeds"] == 2
         for metric in ("ap", "ap50", "ap75", "ap_vt", "ap_t"):
@@ -82,11 +94,15 @@ def test_ablation_summary_and_determinism(tmp_path):
 
 def test_delta_sweep_rows_and_determinism(tmp_path):
     scenes = small_scenes(4)
-    kwargs = dict(det_cfg=DetectorConfig(), train_cfg=TrainConfig(epochs=1),
+    # P2+P3 and 12 steps: one step on the default five levels leaves AP at 0
+    kwargs = dict(det_cfg=DetectorConfig(levels=("P2", "P3")),
+                  train_cfg=TrainConfig(epochs=3, batch_size=1, learning_rate=0.02),
                   deltas=(0.1, 0.3))
     rows = delta_sweep(scenes, scenes[:2], out_dir=str(tmp_path / "a"), **kwargs)
     assert [r["delta"] for r in rows] == [0.1, 0.3]
     assert all(r["k"] == 10.0 for r in rows)
+    assert_not_all_zero(rows)
+    assert rows[0]["ap50"] != rows[1]["ap50"]
     delta_sweep(scenes, scenes[:2], out_dir=str(tmp_path / "b"), **kwargs)
     for name in ("delta_sweep.json", "delta_sweep.csv"):
         assert read_file(tmp_path / "a" / "reports" / name) == \
@@ -103,7 +119,7 @@ def test_delta_sweep_rows_and_determinism(tmp_path):
 @pytest.fixture()
 def dataset(tmp_path):
     path = tmp_path / "data"
-    write_dataset(SceneSpec(seed=3), 6, str(path))
+    write_dataset(crowded(3), 6, str(path))
     return str(path)
 
 
@@ -157,6 +173,7 @@ def test_cli_train_eval_roundtrip(tmp_path, dataset, capsys):
                  "--out", str(tmp_path / "ev")]) == 0
     eval_metrics = json.load(open(tmp_path / "ev" / "reports" / "metrics_eval.json"))
     train_metrics = json.load(open(os.path.join(out, "reports", "metrics_train.json")))
+    assert_not_all_zero([train_metrics])
     assert eval_metrics == train_metrics
 
 
@@ -167,11 +184,13 @@ def test_cli_ablate_and_sweep(tmp_path, dataset, capsys):
                  "--config", cfg, "--out", str(tmp_path / "ab")]) == 0
     assert '"subset"' in capsys.readouterr().out
     assert os.path.exists(tmp_path / "ab" / "reports" / "ablation.csv")
+    assert_not_all_zero(json.load(open(tmp_path / "ab" / "reports" / "ablation.json"))["runs"])
     assert main(["sweep-delta", "--data", dataset, "--val-data", dataset,
                  "--config", cfg, "--out", str(tmp_path / "sw")]) == 0
     rows = json.load(open(tmp_path / "sw" / "reports" / "delta_sweep.json"))
     assert [r["delta"] for r in rows] == [0.15]
     assert [r["k"] for r in rows] == [8.0]
+    assert_not_all_zero(rows)
 
 
 def test_cli_error_exit_codes(tmp_path, capsys):
@@ -198,6 +217,17 @@ def test_cli_error_exit_codes(tmp_path, capsys):
     {"height": 256},                            # flat scene keys
     {"k": 8.0}, {"base_anchor": 4.0},           # former top-level spellings
     {"n_seeds": "2"},
+    {"detector": {"num_classes": 0}},           # out of range
+    {"detector": {"backbone": {"pyramid_channels": 0}}},
+    {"detector": {"max_detections": -1}},
+    {"detector": {"head_channels": 0}},
+    {"detector": {"gate_width": 0}},
+    {"detector": {"score_floor": 1.5}},
+    {"detector": {"nms_iou": -0.5}},
+    {"detector": {"neg_thr": 0.6, "pos_thr": 0.5}},
+    {"detector": {"levels": ["P3", "P3"]}},
+    {"detector": {"enhance": False}},           # spelled "enhance_levels": [] now
+    {"train": {"batch_size": 0}},
 ])
 def test_cli_config_faults_exit_1(tmp_path, dataset, capsys, payload):
     path = tmp_path / "config.json"
@@ -230,10 +260,9 @@ def test_cli_audit_and_verify_loss_read_the_sections(tmp_path, dataset, capsys):
 
 
 def test_cli_eval_rebuilds_the_checkpoint_config(tmp_path, capsys):
-    # crowded scenes, so that AP after one epoch is above 0 and tells models apart
     dataset = str(tmp_path / "data")
-    write_dataset(SceneSpec(seed=3, objects_min=12, objects_max=20, side_min=8.0), 6, dataset)
-    detector = {"levels": ["P2", "P3"], "enhance": False, "num_classes": 4}
+    write_dataset(crowded(3), 6, dataset)
+    detector = {"levels": ["P2", "P3"], "enhance_levels": [], "num_classes": 4}
     cfg = cli_config(tmp_path, {"detector": detector})
     out = str(tmp_path / "run")
     assert main(["train", "--data", dataset, "--val-data", dataset,
@@ -246,11 +275,45 @@ def test_cli_eval_rebuilds_the_checkpoint_config(tmp_path, capsys):
         assert main(["eval", "--data", dataset, "--checkpoint", ckpt, "--out", ev, *argv]) == 0
         assert read_file(os.path.join(ev, "reports", "metrics_eval.json")) == train_metrics
     capsys.readouterr()
-    for other in ({**detector, "enhance": True}, {"levels": ["P2", "P3"]}):
+    for other in ({**detector, "enhance_levels": ["P2"]}, {"levels": ["P2", "P3"]}):
         conflicting = cli_config(tmp_path, {"detector": other})
         assert main(["eval", "--data", dataset, "--checkpoint", ckpt, "--config",
                      conflicting, "--out", str(tmp_path / "ev")]) == 1
         assert "differs from the config of checkpoint" in capsys.readouterr().err
+
+
+def _set(path, value):
+    # returns an edit of annotations.json that sets the entry at ``path``
+    def edit(payload):
+        target = payload
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = value
+    return edit
+
+
+@pytest.mark.parametrize("edit, match", [
+    (_set(["images"], [5]), r"images\[0\] must be an object"),
+    (_set(["annotations", 0, "bbox"], 5), r"annotations\[0\]\.bbox must be an array"),
+    (_set(["annotations", 0, "bbox"], [0, 0, "a", 4]),
+     r"annotations\[0\]\.bbox\[2\] must be a number"),
+    (_set(["annotations", 0, "bbox"], [0, 0, float("inf"), 4]), "not finite"),
+    (_set(["annotations", 0, "category"], 7), r"class 7 outside \[0, 3\)"),
+    (_set(["annotations", 0, "category"], -1), r"annotations\[0\]\.category must be >= 0"),
+    (_set(["annotations", 0, "category"], True), "must be an integer"),
+    (_set(["images", 0, "file"], "../../../etc/passwd"), "outside"),
+    (_set(["images", 0, "file"], "/etc/passwd"), "outside"),
+])
+def test_cli_train_rejects_bad_annotations(tmp_path, dataset, capsys, edit, match):
+    ann = os.path.join(dataset, "annotations.json")
+    payload = json.load(open(ann))
+    edit(payload)
+    with open(ann, "w") as f:
+        json.dump(payload, f)
+    assert main(["train", "--data", dataset, "--config", cli_config(tmp_path),
+                 "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and re.search(match, err), err
 
 
 def test_cli_eval_rejects_bad_checkpoints(tmp_path, dataset, capsys):

@@ -85,7 +85,9 @@ def test_enhancement_replaces_only_p2():
 def test_enhancement_disabled_is_identity():
     store, cem, fbsm = make_store()
     pyr = build_fpn(backbone_forward(image(), store, CFG), store, CFG)
-    assert efpn_bs_forward(pyr, cem, fbsm, enabled=False) is pyr
+    out = efpn_bs_forward(pyr, cem, fbsm, levels=())
+    assert list(out) == list(pyr)
+    assert all(out[name] is pyr[name] for name in pyr)
 
 
 def test_enhancement_configurable_levels():

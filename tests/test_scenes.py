@@ -162,3 +162,68 @@ def test_annotations_validate_against_jsonschema(tmp_path):
     write_dataset(SceneSpec(seed=9), 3, str(tmp_path))
     payload = json.load(open(tmp_path / "annotations.json"))
     jsonschema.validate(payload, ANNOTATION_SCHEMA)
+
+
+def _good_annotations():
+    return {"images": [{"id": 0, "file": "images/00000.efbt", "height": 128, "width": 128}],
+            "annotations": [{"image_id": 0, "bbox": [0, 0, 4, 4], "category": 1}]}
+
+
+def _with(path, value):
+    payload = _good_annotations()
+    target = payload
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    return payload
+
+
+BAD_ANNOTATIONS = [
+    ([], "top level must be an object"),
+    ({"images": []}, "missing 'annotations'"),
+    (_with(["images"], {}), "images must be an array"),
+    (_with(["images"], [5]), r"images\[0\] must be an object"),
+    (_with(["images", 0, "id"], "0"), r"images\[0\]\.id must be an integer"),
+    (_with(["images", 0, "id"], 0.5), r"images\[0\]\.id must be an integer"),
+    (_with(["images", 0, "file"], 3), r"images\[0\]\.file must be a string"),
+    (_with(["images", 0, "height"], None), r"images\[0\]\.height must be an integer"),
+    (_with(["annotations", 0, "bbox"], 5), r"annotations\[0\]\.bbox must be an array"),
+    (_with(["annotations", 0, "bbox"], [0, 0, "a", 4]), r"bbox\[2\] must be a number"),
+    (_with(["annotations", 0, "bbox"], [0, 0, True, 4]), r"bbox\[2\] must be a number"),
+    (_with(["annotations", 0, "bbox"], [0, 0, 4]), "at least 4 entries"),
+    (_with(["annotations", 0, "bbox"], [0, 0, 4, 4, 4]), "at most 4 entries"),
+    (_with(["annotations", 0, "category"], -1), r"category must be >= 0, got -1"),
+    (_with(["annotations", 0, "category"], True), r"category must be an integer"),
+    (_with(["annotations", 0, "image_id"], 1.5), r"image_id must be an integer"),
+]
+
+
+@pytest.mark.parametrize("payload, match", BAD_ANNOTATIONS)
+def test_validate_annotations_enforces_the_schema(payload, match):
+    with pytest.raises(ValueError, match=match):
+        validate_annotations(payload)
+
+
+def test_validate_annotations_agrees_with_jsonschema():
+    jsonschema = pytest.importorskip("jsonschema")
+    validator = jsonschema.Draft202012Validator(ANNOTATION_SCHEMA)
+    for payload, _ in BAD_ANNOTATIONS:
+        assert not validator.is_valid(payload), payload
+    # category 7 is schema-valid (the detector's class count rejects it later),
+    # and JSON Schema counts an integral float as an integer
+    for payload in (_good_annotations(), _with(["annotations", 0, "category"], 7),
+                    _with(["images", 0, "id"], 0.0)):
+        assert validator.is_valid(payload)
+        validate_annotations(payload)
+
+
+def test_read_dataset_rejects_image_files_outside_the_directory(tmp_path):
+    write_dataset(SceneSpec(seed=1), 1, str(tmp_path / "data"))
+    ann = tmp_path / "data" / "annotations.json"
+    for file in ("../outside.efbt", "images/../../outside.efbt", str(tmp_path / "x.efbt")):
+        (tmp_path / "outside.efbt").write_bytes(b"")
+        payload = json.load(open(ann))
+        payload["images"][0]["file"] = file
+        ann.write_text(json.dumps(payload))
+        with pytest.raises(ValueError, match=r"images\[0\]: file .* is outside"):
+            read_dataset(str(tmp_path / "data"))

@@ -15,7 +15,7 @@ from tinydet.tensor import (
     broadcast_add_channel,
     concat_columns,
     conv2d,
-    gather_hw,
+    gather_columns,
     max_pool_2x2,
     mul_mask,
     read_tensor_file,
@@ -231,17 +231,25 @@ def test_backward_rejects_non_scalar():
 
 
 def test_gather_concat_bce_gradients():
-    x = rand64(3, 4, 4, requires_grad=True)
-    y = rand64(3, 2, 2, requires_grad=True)
-    idx = np.array([0, 5, 9])
-    targets = rng.integers(0, 2, (3, 7)).astype(float)
-    weights = rng.uniform(0.1, 1.0, (3, 7))
+    x = rand64(3, 16, requires_grad=True)
+    y = rand64(3, 4, requires_grad=True)
+    idx = np.array([0, 5, 9, 5])  # a repeated column accumulates its gradient
+    targets = rng.integers(0, 2, (3, 8)).astype(float)
+    weights = rng.uniform(0.1, 1.0, (3, 8))
 
     def build():
-        cols = concat_columns([gather_hw(x, idx), gather_hw(y, np.arange(4))])
+        cols = concat_columns([gather_columns(x, idx), gather_columns(y, np.arange(4))])
         return weighted_bce_with_logits(cols, targets, weights)
 
     check_gradients(build, [x, y])
+
+
+def test_gather_columns_rejects_bad_input():
+    with pytest.raises(ValueError, match=r"\[C,N\]"):
+        gather_columns(rand64(3, 4, 4), [0])
+    for idx in ([4], [-1]):
+        with pytest.raises(ValueError, match="out of range"):
+            gather_columns(rand64(3, 4), idx)
 
 
 def test_reshape_mean_gradients():
