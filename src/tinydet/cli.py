@@ -2,7 +2,7 @@
 
 Subcommands: gen, audit, verify-loss, train, eval, ablate, sweep-delta.
 Global flags: --seed, --config <json>, --out <dir>.  Exit codes: 0 success,
-1 validation error, 2 numeric failure (non-finite loss).
+1 validation error, 2 numeric failure (non-finite loss or model output).
 """
 
 from __future__ import annotations
@@ -190,7 +190,7 @@ def main(argv=None) -> int:
         cfg = _read_config(args.config, args.seed)
         os.makedirs(args.out, exist_ok=True)
         return args.fn(args, cfg)
-    except DivergenceError as e:
+    except (DivergenceError, FloatingPointError) as e:
         print(f"numeric failure: {e}", file=sys.stderr)
         return 2
     except ValueError as e:

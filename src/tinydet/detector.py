@@ -253,19 +253,21 @@ class DetectorModel:
     # -- inference ----------------------------------------------------------
 
     def predict(self, image: Tensor) -> list[Detection]:
+        """Every anchor x class scoring at least ``score_floor`` with a box wider
+        and taller than 1e-3, after class-wise NMS: at most ``max_detections``,
+        ranked by (-score, class, anchor).  Raises FloatingPointError when the
+        head's outputs are not finite, as a diverged model's are."""
         cfg = self.cfg
         h, w = image.data.shape[1:]
         cls_out, reg_out = self.forward(image)
+        if not (np.isfinite(cls_out.data).all() and np.isfinite(reg_out.data).all()):
+            raise FloatingPointError("non-finite class logits or box deltas: "
+                                     "the model has diverged")
         anchors, _ = pyramid_anchors((h, w), cfg.base_anchor, cfg.levels)
         scores = 1.0 / (1.0 + np.exp(-cls_out.data.astype(np.float64)))
         boxes = decode_deltas(anchors, reg_out.data.astype(np.float64), image_hw=(h, w))
-        detections = []
-        for cls in range(cfg.num_classes):
-            for i in np.nonzero(scores[cls] >= cfg.score_floor)[0]:
-                b = boxes[i]
-                if b[2] - b[0] <= 1e-3 or b[3] - b[1] <= 1e-3:
-                    continue
-                detections.append(Detection(Box(*b), cls, float(scores[cls, i])))
-        kept = nms(detections, cfg.nms_iou)
-        kept.sort(key=lambda d: -d.score)
-        return kept[: cfg.max_detections]
+        sized = (boxes[:, 2] - boxes[:, 0] > 1e-3) & (boxes[:, 3] - boxes[:, 1] > 1e-3)
+        cls, idx = np.nonzero((scores >= cfg.score_floor) & sized)  # class-major
+        kept = nms(boxes[idx], scores[cls, idx], cls, cfg.nms_iou, cfg.max_detections)
+        return [Detection(Box(*boxes[i]), int(c), float(scores[c, i]))
+                for c, i in zip(cls[kept], idx[kept])]

@@ -1,13 +1,16 @@
 """Detection metrics: greedy NMS and average precision over an IoU range.
 
-AP follows the COCO recipe: detections are sorted by score globally (ties
+NMS works on candidate arrays and stops once it has kept enough boxes.  AP
+follows the COCO recipe: detections are sorted by score globally (ties
 broken by image and insertion order so results are reproducible), matched
 greedily per image to the best still-unmatched ground truth at or above the
 IoU threshold, and the all-point interpolated area under the precision-recall
 curve is averaged over classes and thresholds.  Size buckets (very-tiny and
 tiny, by sqrt of box area) use ignore semantics: out-of-bucket ground truths
 never count as misses, and detections matched to them, or unmatched and
-themselves out of bucket, are dropped from the PR curve.
+themselves out of bucket, are dropped from the PR curve.  As in COCO's
+``evaluateImg``, the detection x ground-truth IoU is computed once per
+(image, class) and every threshold and bucket is matched from it in one pass.
 """
 
 from __future__ import annotations
@@ -57,139 +60,159 @@ class EvalResult:
                 "ap_vt": self.ap_vt, "ap_t": self.ap_t}
 
 
-def nms(detections: list[Detection], iou_thr: float = 0.5) -> list[Detection]:
-    """Greedy class-wise suppression; keeps the highest-scored of any
-    overlapping pair (IoU > threshold).  Idempotent."""
-    kept: list[Detection] = []
-    by_class: dict[int, list[Detection]] = {}
-    for d in detections:
-        by_class.setdefault(d.class_id, []).append(d)
-    for cls in sorted(by_class):
-        dets = sorted(by_class[cls], key=lambda d: -d.score)
-        boxes = np.array([d.box.as_array() for d in dets])
-        alive = np.ones(len(dets), dtype=bool)
-        m = iou_matrix(boxes, boxes)
-        for i in range(len(dets)):
-            if not alive[i]:
-                continue
-            kept.append(dets[i])
-            alive[i + 1:] &= m[i, i + 1:] <= iou_thr
-    return kept
+def nms(boxes, scores, classes, iou_thr: float = 0.5, max_keep: int | None = None) -> np.ndarray:
+    """Greedy class-wise suppression of candidates (boxes [N,4], scores [N],
+    classes [N]): a candidate is dropped when its IoU with a kept, higher-ranked
+    candidate of its class exceeds ``iou_thr``.  Returns the kept indices ranked
+    by (-score, class, index).  Idempotent.  Only higher-ranked candidates of a
+    class decide a candidate's fate, so stopping after ``max_keep`` kept gives
+    exactly the first ``max_keep`` of the full result, in O(N) memory."""
+    boxes = np.asarray(boxes, dtype=np.float64).reshape(-1, 4)
+    classes = np.asarray(classes)
+    order = np.lexsort((classes, -np.asarray(scores, dtype=np.float64)))  # ties: by index
+    boxes, classes = boxes[order], classes[order]
+    members = {c: np.flatnonzero(classes == c) for c in np.unique(classes)}
+    alive = np.ones(len(order), dtype=bool)
+    cap = len(order) if max_keep is None else max_keep
+    kept = []
+    i = 0
+    while len(kept) < cap and i < len(order):
+        i += int(alive[i:].argmax())  # the next live candidate
+        if not alive[i]:
+            break
+        kept.append(i)
+        same = members[classes[i]]
+        later = same[np.searchsorted(same, i, side="right"):]
+        later = later[alive[later]]
+        alive[later] = iou_matrix(boxes[i:i + 1], boxes[later])[0] <= iou_thr
+        i += 1
+    return order[kept]
 
 
-def _box_scale(b: Box) -> float:
-    return float(np.sqrt(b.area))
+def _box_array(boxes) -> np.ndarray:
+    return np.array([[b.x1, b.y1, b.x2, b.y2] for b in boxes], dtype=np.float64).reshape(-1, 4)
 
 
-def _in_bucket(scale: float, bucket) -> bool:
-    if bucket is None:
-        return True
-    lo, hi = bucket
-    return lo < scale <= hi
+def _in_buckets(boxes: np.ndarray, buckets) -> np.ndarray:
+    """[B,n]: whether each box's sqrt-area scale lies in each (lo, hi] bucket;
+    a None bucket holds every box."""
+    scale = np.sqrt((boxes[:, 2] - boxes[:, 0]) * (boxes[:, 3] - boxes[:, 1]))
+    bounds = [b or (-np.inf, np.inf) for b in buckets]
+    return np.array([(lo < scale) & (scale <= hi) for lo, hi in bounds]).reshape(len(bounds), -1)
+
+
+def _last_argmax(v: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """Index of the largest v where mask holds, along mask's last axis; the last
+    index wins among equals, -1 where mask holds nowhere."""
+    best = v.shape[-1] - 1 - np.where(mask, v, -np.inf)[..., ::-1].argmax(axis=-1)
+    return np.where(mask.any(axis=-1), best, -1)
+
+
+def _curve_ap(hits: np.ndarray, n_gt) -> float:
+    """All-point interpolated AP of ranked hits (1 true positive, 0 false
+    positive, NaN dropped from the curve)."""
+    hits = hits[~np.isnan(hits)]
+    if not len(hits):
+        return 0.0
+    tp = np.cumsum(hits)
+    fp = np.cumsum(1.0 - hits)
+    recall = tp / n_gt
+    precision = tp / np.maximum(tp + fp, 1e-12)
+    precision = np.maximum.accumulate(precision[::-1])[::-1]  # monotone envelope
+    step = np.diff(recall, prepend=0.0)
+    rise = step > 0
+    # rectangle areas at recall steps; cumsum adds left to right like a plain loop
+    return float(np.cumsum(np.append(0.0, step[rise] * precision[rise]))[-1])
+
+
+def _class_ap(dets_per_image, gts_per_image, class_id: int, thresholds, buckets) -> np.ndarray:
+    """AP of one class at each IoU threshold x size bucket, [T,B]; NaN where
+    the bucket holds no ground truth of the class.
+
+    Per image, detections go in (-score, index) order.  At each threshold and
+    bucket a detection takes the unmatched in-bucket ground truth of highest
+    IoU >= the threshold (the last index among equal IoUs); failing that an
+    unmatched out-of-bucket one absorbs it; failing that it is a false
+    positive, or dropped when it is out of bucket itself."""
+    if len(dets_per_image) != len(gts_per_image):
+        raise ValueError("detections and ground truths must align per image")
+    thr = np.asarray(thresholds, dtype=np.float64)[:, None, None]
+    shape = (len(thresholds), len(buckets))
+    n_gt = np.zeros(len(buckets), dtype=np.int64)
+    keys, hits = [], []  # per detection: its global rank key, its outcomes [T,B]
+    for img, (dets, gts) in enumerate(zip(dets_per_image, gts_per_image)):
+        gt = _box_array([b for b, c in gts if c == class_id])
+        gt_in = _in_buckets(gt, buckets)  # [B,G]
+        n_gt += gt_in.sum(axis=1)
+        idx = [j for j, d in enumerate(dets) if d.class_id == class_id]
+        if not idx:
+            continue
+        score = np.array([dets[j].score for j in idx], dtype=np.float64)
+        det = _box_array([dets[j].box for j in idx])
+        # unmatched: a false positive where the detection is in bucket, else dropped
+        hit = np.where(_in_buckets(det, buckets).T[:, None, :], 0.0, np.nan)
+        hit = np.broadcast_to(hit, (len(idx), *shape)).copy()  # [D,T,B]
+        if len(gt):
+            ious = iou_matrix(det, gt)
+            matched = np.zeros((*shape, len(gt)), dtype=bool)
+            for k in np.argsort(-score, kind="stable"):
+                free = ~matched & (ious[k] >= thr)
+                if not free.any():
+                    continue
+                best = _last_argmax(ious[k], free & gt_in)
+                absorb = _last_argmax(ious[k], free & ~gt_in)
+                take = np.where(best >= 0, best, absorb)
+                t, b = np.nonzero(take >= 0)
+                matched[t, b, take[t, b]] = True
+                hit[k][best >= 0] = 1.0
+                hit[k][(best < 0) & (absorb >= 0)] = np.nan
+        keys += [(-dets[j].score, img, j) for j in idx]
+        hits.append(hit)
+    ranked = np.concatenate([np.zeros((0, *shape)), *hits])[
+        sorted(range(len(keys)), key=keys.__getitem__)]
+    ap = np.full(shape, np.nan)
+    for b in np.flatnonzero(n_gt):
+        for t in range(len(thresholds)):
+            ap[t, b] = _curve_ap(ranked[:, t, b], n_gt[b])
+    return ap
 
 
 def average_precision(dets_per_image, gts_per_image, class_id: int,
                       iou_thr: float, bucket=None) -> float | None:
-    """All-point interpolated AP for one class at one IoU threshold.
+    """All-point interpolated AP for one class at one IoU threshold, from the
+    matcher ``evaluate_ap`` runs.
 
     Returns None when the class has no in-bucket ground truths (excluded from
     the class mean, matching COCO).
     """
-    records = []  # (score, image_idx, order_idx, det)
-    for img, dets in enumerate(dets_per_image):
-        for j, d in enumerate(dets):
-            if d.class_id == class_id:
-                records.append((d.score, img, j, d))
-    records.sort(key=lambda r: (-r[0], r[1], r[2]))
-
-    gt_boxes = []
-    gt_ignored = []
-    n_gt = 0
-    for gts in gts_per_image:
-        boxes = [b for b, c in gts if c == class_id]
-        ignored = [not _in_bucket(_box_scale(b), bucket) for b in boxes]
-        gt_boxes.append(boxes)
-        gt_ignored.append(ignored)
-        n_gt += sum(1 for ig in ignored if not ig)
-    if n_gt == 0:
-        return None
-
-    matched = [np.zeros(len(b), dtype=bool) for b in gt_boxes]
-    tp, fp = [], []
-    for _score, img, _j, det in records:
-        boxes = gt_boxes[img]
-        best_iou, best_idx = iou_thr, -1
-        best_ignored_iou, best_ignored_idx = iou_thr, -1
-        if boxes:
-            ious = iou_matrix(np.array([det.box.as_array()]),
-                              np.array([b.as_array() for b in boxes]))[0]
-            for g, v in enumerate(ious):
-                if matched[img][g]:
-                    continue
-                if gt_ignored[img][g]:
-                    if v >= best_ignored_iou:
-                        best_ignored_iou, best_ignored_idx = v, g
-                elif v >= best_iou:
-                    best_iou, best_idx = v, g
-        if best_idx >= 0:
-            matched[img][best_idx] = True
-            tp.append(1.0)
-            fp.append(0.0)
-        elif best_ignored_idx >= 0:
-            matched[img][best_ignored_idx] = True  # absorbed by ignored gt
-        elif not _in_bucket(_box_scale(det.box), bucket):
-            continue  # out-of-bucket unmatched detection: ignored
-        else:
-            tp.append(0.0)
-            fp.append(1.0)
-
-    if not tp:
-        return 0.0
-    tp = np.cumsum(tp)
-    fp = np.cumsum(fp)
-    recall = tp / n_gt
-    precision = tp / np.maximum(tp + fp, 1e-12)
-    # monotone precision envelope, then sum rectangle areas at recall steps
-    for i in range(len(precision) - 2, -1, -1):
-        precision[i] = max(precision[i], precision[i + 1])
-    ap = 0.0
-    prev_r = 0.0
-    for r, p in zip(recall, precision):
-        if r > prev_r:
-            ap += (r - prev_r) * p
-            prev_r = r
-    return float(ap)
-
-
-def _per_threshold_ap(dets_per_image, gts_per_image, classes, bucket=None) -> list[float]:
-    """Class-mean AP at each of IOU_THRESHOLDS; 0.0 when no class has an
-    in-bucket ground truth."""
-    per_thr = []
-    for thr in IOU_THRESHOLDS:
-        vals = [average_precision(dets_per_image, gts_per_image, c, thr, bucket)
-                for c in classes]
-        vals = [v for v in vals if v is not None]
-        per_thr.append(float(np.mean(vals)) if vals else 0.0)
-    return per_thr
+    ap = _class_ap(dets_per_image, gts_per_image, class_id, (iou_thr,), (bucket,))[0, 0]
+    return None if np.isnan(ap) else float(ap)
 
 
 def evaluate_ap(dets_per_image, gts_per_image, num_classes: int | None = None) -> EvalResult:
     """Full metric set over matched detection/ground-truth image lists."""
-    if len(dets_per_image) != len(gts_per_image):
-        raise ValueError("detections and ground truths must align per image")
     if num_classes is None:
         seen = {c for gts in gts_per_image for _, c in gts}
         seen |= {d.class_id for dets in dets_per_image for d in dets}
         classes = sorted(seen) if seen else [0]
     else:
         classes = list(range(num_classes))
-    per_thr = _per_threshold_ap(dets_per_image, gts_per_image, classes)
+    buckets = (None, SIZE_BUCKETS["vt"], SIZE_BUCKETS["t"])
+    per_class = [_class_ap(dets_per_image, gts_per_image, c, IOU_THRESHOLDS, buckets)
+                 for c in classes]
+
+    def per_threshold(b: int) -> list[float]:  # class means; 0.0 when no class has a gt
+        means = []
+        for t in range(len(IOU_THRESHOLDS)):
+            vals = [ap[t, b] for ap in per_class if not np.isnan(ap[t, b])]
+            means.append(float(np.mean(vals)) if vals else 0.0)
+        return means
+
+    per_thr = per_threshold(0)
     return EvalResult(
         ap=float(np.mean(per_thr)),
         ap50=per_thr[IOU_THRESHOLDS.index(0.5)],
         ap75=per_thr[IOU_THRESHOLDS.index(0.75)],
-        ap_vt=float(np.mean(_per_threshold_ap(dets_per_image, gts_per_image, classes,
-                                              SIZE_BUCKETS["vt"]))),
-        ap_t=float(np.mean(_per_threshold_ap(dets_per_image, gts_per_image, classes,
-                                             SIZE_BUCKETS["t"]))),
+        ap_vt=float(np.mean(per_threshold(1))),
+        ap_t=float(np.mean(per_threshold(2))),
     )

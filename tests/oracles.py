@@ -62,6 +62,19 @@ def iou_scalar(a, b):
     return inter / union if union > 0 else 0.0
 
 
+def nms_scalar(boxes, scores, classes, iou_thr):
+    """Greedy class-wise NMS from the definition: rank candidates by
+    (-score, class, index) and keep each one unless a kept candidate of its
+    class overlaps it with IoU > iou_thr."""
+    order = sorted(range(len(scores)), key=lambda i: (-scores[i], classes[i], i))
+    kept = []
+    for i in order:
+        if all(classes[k] != classes[i] or iou_scalar(boxes[k], boxes[i]) <= iou_thr
+               for k in kept):
+            kept.append(i)
+    return kept
+
+
 def assign_scalar(anchors, gts, pos_thr=0.5, neg_thr=0.4, force_best_match=True):
     """Brute-force label assignment scoring every (anchor, gt) pair."""
     n = len(anchors)

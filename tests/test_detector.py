@@ -237,6 +237,17 @@ def test_predict_contract():
         assert 0 <= d.box.y1 < d.box.y2 <= 128
 
 
+@pytest.mark.parametrize("param", ["head.cls.b", "head.reg.b"])
+def test_predict_raises_on_a_diverged_head(param):
+    # NaN scores used to fall below the floor and give no detections; NaN box
+    # deltas used to raise "degenerate box"
+    model = DetectorModel(CFG, seed=0)
+    model.store[param].data[...] = np.nan
+    scene, _ = scene_and_assignment()
+    with pytest.raises(FloatingPointError, match="non-finite"):
+        model.predict(Tensor(scene.image))
+
+
 def test_model_deterministic_across_instances():
     scene, asn = scene_and_assignment()
 

@@ -1,9 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from oracles import ap_scalar
+from oracles import ap_scalar, nms_scalar
 
-from tinydet.anchors import Box
+from tinydet.anchors import Box, pyramid_anchors
 from tinydet.evaluation import (
     IOU_THRESHOLDS,
     SIZE_BUCKETS,
@@ -55,35 +57,76 @@ def random_case(seed, n_images=4, n_classes=2):
 # NMS
 
 
+def candidates(*dets):
+    """(boxes [N,4], scores [N], classes [N]) of detections: the form nms takes."""
+    return (np.array([d.box.as_array() for d in dets]).reshape(-1, 4),
+            np.array([d.score for d in dets]), np.array([d.class_id for d in dets]))
+
+
 def test_nms_suppresses_overlaps():
     d1 = det(0, 0, 10, 10, score=0.9)
     d2 = det(1, 1, 11, 11, score=0.8)   # IoU 0.68 with d1 -> suppressed
     d3 = det(50, 50, 60, 60, score=0.7)  # disjoint -> kept
-    kept = nms([d1, d2, d3], iou_thr=0.5)
-    assert kept == [d1, d3]
+    kept = nms(*candidates(d1, d2, d3), iou_thr=0.5)
+    assert kept.tolist() == [0, 2]
 
 
 def test_nms_is_class_wise():
     a = det(0, 0, 10, 10, cls=0, score=0.9)
     b = det(0, 0, 10, 10, cls=1, score=0.8)  # same box, different class
-    assert len(nms([a, b])) == 2
+    assert len(nms(*candidates(a, b))) == 2
 
 
 def test_nms_threshold_is_strict():
     # IoU exactly at the threshold is kept (suppression needs IoU > thr)
     a = det(0, 0, 10, 10, score=0.9)
     b = det(5, 0, 15, 10, score=0.8)  # IoU = 5/15 = 1/3
-    assert len(nms([a, b], iou_thr=1 / 3)) == 2
-    assert len(nms([a, b], iou_thr=0.33)) == 1
+    assert len(nms(*candidates(a, b), iou_thr=1 / 3)) == 2
+    assert len(nms(*candidates(a, b), iou_thr=0.33)) == 1
 
 
 def test_nms_idempotent():
     r = np.random.default_rng(2)
-    dets = [det(x, y, x + 8, y + 8, cls=int(r.integers(2)), score=float(s))
-            for x, y, s in zip(r.uniform(0, 90, 30), r.uniform(0, 90, 30),
-                               r.uniform(0.1, 0.99, 30))]
-    once = nms(dets)
-    assert nms(once) == once
+    xy = r.uniform(0, 30, (30, 2))  # dense enough that some boxes are suppressed
+    boxes = np.concatenate([xy, xy + 8], axis=1)
+    classes = r.integers(2, size=30)
+    scores = r.uniform(0.1, 0.99, 30)
+    once = nms(boxes, scores, classes)
+    assert len(once) < 30
+    again = nms(boxes[once], scores[once], classes[once])
+    assert again.tolist() == list(range(len(once)))
+
+
+def test_nms_matches_scalar_oracle_and_caps_to_a_prefix():
+    for seed in range(8):
+        r = np.random.default_rng(seed)
+        n = int(r.integers(1, 80))
+        xy = r.uniform(0, 40, (n, 2))
+        boxes = np.concatenate([xy, xy + r.uniform(2, 14, (n, 2))], axis=1)
+        scores = np.round(r.uniform(0, 1, n), 1)  # ~10 distinct values: many ties
+        classes = r.integers(3, size=n)
+        thr = float(r.choice([0.0, 0.3, 0.5, 1.0]))
+        want = nms_scalar(boxes, scores, classes, thr)
+        assert nms(boxes, scores, classes, thr).tolist() == want
+        for k in (0, 1, 3, len(want), len(want) + 5):
+            assert nms(boxes, scores, classes, thr, max_keep=k).tolist() == want[:k]
+    assert nms(np.zeros((0, 4)), np.zeros(0), np.zeros(0, dtype=int)).tolist() == []
+
+
+def test_nms_memory_is_bounded_by_max_keep():
+    # 261,888 candidates: one N x N IoU matrix per class would take 61 GB
+    anchors, _ = pyramid_anchors((1024, 1024))
+    boxes = np.tile(anchors, (3, 1))
+    classes = np.repeat(np.arange(3), len(anchors))
+    scores = np.random.default_rng(0).uniform(0.05, 1.0, len(boxes))
+    tracemalloc.start()
+    try:
+        kept = nms(boxes, scores, classes, 0.5, max_keep=100)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(kept) == 100
+    assert peak < 64 * 2 ** 20, f"nms peak {peak / 2 ** 20:.1f} MiB"
 
 
 def test_detection_score_validated():
@@ -202,3 +245,35 @@ def test_evaluate_ap_deterministic():
     a = evaluate_ap(dets, gts, num_classes=2)
     b = evaluate_ap(dets, gts, num_classes=2)
     assert a == b
+
+
+def class_mean_of_average_precision(dets, gts, classes):
+    """evaluate_ap's fields rebuilt from one-threshold average_precision calls."""
+    def per_threshold(bucket):
+        means = []
+        for thr in IOU_THRESHOLDS:
+            vals = [average_precision(dets, gts, c, thr, bucket) for c in classes]
+            vals = [v for v in vals if v is not None]
+            means.append(float(np.mean(vals)) if vals else 0.0)
+        return means
+
+    main = per_threshold(None)
+    return EvalResult(ap=float(np.mean(main)), ap50=main[IOU_THRESHOLDS.index(0.5)],
+                      ap75=main[IOU_THRESHOLDS.index(0.75)],
+                      ap_vt=float(np.mean(per_threshold(SIZE_BUCKETS["vt"]))),
+                      ap_t=float(np.mean(per_threshold(SIZE_BUCKETS["t"]))))
+
+
+def test_matcher_tie_rules():
+    # image 0: detection A is equidistant (IoU 2/3) from both gts and takes the
+    # last one, so B (IoU 1 with gt 0, 0.43 with gt 1) still finds gt 0.
+    # image 1: a false positive tied with A's score ranks after A (image order).
+    gts = [[(Box(0, 0, 10, 10), 0), (Box(4, 0, 14, 10), 0)], [(Box(60, 60, 66, 66), 0)]]
+    dets = [[det(2, 0, 12, 10, score=0.9), det(0, 0, 10, 10, score=0.8)],
+            [det(20, 20, 26, 26, score=0.9)]]
+    # ranked: tp, fp, tp over 3 gts -> recall 1/3 at precision 1, 2/3 at 2/3
+    assert average_precision(dets, gts, 0, 0.5) == pytest.approx(1 / 3 + 1 / 3 * 2 / 3)
+    cases = [(dets, gts, [0])] + [(*random_case(seed), [0, 1]) for seed in range(6)]
+    for d, g, classes in cases:
+        assert evaluate_ap(d, g, num_classes=len(classes)) == \
+            class_mean_of_average_precision(d, g, classes)

@@ -347,6 +347,15 @@ def test_cli_divergence_exit_code(tmp_path, dataset, capsys):
     assert "numeric failure" in capsys.readouterr().err
 
 
+def test_cli_eval_of_a_diverged_checkpoint_exits_2(tmp_path, dataset, capsys):
+    model = DetectorModel(DetectorConfig(), seed=0)
+    model.store["head.cls.b"].data[...] = np.nan
+    model.save(str(tmp_path / "ckpt"))
+    assert main(["eval", "--data", dataset, "--checkpoint", str(tmp_path / "ckpt"),
+                 "--out", str(tmp_path / "ev")]) == 2
+    assert "numeric failure" in capsys.readouterr().err
+
+
 def test_console_script_registered(tmp_path):
     # The interpreter's installed distributions say nothing about this
     # checkout, so build its metadata with the declared build backend.
