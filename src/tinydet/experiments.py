@@ -14,8 +14,8 @@ from dataclasses import asdict, replace
 import numpy as np
 
 from .anchors import level_stats
-from .detector import DetectorConfig
-from .training import TrainConfig, evaluate_model, train
+from .detector import DetectorConfig, DetectorModel
+from .training import DivergenceError, TrainConfig, evaluate_model, train
 
 __all__ = [
     "reports_dir",
@@ -59,8 +59,18 @@ def audit_positive_samples(scenes, image_hw, out_dir: str, base_anchor: float = 
 
 def run_training(train_scenes, val_scenes, det_cfg: DetectorConfig,
                  train_cfg: TrainConfig, out_dir: str, tag: str = "train"):
-    """Train, evaluate, and persist checkpoint + loss curve + metrics."""
-    result = train(train_scenes, det_cfg, train_cfg)
+    """Train, evaluate, and persist checkpoint + loss curve + metrics.
+
+    On divergence the last good parameters are saved, with their config, as
+    ``checkpoint_<tag>_last_good`` before the ``DivergenceError`` propagates."""
+    try:
+        result = train(train_scenes, det_cfg, train_cfg)
+    except DivergenceError as e:
+        model = DetectorModel(det_cfg, seed=train_cfg.seed)
+        for name, t in model.store.items():
+            t.data[...] = e.last_good_state[name]
+        model.save(os.path.join(out_dir, f"checkpoint_{tag}_last_good"))
+        raise
     result.model.save(os.path.join(out_dir, f"checkpoint_{tag}"))
     write_report(out_dir, f"loss_curve_{tag}", result.loss_curve,
                  columns=["epoch", "lr", "cls", "reg", "total"])

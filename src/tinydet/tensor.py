@@ -272,24 +272,27 @@ def max_pool_2x2(x: Tensor) -> Tensor:
     return _make(out, (x,), backward)
 
 
-def _bilinear_axis(src: int, dst: int):
-    """Half-pixel-center sample positions: lo index, hi index, hi weight."""
-    s = src / dst
-    pos = (np.arange(dst, dtype=np.float64) + 0.5) * s - 0.5
-    pos = np.clip(pos, 0.0, src - 1.0)
+def _interp_matrix(src: int, dst: int, dtype) -> np.ndarray:
+    """[dst,src] half-pixel-center linear interpolation weights along one axis."""
+    pos = np.clip((np.arange(dst, dtype=np.float64) + 0.5) * (src / dst) - 0.5,
+                  0.0, src - 1.0)
     lo = np.floor(pos).astype(np.int64)
-    lo = np.minimum(lo, src - 1)
-    hi = np.minimum(lo + 1, src - 1)
     w_hi = pos - lo
-    return lo, hi, w_hi
+    rows = np.arange(dst)
+    r = np.zeros((dst, src))
+    r[rows, lo] = 1 - w_hi
+    r[rows, np.minimum(lo + 1, src - 1)] += w_hi
+    return r.astype(dtype)
 
 
 def bilinear_upsample(x: Tensor, target) -> Tensor:
     """Resize a [C,h,w] map to [C,H,W] with half-pixel-center bilinear sampling.
 
-    Output values are convex combinations of the four nearest source samples,
-    so per-channel min/max never overshoot the source range.  Downsampling is
-    rejected.
+    The resize is separable: ``Ry @ X @ Rx.T`` with one [dst,src]
+    interpolation matrix per axis, and the backward pass is ``Ry.T @ G @ Rx``.
+    Each matrix row is a convex combination (non-negative weights summing to
+    one), so per-channel min/max never overshoot the source range.
+    Downsampling is rejected.
     """
     if x.data.ndim != 3:
         raise ValueError(f"bilinear_upsample expects [C,h,w], got {x.data.shape}")
@@ -299,55 +302,25 @@ def bilinear_upsample(x: Tensor, target) -> Tensor:
         raise ValueError(
             f"bilinear_upsample: target {th}x{tw} smaller than source {h}x{w}"
         )
-    y0, y1, wy = _bilinear_axis(h, th)
-    x0, x1, wx = _bilinear_axis(w, tw)
-    wy = wy[:, None]
-    wx = wx[None, :]
-    dt = x.data.dtype
-    w00 = ((1 - wy) * (1 - wx)).astype(dt)
-    w01 = ((1 - wy) * wx).astype(dt)
-    w10 = (wy * (1 - wx)).astype(dt)
-    w11 = (wy * wx).astype(dt)
-    d = x.data
-    out = (
-        d[:, y0[:, None], x0[None, :]] * w00
-        + d[:, y0[:, None], x1[None, :]] * w01
-        + d[:, y1[:, None], x0[None, :]] * w10
-        + d[:, y1[:, None], x1[None, :]] * w11
-    )
+    ry = _interp_matrix(h, th, x.data.dtype)
+    rx = _interp_matrix(w, tw, x.data.dtype)
 
     def backward(g):
-        gx = np.zeros_like(d)
-        yy0 = np.broadcast_to(y0[:, None], (th, tw))
-        yy1 = np.broadcast_to(y1[:, None], (th, tw))
-        xx0 = np.broadcast_to(x0[None, :], (th, tw))
-        xx1 = np.broadcast_to(x1[None, :], (th, tw))
-        for ch in range(c):
-            np.add.at(gx[ch], (yy0, xx0), g[ch] * w00)
-            np.add.at(gx[ch], (yy0, xx1), g[ch] * w01)
-            np.add.at(gx[ch], (yy1, xx0), g[ch] * w10)
-            np.add.at(gx[ch], (yy1, xx1), g[ch] * w11)
-        x._accumulate(gx)
+        x._accumulate(ry.T @ g @ rx)
 
-    return _make(out, (x,), backward)
+    return _make(ry @ x.data @ rx.T, (x,), backward)
 
 
 # ---------------------------------------------------------------------------
 # convolution
 
 
-def _im2col(padded, kh, kw, stride, oh, ow):
-    # padded: [C, Hp, Wp] -> [C*kh*kw, oh*ow]
-    view = np.lib.stride_tricks.sliding_window_view(padded, (kh, kw), axis=(1, 2))
-    view = view[:, ::stride, ::stride]  # [C, oh, ow, kh, kw]
-    return view.transpose(0, 3, 4, 1, 2).reshape(padded.shape[0] * kh * kw, oh * ow)
-
-
 def conv2d(x: Tensor, weight: Tensor, bias: Tensor, stride: int = 1) -> Tensor:
     """2-D cross-correlation with bias over a single [C_in,H,W] image.
 
     Kernels are 1x1 or 3x3, padded so that stride-1 convolution preserves the
-    spatial size; stride s > 1 yields ceil(H/s) x ceil(W/s) outputs.
+    spatial size; stride s > 1 yields ceil(H/s) x ceil(W/s) outputs.  The
+    convolution is one GEMM of the weights with the im2col columns.
     """
     if x.data.ndim != 3:
         raise ValueError(f"conv2d expects input [C,H,W], got {x.data.shape}")
@@ -366,8 +339,19 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor, stride: int = 1) -> Tensor:
     ph, pw = kh // 2, kw // 2
     oh = (h + 2 * ph - kh) // stride + 1
     ow = (w + 2 * pw - kw) // stride + 1
-    padded = np.pad(x.data, ((0, 0), (ph, ph), (pw, pw)))
-    cols = _im2col(padded, kh, kw, stride, oh, ow)
+    padded_shape = (c, h + 2 * ph, w + 2 * pw)
+    if ph or pw:
+        padded = np.zeros(padded_shape, dtype=x.data.dtype)
+        padded[:, ph : ph + h, pw : pw + w] = x.data
+    else:
+        padded = x.data
+    # im2col: a read-only [C,kh,kw,oh,ow] window view, copied by the reshape
+    # unless it is already contiguous (1x1, stride 1)
+    sc, sy, sx = padded.strides
+    cols = np.lib.stride_tricks.as_strided(
+        padded, (c, kh, kw, oh, ow), (sc, sy, sx, sy * stride, sx * stride),
+        writeable=False,
+    ).reshape(c * kh * kw, oh * ow)
     wmat = weight.data.reshape(co, ci * kh * kw)
     out = (wmat @ cols + bias.data[:, None]).reshape(co, oh, ow)
 
@@ -379,13 +363,11 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor, stride: int = 1) -> Tensor:
             bias._accumulate(gmat.sum(axis=1, dtype=np.float64))
         if x.requires_grad:
             gcols = (wmat.T @ gmat).reshape(ci, kh, kw, oh, ow)
-            gpad = np.zeros_like(padded)
+            gpad = np.zeros(padded_shape, dtype=x.data.dtype)
             for i in range(kh):
                 for j in range(kw):
                     gpad[:, i : i + oh * stride : stride, j : j + ow * stride : stride] += gcols[:, i, j]
-            if ph or pw:
-                gpad = gpad[:, ph : ph + h, pw : pw + w]
-            x._accumulate(gpad)
+            x._accumulate(gpad[:, ph : ph + h, pw : pw + w])
 
     return _make(out, (x, weight, bias), backward)
 
@@ -605,7 +587,7 @@ _EFBT_MAGIC = b"EFBT"
 
 def write_tensor_file(path: str, array: np.ndarray):
     """Write an array as EFBT: magic, version, dtype code, ndim, u32 dims, f32 LE payload."""
-    arr = np.ascontiguousarray(np.asarray(array, dtype="<f4"))
+    arr = np.asarray(array, dtype="<f4")
     if arr.ndim > 255:
         raise ValueError("EFBT supports at most 255 dims")
     with open(path, "wb") as f:

@@ -347,6 +347,21 @@ def test_cli_divergence_exit_code(tmp_path, dataset, capsys):
     assert "numeric failure" in capsys.readouterr().err
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_cli_divergence_keeps_the_last_good_checkpoint(tmp_path, dataset, capsys):
+    out = tmp_path / "run"
+    cfg = cli_config(tmp_path, {"train": {"learning_rate": 1e12}})
+    assert main(["train", "--data", dataset, "--config", cfg, "--out", str(out)]) == 2
+    assert not (out / "checkpoint_train").exists()
+    ckpt = str(out / "checkpoint_train_last_good")
+    model = DetectorModel.load(ckpt)
+    assert model.cfg == DetectorConfig()
+    assert all(np.isfinite(t.data).all() for _, t in model.store.items())
+    assert main(["eval", "--data", dataset, "--checkpoint", ckpt,
+                 "--out", str(tmp_path / "ev")]) == 0
+    assert "numeric failure" in capsys.readouterr().err
+
+
 def test_cli_eval_of_a_diverged_checkpoint_exits_2(tmp_path, dataset, capsys):
     model = DetectorModel(DetectorConfig(), seed=0)
     model.store["head.cls.b"].data[...] = np.nan

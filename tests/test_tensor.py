@@ -1,7 +1,12 @@
+import math
+import os
 import struct
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from gradcheck import check_gradients, max_rel_err
 from oracles import bilinear_scalar, conv2d_scalar
@@ -67,20 +72,34 @@ def test_conv2d_matches_scalar_reference():
 
 
 def test_conv2d_strided_matches_scalar_reference():
-    x = rand64(2, 8, 8)
-    w = rand64(3, 2, 3, 3)
-    b = rand64(3)
-    out = conv2d(x, w, b, stride=2)
-    ref = conv2d_scalar(x.data, w.data, b.data, stride=2)
-    assert out.data.shape == (3, 4, 4)
-    assert max_rel_err(out.data, ref) < 1e-12
+    # odd sizes, a 1x1 kernel and a 1x1 input probe the strided window view's
+    # extent, which as_strided does not bounds-check
+    for c_in, h, w, k in [(2, 8, 8, 3), (2, 7, 5, 3), (3, 5, 9, 3), (2, 7, 5, 1),
+                          (3, 1, 1, 3), (3, 1, 1, 1)]:
+        x = rand64(c_in, h, w)
+        wt = rand64(3, c_in, k, k)
+        b = rand64(3)
+        out = conv2d(x, wt, b, stride=2)
+        ref = conv2d_scalar(x.data, wt.data, b.data, stride=2)
+        assert out.data.shape == (3, -(-h // 2), -(-w // 2))
+        assert max_rel_err(out.data, ref) < 1e-12
 
 
 def test_conv2d_gradient_finite_differences():
-    x = rand64(4, 5, 5, requires_grad=True)
-    w = rand64(2, 4, 3, 3, requires_grad=True)
-    b = rand64(2, requires_grad=True)
-    check_gradients(lambda: tensor_sum(conv2d(x, w, b)), [x, w, b], tol=1e-5)
+    for h, w, stride in [(5, 5, 1), (7, 5, 2)]:
+        x = rand64(4, h, w, requires_grad=True)
+        wt = rand64(2, 4, 3, 3, requires_grad=True)
+        b = rand64(2, requires_grad=True)
+        check_gradients(lambda: tensor_sum(conv2d(x, wt, b, stride=stride)), [x, wt, b],
+                        tol=1e-5)
+
+
+@pytest.mark.parametrize("k, stride", [(3, 1), (3, 2), (1, 1), (1, 2)])
+def test_conv2d_leaves_input_unchanged(k, stride):
+    x = rand64(3, 7, 5, requires_grad=True)
+    before = x.data.copy()
+    tensor_sum(conv2d(x, rand64(2, 3, k, k, requires_grad=True), rand64(2), stride)).backward()
+    np.testing.assert_array_equal(x.data, before)
 
 
 def test_conv2d_channel_mismatch_rejected():
@@ -179,13 +198,20 @@ def test_bilinear_constant_and_degenerate():
 
 
 def test_bilinear_matches_scalar_reference():
-    x = t64([[[0.0, 1.0], [2.0, 3.0]]])
-    out = bilinear_upsample(x, (4, 4))
-    ref = bilinear_scalar(x.data, 4, 4)
-    assert max_rel_err(out.data, ref, floor=1e-12) < 1e-12
-    x = rand64(3, 4, 5)
-    out = bilinear_upsample(x, (9, 11))
-    assert max_rel_err(out.data, bilinear_scalar(x.data, 9, 11)) < 1e-12
+    # includes the P5 -> P2 geometry (4 -> 32) and a 1x1 source
+    for src, dst in [((2, 2), (4, 4)), ((4, 5), (9, 11)), ((4, 4), (32, 32)),
+                     ((1, 1), (5, 7))]:
+        x = rand64(3, *src)
+        out = bilinear_upsample(x, dst)
+        assert max_rel_err(out.data, bilinear_scalar(x.data, *dst)) < 1e-12
+
+
+def test_bilinear_float32_matches_float64_reference():
+    x = rng.standard_normal((4, 4, 4)).astype(np.float32)
+    out = bilinear_upsample(Tensor(x), (32, 32))
+    assert out.data.dtype == np.float32
+    ref = bilinear_scalar(x.astype(np.float64), 32, 32)
+    assert np.max(np.abs(out.data - ref)) < 1e-6
 
 
 def test_bilinear_range_preserved():
@@ -203,9 +229,11 @@ def test_bilinear_downsample_rejected():
 
 
 def test_bilinear_gradient():
-    x = rand64(2, 3, 3, requires_grad=True)
-    w = rand64(2, 7, 8)
-    check_gradients(lambda: tensor_sum(mul_mask(bilinear_upsample(x, (7, 8)), Tensor(w.data))), [x])
+    for src, dst in [((3, 3), (7, 8)), ((4, 4), (32, 32)), ((1, 1), (4, 5))]:
+        x = rand64(2, *src, requires_grad=True)
+        w = rand64(2, *dst)
+        check_gradients(lambda: tensor_sum(mul_mask(bilinear_upsample(x, dst), Tensor(w.data))),
+                        [x])
 
 
 # ---------------------------------------------------------------------------
@@ -402,6 +430,43 @@ def test_efbt_header_the_file_cannot_back_rejected(tmp_path, raw, match):
     path.write_bytes(raw)
     with pytest.raises(ValueError, match=match):
         read_tensor_file(str(path))
+
+
+@st.composite
+def efbt_like(draw):
+    """An EFBT header, mostly well formed but with any version, dtype code or
+    ndim byte, and dims near the valid range and far beyond it; then a
+    payload that may back the dims, and sometimes a cut at any point."""
+    dims = draw(st.lists(st.integers(0, 3) | st.integers(0, 2 ** 32 - 1), max_size=6))
+    ndim = draw(st.just(len(dims)) | st.integers(0, 255))
+    version = draw(st.just(1) | st.integers(0, 255))
+    code = draw(st.just(0) | st.integers(0, 255))
+    payload = draw(st.binary(max_size=32))
+    count = math.prod(dims)
+    if count <= 1024 and draw(st.booleans()):
+        payload = draw(st.binary(min_size=4 * count, max_size=4 * count)) + payload
+    raw = b"EFBT" + struct.pack(f"<BBB{len(dims)}I", version, code, ndim, *dims) + payload
+    return raw[:draw(st.none() | st.integers(0, len(raw)))]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.binary(max_size=64) | efbt_like())
+@example(b"EFBT\x01\x00\x00" + bytes(4))  # a 0-d tensor keeps its shape
+def test_read_tensor_file_fuzz_loads_or_raises_value_error(raw):
+    with tempfile.TemporaryDirectory() as d:
+        path = os.path.join(d, "x.efbt")
+        with open(path, "wb") as f:
+            f.write(raw)
+        try:
+            arr = read_tensor_file(path)
+        except ValueError:
+            return
+        # what loads is what the file's header and payload say, bit for bit
+        write_tensor_file(path, arr)
+        with open(path, "rb") as f:
+            written = f.read()
+    assert arr.dtype == np.float32
+    assert raw[:len(written)] == written
 
 
 def test_tensor_submodule_is_importable_by_name():
