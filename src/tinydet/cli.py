@@ -1,7 +1,9 @@
 """Command-line entry points.
 
-Subcommands: gen, audit, verify-loss, train, eval, ablate, sweep-delta.
-Global flags: --seed, --config <json>, --out <dir>.  Exit codes: 0 success,
+Subcommands: gen, audit, verify-loss, train, eval, ablate.  ``ablate`` trains
+and evaluates each config variant of the ``variants`` key (by default the
+paper's component ablation, ``experiments.DEFAULT_VARIANTS``) over ``n_seeds``
+seeds.  Global flags: --seed, --config <json>, --out <dir>.  Exit codes: 0 success,
 1 validation error, 2 numeric failure (non-finite loss or model output).
 """
 
@@ -16,44 +18,62 @@ from .balanced_loss import DCLossParams, verify_theorem1
 from .config import coerce, from_dict
 from .detector import DetectorConfig, DetectorModel
 from .experiments import (
+    DEFAULT_VARIANTS,
     audit_positive_samples,
-    delta_sweep,
-    level_subset_ablation,
     reports_dir,
     run_training,
+    run_variants,
     write_report,
 )
 from .scenes import SceneSpec, read_dataset, write_dataset
 from .training import DivergenceError, TrainConfig, evaluate_model
 
 SECTIONS = {"scene": SceneSpec, "detector": DetectorConfig, "train": TrainConfig}
-EXPERIMENT_KEYS = {"subsets": tuple[tuple[str, ...], ...], "n_seeds": int,
-                   "deltas": tuple[float, ...]}
+
+
+def _section(cls, payload, where: str, seed: int):
+    return from_dict(cls, payload, where, **({} if cls is DetectorConfig else {"seed": seed}))
 
 
 def _read_config(path: str | None, seed: int) -> dict:
     """Every section of the --config file, parsed; absent sections take the
-    defaults and ``seed`` comes from --seed.  Experiment keys appear only when
-    the file sets them."""
+    defaults and ``seed`` comes from --seed.  ``variants`` (default
+    ``DEFAULT_VARIANTS``) becomes a list of (name, DetectorConfig, TrainConfig):
+    each variant's partial ``detector`` and ``train`` objects are merged key by
+    key over the file's base sections, then read strictly.  ``n_seeds``
+    appears only when the file sets it."""
     raw = {}
     if path:
         try:
             with open(path) as f:
                 raw = json.load(f)
-        except (OSError, json.JSONDecodeError) as e:
+        except (OSError, ValueError) as e:
             raise ValueError(f"--config {path}: {e}") from e
         if not isinstance(raw, dict):
             raise ValueError(f"--config {path}: top level must be an object")
-    unknown = raw.keys() - SECTIONS.keys() - EXPERIMENT_KEYS.keys()
+    unknown = raw.keys() - {*SECTIONS, "variants", "n_seeds"}
     if unknown:
         raise ValueError(f"--config {path}: unknown keys {sorted(unknown)}; known keys: "
-                         f"{', '.join([*SECTIONS, *EXPERIMENT_KEYS])}")
-    cfg = {key: coerce(raw[key], hint, key)
-           for key, hint in EXPERIMENT_KEYS.items() if key in raw}
-    for name, cls in SECTIONS.items():
-        fixed = {} if cls is DetectorConfig else {"seed": seed}
-        cfg[name] = from_dict(cls, raw.get(name, {}), name, **fixed)
+                         f"{', '.join([*SECTIONS, 'variants', 'n_seeds'])}")
+    cfg = {name: _section(cls, raw.get(name, {}), name, seed) for name, cls in SECTIONS.items()}
+    if "n_seeds" in raw:
+        cfg["n_seeds"] = coerce(raw["n_seeds"], int, "n_seeds")
+    variants = raw.get("variants", DEFAULT_VARIANTS)
+    if not isinstance(variants, list):
+        raise ValueError(f"variants: expected an array, got {variants!r}")
+    cfg["variants"] = [_read_variant(v, f"variants[{i}]", raw, seed)
+                       for i, v in enumerate(variants)]
     return cfg
+
+
+def _read_variant(variant, where: str, raw: dict, seed: int):
+    if not (isinstance(variant, dict) and isinstance(variant.get("name"), str)
+            and variant.keys() <= {"name", "detector", "train"}
+            and all(isinstance(variant.get(k, {}), dict) for k in ("detector", "train"))):
+        raise ValueError(f"{where}: expected an object of a string 'name' and optional "
+                         f"'detector' and 'train' objects, got {variant!r}")
+    return (variant["name"], *(_section(SECTIONS[k], {**raw.get(k, {}), **variant.get(k, {})},
+                                        f"{where}.{k}", seed) for k in ("detector", "train")))
 
 
 def _read_scenes(path: str):
@@ -117,19 +137,9 @@ def cmd_eval(args, cfg):
 def cmd_ablate(args, cfg):
     scenes, _ = _read_scenes(args.data)
     val_scenes, _ = _read_scenes(args.val_data)
-    _, summary = level_subset_ablation(
-        scenes, val_scenes, cfg["detector"], cfg["train"], args.out,
-        **{k: cfg[k] for k in ("subsets", "n_seeds") if k in cfg})
+    _, summary = run_variants(scenes, val_scenes, cfg["variants"], args.out,
+                              **{k: cfg[k] for k in ("n_seeds",) if k in cfg})
     print(json.dumps(summary, indent=2, sort_keys=True))
-    return 0
-
-
-def cmd_sweep_delta(args, cfg):
-    scenes, _ = _read_scenes(args.data)
-    val_scenes, _ = _read_scenes(args.val_data)
-    rows = delta_sweep(scenes, val_scenes, cfg["detector"], cfg["train"], args.out,
-                       **{k: cfg[k] for k in ("deltas",) if k in cfg})
-    print(json.dumps(rows, indent=2, sort_keys=True))
     return 0
 
 
@@ -169,17 +179,11 @@ def build_parser() -> argparse.ArgumentParser:
     e.add_argument("--checkpoint", required=True)
     e.set_defaults(fn=cmd_eval)
 
-    ab = sub.add_parser("ablate", help="level-subset ablation")
+    ab = sub.add_parser("ablate", help="train and evaluate a list of config variants")
     common(ab)
     ab.add_argument("--data", required=True)
     ab.add_argument("--val-data", required=True)
     ab.set_defaults(fn=cmd_ablate)
-
-    sw = sub.add_parser("sweep-delta", help="loss-threshold sweep")
-    common(sw)
-    sw.add_argument("--data", required=True)
-    sw.add_argument("--val-data", required=True)
-    sw.set_defaults(fn=cmd_sweep_delta)
     return p
 
 

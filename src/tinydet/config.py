@@ -10,9 +10,15 @@ dataclass declares and raises ``ValueError`` for anything else.
 from __future__ import annotations
 
 import dataclasses
+import sys
 import typing
 
-__all__ = ["from_dict", "coerce"]
+__all__ = ["from_dict", "coerce", "fits_float64"]
+
+
+def fits_float64(value) -> bool:
+    """Whether a JSON number fits a float64: an integer past ±1.8e308 does not."""
+    return isinstance(value, float) or abs(value) <= sys.float_info.max
 
 
 def coerce(value, hint, where: str):
@@ -28,6 +34,8 @@ def coerce(value, hint, where: str):
     allowed = (int, float) if hint is float else hint
     if isinstance(value, bool) != (hint is bool) or not isinstance(value, allowed):
         raise ValueError(f"{where}: expected {getattr(hint, '__name__', hint)}, got {value!r}")
+    if isinstance(value, int) and not fits_float64(value):
+        raise ValueError(f"{where}: the integer does not fit a float64")
     return value
 
 
@@ -49,4 +57,7 @@ def from_dict(cls, payload, where: str, **fixed):
         if key not in known:
             raise ValueError(f"{where}: unknown key {key!r}; known keys: {', '.join(known)}")
         kwargs[key] = coerce(value, hints[key], f"{where}.{key}")
-    return cls(**kwargs)
+    try:
+        return cls(**kwargs)
+    except ValueError as e:
+        raise ValueError(f"{where}: {e}") from e

@@ -187,9 +187,11 @@ def assign_image(gts, image_hw, cfg: DetectorConfig) -> ImageAssignment:
 class DetectorModel:
     """Wires backbone, pyramid, enhancement modules, and head over one ParamStore."""
 
-    def __init__(self, cfg: DetectorConfig, seed: int = 0):
+    def __init__(self, cfg: DetectorConfig, seed: int = 0, saved: dict | None = None):
+        """``saved`` maps parameter names to arrays to take in place of the
+        seeded initialization; see ``ParamStore``."""
         self.cfg = cfg
-        self.store = store = ParamStore(seed=seed)
+        self.store = store = ParamStore(seed=seed, saved=saved)
         build_backbone_params(store, cfg.backbone)
         build_fpn_params(store, cfg.backbone)
         c = cfg.backbone.pyramid_channels
@@ -203,19 +205,19 @@ class DetectorModel:
 
     @classmethod
     def load(cls, directory: str) -> "DetectorModel":
-        """Rebuild the model a checkpoint's config describes and copy its
-        parameters in; names and shapes must match the fresh model's exactly."""
+        """Rebuild the model a checkpoint's config describes over its
+        parameters; names and shapes must match the config's exactly."""
         saved, config = ParamStore.load(directory)
-        model = cls(from_dict(DetectorConfig, config, f"checkpoint {directory}: config"),
-                    seed=saved.seed)
-        want = {n: t.data.shape for n, t in model.store.items()}
-        got = {n: t.data.shape for n, t in saved.items()}
-        if got != want:
-            bad = sorted(n for n in want.keys() | got.keys() if want.get(n) != got.get(n))
-            raise ValueError(f"checkpoint {directory}: parameters do not fit its config: "
-                             f"{', '.join(bad)}")
-        for name, t in model.store.items():
-            t.data[...] = saved[name].data
+        arrays = {n: t.data for n, t in saved.items()}
+        where = f"checkpoint {directory}"
+        cfg = from_dict(DetectorConfig, config, f"{where}: config")
+        try:
+            model = cls(cfg, seed=saved.seed, saved=arrays)
+        except ValueError as e:
+            raise ValueError(f"{where}: parameters do not fit its config: {e}") from e
+        if arrays:
+            raise ValueError(f"{where}: parameters do not fit its config: "
+                             f"{', '.join(sorted(arrays))} not in it")
         return model
 
     def pyramid(self, image: Tensor) -> dict[str, Tensor]:

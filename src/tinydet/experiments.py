@@ -1,7 +1,9 @@
-"""Experiment suite: anchor-starvation audit, level-subset ablation, and the
-loss-threshold sweep.  Every experiment emits CSV plus a JSON mirror under
-<out>/reports/, all through ``write_report``, and is bitwise-reproducible for
-a fixed seed.
+"""Experiment suite: the anchor-starvation audit, single training runs, and
+``run_variants``, which trains and evaluates a list of config variants over
+seeds.  Its default list, ``DEFAULT_VARIANTS``, is the paper's component
+ablation; a level subset or a loss threshold is one more variant.  Every
+experiment emits CSV plus a JSON mirror under <out>/reports/, all through
+``write_report``, and is bitwise-reproducible for a fixed seed.
 """
 
 from __future__ import annotations
@@ -22,8 +24,22 @@ __all__ = [
     "write_report",
     "audit_positive_samples",
     "run_training",
-    "level_subset_ablation",
-    "delta_sweep",
+    "DEFAULT_VARIANTS",
+    "run_variants",
+]
+
+METRICS = ("ap", "ap50", "ap75", "ap_vt", "ap_t")
+
+# The paper's component ablation, in the shape of the ``variants`` config key:
+# the FPN baseline, +E-FPN-BS (context and gating on P2), then +DCLoss with a
+# fixed and with a learnable transition.
+DEFAULT_VARIANTS = [
+    {"name": "fpn", "detector": {"enhance_levels": []}, "train": {"reg_loss": "smooth_l1"}},
+    {"name": "efpn_bs", "detector": {"enhance_levels": ["P2"]}, "train": {"reg_loss": "smooth_l1"}},
+    {"name": "efpn_bs+dcloss", "detector": {"enhance_levels": ["P2"]},
+     "train": {"reg_loss": "dcloss", "dc_learnable": False}},
+    {"name": "efpn_bs+dcloss_learnable", "detector": {"enhance_levels": ["P2"]},
+     "train": {"reg_loss": "dcloss", "dc_learnable": True}},
 ]
 
 
@@ -66,9 +82,7 @@ def run_training(train_scenes, val_scenes, det_cfg: DetectorConfig,
     try:
         result = train(train_scenes, det_cfg, train_cfg)
     except DivergenceError as e:
-        model = DetectorModel(det_cfg, seed=train_cfg.seed)
-        for name, t in model.store.items():
-            t.data[...] = e.last_good_state[name]
+        model = DetectorModel(det_cfg, seed=train_cfg.seed, saved=dict(e.last_good_state))
         model.save(os.path.join(out_dir, f"checkpoint_{tag}_last_good"))
         raise
     result.model.save(os.path.join(out_dir, f"checkpoint_{tag}"))
@@ -81,57 +95,35 @@ def run_training(train_scenes, val_scenes, det_cfg: DetectorConfig,
     return result, metrics
 
 
-def level_subset_ablation(train_scenes, val_scenes, det_cfg: DetectorConfig,
-                          train_cfg: TrainConfig, out_dir: str,
-                          subsets=(("P2", "P3"), ("P2", "P3", "P4", "P5", "P6")),
-                          n_seeds: int = 3):
-    """Train one detector per (subset, seed) with shared seeds and report
-    EvalResults side by side with mean/std and a normal-approximation 95% CI."""
+def run_variants(train_scenes, val_scenes, variants, out_dir: str, n_seeds: int = 3):
+    """Train and evaluate each variant, a ``(name, DetectorConfig, TrainConfig)``,
+    once per seed ``train_cfg.seed + s`` for ``s < n_seeds``; report the runs and,
+    per variant, its configs with the mean, std and normal-approximation 95% CI
+    of each metric."""
+    names = [name for name, _, _ in variants]
+    if not names:
+        raise ValueError("variants must hold at least one config")
+    if len(set(names)) != len(names):
+        raise ValueError(f"variant names repeat: {names}")
     if n_seeds < 1:
         raise ValueError("n_seeds must be >= 1")
-    det_cfgs = [replace(det_cfg, levels=tuple(subset)) for subset in subsets]
-    rows = []
-    for subset, det_s in zip(subsets, det_cfgs):
-        name = "+".join(subset)
+    rows, summary = [], []
+    for name, det_cfg, train_cfg in variants:
+        runs = []
         for s in range(n_seeds):
-            seed = train_cfg.seed + s
-            cfg_s = replace(train_cfg, seed=seed)
-            result = train(train_scenes, det_s, cfg_s)
-            metrics = evaluate_model(result.model, val_scenes).as_dict()
-            rows.append({"subset": name, "seed": seed, **metrics})
-    summary = []
-    for subset in subsets:
-        name = "+".join(subset)
-        vals = {k: np.array([r[k] for r in rows if r["subset"] == name])
-                for k in ("ap", "ap50", "ap75", "ap_vt", "ap_t")}
-        entry = {"subset": name, "n_seeds": n_seeds}
-        for k, v in vals.items():
+            cfg_s = replace(train_cfg, seed=train_cfg.seed + s)
+            metrics = evaluate_model(train(train_scenes, det_cfg, cfg_s).model, val_scenes)
+            runs.append({"variant": name, "seed": cfg_s.seed, **metrics.as_dict()})
+        entry = {"variant": name, "n_seeds": n_seeds,
+                 "detector": asdict(det_cfg), "train": asdict(train_cfg)}
+        for k in METRICS:
+            v = np.array([r[k] for r in runs])
             mean = float(v.mean())
             std = float(v.std(ddof=1)) if len(v) > 1 else 0.0
             half = 1.96 * std / np.sqrt(len(v))
-            entry[k] = {"mean": mean, "std": std,
-                        "ci95": [mean - half, mean + half]}
+            entry[k] = {"mean": mean, "std": std, "ci95": [mean - half, mean + half]}
+        rows += runs
         summary.append(entry)
     write_report(out_dir, "ablation", {"runs": rows, "summary": summary},
-                 columns=["subset", "seed", "ap", "ap50", "ap75", "ap_vt", "ap_t"], rows=rows)
+                 columns=["variant", "seed", *METRICS], rows=rows)
     return rows, summary
-
-
-def delta_sweep(train_scenes, val_scenes, det_cfg: DetectorConfig,
-                train_cfg: TrainConfig, out_dir: str,
-                deltas=(0.05, 0.1, 0.15, 0.3, 0.5)):
-    """One training run per transition threshold (fixed slope ``train_cfg.dc_k``,
-    shared seed)."""
-    if not deltas:
-        raise ValueError("deltas must be non-empty")
-    k = train_cfg.dc_k
-    rows = []
-    for delta in deltas:
-        cfg_d = replace(train_cfg, reg_loss="dcloss", dc_delta=float(delta),
-                        dc_learnable=False)
-        result = train(train_scenes, det_cfg, cfg_d)
-        metrics = evaluate_model(result.model, val_scenes).as_dict()
-        rows.append({"delta": float(delta), "k": float(k), **metrics})
-    write_report(out_dir, "delta_sweep", rows,
-                 columns=["delta", "k", "ap", "ap50", "ap75", "ap_vt", "ap_t"])
-    return rows

@@ -20,6 +20,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .anchors import Box
+from .config import fits_float64
 from .tensor import path_inside, read_tensor_file, write_tensor_file
 
 __all__ = [
@@ -221,6 +222,8 @@ def _check_schema(value, schema: dict, path: str, where: str):
         raise ValueError(f"{path}: {name} must have at least {schema['minItems']} entries")
     if "maxItems" in schema and len(value) > schema["maxItems"]:
         raise ValueError(f"{path}: {name} must have at most {schema['maxItems']} entries")
+    if kind in ("number", "integer") and not fits_float64(value):
+        raise ValueError(f"{path}: {name} does not fit a float64")
     if "minimum" in schema and value < schema["minimum"]:
         raise ValueError(f"{path}: {name} must be >= {schema['minimum']}, got {value!r}")
 
@@ -263,17 +266,19 @@ def read_dataset(directory: str):
     try:
         with open(manifest_path) as f:
             manifest = json.load(f)
-    except (OSError, json.JSONDecodeError) as e:
+    except (OSError, ValueError) as e:
         raise ValueError(f"{manifest_path}: {e}") from e
     if not isinstance(manifest, dict):
         raise ValueError(f"{manifest_path}: top level must be an object")
     try:
         with open(ann_path) as f:
             payload = json.load(f)
-    except (OSError, json.JSONDecodeError) as e:
+    except (OSError, ValueError) as e:
         raise ValueError(f"{ann_path}: {e}") from e
     validate_annotations(payload, ann_path)
     by_image = {rec["id"]: [] for rec in payload["images"]}
+    if len(by_image) != len(payload["images"]):
+        raise ValueError(f"{ann_path}: images repeat an id")
     for i, rec in enumerate(payload["annotations"]):
         if rec["image_id"] not in by_image:
             raise ValueError(f"{ann_path}: annotations[{i}] references unknown image "
@@ -284,6 +289,10 @@ def read_dataset(directory: str):
         by_image[rec["image_id"]].append((Box(x1, y1, x2, y2), int(rec["category"])))
     scenes = []
     for i, rec in enumerate(payload["images"]):
-        img = read_tensor_file(path_inside(directory, rec["file"], f"{ann_path}: images[{i}]"))
+        where = f"{ann_path}: images[{i}]"
+        img = read_tensor_file(path_inside(directory, rec["file"], where))
+        if img.shape != (3, rec["height"], rec["width"]):
+            raise ValueError(f"{where}: image of shape {list(img.shape)}, the record declares "
+                             f"[3, {rec['height']}, {rec['width']}]")
         scenes.append(Scene(image=img, gts=by_image[rec["id"]]))
     return scenes, manifest

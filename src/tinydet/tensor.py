@@ -17,6 +17,7 @@ import json
 import math
 import os
 import struct
+import sys
 
 import numpy as np
 
@@ -482,21 +483,29 @@ class ParamStore:
 
     The same seed and the same registration order give bitwise-identical
     initial values.  Weights use symmetric uniform(-a, a) initialization with
-    a = sqrt(6 / (fan_in + fan_out)); biases start at zero.
+    a = sqrt(6 / (fan_in + fan_out)); biases start at zero.  A store built
+    over ``saved``, a name -> array map, takes each parameter from it instead
+    and pops it; a name it lacks or a shape that differs raises ValueError
+    before anything is allocated.
     """
 
-    def __init__(self, seed: int = 0, dtype=np.float32):
+    def __init__(self, seed: int = 0, dtype=np.float32, saved: dict | None = None):
         self.seed = int(seed)
         self.dtype = np.dtype(dtype)
         self._rng = np.random.default_rng(self.seed)
         self.params: dict[str, Tensor] = {}
+        self.saved = saved
 
     def register(self, name: str, shape, fan_in: int | None = None,
                  fan_out: int | None = None, zero: bool = False) -> Tensor:
         if name in self.params:
             raise ValueError(f"parameter {name!r} already registered")
         shape = tuple(int(s) for s in shape)
-        if zero:
+        if self.saved is not None:
+            data = self.saved.pop(name, None)
+            if data is None or data.shape != shape:
+                raise ValueError(f"parameter {name!r} of shape {list(shape)} is not saved")
+        elif zero:
             data = np.zeros(shape, dtype=self.dtype)
         else:
             if fan_in is None or fan_out is None:
@@ -555,7 +564,7 @@ class ParamStore:
         try:
             with open(path) as f:
                 manifest = json.load(f)
-        except (OSError, json.JSONDecodeError) as e:
+        except (OSError, ValueError) as e:
             raise ValueError(f"checkpoint {path}: {e}") from e
         if not (isinstance(manifest, dict) and manifest.get("format") == _CHECKPOINT_FORMAT
                 and isinstance(manifest.get("seed"), int)
@@ -599,8 +608,8 @@ def write_tensor_file(path: str, array: np.ndarray):
 
 
 def read_tensor_file(path: str) -> np.ndarray:
-    """Read an EFBT file; an unreadable file or a header the file's size
-    cannot back raises ValueError."""
+    """Read an EFBT file; an unreadable file, or a header that the file's size
+    cannot back or no ndarray can hold, raises ValueError naming the file."""
     try:
         f = open(path, "rb")
     except OSError as e:
@@ -617,6 +626,8 @@ def read_tensor_file(path: str) -> np.ndarray:
             raise ValueError(f"{path}: unsupported version {version}")
         if dtype_code != 0:
             raise ValueError(f"{path}: unsupported dtype code {dtype_code}")
+        if ndim > 64:
+            raise ValueError(f"{path}: {ndim} dims, an array has at most 64")
         raw_dims = f.read(4 * ndim)
         if len(raw_dims) != 4 * ndim:
             raise ValueError(f"{path}: truncated header")
@@ -626,6 +637,8 @@ def read_tensor_file(path: str) -> np.ndarray:
         if 4 * count > left:
             raise ValueError(f"{path}: truncated payload: header declares {count} "
                              f"float32 values, {left} bytes follow")
+        if 4 * math.prod(d for d in dims if d) > sys.maxsize:
+            raise ValueError(f"{path}: shape {list(dims)} is too big for an array")
         payload = f.read(4 * count)
         arr = np.frombuffer(payload, dtype="<f4", count=count)
         return arr.reshape(dims).copy()

@@ -6,6 +6,7 @@ pass/fail record.  Tolerances are stated inline next to each assertion.
 """
 
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -24,7 +25,7 @@ from tinydet.balanced_loss import (
 from tinydet.context import CemParams, cem_forward
 from tinydet.detector import DetectorConfig, DetectorModel, build_head_params, head_forward
 from tinydet.evaluation import SIZE_BUCKETS, average_precision
-from tinydet.experiments import delta_sweep, level_subset_ablation
+from tinydet.experiments import run_variants
 from tinydet.gating import FbsmParams, fbsm_forward, fuse_gates, gate
 from tinydet.pyramid import (
     BackboneConfig,
@@ -367,34 +368,31 @@ def _read(path):
 
 
 def test_criterion_8_experiment_determinism(tmp_path):
-    spec = SceneSpec(seed=9)
+    # Crowded scenes and 12 steps at a higher rate, so that every run scores
+    # AP50 > 0 and the reports can tell models apart.
+    spec = SceneSpec(seed=9, objects_min=12, objects_max=20, side_min=8.0)
     scenes = [generate_scene(spec, i) for i in range(6)]
-    det_cfg = DetectorConfig()
-    train_cfg = TrainConfig(epochs=1)
+    p2p3 = DetectorConfig(levels=("P2", "P3"))
+    train_cfg = TrainConfig(epochs=2, batch_size=2, learning_rate=0.02)
+    variants = [("P2+P3", p2p3, train_cfg), ("P2-P6", DetectorConfig(), train_cfg)] + [
+        (f"d{d}", p2p3, replace(train_cfg, reg_loss="dcloss", dc_delta=d, dc_learnable=False))
+        for d in (0.1, 0.3)]
 
-    rows, summary = level_subset_ablation(
-        scenes, scenes[:2], det_cfg, train_cfg, out_dir=str(tmp_path / "ab1"),
-        subsets=(("P2", "P3"), ("P2", "P3", "P4", "P5", "P6")), n_seeds=3)
-    assert {r["subset"] for r in rows} == {"P2+P3", "P2+P3+P4+P5+P6"}
-    assert len(rows) == 6  # 2 subsets x 3 seeds
+    rows, summary = run_variants(scenes, scenes[:2], variants, str(tmp_path / "r1"), n_seeds=2)
+    assert [(r["variant"], r["seed"]) for r in rows] == \
+        [(name, seed) for name, _, _ in variants for seed in (0, 1)]
+    metrics = ("ap", "ap50", "ap75", "ap_vt", "ap_t")
+    assert all(r["ap50"] > 0 for r in rows), rows
+    ap50 = {(r["variant"], r["seed"]): r["ap50"] for r in rows}
+    assert all(ap50["d0.1", seed] != ap50["d0.3", seed] for seed in (0, 1)), ap50
     for entry in summary:
-        assert entry["n_seeds"] == 3
-        for metric in ("ap", "ap50", "ap75", "ap_vt", "ap_t"):
+        assert entry["n_seeds"] == 2
+        for metric in metrics:
             m = entry[metric]
             assert m["ci95"][0] <= m["mean"] <= m["ci95"][1]
-    level_subset_ablation(
-        scenes, scenes[:2], det_cfg, train_cfg, out_dir=str(tmp_path / "ab2"),
-        subsets=(("P2", "P3"), ("P2", "P3", "P4", "P5", "P6")), n_seeds=3)
+    run_variants(scenes, scenes[:2], variants, str(tmp_path / "r2"), n_seeds=2)
     for name in ("ablation.json", "ablation.csv"):
-        assert _read(tmp_path / "ab1" / "reports" / name) == \
-            _read(tmp_path / "ab2" / "reports" / name)
-
-    sweep_rows = delta_sweep(scenes, scenes[:2], det_cfg, train_cfg,
-                             out_dir=str(tmp_path / "sw1"))
-    assert [r["delta"] for r in sweep_rows] == [0.05, 0.1, 0.15, 0.3, 0.5]
-    delta_sweep(scenes, scenes[:2], det_cfg, train_cfg,
-                out_dir=str(tmp_path / "sw2"))
-    for name in ("delta_sweep.json", "delta_sweep.csv"):
-        assert _read(tmp_path / "sw1" / "reports" / name) == \
-            _read(tmp_path / "sw2" / "reports" / name)
-    print("\nCRITERION 8: PASS — ablation and delta-sweep reruns bitwise identical")
+        assert _read(tmp_path / "r1" / "reports" / name) == \
+            _read(tmp_path / "r2" / "reports" / name)
+    print("\nCRITERION 8: PASS — level and loss-threshold variants score AP > 0, "
+          "differ, and rerun bitwise identical")

@@ -1,5 +1,15 @@
+import copy
+import json
+import os
+import shutil
+import tempfile
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from jsonfuzz import edited
 
 from tinydet.anchors import IGNORED, NEGATIVE, Box, pyramid_anchors
 from tinydet.balanced_loss import DCLossParams, dcloss_term, smooth_l1_term
@@ -310,6 +320,49 @@ def test_checkpoint_with_an_enhance_key_no_longer_loads(tmp_path):
     (ckpt / "manifest.json").write_text(json.dumps(manifest))
     with pytest.raises(ValueError, match="unknown key 'enhance'"):
         DetectorModel.load(str(ckpt))
+
+
+@pytest.fixture(scope="module")
+def fuzz_checkpoint(tmp_path_factory):
+    path = str(tmp_path_factory.mktemp("fuzz") / "ckpt")
+    DetectorModel(CFG, seed=0).save(path)
+    with open(os.path.join(path, "manifest.json")) as f:
+        return path, json.load(f)
+
+
+def _load_edited(path, manifest):
+    with tempfile.TemporaryDirectory() as d:
+        ckpt = shutil.copytree(path, os.path.join(d, "ckpt"))
+        with open(os.path.join(ckpt, "manifest.json"), "w") as f:
+            json.dump(manifest, f)
+        return DetectorModel.load(ckpt)
+
+
+@pytest.mark.parametrize("num_classes, match", [
+    (10 ** 400, "does not fit a float64"),
+    (2 ** 40, "head.cls.w"),  # checked against the saved shape before any allocation
+])
+def test_checkpoint_config_count_too_large_raises_value_error(fuzz_checkpoint,
+                                                             num_classes, match):
+    path, manifest = fuzz_checkpoint
+    manifest = copy.deepcopy(manifest)
+    manifest["config"]["num_classes"] = num_classes
+    with pytest.raises(ValueError, match=match):
+        _load_edited(path, manifest)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_checkpoint_load_fuzz_loads_or_raises_value_error(fuzz_checkpoint, data):
+    path, manifest = fuzz_checkpoint
+    manifest = data.draw(edited(manifest))
+    try:
+        model = _load_edited(path, manifest)
+    except ValueError:
+        return
+    # what loads holds exactly the parameters the manifest lists, in shape
+    assert {n: list(t.data.shape) for n, t in model.store.items()} == \
+        {e["name"]: e["shape"] for e in manifest["params"]}
 
 
 @pytest.mark.parametrize("cls, kw, match", [

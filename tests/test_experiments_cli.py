@@ -3,19 +3,23 @@ import json
 import os
 import re
 import struct
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from tinydet.cli import main
+from tinydet.cli import _read_config, build_parser, main
+from tinydet.config import from_dict
 from tinydet.detector import DetectorConfig, DetectorModel
 from tinydet.experiments import (
+    DEFAULT_VARIANTS,
     audit_positive_samples,
-    delta_sweep,
-    level_subset_ablation,
     run_training,
+    run_variants,
 )
+from tinydet.pyramid import BackboneConfig
 from tinydet.scenes import SceneSpec, generate_scene, write_dataset
+from tinydet.tensor import write_tensor_file
 from tinydet.training import TrainConfig
 
 FAST_TRAIN = {"epochs": 1, "batch_size": 4}
@@ -72,44 +76,52 @@ def test_run_training_artifacts(tmp_path):
 
 def test_ablation_summary_and_determinism(tmp_path):
     scenes = small_scenes(4)
-    kwargs = dict(det_cfg=DetectorConfig(), train_cfg=TrainConfig(epochs=1),
-                  subsets=(("P2", "P3"), ("P2", "P3", "P4", "P5", "P6")),
-                  n_seeds=2)
-    rows, summary = level_subset_ablation(scenes, scenes[:2],
-                                          out_dir=str(tmp_path / "a"), **kwargs)
-    assert len(rows) == 4  # 2 subsets x 2 seeds
-    assert {r["subset"] for r in rows} == {"P2+P3", "P2+P3+P4+P5+P6"}
+    variants = [("P2+P3", DetectorConfig(levels=("P2", "P3")), TrainConfig(epochs=1)),
+                ("P2-P6", DetectorConfig(), TrainConfig(epochs=1))]
+    rows, summary = run_variants(scenes, scenes[:2], variants, str(tmp_path / "a"), n_seeds=2)
+    assert [(r["variant"], r["seed"]) for r in rows] == \
+        [("P2+P3", 0), ("P2+P3", 1), ("P2-P6", 0), ("P2-P6", 1)]
     assert_not_all_zero(rows)
-    for entry in summary:
-        assert entry["n_seeds"] == 2
-        for metric in ("ap", "ap50", "ap75", "ap_vt", "ap_t"):
+    report = json.load(open(tmp_path / "a" / "reports" / "ablation.json"))
+    for entry, saved, (name, det_cfg, train_cfg) in zip(summary, report["summary"], variants):
+        assert entry["variant"] == name and entry["n_seeds"] == 2
+        # the report says which configs it ran
+        assert from_dict(DetectorConfig, saved["detector"], "detector") == det_cfg
+        assert from_dict(TrainConfig, saved["train"], "train") == train_cfg
+        for metric in METRICS:
             m = entry[metric]
             assert m["ci95"][0] <= m["mean"] <= m["ci95"][1]
     # a rerun reproduces the report files bitwise
-    level_subset_ablation(scenes, scenes[:2], out_dir=str(tmp_path / "b"), **kwargs)
+    run_variants(scenes, scenes[:2], variants, str(tmp_path / "b"), n_seeds=2)
     for name in ("ablation.json", "ablation.csv"):
         assert read_file(tmp_path / "a" / "reports" / name) == \
             read_file(tmp_path / "b" / "reports" / name)
+    with pytest.raises(ValueError, match="repeat"):
+        run_variants(scenes, scenes[:2], variants[:1] * 2, str(tmp_path / "c"))
+    with pytest.raises(ValueError, match="n_seeds"):
+        run_variants(scenes, scenes[:2], variants, str(tmp_path / "c"), n_seeds=0)
+    assert not os.path.exists(tmp_path / "c")
 
 
 def test_delta_sweep_rows_and_determinism(tmp_path):
     scenes = small_scenes(4)
     # P2+P3 and 12 steps: one step on the default five levels leaves AP at 0
-    kwargs = dict(det_cfg=DetectorConfig(levels=("P2", "P3")),
-                  train_cfg=TrainConfig(epochs=3, batch_size=1, learning_rate=0.02),
-                  deltas=(0.1, 0.3))
-    rows = delta_sweep(scenes, scenes[:2], out_dir=str(tmp_path / "a"), **kwargs)
-    assert [r["delta"] for r in rows] == [0.1, 0.3]
-    assert all(r["k"] == 10.0 for r in rows)
+    base = TrainConfig(epochs=3, batch_size=1, learning_rate=0.02)
+    variants = [(f"d{d}", DetectorConfig(levels=("P2", "P3")),
+                 replace(base, reg_loss="dcloss", dc_delta=d, dc_learnable=False))
+                for d in (0.1, 0.3)]
+    rows, summary = run_variants(scenes, scenes[:2], variants, str(tmp_path / "a"), n_seeds=1)
+    assert [r["variant"] for r in rows] == ["d0.1", "d0.3"]
+    assert [e["train"]["dc_delta"] for e in summary] == [0.1, 0.3]
+    assert all(e["train"]["dc_k"] == 10.0 for e in summary)
     assert_not_all_zero(rows)
     assert rows[0]["ap50"] != rows[1]["ap50"]
-    delta_sweep(scenes, scenes[:2], out_dir=str(tmp_path / "b"), **kwargs)
-    for name in ("delta_sweep.json", "delta_sweep.csv"):
+    run_variants(scenes, scenes[:2], variants, str(tmp_path / "b"), n_seeds=1)
+    for name in ("ablation.json", "ablation.csv"):
         assert read_file(tmp_path / "a" / "reports" / name) == \
             read_file(tmp_path / "b" / "reports" / name)
-    with pytest.raises(ValueError, match="deltas"):
-        delta_sweep(scenes, scenes[:2], DetectorConfig(), TrainConfig(),
-                    str(tmp_path), deltas=())
+    with pytest.raises(ValueError, match="variants"):
+        run_variants(scenes, scenes[:2], [], str(tmp_path))
 
 
 # ---------------------------------------------------------------------------
@@ -178,19 +190,91 @@ def test_cli_train_eval_roundtrip(tmp_path, dataset, capsys):
 
 
 def test_cli_ablate_and_sweep(tmp_path, dataset, capsys):
-    cfg = cli_config(tmp_path, {"subsets": [["P2", "P3"]], "n_seeds": 1,
-                                "deltas": [0.15], "train": {**FAST_TRAIN, "dc_k": 8.0}})
+    # a level subset and a loss threshold, each as one variant over the base sections
+    variants = [{"name": "P2+P3", "detector": {"levels": ["P2", "P3"]}},
+                {"name": "d0.15", "train": {"reg_loss": "dcloss", "dc_delta": 0.15,
+                                            "dc_learnable": False}}]
+    cfg = cli_config(tmp_path, {"variants": variants, "n_seeds": 1,
+                                "train": {**FAST_TRAIN, "dc_k": 8.0}})
     assert main(["ablate", "--data", dataset, "--val-data", dataset,
                  "--config", cfg, "--out", str(tmp_path / "ab")]) == 0
-    assert '"subset"' in capsys.readouterr().out
+    assert '"variant"' in capsys.readouterr().out
     assert os.path.exists(tmp_path / "ab" / "reports" / "ablation.csv")
-    assert_not_all_zero(json.load(open(tmp_path / "ab" / "reports" / "ablation.json"))["runs"])
-    assert main(["sweep-delta", "--data", dataset, "--val-data", dataset,
-                 "--config", cfg, "--out", str(tmp_path / "sw")]) == 0
-    rows = json.load(open(tmp_path / "sw" / "reports" / "delta_sweep.json"))
-    assert [r["delta"] for r in rows] == [0.15]
-    assert [r["k"] for r in rows] == [8.0]
-    assert_not_all_zero(rows)
+    report = json.load(open(tmp_path / "ab" / "reports" / "ablation.json"))
+    assert [r["variant"] for r in report["runs"]] == ["P2+P3", "d0.15"]
+    assert [e["train"]["dc_k"] for e in report["summary"]] == [8.0, 8.0]
+    assert [e["train"]["epochs"] for e in report["summary"]] == [1, 1]
+    assert [e["detector"]["levels"] for e in report["summary"]] == \
+        [["P2", "P3"], list(DetectorConfig().levels)]
+    assert [e["train"]["reg_loss"] for e in report["summary"]] == ["smooth_l1", "dcloss"]
+    assert_not_all_zero(report["runs"])
+
+
+def test_cli_ablate_runs_the_default_paper_variants(tmp_path, dataset, capsys):
+    cfg = cli_config(tmp_path, {"n_seeds": 1})
+    for out in ("a", "b"):
+        assert main(["ablate", "--data", dataset, "--val-data", dataset, "--seed", "5",
+                     "--config", cfg, "--out", str(tmp_path / out)]) == 0
+    for name in ("ablation.json", "ablation.csv"):
+        assert read_file(tmp_path / "a" / "reports" / name) == \
+            read_file(tmp_path / "b" / "reports" / name)
+    summary = json.load(open(tmp_path / "a" / "reports" / "ablation.json"))["summary"]
+    assert [e["variant"] for e in summary] == [v["name"] for v in DEFAULT_VARIANTS] == \
+        ["fpn", "efpn_bs", "efpn_bs+dcloss", "efpn_bs+dcloss_learnable"]
+    assert [(e["detector"]["enhance_levels"], e["train"]["reg_loss"], e["train"]["dc_learnable"])
+            for e in summary] == [([], "smooth_l1", False), (["P2"], "smooth_l1", False),
+                                  (["P2"], "dcloss", False), (["P2"], "dcloss", True)]
+    assert {e["train"]["seed"] for e in summary} == {5}
+
+
+def test_read_config_merges_variants_over_the_base(tmp_path):
+    cfg = cli_config(tmp_path, {
+        "detector": {"num_classes": 4, "backbone": {"stem_channels": 4, "pyramid_channels": 8}},
+        "variants": [{"name": "wide", "detector": {"backbone": {"pyramid_channels": 16}},
+                      "train": {"epochs": 2}}]})
+    [(name, det_cfg, train_cfg)] = _read_config(cfg, seed=7)["variants"]
+    assert name == "wide"
+    # key by key over the base; a nested backbone replaces the base's whole
+    assert det_cfg == DetectorConfig(num_classes=4, backbone=BackboneConfig(pyramid_channels=16))
+    assert train_cfg == TrainConfig(epochs=2, batch_size=FAST_TRAIN["batch_size"], seed=7)
+
+
+@pytest.mark.parametrize("extra", [
+    {"subsets": [["P2", "P3"]]},                # removed keys
+    {"deltas": [0.1]},
+    {"variants": []},
+    {"variants": {"name": "a"}},                # not an array
+    {"variants": [{"name": "a"}, {"name": "a"}]},
+    {"variants": [{"detector": {}}]},           # no name
+    {"variants": [{"name": "a", "levels": ["P2"]}]},
+    {"variants": [{"name": "a", "train": [1]}]},
+    {"variants": [{"name": "a", "train": {"seed": 1}}]},
+    {"variants": [{"name": "a", "detector": {"levels": ["P7"]}}]},
+    {"variants": [{"name": "a", "train": {"epoch": 1}}]},
+    {"variants": [{"name": "a"}], "n_seeds": 0},
+])
+def test_cli_ablate_variant_faults_exit_1(tmp_path, dataset, capsys, extra):
+    cfg = cli_config(tmp_path, extra)
+    assert main(["ablate", "--data", dataset, "--val-data", dataset,
+                 "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+    assert "error:" in capsys.readouterr().err
+    assert not os.path.exists(tmp_path / "o" / "reports")
+
+
+def test_readme_cli_matches_the_parser(tmp_path):
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    readme = read_file(os.path.join(root, "README.md"))
+    cli = readme[readme.index("## CLI"):]
+    block = re.search(r"```sh\n(.*?)```", cli, re.S).group(1)
+    documented = {line.split()[1] for line in block.splitlines() if line.startswith("tinydet ")}
+    [subparsers] = [a for a in build_parser()._actions if a.choices and a.dest == "command"]
+    assert documented == set(subparsers.choices)
+    configs = re.findall(r"```json\n(.*?)```", readme, re.S)
+    assert configs
+    for i, text in enumerate(configs):
+        path = tmp_path / f"readme{i}.json"
+        path.write_text(text)
+        _read_config(str(path), seed=0)
 
 
 def test_cli_error_exit_codes(tmp_path, capsys):
@@ -228,6 +312,7 @@ def test_cli_error_exit_codes(tmp_path, capsys):
     {"detector": {"levels": ["P3", "P3"]}},
     {"detector": {"enhance": False}},           # spelled "enhance_levels": [] now
     {"train": {"batch_size": 0}},
+    {"detector": {"num_classes": 10 ** 400}},   # no float64 holds it
 ])
 def test_cli_config_faults_exit_1(tmp_path, dataset, capsys, payload):
     path = tmp_path / "config.json"
@@ -284,11 +369,18 @@ def test_cli_eval_rebuilds_the_checkpoint_config(tmp_path, capsys):
 
 def _set(path, value):
     # returns an edit of annotations.json that sets the entry at ``path``
-    def edit(payload):
+    def edit(payload, directory):
         target = payload
         for key in path[:-1]:
             target = target[key]
         target[path[-1]] = value
+    return edit
+
+
+def _image(shape):
+    # returns an edit that replaces the first image file with one of ``shape``
+    def edit(payload, directory):
+        write_tensor_file(os.path.join(directory, payload["images"][0]["file"]), np.zeros(shape))
     return edit
 
 
@@ -303,11 +395,16 @@ def _set(path, value):
     (_set(["annotations", 0, "category"], True), "must be an integer"),
     (_set(["images", 0, "file"], "../../../etc/passwd"), "outside"),
     (_set(["images", 0, "file"], "/etc/passwd"), "outside"),
+    (_set(["annotations", 0, "bbox"], [0, 0, 10 ** 400, 4]),
+     r"annotations\[0\]\.bbox\[2\] does not fit a float64"),
+    (_image((5,)), r"images\[0\]: image of shape \[5\], the record declares \[3, 128, 128\]"),
+    (_image((3, 64, 64)), r"image of shape \[3, 64, 64\], the record declares \[3, 128, 128\]"),
+    (_set(["images", 1, "id"], 0), "images repeat an id"),
 ])
 def test_cli_train_rejects_bad_annotations(tmp_path, dataset, capsys, edit, match):
     ann = os.path.join(dataset, "annotations.json")
     payload = json.load(open(ann))
-    edit(payload)
+    edit(payload, dataset)
     with open(ann, "w") as f:
         json.dump(payload, f)
     assert main(["train", "--data", dataset, "--config", cli_config(tmp_path),

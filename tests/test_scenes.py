@@ -1,7 +1,14 @@
 import json
+import os
+import shutil
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from jsonfuzz import edited
 
 from tinydet.scenes import (
     ANNOTATION_SCHEMA,
@@ -227,3 +234,35 @@ def test_read_dataset_rejects_image_files_outside_the_directory(tmp_path):
         ann.write_text(json.dumps(payload))
         with pytest.raises(ValueError, match=r"images\[0\]: file .* is outside"):
             read_dataset(str(tmp_path / "data"))
+
+
+@pytest.fixture(scope="module")
+def fuzz_dataset(tmp_path_factory):
+    path = str(tmp_path_factory.mktemp("fuzz") / "data")
+    write_dataset(SceneSpec(height=32, width=32, objects_max=2, seed=5), 2, path)
+    return path
+
+
+def _load_json(directory, name):
+    with open(os.path.join(directory, name)) as f:
+        return json.load(f)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_read_dataset_fuzz_loads_or_raises_value_error(fuzz_dataset, data):
+    name = data.draw(st.sampled_from(["annotations.json", "manifest.json"]))
+    doc = data.draw(edited(_load_json(fuzz_dataset, name)))
+    with tempfile.TemporaryDirectory() as d:
+        directory = shutil.copytree(fuzz_dataset, os.path.join(d, "data"))
+        with open(os.path.join(directory, name), "w") as f:
+            json.dump(doc, f)
+        try:
+            scenes, _ = read_dataset(directory)
+        except ValueError:
+            return
+    # what loads is what the records declare
+    records = doc if name == "annotations.json" else _load_json(fuzz_dataset, "annotations.json")
+    assert [s.image.shape for s in scenes] == \
+        [(3, r["height"], r["width"]) for r in records["images"]]
+    assert sum(len(s.gts) for s in scenes) == len(records["annotations"])

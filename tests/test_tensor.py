@@ -424,6 +424,8 @@ def efbt_header(dims):
     (efbt_header((2, 3)) + bytes(4 * 6 - 1), "truncated payload"),
     (efbt_header((2 ** 20, 2 ** 20, 2 ** 10)) + bytes(16), "truncated payload"),
     (efbt_header((2 ** 31, 2 ** 31, 3)) + bytes(16), "truncated payload"),
+    (efbt_header((1,) * 65) + bytes(4), r"bad\.efbt: 65 dims"),
+    (efbt_header((0, 2 ** 32 - 1, 2 ** 32 - 1)), r"bad\.efbt: shape .* too big"),
 ])
 def test_efbt_header_the_file_cannot_back_rejected(tmp_path, raw, match):
     path = tmp_path / "bad.efbt"
