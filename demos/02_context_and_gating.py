@@ -7,38 +7,38 @@ enhanced features by a spatial mask in (0, 1) before refinement.
 
 import numpy as np
 
-from tinydet.context import CemParams, cem_forward, global_context
-from tinydet.gating import FbsmParams, fbsm_forward, fuse_gates, gate
+from tinydet.context import build_cem_params, cem_forward, global_context
+from tinydet.gating import build_fbsm_params, fbsm_forward, fuse_gates, gate
 from tinydet.tensor import ParamStore, Tensor
 
 rng = np.random.default_rng(1)
 store = ParamStore(seed=0)
 
 C_HIGH, C_LOW = 8, 8
-cem = CemParams.create(store, C_HIGH, C_LOW)
-fbsm = FbsmParams.create(store, C_HIGH, C_LOW)
+build_cem_params(store, C_HIGH, C_LOW)   # registers cem.proj
+build_fbsm_params(store, C_HIGH, C_LOW)  # registers fbsm.psi_h1 ... fbsm.phi_r
 
 p_high = Tensor(rng.standard_normal((C_HIGH, 32, 32)).astype(np.float32))
 p_low = Tensor(rng.standard_normal((C_LOW, 32, 32)).astype(np.float32))
 
 # --- context: a per-channel constant shift -------------------------------
-ctx = global_context(p_high, cem)
-enhanced = cem_forward(p_high, p_low, cem)
+ctx = global_context(p_high, store)
+enhanced = cem_forward(p_high, p_low, store)
 shift = enhanced.data - p_low.data
 print("context vector:", np.round(ctx.data, 4))
 print("per-channel shift is constant across space:",
       all(np.ptp(shift[c]) < 1e-6 for c in range(C_LOW)))
 
 # --- gating: a fused mask in (0,1) ----------------------------------------
-m_high = gate(p_high, fbsm.psi_h1_w, fbsm.psi_h1_b, fbsm.psi_h2_w, fbsm.psi_h2_b)
-m_low = gate(enhanced, fbsm.psi_l1_w, fbsm.psi_l1_b, fbsm.psi_l2_w, fbsm.psi_l2_b)
-mask = fuse_gates(m_high, m_low, fbsm.phi_f_w, fbsm.phi_f_b)
+m_high = gate(p_high, store, "psi_h")
+m_low = gate(enhanced, store, "psi_l")
+mask = fuse_gates(m_high, m_low, store)
 print(f"mask shape {mask.data.shape}, range "
       f"[{mask.data.min():.4f}, {mask.data.max():.4f}]")
 
-out = fbsm_forward(p_high, enhanced, fbsm)
+out = fbsm_forward(p_high, enhanced, store)
 print(f"gated output shape {out.data.shape}, min {out.data.min():.4f} (non-negative)")
 
 # zero features in, zero features out: the mask cannot invent content
-zero = fbsm_forward(p_high, Tensor(np.zeros_like(p_low.data)), fbsm)
+zero = fbsm_forward(p_high, Tensor(np.zeros_like(p_low.data)), store)
 print("zero input stays zero:", not zero.data.any())

@@ -19,10 +19,10 @@ from .balanced_loss import (
     smooth_l1,
     verify_theorem1,
 )
-from .context import CemParams, cem_forward, global_context
+from .context import build_cem_params, cem_forward, global_context
 from .detector import DetectorConfig, DetectorModel
 from .evaluation import Detection, EvalResult, evaluate_ap, nms
-from .gating import FbsmParams, fbsm_forward, fuse_gates, gate
+from .gating import build_fbsm_params, fbsm_forward, fuse_gates, gate
 from .pyramid import BackboneConfig, build_fpn, efpn_bs_forward
 from .scenes import Scene, SceneSpec, generate_scene, read_dataset, write_dataset
 from .tensor import ParamStore, Tensor

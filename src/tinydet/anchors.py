@@ -21,6 +21,7 @@ __all__ = [
     "LevelStats",
     "NEGATIVE",
     "IGNORED",
+    "boxes_array",
     "gen_anchors",
     "iou",
     "iou_matrix",
@@ -77,22 +78,23 @@ def gen_anchors(stride: int, feature_dims, base_size: float = 2.0) -> np.ndarray
     return np.stack([cx - half, cy - half, cx + half, cy + half], axis=-1).reshape(-1, 4).astype(np.float64)
 
 
-def _boxes_array(boxes) -> np.ndarray:
+def boxes_array(boxes) -> np.ndarray:
+    """[N,4] float64 corners of an [N,4] array or a sequence of Box or 4-sequences."""
     if isinstance(boxes, np.ndarray):
         return boxes.astype(np.float64).reshape(-1, 4)
-    return np.array([b.as_array() if isinstance(b, Box) else np.asarray(b, dtype=np.float64)
-                     for b in boxes], dtype=np.float64).reshape(-1, 4)
+    return np.array([[b.x1, b.y1, b.x2, b.y2] if isinstance(b, Box) else b for b in boxes],
+                    dtype=np.float64).reshape(-1, 4)
 
 
 def iou(a, b) -> float:
     """Intersection-over-union of two boxes, in [0, 1]."""
-    return float(iou_matrix(_boxes_array([a]), _boxes_array([b]))[0, 0])
+    return float(iou_matrix(boxes_array([a]), boxes_array([b]))[0, 0])
 
 
 def iou_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Pairwise IoU of [N,4] vs [M,4] boxes -> [N,M]."""
-    a = _boxes_array(a)
-    b = _boxes_array(b)
+    a = boxes_array(a)
+    b = boxes_array(b)
     x1 = np.maximum(a[:, None, 0], b[None, :, 0])
     y1 = np.maximum(a[:, None, 1], b[None, :, 1])
     x2 = np.minimum(a[:, None, 2], b[None, :, 2])
@@ -109,9 +111,9 @@ def assign_maxiou(anchors: np.ndarray, gts, pos_thr: float = 0.5,
     """Label each anchor: gt index (>= 0) if positive, NEGATIVE, or IGNORED."""
     if not (0.0 <= neg_thr <= pos_thr <= 1.0):
         raise ValueError(f"need 0 <= neg_thr <= pos_thr <= 1, got {neg_thr}, {pos_thr}")
-    anchors = _boxes_array(anchors)
+    anchors = boxes_array(anchors)
     n = anchors.shape[0]
-    gt_arr = _boxes_array(gts) if len(gts) else np.zeros((0, 4))
+    gt_arr = boxes_array(gts) if len(gts) else np.zeros((0, 4))
     labels = np.full(n, NEGATIVE, dtype=np.int64)
     if gt_arr.shape[0] == 0:
         return labels

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .tensor import Tensor, _make
+from .tensor import Tensor, _make, sigmoid_array
 
 __all__ = [
     "DCLossParams",
@@ -69,15 +69,8 @@ class DCLossParams:
 
 
 def _sigma(x):
-    x = np.asarray(x, dtype=np.float64)
-    out = np.empty_like(x)
-    p = x >= 0
-    out[p] = 1.0 / (1.0 + np.exp(-x[p]))
-    e = np.exp(x[~p])
-    out[~p] = e / (1.0 + e)
-    if out.ndim == 0:
-        return float(out)
-    return out
+    out = sigmoid_array(np.asarray(x, dtype=np.float64))
+    return float(out) if out.ndim == 0 else out
 
 
 def alpha(eps, params: DCLossParams):

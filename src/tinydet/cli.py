@@ -197,7 +197,7 @@ def main(argv=None) -> int:
     except (DivergenceError, FloatingPointError) as e:
         print(f"numeric failure: {e}", file=sys.stderr)
         return 2
-    except ValueError as e:
+    except (ValueError, MemoryError) as e:  # bad input, or a count no host holds
         print(f"error: {e}", file=sys.stderr)
         return 1
 

@@ -3,12 +3,11 @@ and broadcast-add it onto a low-level map.
 
 The high-level input is expected to be already spatially aligned with the
 low-level map (the pyramid module shares one bilinear alignment step between
-this module and the gating module).
+this module and the gating module).  The 1x1 projection from C_h down to C_l
+lives in the store as ``cem.proj``.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 from .tensor import (
     ParamStore,
@@ -20,39 +19,29 @@ from .tensor import (
     reshape,
 )
 
-__all__ = ["CemParams", "global_context", "cem_forward"]
+__all__ = ["build_cem_params", "global_context", "cem_forward"]
 
 
-@dataclass
-class CemParams:
-    """1x1 projection from high-level channels C_h down to low-level C_l."""
-
-    weight: Tensor  # [C_l, C_h, 1, 1]
-    bias: Tensor    # [C_l]
-
-    @classmethod
-    def create(cls, store: ParamStore, c_high: int, c_low: int):
-        """Register the projection in ``store`` as ``cem.proj``."""
-        weight, bias = store.register_conv("cem.proj", c_low, c_high, 1)
-        return cls(weight=weight, bias=bias)
+def build_cem_params(store: ParamStore, c_high: int, c_low: int):
+    store.register_conv("cem.proj", c_low, c_high, 1)
 
 
-def global_context(p_high: Tensor, params: CemParams) -> Tensor:
+def global_context(p_high: Tensor, store: ParamStore) -> Tensor:
     """Max-pool a [C_h,H,W] map to 1x1 and project: relu(W * amp(P_h) + b) -> [C_l]."""
     if p_high.data.ndim != 3:
         raise ValueError(f"global_context expects [C,H,W], got {p_high.data.shape}")
-    c_h = params.weight.data.shape[1]
+    weight = store["cem.proj.w"]
+    c_l, c_h = weight.data.shape[:2]
     if p_high.data.shape[0] != c_h:
         raise ValueError(
             f"global_context: input has {p_high.data.shape[0]} channels, projection expects {c_h}"
         )
-    pooled = adaptive_max_pool_1x1(p_high)               # [C_h]
-    pooled = reshape(pooled, (c_h, 1, 1))
-    projected = conv2d(pooled, params.weight, params.bias)  # [C_l,1,1]
-    return reshape(relu(projected), (params.weight.data.shape[0],))
+    pooled = reshape(adaptive_max_pool_1x1(p_high), (c_h, 1, 1))
+    projected = conv2d(pooled, weight, store["cem.proj.b"])  # [C_l,1,1]
+    return reshape(relu(projected), (c_l,))
 
 
-def cem_forward(p_high_aligned: Tensor, p_low: Tensor, params: CemParams) -> Tensor:
+def cem_forward(p_high_aligned: Tensor, p_low: Tensor, store: ParamStore) -> Tensor:
     """Enhance P_l with the global context of P_h: P_l + broadcast(C_g).
 
     Both inputs must share spatial dims; output has P_l's shape exactly.
@@ -61,7 +50,7 @@ def cem_forward(p_high_aligned: Tensor, p_low: Tensor, params: CemParams) -> Ten
         raise ValueError(
             f"cem_forward: spatial mismatch {p_high_aligned.data.shape} vs {p_low.data.shape}"
         )
-    ctx = global_context(p_high_aligned, params)
+    ctx = global_context(p_high_aligned, store)
     if ctx.data.shape[0] != p_low.data.shape[0]:
         raise ValueError(
             f"cem_forward: projection yields {ctx.data.shape[0]} channels, P_l has {p_low.data.shape[0]}"

@@ -17,9 +17,9 @@ import numpy as np
 from .anchors import NEGATIVE, Box, assign_maxiou, pyramid_anchors
 from .balanced_loss import DCLossParams, dcloss_term, smooth_l1_term
 from .config import from_dict
-from .context import CemParams
+from .context import build_cem_params
 from .evaluation import Detection, nms
-from .gating import FbsmParams
+from .gating import build_fbsm_params
 from .pyramid import (
     LEVEL_STRIDES,
     BackboneConfig,
@@ -195,8 +195,8 @@ class DetectorModel:
         build_backbone_params(store, cfg.backbone)
         build_fpn_params(store, cfg.backbone)
         c = cfg.backbone.pyramid_channels
-        self.cem = CemParams.create(store, c, c)
-        self.fbsm = FbsmParams.create(store, c, c, gate_width=cfg.gate_width)
+        build_cem_params(store, c, c)
+        build_fbsm_params(store, c, c, gate_width=cfg.gate_width)
         build_head_params(store, c, cfg.num_classes, cfg.head_channels)
 
     def save(self, directory: str):
@@ -207,12 +207,11 @@ class DetectorModel:
     def load(cls, directory: str) -> "DetectorModel":
         """Rebuild the model a checkpoint's config describes over its
         parameters; names and shapes must match the config's exactly."""
-        saved, config = ParamStore.load(directory)
-        arrays = {n: t.data for n, t in saved.items()}
+        seed, arrays, config = ParamStore.load(directory)
         where = f"checkpoint {directory}"
         cfg = from_dict(DetectorConfig, config, f"{where}: config")
         try:
-            model = cls(cfg, seed=saved.seed, saved=arrays)
+            model = cls(cfg, seed=seed, saved=arrays)
         except ValueError as e:
             raise ValueError(f"{where}: parameters do not fit its config: {e}") from e
         if arrays:
@@ -223,7 +222,7 @@ class DetectorModel:
     def pyramid(self, image: Tensor) -> dict[str, Tensor]:
         feats = backbone_forward(image, self.store, self.cfg.backbone)
         pyr = build_fpn(feats, self.store, self.cfg.backbone)
-        return efpn_bs_forward(pyr, self.cem, self.fbsm, levels=self.cfg.enhance_levels)
+        return efpn_bs_forward(pyr, self.store, levels=self.cfg.enhance_levels)
 
     def forward(self, image: Tensor):
         """(class logits [K,N], box deltas [4,N]), see ``head_forward``."""

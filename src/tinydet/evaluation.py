@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .anchors import Box, iou_matrix
+from .anchors import Box, boxes_array, iou_matrix
 
 __all__ = [
     "Detection",
@@ -89,10 +89,6 @@ def nms(boxes, scores, classes, iou_thr: float = 0.5, max_keep: int | None = Non
     return order[kept]
 
 
-def _box_array(boxes) -> np.ndarray:
-    return np.array([[b.x1, b.y1, b.x2, b.y2] for b in boxes], dtype=np.float64).reshape(-1, 4)
-
-
 def _in_buckets(boxes: np.ndarray, buckets) -> np.ndarray:
     """[B,n]: whether each box's sqrt-area scale lies in each (lo, hi] bucket;
     a None bucket holds every box."""
@@ -141,14 +137,14 @@ def _class_ap(dets_per_image, gts_per_image, class_id: int, thresholds, buckets)
     n_gt = np.zeros(len(buckets), dtype=np.int64)
     keys, hits = [], []  # per detection: its global rank key, its outcomes [T,B]
     for img, (dets, gts) in enumerate(zip(dets_per_image, gts_per_image)):
-        gt = _box_array([b for b, c in gts if c == class_id])
+        gt = boxes_array([b for b, c in gts if c == class_id])
         gt_in = _in_buckets(gt, buckets)  # [B,G]
         n_gt += gt_in.sum(axis=1)
         idx = [j for j, d in enumerate(dets) if d.class_id == class_id]
         if not idx:
             continue
         score = np.array([dets[j].score for j in idx], dtype=np.float64)
-        det = _box_array([dets[j].box for j in idx])
+        det = boxes_array([dets[j].box for j in idx])
         # unmatched: a false positive where the detection is in bucket, else dropped
         hit = np.where(_in_buckets(det, buckets).T[:, None, :], 0.0, np.nan)
         hit = np.broadcast_to(hit, (len(idx), *shape)).copy()  # [D,T,B]

@@ -10,8 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .context import CemParams, cem_forward
-from .gating import FbsmParams, fbsm_forward
+from .context import cem_forward
+from .gating import fbsm_forward
 from .tensor import (
     ParamStore,
     Tensor,
@@ -117,8 +117,8 @@ def build_fpn(features, store: ParamStore, cfg: BackboneConfig) -> dict[str, Ten
     return pyr
 
 
-def efpn_bs_forward(pyr: dict[str, Tensor], cem_params: CemParams,
-                    fbsm_params: FbsmParams, levels=("P2",)) -> dict[str, Tensor]:
+def efpn_bs_forward(pyr: dict[str, Tensor], store: ParamStore,
+                    levels=("P2",)) -> dict[str, Tensor]:
     """Replace the configured low levels (default P2 only) with the
     context-enhanced, gated version driven by an upsampled P5; no levels
     means no enhancement.  All other levels pass through unchanged."""
@@ -127,6 +127,6 @@ def efpn_bs_forward(pyr: dict[str, Tensor], cem_params: CemParams,
     for name in levels:
         low = pyr[name]
         p5_aligned = bilinear_upsample(p5, low.data.shape[1:])
-        enhanced = cem_forward(p5_aligned, low, cem_params)
-        out[name] = fbsm_forward(p5_aligned, enhanced, fbsm_params)
+        enhanced = cem_forward(p5_aligned, low, store)
+        out[name] = fbsm_forward(p5_aligned, enhanced, store)
     return out

@@ -27,6 +27,7 @@ __all__ = [
     "conv2d",
     "relu",
     "sigmoid",
+    "sigmoid_array",
     "add",
     "mul_mask",
     "scale",
@@ -194,14 +195,18 @@ def relu(x: Tensor) -> Tensor:
     return _make(np.where(pos, x.data, x.data.dtype.type(0)), (x,), backward)
 
 
-def sigmoid(x: Tensor) -> Tensor:
-    # piecewise form avoids overflow for large |x|
-    d = x.data
+def sigmoid_array(d: np.ndarray) -> np.ndarray:
+    """Logistic of an array, in its dtype; piecewise so that no |d| overflows."""
     out = np.empty_like(d)
     p = d >= 0
     out[p] = 1.0 / (1.0 + np.exp(-d[p]))
     e = np.exp(d[~p])
     out[~p] = e / (1.0 + e)
+    return out
+
+
+def sigmoid(x: Tensor) -> Tensor:
+    out = sigmoid_array(x.data)
 
     def backward(g):
         x._accumulate(g * out * (1.0 - out))
@@ -526,9 +531,6 @@ class ParamStore:
     def __getitem__(self, name: str) -> Tensor:
         return self.params[name]
 
-    def __contains__(self, name: str) -> bool:
-        return name in self.params
-
     def items(self):
         return self.params.items()
 
@@ -553,9 +555,10 @@ class ParamStore:
         with open(os.path.join(directory, "manifest.json"), "w") as f:
             json.dump(manifest, f, indent=2, sort_keys=True)
 
-    @classmethod
-    def load(cls, directory: str) -> tuple["ParamStore", object]:
-        """Read a checkpoint written by ``save``: returns (store, config).
+    @staticmethod
+    def load(directory: str) -> tuple[int, dict[str, np.ndarray], object]:
+        """Read a checkpoint written by ``save``: returns (seed, name -> array,
+        config), the seed and arrays ready for ``ParamStore(seed, saved=...)``.
 
         A missing or malformed manifest, a manifest without a config, and a
         tensor file outside ``directory`` raise ValueError.
@@ -573,7 +576,7 @@ class ParamStore:
                              f"(format, integer seed, params array)")
         if "config" not in manifest:
             raise ValueError(f"checkpoint {path}: carries no model config")
-        store = cls(seed=manifest["seed"])
+        arrays = {}
         for i, e in enumerate(manifest["params"]):
             if not (isinstance(e, dict) and isinstance(e.get("name"), str)
                     and isinstance(e.get("file"), str)):
@@ -584,8 +587,8 @@ class ParamStore:
                 raise ValueError(
                     f"checkpoint {e['file']}: shape {list(data.shape)} != manifest {e.get('shape')}"
                 )
-            store.params[e["name"]] = Tensor(data.astype(store.dtype), requires_grad=True)
-        return store, manifest["config"]
+            arrays[e["name"]] = data
+        return manifest["seed"], arrays, manifest["config"]
 
 
 # ---------------------------------------------------------------------------

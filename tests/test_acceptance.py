@@ -22,11 +22,11 @@ from tinydet.balanced_loss import (
     dcloss_value,
     verify_theorem1,
 )
-from tinydet.context import CemParams, cem_forward
+from tinydet.context import build_cem_params, cem_forward
 from tinydet.detector import DetectorConfig, DetectorModel, build_head_params, head_forward
 from tinydet.evaluation import SIZE_BUCKETS, average_precision
 from tinydet.experiments import run_variants
-from tinydet.gating import FbsmParams, fbsm_forward, fuse_gates, gate
+from tinydet.gating import build_fbsm_params, fbsm_forward, fuse_gates, gate
 from tinydet.pyramid import (
     BackboneConfig,
     backbone_forward,
@@ -99,19 +99,19 @@ def test_criterion_1_gradient_suite():
 
     for _ in range(10):  # context module
         ph, pl = f64(3, 4, 4), f64(2, 4, 4)
-        pw, pb = f64(2, 3, 1, 1), f64(2)
-        params = CemParams(weight=pw, bias=pb)
-        check_gradients(lambda: tensor_sum(cem_forward(ph, pl, params)),
-                        [ph, pl, pw, pb])
+        store = ParamStore(saved={"cem.proj.w": f64(2, 3, 1, 1).data, "cem.proj.b": f64(2).data})
+        build_cem_params(store, 3, 2)
+        check_gradients(lambda: tensor_sum(cem_forward(ph, pl, store)),
+                        [ph, pl] + store.tensors())
         cases += 1
 
     for _ in range(10):  # gating module (full dual-gate + fusion + refine)
         store = ParamStore(seed=int(rng.integers(1 << 30)))
-        p = FbsmParams.create(store, 3, 2)
+        build_fbsm_params(store, 3, 2)
         for t in store.tensors():
             t.data = rng.standard_normal(t.data.shape) * 0.5
         ph, ce = f64(3, 4, 4), f64(2, 4, 4)
-        check_gradients(lambda: tensor_sum(fbsm_forward(ph, ce, p)),
+        check_gradients(lambda: tensor_sum(fbsm_forward(ph, ce, store)),
                         [ph, ce] + list(store.tensors()))
         cases += 1
 
@@ -220,28 +220,29 @@ def test_criterion_4_module_contracts():
     # context module with zero projection is a bitwise identity on P_l
     ph = Tensor(r.standard_normal((4, 8, 8)))
     pl = Tensor(r.standard_normal((3, 8, 8)))
-    zero = CemParams(weight=Tensor(np.zeros((3, 4, 1, 1))), bias=Tensor(np.zeros(3)))
+    zero = ParamStore(saved={"cem.proj.w": np.zeros((3, 4, 1, 1)), "cem.proj.b": np.zeros(3)})
+    build_cem_params(zero, 4, 3)
     out = cem_forward(ph, pl, zero)
     assert out.data.tobytes() == pl.data.tobytes()
 
     # gating mask entries strictly inside (0, 1) for random parameters
     store = ParamStore(seed=11)
-    p = FbsmParams.create(store, 4, 3)
+    build_fbsm_params(store, 4, 3)
     for t in store.tensors():
         t.data = r.standard_normal(t.data.shape).astype(np.float32)
     ph4 = Tensor(r.standard_normal((4, 8, 8)).astype(np.float32))
     ce = Tensor(r.standard_normal((3, 8, 8)).astype(np.float32))
-    m_high = gate(ph4, p.psi_h1_w, p.psi_h1_b, p.psi_h2_w, p.psi_h2_b)
-    m_low = gate(ce, p.psi_l1_w, p.psi_l1_b, p.psi_l2_w, p.psi_l2_b)
-    mask = fuse_gates(m_high, m_low, p.phi_f_w, p.phi_f_b)
+    m_high = gate(ph4, store, "psi_h")
+    m_low = gate(ce, store, "psi_l")
+    mask = fuse_gates(m_high, m_low, store)
     assert np.all(mask.data > 0.0) and np.all(mask.data < 1.0)
 
     # gating module with all-zero parameters outputs exactly zero
     store0 = ParamStore(seed=12)
-    p0 = FbsmParams.create(store0, 4, 3)
+    build_fbsm_params(store0, 4, 3)
     for t in store0.tensors():
         t.data = np.zeros_like(t.data)
-    out0 = fbsm_forward(ph4, ce, p0)
+    out0 = fbsm_forward(ph4, ce, store0)
     assert not out0.data.any()
 
     # full pyramid: P3..P6 untouched, and a loss on the enhanced P2 sends
@@ -251,10 +252,10 @@ def test_criterion_4_module_contracts():
     build_backbone_params(store, cfg)
     build_fpn_params(store, cfg)
     c = cfg.pyramid_channels
-    cem = CemParams.create(store, c, c)
-    fbsm = FbsmParams.create(store, c, c)
+    build_cem_params(store, c, c)
+    build_fbsm_params(store, c, c)
     pyr = build_fpn(backbone_forward(img, store, cfg), store, cfg)
-    enhanced = efpn_bs_forward(pyr, cem, fbsm)
+    enhanced = efpn_bs_forward(pyr, store)
     for name in ("P3", "P4", "P5", "P6"):
         assert enhanced[name].data.tobytes() == pyr[name].data.tobytes()
     tensor_sum(enhanced["P2"]).backward()

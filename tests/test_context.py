@@ -3,7 +3,7 @@ import pytest
 
 from gradcheck import check_gradients
 
-from tinydet.context import CemParams, cem_forward, global_context
+from tinydet.context import build_cem_params, cem_forward, global_context
 from tinydet.tensor import ParamStore, Tensor, tensor_sum
 
 rng = np.random.default_rng(5)
@@ -11,10 +11,10 @@ rng = np.random.default_rng(5)
 
 def make_params(c_high, c_low, seed=0, dtype=np.float64):
     store = ParamStore(seed=seed)
-    p = CemParams.create(store, c_high, c_low)
-    p.weight.data = p.weight.data.astype(dtype)
-    p.bias.data = p.bias.data.astype(dtype)
-    return p
+    build_cem_params(store, c_high, c_low)
+    for t in store.tensors():
+        t.data = t.data.astype(dtype)
+    return store
 
 
 def rand(*shape, requires_grad=False):
@@ -31,8 +31,8 @@ def test_global_context_shape_and_nonnegative():
 def test_global_context_pool_is_max():
     # with identity-like 1x1 weights the context is relu of per-channel maxima
     p = make_params(3, 3)
-    p.weight.data = np.eye(3).reshape(3, 3, 1, 1).astype(np.float64)
-    p.bias.data = np.zeros(3)
+    p["cem.proj.w"].data = np.eye(3).reshape(3, 3, 1, 1).astype(np.float64)
+    p["cem.proj.b"].data = np.zeros(3)
     x = rand(3, 5, 5)
     ctx = global_context(x, p)
     np.testing.assert_allclose(ctx.data, np.maximum(x.data.max(axis=(1, 2)), 0), rtol=1e-12)
@@ -41,8 +41,8 @@ def test_global_context_pool_is_max():
 def test_zero_projection_is_bitwise_identity():
     # zero weight and bias: context vector is 0, forward returns P_l exactly
     p = make_params(6, 4)
-    p.weight.data = np.zeros_like(p.weight.data)
-    p.bias.data = np.zeros_like(p.bias.data)
+    for t in p.tensors():
+        t.data = np.zeros_like(t.data)
     low = rand(4, 10, 10)
     high = rand(6, 10, 10)
     out = cem_forward(high, low, p)
@@ -80,10 +80,10 @@ def test_gradients_through_context_path():
     p = make_params(3, 2, seed=1)
     high = rand(3, 6, 6, requires_grad=True)
     low = rand(2, 6, 6, requires_grad=True)
-    for t in (p.weight, p.bias):
+    for t in p.tensors():
         t.requires_grad = True
     check_gradients(lambda: tensor_sum(cem_forward(high, low, p)),
-                    [high, low, p.weight, p.bias], tol=1e-4)
+                    [high, low, p["cem.proj.w"], p["cem.proj.b"]], tol=1e-4)
     # the low-level path is a pure residual: gradient there is exactly 1
     np.testing.assert_array_equal(low.grad, np.ones_like(low.data))
 
@@ -91,6 +91,7 @@ def test_gradients_through_context_path():
 def test_create_is_deterministic():
     a = make_params(6, 4, seed=9)
     b = make_params(6, 4, seed=9)
-    assert a.weight.data.tobytes() == b.weight.data.tobytes()
-    assert a.bias.data.tobytes() == b.bias.data.tobytes()
-    assert not a.bias.data.any()  # biases start at zero
+    assert list(a.params) == ["cem.proj.w", "cem.proj.b"]
+    assert a["cem.proj.w"].data.tobytes() == b["cem.proj.w"].data.tobytes()
+    assert a["cem.proj.b"].data.tobytes() == b["cem.proj.b"].data.tobytes()
+    assert not a["cem.proj.b"].data.any()  # biases start at zero

@@ -269,6 +269,28 @@ def test_model_deterministic_across_instances():
     assert run() == run()
 
 
+def test_default_parameter_names_and_shapes_in_registration_order():
+    # the order fixes the seeded initialization and the checkpoint layout
+    conv = lambda name, c_out, c_in, k: [(f"{name}.w", (c_out, c_in, k, k)),
+                                         (f"{name}.b", (c_out,))]
+    expected = [
+        *conv("backbone.stem0", 8, 3, 3), *conv("backbone.stem1", 8, 8, 3),
+        *conv("backbone.stage1", 16, 8, 3), *conv("backbone.stage2", 16, 16, 3),
+        *conv("backbone.stage3", 16, 16, 3),
+        *conv("fpn.lateral2", 8, 8, 1), *conv("fpn.smooth2", 8, 8, 3),
+        *conv("fpn.lateral3", 8, 16, 1), *conv("fpn.smooth3", 8, 8, 3),
+        *conv("fpn.lateral4", 8, 16, 1), *conv("fpn.smooth4", 8, 8, 3),
+        *conv("fpn.lateral5", 8, 16, 1), *conv("fpn.smooth5", 8, 8, 3),
+        *conv("cem.proj", 8, 8, 1),
+        *conv("fbsm.psi_h1", 4, 8, 3), *conv("fbsm.psi_h2", 1, 4, 1),
+        *conv("fbsm.psi_l1", 4, 8, 3), *conv("fbsm.psi_l2", 1, 4, 1),
+        *conv("fbsm.phi_f", 1, 1, 3), *conv("fbsm.phi_r", 8, 8, 3),
+        *conv("head.trunk", 32, 8, 3), *conv("head.cls", 3, 32, 1), *conv("head.reg", 4, 32, 1),
+    ]
+    model = DetectorModel(DetectorConfig())
+    assert [(n, t.data.shape) for n, t in model.store.items()] == expected
+
+
 def test_enhancement_flag_changes_p2_path_only():
     scene, _ = scene_and_assignment()
     plain_cfg = DetectorConfig(enhance_levels=())

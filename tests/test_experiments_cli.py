@@ -323,6 +323,13 @@ def test_cli_config_faults_exit_1(tmp_path, dataset, capsys, payload):
     assert not os.path.exists(tmp_path / "o" / "images")
 
 
+def test_cli_config_count_no_host_holds_exits_1(tmp_path, dataset, capsys):
+    # head.cls.w would need 2**40 * 32 float64 draws (256 TiB): numpy refuses at once
+    path = cli_config(tmp_path, {"detector": {"num_classes": 2 ** 40}})
+    assert main(["train", "--data", dataset, "--config", path, "--out", str(tmp_path / "o")]) == 1
+    assert "error: Unable to allocate" in capsys.readouterr().err
+
+
 def test_cli_audit_and_verify_loss_read_the_sections(tmp_path, dataset, capsys):
     from tinydet.balanced_loss import DCLossParams, verify_theorem1
     from tinydet.scenes import read_dataset

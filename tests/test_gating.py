@@ -3,7 +3,7 @@ import pytest
 
 from gradcheck import check_gradients
 
-from tinydet.gating import FbsmParams, fbsm_forward, fuse_gates, gate
+from tinydet.gating import build_fbsm_params, fbsm_forward, fuse_gates, gate
 from tinydet.tensor import ParamStore, Tensor, tensor_sum
 
 rng = np.random.default_rng(17)
@@ -11,10 +11,14 @@ rng = np.random.default_rng(17)
 
 def make_params(c_high, c_low, seed=0, dtype=np.float64, **kw):
     store = ParamStore(seed=seed)
-    p = FbsmParams.create(store, c_high, c_low, **kw)
+    build_fbsm_params(store, c_high, c_low, **kw)
     for name, t in store.items():
         t.data = t.data.astype(dtype)
-    return p
+    return store
+
+
+def gate_width(store):
+    return store["fbsm.psi_h1.w"].data.shape[0]
 
 
 def rand(*shape, requires_grad=False):
@@ -22,15 +26,15 @@ def rand(*shape, requires_grad=False):
 
 
 def test_default_gate_width_rule():
-    assert make_params(8, 16).gate_width == 4      # 16 // 4
-    assert make_params(8, 64).gate_width == 16
-    assert make_params(8, 8).gate_width == 4       # floor of 4
-    assert make_params(8, 8, gate_width=6).gate_width == 6
+    assert gate_width(make_params(8, 16)) == 4      # 16 // 4
+    assert gate_width(make_params(8, 64)) == 16
+    assert gate_width(make_params(8, 8)) == 4       # floor of 4
+    assert gate_width(make_params(8, 8, gate_width=6)) == 6
 
 
 def test_gate_outputs_open_unit_interval():
     p = make_params(6, 4)
-    m = gate(rand(6, 8, 8), p.psi_h1_w, p.psi_h1_b, p.psi_h2_w, p.psi_h2_b)
+    m = gate(rand(6, 8, 8), p, "psi_h")
     assert m.data.shape == (1, 8, 8)
     assert np.all((m.data > 0) & (m.data < 1))
 
@@ -38,14 +42,13 @@ def test_gate_outputs_open_unit_interval():
 def test_fused_mask_range_and_shape():
     p = make_params(6, 4)
     high, low = rand(6, 8, 8), rand(4, 8, 8)
-    m_h = gate(high, p.psi_h1_w, p.psi_h1_b, p.psi_h2_w, p.psi_h2_b)
-    m_l = gate(low, p.psi_l1_w, p.psi_l1_b, p.psi_l2_w, p.psi_l2_b)
-    fused = fuse_gates(m_h, m_l, p.phi_f_w, p.phi_f_b)
+    m_h = gate(high, p, "psi_h")
+    m_l = gate(low, p, "psi_l")
+    fused = fuse_gates(m_h, m_l, p)
     assert fused.data.shape == (1, 8, 8)
     assert np.all((fused.data > 0) & (fused.data < 1))
     with pytest.raises(ValueError, match="mismatch"):
-        fuse_gates(m_h, gate(rand(4, 6, 6), p.psi_l1_w, p.psi_l1_b, p.psi_l2_w, p.psi_l2_b),
-                   p.phi_f_w, p.phi_f_b)
+        fuse_gates(m_h, gate(rand(4, 6, 6), p, "psi_l"), p)
 
 
 def test_forward_shape_and_nonnegative():
@@ -72,9 +75,10 @@ def test_gradients_through_full_module():
     p = make_params(3, 2, seed=1)
     high = rand(3, 5, 5, requires_grad=True)
     low = rand(2, 5, 5, requires_grad=True)
-    params = [p.psi_h1_w, p.psi_h1_b, p.psi_h2_w, p.psi_h2_b,
-              p.psi_l1_w, p.psi_l1_b, p.psi_l2_w, p.psi_l2_b,
-              p.phi_f_w, p.phi_f_b, p.phi_r_w, p.phi_r_b]
+    params = p.tensors()
+    assert list(p.params) == [f"fbsm.{conv}.{wb}" for conv in
+                              ("psi_h1", "psi_h2", "psi_l1", "psi_l2", "phi_f", "phi_r")
+                              for wb in "wb"]
     for t in params:
         t.requires_grad = True
     check_gradients(lambda: tensor_sum(fbsm_forward(high, low, p)),

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from tinydet.context import CemParams
-from tinydet.gating import FbsmParams
+from tinydet.context import build_cem_params
+from tinydet.gating import build_fbsm_params
 from tinydet.pyramid import (
     LEVEL_STRIDES,
     BackboneConfig,
@@ -24,9 +24,9 @@ def make_store(seed=0):
     build_backbone_params(store, CFG)
     build_fpn_params(store, CFG)
     c = CFG.pyramid_channels
-    cem = CemParams.create(store, c, c)
-    fbsm = FbsmParams.create(store, c, c)
-    return store, cem, fbsm
+    build_cem_params(store, c, c)
+    build_fbsm_params(store, c, c)
+    return store
 
 
 def image(h=128, w=128):
@@ -38,14 +38,14 @@ def test_level_strides_table():
 
 
 def test_backbone_feature_shapes():
-    store, _, _ = make_store()
+    store = make_store()
     feats = backbone_forward(image(128, 192), store, CFG)
     assert [f.data.shape for f in feats] == [
         (8, 32, 48), (16, 16, 24), (16, 8, 12), (16, 4, 6)]
 
 
 def test_backbone_rejects_bad_input():
-    store, _, _ = make_store()
+    store = make_store()
     with pytest.raises(ValueError, match="divisible"):
         backbone_forward(image(100, 128), store, CFG)
     with pytest.raises(ValueError, match="3,H,W"):
@@ -53,7 +53,7 @@ def test_backbone_rejects_bad_input():
 
 
 def test_pyramid_shapes_and_strides():
-    store, _, _ = make_store()
+    store = make_store()
     pyr = build_fpn(backbone_forward(image(), store, CFG), store, CFG)
     assert list(pyr) == ["P2", "P3", "P4", "P5", "P6"]
     for name, side in [("P2", 32), ("P3", 16), ("P4", 8), ("P5", 4), ("P6", 2)]:
@@ -63,7 +63,7 @@ def test_pyramid_shapes_and_strides():
 
 
 def test_p6_is_max_pool_of_p5():
-    store, _, _ = make_store()
+    store = make_store()
     pyr = build_fpn(backbone_forward(image(), store, CFG), store, CFG)
     p5, p6 = pyr["P5"].data, pyr["P6"].data
     for c in range(p5.shape[0]):
@@ -73,9 +73,9 @@ def test_p6_is_max_pool_of_p5():
 
 
 def test_enhancement_replaces_only_p2():
-    store, cem, fbsm = make_store()
+    store = make_store()
     pyr = build_fpn(backbone_forward(image(), store, CFG), store, CFG)
-    out = efpn_bs_forward(pyr, cem, fbsm)
+    out = efpn_bs_forward(pyr, store)
     assert not np.array_equal(out["P2"].data, pyr["P2"].data)
     assert out["P2"].data.shape == pyr["P2"].data.shape
     for name in ("P3", "P4", "P5", "P6"):
@@ -83,17 +83,17 @@ def test_enhancement_replaces_only_p2():
 
 
 def test_enhancement_disabled_is_identity():
-    store, cem, fbsm = make_store()
+    store = make_store()
     pyr = build_fpn(backbone_forward(image(), store, CFG), store, CFG)
-    out = efpn_bs_forward(pyr, cem, fbsm, levels=())
+    out = efpn_bs_forward(pyr, store, levels=())
     assert list(out) == list(pyr)
     assert all(out[name] is pyr[name] for name in pyr)
 
 
 def test_enhancement_configurable_levels():
-    store, cem, fbsm = make_store()
+    store = make_store()
     pyr = build_fpn(backbone_forward(image(), store, CFG), store, CFG)
-    out = efpn_bs_forward(pyr, cem, fbsm, levels=("P2", "P3"))
+    out = efpn_bs_forward(pyr, store, levels=("P2", "P3"))
     for name in ("P2", "P3"):
         assert not np.array_equal(out[name].data, pyr[name].data)
     for name in ("P4", "P5", "P6"):
@@ -103,21 +103,21 @@ def test_enhancement_configurable_levels():
 def test_gradient_reaches_p5_through_enhanced_p2():
     # the enhanced P2 depends on P5, so a loss on P2 alone must push gradient
     # into every backbone and pyramid parameter, including P5's lateral conv
-    store, cem, fbsm = make_store()
+    store = make_store()
     pyr = build_fpn(backbone_forward(image(), store, CFG), store, CFG)
-    out = efpn_bs_forward(pyr, cem, fbsm)
+    out = efpn_bs_forward(pyr, store)
     tensor_sum(out["P2"]).backward()
     lat5 = store["fpn.lateral5.w"]
     assert lat5.grad is not None and np.abs(lat5.grad).max() > 0
     assert np.abs(store["backbone.stem0.w"].grad).max() > 0
-    assert np.abs(cem.weight.grad).max() > 0
+    assert np.abs(store["cem.proj.w"].grad).max() > 0
 
 
 def test_full_pipeline_deterministic():
     def run():
-        store, cem, fbsm = make_store(seed=4)
+        store = make_store(seed=4)
         img = Tensor(np.random.default_rng(1).standard_normal((3, 128, 128)).astype(np.float32))
-        pyr = efpn_bs_forward(build_fpn(backbone_forward(img, store, CFG), store, CFG), cem, fbsm)
+        pyr = efpn_bs_forward(build_fpn(backbone_forward(img, store, CFG), store, CFG), store)
         return pyr["P2"].data.tobytes()
 
     assert run() == run()

@@ -348,11 +348,12 @@ def test_checkpoint_roundtrip(tmp_path):
     s = ParamStore(seed=11)
     s.register_conv("layer", 3, 2, 3)
     s.save(str(tmp_path / "ckpt"), {"levels": ["P2"]})
-    loaded, config = ParamStore.load(str(tmp_path / "ckpt"))
-    assert config == {"levels": ["P2"]} and loaded.seed == 11
-    assert list(loaded.params) == list(s.params)
+    seed, arrays, config = ParamStore.load(str(tmp_path / "ckpt"))
+    assert config == {"levels": ["P2"]} and seed == 11
+    assert list(arrays) == list(s.params)
     for name, t in s.items():
-        np.testing.assert_array_equal(loaded[name].data, t.data.astype(np.float32))
+        assert arrays[name].dtype == np.float32
+        np.testing.assert_array_equal(arrays[name], t.data.astype(np.float32))
 
 
 def test_checkpoint_load_rejects_bad_manifests(tmp_path):
