@@ -103,7 +103,7 @@ def iou_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     area_a = (a[:, 2] - a[:, 0]) * (a[:, 3] - a[:, 1])
     area_b = (b[:, 2] - b[:, 0]) * (b[:, 3] - b[:, 1])
     union = area_a[:, None] + area_b[None, :] - inter
-    return np.where(union > 0, inter / union, 0.0)
+    return np.divide(inter, union, out=np.zeros_like(inter), where=union > 0)
 
 
 def assign_maxiou(anchors: np.ndarray, gts, pos_thr: float = 0.5,

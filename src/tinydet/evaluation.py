@@ -1,6 +1,10 @@
 """Detection metrics: greedy NMS and average precision over an IoU range.
 
-NMS works on candidate arrays and stops once it has kept enough boxes.  AP
+NMS works on candidate arrays in ranked order, 128 at a time: a window of the
+next candidates is cleared against every box kept so far, its first 128
+survivors are resolved against each other, and the walk stops once enough
+boxes are kept.  Memory is O(N) for the ranking plus IoU temporaries of at
+most 2**16 elements, and the result is exactly the one-box-at-a-time one.  AP
 follows the COCO recipe: detections are sorted by score globally (ties
 broken by image and insertion order so results are reproducible), matched
 greedily per image to the best still-unmatched ground truth at or above the
@@ -34,6 +38,8 @@ __all__ = [
 IOU_THRESHOLDS = tuple(np.round(np.arange(0.5, 0.96, 0.05), 2))
 # AI-TOD-style buckets on the sqrt-area scale: very tiny (2, 8], tiny (8, 16]
 SIZE_BUCKETS = {"vt": (2.0, 8.0), "t": (8.0, 16.0)}
+_BLOCK = 128        # nms: candidates resolved together, and kept boxes per clearing pass
+_WINDOW = 2 ** 16   # nms: candidates x kept boxes per clearing pass, at most
 
 
 @dataclass
@@ -66,26 +72,40 @@ def nms(boxes, scores, classes, iou_thr: float = 0.5, max_keep: int | None = Non
     candidate of its class exceeds ``iou_thr``.  Returns the kept indices ranked
     by (-score, class, index).  Idempotent.  Only higher-ranked candidates of a
     class decide a candidate's fate, so stopping after ``max_keep`` kept gives
-    exactly the first ``max_keep`` of the full result, in O(N) memory."""
+    exactly the first ``max_keep`` of the full result.
+
+    Ranked candidates are walked in blocks: a window of the next ones is cleared
+    against every kept box, and its first ``_BLOCK`` survivors are resolved in
+    greedy order.  Memory is O(N) for the ranking; the window narrows as boxes
+    are kept, so no IoU temporary exceeds ``_WINDOW`` elements."""
     boxes = np.asarray(boxes, dtype=np.float64).reshape(-1, 4)
     classes = np.asarray(classes)
     order = np.lexsort((classes, -np.asarray(scores, dtype=np.float64)))  # ties: by index
-    boxes, classes = boxes[order], classes[order]
-    members = {c: np.flatnonzero(classes == c) for c in np.unique(classes)}
-    alive = np.ones(len(order), dtype=bool)
+    boxes, classes = np.take(boxes, order, axis=0), classes[order]  # take copies rows ~5x faster
+
+    def overlaps(rows, cols):  # [len(rows), len(cols)]: same class and IoU > iou_thr
+        return ((iou_matrix(boxes[rows], boxes[cols]) > iou_thr)
+                & (classes[rows][:, None] == classes[cols][None, :]))
+
     cap = len(order) if max_keep is None else max_keep
-    kept = []
-    i = 0
-    while len(kept) < cap and i < len(order):
-        i += int(alive[i:].argmax())  # the next live candidate
-        if not alive[i]:
-            break
-        kept.append(i)
-        same = members[classes[i]]
-        later = same[np.searchsorted(same, i, side="right"):]
-        later = later[alive[later]]
-        alive[later] = iou_matrix(boxes[i:i + 1], boxes[later])[0] <= iou_thr
-        i += 1
+    kept, start = [], 0
+    while len(kept) < cap and start < len(order):
+        end = min(len(order), start + max(_BLOCK, _WINDOW // max(len(kept), 1)))
+        live = np.arange(start, end)
+        for k in range(0, len(kept), _BLOCK):
+            live = live[~overlaps(kept[k:k + _BLOCK], live).any(axis=0)]
+        block = live[:_BLOCK]
+        start = live[_BLOCK] if len(live) > _BLOCK else end
+        if not len(block):
+            continue
+        spared = ~overlaps(block, block)  # entries at or before i are decided already
+        alive = np.ones(len(block), dtype=bool)
+        for i in range(len(block)):
+            if alive[i]:
+                kept.append(block[i])
+                if len(kept) == cap:
+                    break
+                alive &= spared[i]
     return order[kept]
 
 

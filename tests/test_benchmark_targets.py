@@ -53,3 +53,6 @@ def test_a_traced_training_step_and_predict_meet_the_tracer_coverage(tracer):
     # The tracer counts nms's first positional argument as the candidates: on
     # the untrained model every one of the 1364 anchors x 3 classes clears the floor.
     assert t.spans["evaluation.nms"].items == 4092
+    # nms takes IoUs a block of ranked candidates at a time, not one row per kept
+    # box: a per-box loop would call iou_matrix 100 times here.
+    assert t.spans["anchors.iou_matrix"].calls <= 3

@@ -1,11 +1,12 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 
 from oracles import ap_scalar, nms_scalar
 
-from tinydet.anchors import Box, pyramid_anchors
+from tinydet.anchors import Box, iou_matrix, pyramid_anchors
 from tinydet.evaluation import (
     IOU_THRESHOLDS,
     SIZE_BUCKETS,
@@ -98,17 +99,27 @@ def test_nms_idempotent():
 
 
 def test_nms_matches_scalar_oracle_and_caps_to_a_prefix():
-    for seed in range(8):
+    def ranked(r, xy):  # (boxes, scores, classes) of candidates with corners xy
+        boxes = np.concatenate([xy, xy + r.uniform(2, 14, xy.shape)], axis=1)
+        scores = np.round(r.uniform(0, 1, len(xy)), 1)  # ~10 distinct values: many ties
+        return boxes, scores, r.integers(3, size=len(xy))
+
+    cases = []
+    for seed in range(8):  # each fits one block
         r = np.random.default_rng(seed)
-        n = int(r.integers(1, 80))
-        xy = r.uniform(0, 40, (n, 2))
-        boxes = np.concatenate([xy, xy + r.uniform(2, 14, (n, 2))], axis=1)
-        scores = np.round(r.uniform(0, 1, n), 1)  # ~10 distinct values: many ties
-        classes = r.integers(3, size=n)
-        thr = float(r.choice([0.0, 0.3, 0.5, 1.0]))
+        cases.append((*ranked(r, r.uniform(0, 40, (int(r.integers(1, 80)), 2))),
+                      float(r.choice([0.0, 0.3, 0.5, 1.0]))))
+    # several hundred: blocks after the first are cleared against earlier ones
+    cases += [(*ranked(r, r.uniform(0, 80, (int(r.integers(300, 700)), 2))), thr)
+              for thr in (0.3, 0.5, 1.0)]
+    # 20 tight clusters: most candidates suppressed, so the walk crosses windows
+    centres = r.uniform(0, 300, (20, 2))
+    cases += [(*ranked(r, centres[r.integers(20, size=3000)] + r.normal(0, 1, (3000, 2))), thr)
+              for thr in (0.0, 0.3)]
+    for boxes, scores, classes, thr in cases:
         want = nms_scalar(boxes, scores, classes, thr)
         assert nms(boxes, scores, classes, thr).tolist() == want
-        for k in (0, 1, 3, len(want), len(want) + 5):
+        for k in (0, 1, 3, 127, 128, 129, len(want), len(want) + 5):
             assert nms(boxes, scores, classes, thr, max_keep=k).tolist() == want[:k]
     assert nms(np.zeros((0, 4)), np.zeros(0), np.zeros(0, dtype=int)).tolist() == []
 
@@ -116,17 +127,30 @@ def test_nms_matches_scalar_oracle_and_caps_to_a_prefix():
 def test_nms_memory_is_bounded_by_max_keep():
     # 261,888 candidates: one N x N IoU matrix per class would take 61 GB
     anchors, _ = pyramid_anchors((1024, 1024))
-    boxes = np.tile(anchors, (3, 1))
+    r = np.random.default_rng(0)
     classes = np.repeat(np.arange(3), len(anchors))
-    scores = np.random.default_rng(0).uniform(0.05, 1.0, len(boxes))
-    tracemalloc.start()
-    try:
-        kept = nms(boxes, scores, classes, 0.5, max_keep=100)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert len(kept) == 100
-    assert peak < 64 * 2 ** 20, f"nms peak {peak / 2 ** 20:.1f} MiB"
+    scores = r.uniform(0.05, 1.0, len(classes))
+    xy = r.uniform(0, 1, (len(classes), 2))
+    cluster = np.concatenate([xy, xy + 10], axis=1)  # all overlap: one box kept per class
+    for boxes, max_keep, n_kept in ((np.tile(anchors, (3, 1)), 100, 100), (cluster, None, 3)):
+        tracemalloc.start()
+        try:
+            kept = nms(boxes, scores, classes, 0.5, max_keep=max_keep)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(kept) == n_kept
+        assert peak < 64 * 2 ** 20, f"nms peak {peak / 2 ** 20:.1f} MiB"
+
+
+def test_zero_area_boxes_overlap_nothing_without_a_warning():
+    boxes = np.array([[5, 5, 5, 5], [5, 5, 5, 5], [0, 0, 0, 4], [1, 1, 3, 3]], dtype=float)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # 0/0 would raise "invalid value encountered"
+        ious = iou_matrix(boxes, boxes)
+        kept = nms(boxes, np.array([0.9, 0.8, 0.7, 0.6]), np.zeros(4, dtype=int), 0.0)
+    assert ious.tolist() == [[0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 1]]
+    assert kept.tolist() == [0, 1, 2, 3]
 
 
 def test_detection_score_validated():
