@@ -25,7 +25,7 @@ p_low = Tensor(rng.standard_normal((C_LOW, 32, 32)).astype(np.float32))
 ctx = global_context(p_high, store)
 enhanced = cem_forward(p_high, p_low, store)
 shift = enhanced.data - p_low.data
-print("context vector:", np.round(ctx.data, 4))
+print("context vector:", np.round(ctx.data.ravel(), 4))
 print("per-channel shift is constant across space:",
       all(np.ptp(shift[c]) < 1e-6 for c in range(C_LOW)))
 

@@ -1,5 +1,4 @@
-"""Anchor tiling, IoU, max-IoU label assignment, and per-level positive /
-negative statistics.
+"""Anchor tiling, IoU and max-IoU label assignment.
 
 One square anchor per feature cell, side = base_size * stride, centered at
 (i + 0.5) * stride.  Assignment follows RPN conventions: IoU >= pos_thr is
@@ -18,7 +17,6 @@ from .pyramid import LEVEL_STRIDES
 
 __all__ = [
     "Box",
-    "LevelStats",
     "NEGATIVE",
     "IGNORED",
     "boxes_array",
@@ -27,7 +25,6 @@ __all__ = [
     "iou_matrix",
     "assign_maxiou",
     "pyramid_anchors",
-    "level_stats",
 ]
 
 NEGATIVE = -1
@@ -51,18 +48,6 @@ class Box:
 
     def as_array(self) -> np.ndarray:
         return np.array([self.x1, self.y1, self.x2, self.y2], dtype=np.float64)
-
-
-@dataclass
-class LevelStats:
-    level: str
-    positives: int = 0
-    negatives: int = 0
-    ignored: int = 0
-
-    @property
-    def total(self) -> int:
-        return self.positives + self.negatives + self.ignored
 
 
 def gen_anchors(stride: int, feature_dims, base_size: float = 2.0) -> np.ndarray:
@@ -107,13 +92,13 @@ def iou_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def assign_maxiou(anchors: np.ndarray, gts, pos_thr: float = 0.5,
-                  neg_thr: float = 0.4, force_best_match: bool = True) -> np.ndarray:
+                  neg_thr: float = 0.4) -> np.ndarray:
     """Label each anchor: gt index (>= 0) if positive, NEGATIVE, or IGNORED."""
     if not (0.0 <= neg_thr <= pos_thr <= 1.0):
         raise ValueError(f"need 0 <= neg_thr <= pos_thr <= 1, got {neg_thr}, {pos_thr}")
     anchors = boxes_array(anchors)
     n = anchors.shape[0]
-    gt_arr = boxes_array(gts) if len(gts) else np.zeros((0, 4))
+    gt_arr = boxes_array(gts)
     labels = np.full(n, NEGATIVE, dtype=np.int64)
     if gt_arr.shape[0] == 0:
         return labels
@@ -122,12 +107,11 @@ def assign_maxiou(anchors: np.ndarray, gts, pos_thr: float = 0.5,
     best_iou = m[np.arange(n), best_gt]
     labels[(best_iou >= neg_thr) & (best_iou < pos_thr)] = IGNORED
     labels[best_iou >= pos_thr] = best_gt[best_iou >= pos_thr]
-    if force_best_match:
-        # argmax returns the first (lowest-index) maximum: documented tie rule
-        for j in range(gt_arr.shape[0]):
-            i = int(m[:, j].argmax())
-            if m[i, j] > 0:
-                labels[i] = j
+    # argmax returns the first (lowest-index) maximum: documented tie rule
+    for j in range(gt_arr.shape[0]):
+        i = int(m[:, j].argmax())
+        if m[i, j] > 0:
+            labels[i] = j
     return labels
 
 
@@ -147,31 +131,4 @@ def pyramid_anchors(image_hw, base_size: float = 2.0, levels=None):
         slices[name] = slice(start, start + len(a))
         start += len(a)
     return np.concatenate(per_level, axis=0), slices
-
-
-def level_stats(annotations, image_hw, base_size: float = 2.0,
-                pos_thr: float = 0.5, neg_thr: float = 0.4,
-                force_best_match: bool = True, levels=None,
-                assigner=None) -> list[LevelStats]:
-    """Aggregate positive/negative/ignored anchor counts per pyramid level.
-
-    ``annotations`` is an iterable of per-image ground-truth box lists (Box or
-    [x1,y1,x2,y2]).  Assignment runs jointly over the anchors of all levels so
-    the forced best match picks the globally best level.  A custom
-    ``assigner(anchors, gts) -> labels`` may replace the max-IoU rule.
-    """
-    anchors, slices = pyramid_anchors(image_hw, base_size, levels)
-    names = list(slices.keys())
-    stats = {name: LevelStats(level=name) for name in names}
-    for gts in annotations:
-        if assigner is not None:
-            labels = assigner(anchors, gts)
-        else:
-            labels = assign_maxiou(anchors, gts, pos_thr, neg_thr, force_best_match)
-        for name in names:
-            sub = labels[slices[name]]
-            stats[name].positives += int((sub >= 0).sum())
-            stats[name].negatives += int((sub == NEGATIVE).sum())
-            stats[name].ignored += int((sub == IGNORED).sum())
-    return [stats[name] for name in names]
 

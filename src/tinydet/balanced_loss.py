@@ -311,10 +311,9 @@ def dcloss_term(pred: Tensor, target, params: DCLossParams) -> Tensor:
     t = np.asarray(target, dtype=np.float64)
     if t.shape != pred.data.shape:
         raise ValueError(f"dcloss_term: target shape {t.shape} != pred {pred.data.shape}")
+    val = np.asarray(dcloss_value(pred.data, t, params)).astype(pred.data.dtype)
     diff = pred.data.astype(np.float64) - t
     eps = np.abs(diff)
-    a, qa, qb = _terms(eps, params)
-    val = np.asarray(np.mean(a * qa + (1.0 - a) * qb)).astype(pred.data.dtype)
     n = max(eps.size, 1)
 
     def backward(g):
@@ -330,15 +329,12 @@ def dcloss_term(pred: Tensor, target, params: DCLossParams) -> Tensor:
 
 def smooth_l1_term(pred: Tensor, target, beta: float = 1.0) -> Tensor:
     """Mean smooth-L1 over a prediction tensor vs. a constant target array."""
-    if beta <= 0:
-        raise ValueError(f"beta must be positive, got {beta}")
     t = np.asarray(target, dtype=np.float64)
     if t.shape != pred.data.shape:
         raise ValueError(f"smooth_l1_term: target shape {t.shape} != pred {pred.data.shape}")
+    out = np.asarray(smooth_l1(pred.data, t, beta)).astype(pred.data.dtype)
     diff = pred.data.astype(np.float64) - t
     eps = np.abs(diff)
-    val = np.where(eps < beta, 0.5 * eps * eps / beta, eps - 0.5 * beta)
-    out = np.asarray(np.mean(val)).astype(pred.data.dtype)
     n = max(eps.size, 1)
 
     def backward(g):

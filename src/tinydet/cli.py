@@ -79,8 +79,7 @@ def _read_variant(variant, where: str, raw: dict, seed: int):
 def _read_scenes(path: str):
     if not path or not os.path.isdir(path):
         raise ValueError(f"dataset directory not found: {path!r}")
-    scenes, manifest = read_dataset(path)
-    return scenes, manifest
+    return read_dataset(path)[0]
 
 
 def cmd_gen(args, cfg):
@@ -90,15 +89,10 @@ def cmd_gen(args, cfg):
 
 
 def cmd_audit(args, cfg):
-    scenes, manifest = _read_scenes(args.data)
-    spec = from_dict(SceneSpec, manifest.get("spec"), f"{args.data} manifest: spec")
-    det = cfg["detector"]
-    stats = audit_positive_samples(
-        scenes, (spec.height, spec.width), args.out,
-        base_anchor=det.base_anchor, pos_thr=det.pos_thr, neg_thr=det.neg_thr)
-    for s in stats:
-        print(f"{s.level}: positives={s.positives} negatives={s.negatives} "
-              f"ignored={s.ignored}")
+    scenes = _read_scenes(args.data)
+    for row in audit_positive_samples(scenes, cfg["detector"], args.out):
+        print(f"{row['level']}: positives={row['positives']} negatives={row['negatives']} "
+              f"ignored={row['ignored']}")
     return 0
 
 
@@ -113,8 +107,8 @@ def cmd_verify_loss(args, cfg):
 
 
 def cmd_train(args, cfg):
-    scenes, _ = _read_scenes(args.data)
-    val_scenes = _read_scenes(args.val_data)[0] if args.val_data else []
+    scenes = _read_scenes(args.data)
+    val_scenes = _read_scenes(args.val_data) if args.val_data else []
     _, metrics = run_training(scenes, val_scenes, cfg["detector"], cfg["train"], args.out)
     print(f"training finished; reports under {reports_dir(args.out)}")
     if metrics:
@@ -123,7 +117,7 @@ def cmd_train(args, cfg):
 
 
 def cmd_eval(args, cfg):
-    scenes, _ = _read_scenes(args.data)
+    scenes = _read_scenes(args.data)
     model = DetectorModel.load(args.checkpoint)
     if args.config and cfg["detector"] != model.cfg:
         raise ValueError(f"--config {args.config}: detector section differs from the "
@@ -135,8 +129,8 @@ def cmd_eval(args, cfg):
 
 
 def cmd_ablate(args, cfg):
-    scenes, _ = _read_scenes(args.data)
-    val_scenes, _ = _read_scenes(args.val_data)
+    scenes = _read_scenes(args.data)
+    val_scenes = _read_scenes(args.val_data)
     _, summary = run_variants(scenes, val_scenes, cfg["variants"], args.out,
                               **{k: cfg[k] for k in ("n_seeds",) if k in cfg})
     print(json.dumps(summary, indent=2, sort_keys=True))

@@ -9,15 +9,7 @@ lives in the store as ``cem.proj``.
 
 from __future__ import annotations
 
-from .tensor import (
-    ParamStore,
-    Tensor,
-    adaptive_max_pool_1x1,
-    broadcast_add_channel,
-    conv2d,
-    relu,
-    reshape,
-)
+from .tensor import ParamStore, Tensor, adaptive_max_pool_1x1, add, conv2d, relu, reshape
 
 __all__ = ["build_cem_params", "global_context", "cem_forward"]
 
@@ -27,18 +19,17 @@ def build_cem_params(store: ParamStore, c_high: int, c_low: int):
 
 
 def global_context(p_high: Tensor, store: ParamStore) -> Tensor:
-    """Max-pool a [C_h,H,W] map to 1x1 and project: relu(W * amp(P_h) + b) -> [C_l]."""
+    """Max-pool a [C_h,H,W] map to 1x1 and project: relu(W * amp(P_h) + b) -> [C_l,1,1]."""
     if p_high.data.ndim != 3:
         raise ValueError(f"global_context expects [C,H,W], got {p_high.data.shape}")
     weight = store["cem.proj.w"]
-    c_l, c_h = weight.data.shape[:2]
+    c_h = weight.data.shape[1]
     if p_high.data.shape[0] != c_h:
         raise ValueError(
             f"global_context: input has {p_high.data.shape[0]} channels, projection expects {c_h}"
         )
     pooled = reshape(adaptive_max_pool_1x1(p_high), (c_h, 1, 1))
-    projected = conv2d(pooled, weight, store["cem.proj.b"])  # [C_l,1,1]
-    return reshape(relu(projected), (c_l,))
+    return relu(conv2d(pooled, weight, store["cem.proj.b"]))
 
 
 def cem_forward(p_high_aligned: Tensor, p_low: Tensor, store: ParamStore) -> Tensor:
@@ -55,4 +46,4 @@ def cem_forward(p_high_aligned: Tensor, p_low: Tensor, store: ParamStore) -> Ten
         raise ValueError(
             f"cem_forward: projection yields {ctx.data.shape[0]} channels, P_l has {p_low.data.shape[0]}"
         )
-    return broadcast_add_channel(p_low, ctx)
+    return add(p_low, ctx)

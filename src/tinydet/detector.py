@@ -14,7 +14,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .anchors import NEGATIVE, Box, assign_maxiou, pyramid_anchors
+from .anchors import NEGATIVE, Box, assign_maxiou, boxes_array, pyramid_anchors
 from .balanced_loss import DCLossParams, dcloss_term, smooth_l1_term
 from .config import from_dict
 from .context import build_cem_params
@@ -38,6 +38,7 @@ from .tensor import (
     gather_columns,
     relu,
     reshape,
+    sigmoid_array,
     weighted_bce_with_logits,
 )
 
@@ -169,7 +170,7 @@ class ImageAssignment:
 def assign_image(gts, image_hw, cfg: DetectorConfig) -> ImageAssignment:
     """Run max-IoU assignment jointly over all configured levels."""
     anchors, _ = pyramid_anchors(image_hw, cfg.base_anchor, cfg.levels)
-    gt_boxes = np.array([b.as_array() for b, _ in gts]) if gts else np.zeros((0, 4))
+    gt_boxes = boxes_array([b for b, _ in gts])
     gt_classes = np.array([c for _, c in gts], dtype=np.int64)
     bad = [int(c) for c in gt_classes if not 0 <= c < cfg.num_classes]
     if bad:
@@ -265,7 +266,7 @@ class DetectorModel:
             raise FloatingPointError("non-finite class logits or box deltas: "
                                      "the model has diverged")
         anchors, _ = pyramid_anchors((h, w), cfg.base_anchor, cfg.levels)
-        scores = 1.0 / (1.0 + np.exp(-cls_out.data.astype(np.float64)))
+        scores = sigmoid_array(cls_out.data.astype(np.float64))
         boxes = decode_deltas(anchors, reg_out.data.astype(np.float64), image_hw=(h, w))
         sized = (boxes[:, 2] - boxes[:, 0] > 1e-3) & (boxes[:, 3] - boxes[:, 1] > 1e-3)
         cls, idx = np.nonzero((scores >= cfg.score_floor) & sized)  # class-major

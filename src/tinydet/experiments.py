@@ -15,8 +15,8 @@ from dataclasses import asdict, replace
 
 import numpy as np
 
-from .anchors import level_stats
-from .detector import DetectorConfig, DetectorModel
+from .anchors import IGNORED, NEGATIVE, pyramid_anchors
+from .detector import DetectorConfig, DetectorModel, assign_image
 from .training import DivergenceError, TrainConfig, evaluate_model, train
 
 __all__ = [
@@ -63,14 +63,25 @@ def write_report(out_dir: str, stem: str, payload, columns=None, rows=None):
             w.writerows([r[c] for c in columns] for r in (payload if rows is None else rows))
 
 
-def audit_positive_samples(scenes, image_hw, out_dir: str, base_anchor: float = 2.0,
-                           pos_thr: float = 0.5, neg_thr: float = 0.4):
-    """Per-level positive/negative anchor counts over a dataset (CSV + JSON)."""
-    annotations = [[b for b, _ in s.gts] for s in scenes]
-    stats = level_stats(annotations, image_hw, base_anchor, pos_thr, neg_thr)
-    write_report(out_dir, "level_stats", [asdict(s) for s in stats],
-                 columns=["level", "positives", "negatives", "ignored"])
-    return stats
+def audit_positive_samples(scenes, det_cfg: DetectorConfig, out_dir: str):
+    """Positive, negative and ignored anchor counts over a dataset, per level
+    of ``det_cfg.levels``, under the assignment that training runs
+    (``assign_image``), each scene at its own image size.  Returns one
+    ``{level, positives, negatives, ignored}`` record per level, also written
+    as the ``level_stats`` report (CSV + JSON)."""
+    rows = [{"level": name, "positives": 0, "negatives": 0, "ignored": 0}
+            for name in det_cfg.levels]
+    for s in scenes:
+        image_hw = s.image.shape[1:]
+        labels = assign_image(s.gts, image_hw, det_cfg).labels
+        _, slices = pyramid_anchors(image_hw, det_cfg.base_anchor, det_cfg.levels)
+        for row in rows:
+            sub = labels[slices[row["level"]]]
+            row["positives"] += int((sub >= 0).sum())
+            row["negatives"] += int((sub == NEGATIVE).sum())
+            row["ignored"] += int((sub == IGNORED).sum())
+    write_report(out_dir, "level_stats", rows, columns=list(rows[0]))
+    return rows
 
 
 def run_training(train_scenes, val_scenes, det_cfg: DetectorConfig,

@@ -16,7 +16,7 @@ from .tensor import (
     Tensor,
     add,
     conv2d,
-    mul_mask,
+    mul,
     relu,
     sigmoid,
 )
@@ -65,5 +65,5 @@ def fbsm_forward(p_high_aligned: Tensor, c_enhanced: Tensor, store: ParamStore) 
         )
     mask = fuse_gates(gate(p_high_aligned, store, "psi_h"), gate(c_enhanced, store, "psi_l"),
                       store)
-    gated = mul_mask(c_enhanced, mask)
+    gated = mul(c_enhanced, mask)
     return relu(conv2d(gated, store["fbsm.phi_r.w"], store["fbsm.phi_r.b"]))

@@ -20,7 +20,6 @@ from .tensor import (
     conv2d,
     max_pool_2x2,
     relu,
-    shift,
 )
 
 __all__ = [
@@ -71,7 +70,7 @@ def backbone_forward(image: Tensor, store: ParamStore, cfg: BackboneConfig):
     if h % 64 or w % 64:
         raise ValueError(f"image dims must be divisible by 64, got {h}x{w}")
     if cfg.input_offset:
-        image = shift(image, -cfg.input_offset)
+        image = add(image, -cfg.input_offset)
     x = relu(conv2d(image, store["backbone.stem0.w"], store["backbone.stem0.b"], stride=2))
     x = relu(conv2d(x, store["backbone.stem1.w"], store["backbone.stem1.b"], stride=2))
     feats = [x]  # C2, stride 4

@@ -6,6 +6,12 @@ replays the recorded tape in reverse topological order.  Storage defaults to
 float32; reductions accumulate in float64 before casting back, and the whole
 graph can be run in float64 (used by the finite-difference checks).
 
+``add`` and ``mul`` follow numpy broadcasting: shapes align from the right,
+and a length-1 or missing axis stretches to match the other operand; any
+other mismatch raises numpy's ValueError.  A plain-number operand becomes a
+0-d tensor of the other operand's dtype.  Backward sums each gradient over
+the axes its operand was stretched along, in float64.
+
 Also owns the parameter store (seeded, order-deterministic initialization)
 and the "EFBT" binary tensor file format used for checkpoints and dataset
 fixtures.
@@ -29,10 +35,7 @@ __all__ = [
     "sigmoid",
     "sigmoid_array",
     "add",
-    "mul_mask",
-    "scale",
-    "shift",
-    "broadcast_add_channel",
+    "mul",
     "adaptive_max_pool_1x1",
     "max_pool_2x2",
     "bilinear_upsample",
@@ -122,68 +125,48 @@ def _make(data, parents, backward_fn):
     return out
 
 
-def _check_same_shape(a: Tensor, b: Tensor, opname: str):
-    if a.data.shape != b.data.shape:
-        raise ValueError(f"{opname}: shape mismatch {a.data.shape} vs {b.data.shape}")
+def _unbroadcast(g: np.ndarray, shape) -> np.ndarray:
+    """Reduce ``g`` to ``shape`` by summing, in float64, over the axes that
+    broadcasting added or stretched from length 1."""
+    if g.shape == shape:
+        return g
+    lead = g.ndim - len(shape)
+    axes = (*range(lead), *(lead + i for i, n in enumerate(shape) if n == 1))
+    return g.sum(axis=axes, dtype=np.float64).reshape(shape)
+
+
+def _operand(a: Tensor, b: Tensor | float) -> Tensor:
+    return b if isinstance(b, Tensor) else Tensor(np.asarray(b, dtype=a.data.dtype))
 
 
 # ---------------------------------------------------------------------------
 # elementwise ops
 
 
-def add(a: Tensor, b: Tensor) -> Tensor:
-    _check_same_shape(a, b, "add")
+def add(a: Tensor, b: Tensor | float) -> Tensor:
+    """``a + b`` under numpy broadcasting; ``b`` may be a plain number."""
+    b = _operand(a, b)
 
     def backward(g):
         if a.requires_grad:
-            a._accumulate(g)
+            a._accumulate(_unbroadcast(g, a.data.shape))
         if b.requires_grad:
-            b._accumulate(g)
+            b._accumulate(_unbroadcast(g, b.data.shape))
 
     return _make(a.data + b.data, (a, b), backward)
 
 
-def mul_mask(x: Tensor, mask: Tensor) -> Tensor:
-    """Elementwise product of a [C,H,W] map with a [1,H,W] or [C,H,W] mask."""
-    if x.data.ndim != 3 or mask.data.ndim != 3:
-        raise ValueError("mul_mask expects [C,H,W] inputs")
-    if mask.data.shape[1:] != x.data.shape[1:]:
-        raise ValueError(
-            f"mul_mask: spatial mismatch {x.data.shape} vs {mask.data.shape}"
-        )
-    if mask.data.shape[0] not in (1, x.data.shape[0]):
-        raise ValueError(
-            f"mul_mask: mask channels {mask.data.shape[0]} incompatible with {x.data.shape[0]}"
-        )
+def mul(a: Tensor, b: Tensor | float) -> Tensor:
+    """``a * b`` under numpy broadcasting; ``b`` may be a plain number."""
+    b = _operand(a, b)
 
     def backward(g):
-        if x.requires_grad:
-            x._accumulate(g * mask.data)
-        if mask.requires_grad:
-            gm = g * x.data
-            if mask.data.shape[0] == 1 and x.data.shape[0] != 1:
-                gm = gm.sum(axis=0, keepdims=True, dtype=np.float64)
-            mask._accumulate(gm)
+        if a.requires_grad:
+            a._accumulate(_unbroadcast(g * b.data, a.data.shape))
+        if b.requires_grad:
+            b._accumulate(_unbroadcast(g * a.data, b.data.shape))
 
-    return _make(x.data * mask.data, (x, mask), backward)
-
-
-def scale(a: Tensor, s: float) -> Tensor:
-    s = float(s)
-
-    def backward(g):
-        a._accumulate(g * s)
-
-    return _make(a.data * a.data.dtype.type(s), (a,), backward)
-
-
-def shift(a: Tensor, c: float) -> Tensor:
-    """Add the scalar ``c`` to every element; the gradient passes through."""
-
-    def backward(g):
-        a._accumulate(g)
-
-    return _make(a.data + a.data.dtype.type(float(c)), (a,), backward)
+    return _make(a.data * b.data, (a, b), backward)
 
 
 def relu(x: Tensor) -> Tensor:
@@ -212,24 +195,6 @@ def sigmoid(x: Tensor) -> Tensor:
         x._accumulate(g * out * (1.0 - out))
 
     return _make(out, (x,), backward)
-
-
-def broadcast_add_channel(feature_map: Tensor, vec: Tensor) -> Tensor:
-    """Add a per-channel vector [C] to every spatial position of a [C,H,W] map."""
-    if feature_map.data.ndim != 3 or vec.data.ndim != 1:
-        raise ValueError("broadcast_add_channel expects map [C,H,W] and vec [C]")
-    if feature_map.data.shape[0] != vec.data.shape[0]:
-        raise ValueError(
-            f"broadcast_add_channel: channel mismatch {feature_map.data.shape[0]} vs {vec.data.shape[0]}"
-        )
-
-    def backward(g):
-        if feature_map.requires_grad:
-            feature_map._accumulate(g)
-        if vec.requires_grad:
-            vec._accumulate(g.sum(axis=(1, 2), dtype=np.float64))
-
-    return _make(feature_map.data + vec.data[:, None, None], (feature_map, vec), backward)
 
 
 # ---------------------------------------------------------------------------

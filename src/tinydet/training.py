@@ -14,7 +14,7 @@ import numpy as np
 from .balanced_loss import DCLossParams
 from .detector import DetectorConfig, DetectorModel, assign_image
 from .evaluation import EvalResult, evaluate_ap
-from .tensor import Tensor, scale
+from .tensor import Tensor, mul
 
 __all__ = ["TrainConfig", "TrainResult", "DivergenceError", "SGDMomentum",
            "train", "evaluate_model"]
@@ -135,8 +135,7 @@ def train(scenes, det_cfg: DetectorConfig, cfg: TrainConfig) -> TrainResult:
                 image = Tensor(scenes[idx].image)
                 outputs = model.forward(image)
                 total, cls_v, reg_v = model.loss(outputs, assignments[idx], dc_params)
-                scaled = scale(total, cfg.grad_scale / len(batch))
-                scaled.backward()
+                mul(total, cfg.grad_scale / len(batch)).backward()
                 batch_stats += (cls_v, reg_v, float(total.data))
             batch_stats /= len(batch)
             if not np.isfinite(batch_stats).all():

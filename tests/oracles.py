@@ -75,8 +75,9 @@ def nms_scalar(boxes, scores, classes, iou_thr):
     return kept
 
 
-def assign_scalar(anchors, gts, pos_thr=0.5, neg_thr=0.4, force_best_match=True):
-    """Brute-force label assignment scoring every (anchor, gt) pair."""
+def assign_scalar(anchors, gts, pos_thr=0.5, neg_thr=0.4):
+    """Brute-force label assignment scoring every (anchor, gt) pair; each gt's
+    best anchor (the first on ties) is forced positive when its IoU is above 0."""
     n = len(anchors)
     labels = [-1] * n
     if len(gts) == 0:
@@ -89,12 +90,11 @@ def assign_scalar(anchors, gts, pos_thr=0.5, neg_thr=0.4, force_best_match=True)
             labels[i] = j
         elif best >= neg_thr:
             labels[i] = -2
-    if force_best_match:
-        for j in range(len(gts)):
-            col = [ious[i][j] for i in range(n)]
-            best = max(col)
-            if best > 0:
-                labels[col.index(best)] = j
+    for j in range(len(gts)):
+        col = [ious[i][j] for i in range(n)]
+        best = max(col)
+        if best > 0:
+            labels[col.index(best)] = j
     return labels
 
 

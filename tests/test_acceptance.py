@@ -14,6 +14,7 @@ import pytest
 from gradcheck import check_gradients, max_rel_err
 from oracles import ap_scalar, assign_scalar
 
+from tinydet.anchors import pyramid_anchors
 from tinydet.balanced_loss import (
     DCLossParams,
     alpha,
@@ -23,9 +24,15 @@ from tinydet.balanced_loss import (
     verify_theorem1,
 )
 from tinydet.context import build_cem_params, cem_forward
-from tinydet.detector import DetectorConfig, DetectorModel, build_head_params, head_forward
+from tinydet.detector import (
+    DetectorConfig,
+    DetectorModel,
+    assign_image,
+    build_head_params,
+    head_forward,
+)
 from tinydet.evaluation import SIZE_BUCKETS, average_precision
-from tinydet.experiments import run_variants
+from tinydet.experiments import audit_positive_samples, run_variants
 from tinydet.gating import build_fbsm_params, fbsm_forward, fuse_gates, gate
 from tinydet.pyramid import (
     BackboneConfig,
@@ -268,30 +275,22 @@ def test_criterion_4_module_contracts():
 # 5. anchor-starvation audit on a tiny-only dataset
 
 
-def test_criterion_5_level_stats_audit():
-    from tinydet.anchors import level_stats
-
+def test_criterion_5_level_stats_audit(tmp_path):
     t0 = time.perf_counter()
     spec = SceneSpec(seed=5, side_min=4.0, side_max=16.0, side_scale=2.5)
     scenes = [generate_scene(spec, i) for i in range(500)]
-    annotations = [[b for b, _ in s.gts] for s in scenes]
-    stats = level_stats(annotations, (128, 128), base_size=2.0)
-    by_level = {s.level: s.positives for s in stats}
+    det_cfg = DetectorConfig()
+    stats = audit_positive_samples(scenes, det_cfg, str(tmp_path))
+    by_level = {s["level"]: s["positives"] for s in stats}
     total = sum(by_level.values())
     assert by_level["P5"] == 0 and by_level["P6"] == 0
     assert by_level["P2"] / total >= 0.90
 
-    # brute-force assignment oracle agrees on a sampled subset
-    def oracle_assigner(anchors, gts):
-        boxes = [g.as_array() if hasattr(g, "as_array") else g for g in gts]
-        return np.asarray(assign_scalar(anchors, boxes, 0.5, 0.4, True))
-
-    oracle = level_stats(annotations[:25], (128, 128), base_size=2.0,
-                         assigner=oracle_assigner)
-    fast = level_stats(annotations[:25], (128, 128), base_size=2.0)
-    for s_o, s_f in zip(oracle, fast):
-        assert (s_o.level, s_o.positives, s_o.negatives, s_o.ignored) == \
-            (s_f.level, s_f.positives, s_f.negatives, s_f.ignored)
+    # the brute-force assignment oracle agrees, scene by scene, on a sampled subset
+    anchors, _ = pyramid_anchors((128, 128), det_cfg.base_anchor)
+    for s in scenes[:25]:
+        want = assign_scalar(anchors, [b.as_array() for b, _ in s.gts], 0.5, 0.4)
+        np.testing.assert_array_equal(assign_image(s.gts, (128, 128), det_cfg).labels, want)
 
     elapsed = time.perf_counter() - t0
     assert elapsed < 60.0, f"audit took {elapsed:.1f}s (limit 60s)"

@@ -14,9 +14,9 @@ from tinydet.anchors import (
     gen_anchors,
     iou,
     iou_matrix,
-    level_stats,
     pyramid_anchors,
 )
+from tinydet.detector import DetectorConfig
 from tinydet.experiments import audit_positive_samples
 from tinydet.pyramid import LEVEL_STRIDES
 from tinydet.scenes import Scene
@@ -130,7 +130,7 @@ def test_assign_basic_thresholds():
 def test_assign_ignore_band():
     # IoU between 0.4 and 0.5 lands in the ignore band
     anchors = np.array([[0, 0, 8, 8], [3, 0, 11, 8]], dtype=float)  # 5/11 = 0.4545
-    labels = assign_maxiou(anchors, [Box(0, 0, 8, 8)], force_best_match=False)
+    labels = assign_maxiou(anchors, [Box(0, 0, 8, 8)])
     np.testing.assert_array_equal(labels, [0, IGNORED])
 
 
@@ -138,15 +138,15 @@ def test_assign_force_best_match_rescues_low_iou():
     # best anchor for the gt has IoU below pos_thr but above zero
     anchors = np.array([[0, 0, 8, 8], [100, 100, 108, 108]], dtype=float)
     gts = [Box(6, 6, 10, 10)]  # IoU with anchor 0 is 4/76 ~ 0.05
-    assert assign_maxiou(anchors, gts, force_best_match=False)[0] == NEGATIVE
-    assert assign_maxiou(anchors, gts, force_best_match=True)[0] == 0
+    assert iou(anchors[0], gts[0]) < 0.4  # a negative, were it not forced
+    assert assign_maxiou(anchors, gts)[0] == 0
 
 
 def test_assign_force_best_match_tie_goes_to_first():
     # two anchors with identical IoU against the gt: lowest index wins
     anchors = np.array([[0, 0, 4, 4], [4, 0, 8, 4]], dtype=float)
     gts = [Box(1, 0, 7, 4)]
-    labels = assign_maxiou(anchors, gts, force_best_match=True)
+    labels = assign_maxiou(anchors, gts)
     assert labels[0] == 0 and labels[1] != 0
 
 
@@ -172,7 +172,7 @@ def test_assign_matches_brute_force_oracle():
         anchors = random_boxes(40, r=r)
         gts = random_boxes(r.integers(1, 6), r=r)
         got = assign_maxiou(anchors, gts)
-        want = assign_scalar(anchors, gts, pos_thr=0.5, neg_thr=0.4, force_best_match=True)
+        want = assign_scalar(anchors, gts, pos_thr=0.5, neg_thr=0.4)
         np.testing.assert_array_equal(got, want)
 
 
@@ -180,35 +180,40 @@ def test_assign_matches_brute_force_oracle():
 # level statistics
 
 
-def test_level_stats_counts_and_conservation():
+def scene_of(boxes, image_hw=(128, 128)):
+    return Scene(image=np.zeros((3, *image_hw), np.float32),
+                 gts=[(Box(*b), 0) for b in boxes])
+
+
+def test_level_stats_counts_and_conservation(tmp_path):
     r = np.random.default_rng(7)
-    annotations = [random_boxes(3, lo=8, hi=100, r=r) for _ in range(5)]
-    stats = level_stats(annotations, (128, 128))
-    assert [s.level for s in stats] == ["P2", "P3", "P4", "P5", "P6"]
+    boxes = [random_boxes(3, lo=8, hi=100, r=r) for _ in range(5)]
+    stats = audit_positive_samples([scene_of(b) for b in boxes], DetectorConfig(),
+                                   str(tmp_path))
+    assert [s["level"] for s in stats] == ["P2", "P3", "P4", "P5", "P6"]
     expect_total = {"P2": 1024, "P3": 256, "P4": 64, "P5": 16, "P6": 4}
     for s in stats:
-        assert s.total == 5 * expect_total[s.level]
-    assert sum(s.positives for s in stats) > 0
-
-
-def test_level_stats_custom_assigner():
-    def all_positive(anchors, gts):
-        return np.zeros(len(anchors), dtype=np.int64)
-
-    stats = level_stats([[Box(0, 0, 8, 8)]], (128, 128), assigner=all_positive)
-    for s in stats:
-        assert s.negatives == 0 and s.ignored == 0 and s.positives == s.total
+        assert s["positives"] + s["negatives"] + s["ignored"] == 5 * expect_total[s["level"]]
+    anchors, _ = pyramid_anchors((128, 128))
+    assert sum(s["positives"] for s in stats) == \
+        sum(int((assign_maxiou(anchors, b) >= 0).sum()) for b in boxes) > 0
+    # each scene is audited at its own size
+    wide = audit_positive_samples([scene_of(boxes[0], (64, 192))], DetectorConfig(),
+                                  str(tmp_path))
+    assert [s["positives"] + s["negatives"] + s["ignored"] for s in wide] == \
+        [16 * 48, 8 * 24, 4 * 12, 2 * 6, 1 * 3]
 
 
 def test_level_stats_writers(tmp_path):
-    stats = level_stats([[Box(10, 10, 20, 20)]], (128, 128))
-    scene = Scene(image=np.zeros((3, 128, 128), np.float32), gts=[(Box(10, 10, 20, 20), 0)])
-    assert audit_positive_samples([scene], (128, 128), str(tmp_path)) == stats
+    scene = scene_of([(10, 10, 20, 20)])
+    stats = audit_positive_samples([scene], DetectorConfig(), str(tmp_path))
     rows = list(csv.DictReader(open(tmp_path / "reports" / "level_stats.csv")))
     payload = json.load(open(tmp_path / "reports" / "level_stats.json"))
     assert len(rows) == len(payload) == 5
     for row, rec, s in zip(rows, payload, stats):
-        assert row["level"] == rec["level"] == s.level
-        assert int(row["positives"]) == rec["positives"] == s.positives
-        assert int(row["negatives"]) == rec["negatives"] == s.negatives
-        assert int(row["ignored"]) == rec["ignored"] == s.ignored
+        assert list(row) == ["level", "positives", "negatives", "ignored"]
+        assert rec.keys() == row.keys()
+        assert row["level"] == rec["level"] == s["level"]
+        assert int(row["positives"]) == rec["positives"] == s["positives"]
+        assert int(row["negatives"]) == rec["negatives"] == s["negatives"]
+        assert int(row["ignored"]) == rec["ignored"] == s["ignored"]

@@ -24,7 +24,7 @@ def rand(*shape, requires_grad=False):
 def test_global_context_shape_and_nonnegative():
     p = make_params(6, 4)
     ctx = global_context(rand(6, 8, 8), p)
-    assert ctx.data.shape == (4,)
+    assert ctx.data.shape == (4, 1, 1)  # broadcasts over P_l's [C_l,H,W]
     assert np.all(ctx.data >= 0)
 
 
@@ -35,7 +35,8 @@ def test_global_context_pool_is_max():
     p["cem.proj.b"].data = np.zeros(3)
     x = rand(3, 5, 5)
     ctx = global_context(x, p)
-    np.testing.assert_allclose(ctx.data, np.maximum(x.data.max(axis=(1, 2)), 0), rtol=1e-12)
+    np.testing.assert_allclose(ctx.data[:, 0, 0], np.maximum(x.data.max(axis=(1, 2)), 0),
+                               rtol=1e-12)
 
 
 def test_zero_projection_is_bitwise_identity():
@@ -59,7 +60,7 @@ def test_forward_adds_constant_per_channel():
     # same scalar added at every spatial location of a channel
     for c in range(4):
         assert np.ptp(shift[c]) < 1e-12
-    np.testing.assert_allclose(shift[:, 0, 0], global_context(high, p).data, rtol=1e-12)
+    np.testing.assert_allclose(shift[:, :1, :1], global_context(high, p).data, rtol=1e-12)
 
 
 def test_forward_rejects_spatial_mismatch():

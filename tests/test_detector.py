@@ -3,6 +3,7 @@ import json
 import os
 import shutil
 import tempfile
+import warnings
 
 import numpy as np
 import pytest
@@ -256,6 +257,16 @@ def test_predict_raises_on_a_diverged_head(param):
     scene, _ = scene_and_assignment()
     with pytest.raises(FloatingPointError, match="non-finite"):
         model.predict(Tensor(scene.image))
+
+
+def test_predict_scores_very_negative_logits_without_overflow():
+    # exp(800) overflows float64; a finite logit of -800 must still score 0
+    model = DetectorModel(CFG, seed=0)
+    model.store["head.cls.b"].data[...] = -800
+    scene, _ = scene_and_assignment()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert model.predict(Tensor(scene.image)) == []
 
 
 def test_model_deterministic_across_instances():

@@ -51,12 +51,24 @@ def read_file(path):
 
 def test_audit_writes_reports(tmp_path):
     scenes = small_scenes()
-    stats = audit_positive_samples(scenes, (128, 128), str(tmp_path))
-    assert [s.level for s in stats] == ["P2", "P3", "P4", "P5", "P6"]
+    stats = audit_positive_samples(scenes, DetectorConfig(), str(tmp_path))
+    assert [s["level"] for s in stats] == ["P2", "P3", "P4", "P5", "P6"]
     payload = json.load(open(tmp_path / "reports" / "level_stats.json"))
     rows = list(csv.DictReader(open(tmp_path / "reports" / "level_stats.csv")))
-    for s, rec, row in zip(stats, payload, rows):
-        assert rec["positives"] == int(row["positives"]) == s.positives
+    assert payload == stats
+    for s, row in zip(stats, rows):
+        assert row == {k: str(v) for k, v in s.items()}
+
+
+def test_audit_counts_the_configured_levels(tmp_path):
+    scenes = small_scenes()
+    two = audit_positive_samples(scenes, DetectorConfig(levels=("P2", "P3")), str(tmp_path))
+    assert [s["level"] for s in two] == ["P2", "P3"]
+    assert [s["positives"] + s["negatives"] + s["ignored"] for s in two] == \
+        [len(scenes) * 32 * 32, len(scenes) * 16 * 16]
+    # without P2 the forced best matches land on P3, as they do in training
+    p3 = audit_positive_samples(scenes, DetectorConfig(levels=("P3",)), str(tmp_path))
+    assert p3[0]["positives"] > two[1]["positives"]
 
 
 def test_run_training_artifacts(tmp_path):
@@ -152,6 +164,17 @@ def test_cli_gen_and_audit(tmp_path, capsys):
     stdout = capsys.readouterr().out
     assert "P2:" in stdout and "P6:" in stdout
     assert os.path.exists(tmp_path / "audit" / "reports" / "level_stats.csv")
+
+
+def test_cli_audit_reads_no_manifest_spec(tmp_path, dataset, capsys):
+    # like train, eval and ablate, audit takes each image's size from the image
+    path = os.path.join(dataset, "manifest.json")
+    manifest = json.loads(read_file(path))
+    del manifest["spec"]
+    with open(path, "w") as f:
+        json.dump(manifest, f)
+    assert main(["audit", "--data", dataset, "--out", str(tmp_path / "audit")]) == 0
+    assert "P2: positives=" in capsys.readouterr().out
 
 
 def test_cli_gen_matches_library(tmp_path):
@@ -338,10 +361,10 @@ def test_cli_audit_and_verify_loss_read_the_sections(tmp_path, dataset, capsys):
                                 "train": {"dc_k": 8.0, "dc_delta": 0.2,
                                           "reg_loss": "dcloss_swapped"}})
     assert main(["audit", "--data", dataset, "--config", cfg, "--out", str(tmp_path)]) == 0
-    expected = audit_positive_samples(read_dataset(dataset)[0], (128, 128),
-                                      str(tmp_path / "lib"), base_anchor=4.0, pos_thr=0.45)
-    default = audit_positive_samples(read_dataset(dataset)[0], (128, 128),
-                                     str(tmp_path / "default"))
+    scenes = read_dataset(dataset)[0]
+    expected = audit_positive_samples(scenes, DetectorConfig(base_anchor=4.0, pos_thr=0.45),
+                                      str(tmp_path / "lib"))
+    default = audit_positive_samples(scenes, DetectorConfig(), str(tmp_path / "default"))
     assert expected != default
     assert read_file(tmp_path / "reports" / "level_stats.json") == \
         read_file(tmp_path / "lib" / "reports" / "level_stats.json")

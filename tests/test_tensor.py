@@ -17,12 +17,11 @@ from tinydet.tensor import (
     adaptive_max_pool_1x1,
     add,
     bilinear_upsample,
-    broadcast_add_channel,
     concat_columns,
     conv2d,
     gather_columns,
     max_pool_2x2,
-    mul_mask,
+    mul,
     read_tensor_file,
     relu,
     reshape,
@@ -132,13 +131,16 @@ def test_relu_definition_and_idempotence():
 
 
 def test_add_shape_mismatch_rejected():
-    with pytest.raises(ValueError, match="shape"):
-        add(rand64(2, 3), rand64(3, 2))
+    for op in (add, mul):
+        with pytest.raises(ValueError, match="shape"):
+            op(rand64(2, 3), rand64(3, 2))
+        with pytest.raises(ValueError, match="shape"):
+            op(rand64(4, 3, 3), rand64(2, 1, 1))
 
 
-def test_broadcast_add_channel_on_zero_map():
-    v = rand64(3)
-    out = broadcast_add_channel(t64(np.zeros((3, 4, 5))), v)
+def test_add_channel_vector_on_zero_map():
+    v = rand64(3, 1, 1)
+    out = add(t64(np.zeros((3, 4, 5))), v)
     for c in range(3):
         assert np.all(out.data[c] == v.data[c])
 
@@ -146,13 +148,50 @@ def test_broadcast_add_channel_on_zero_map():
 def test_elementwise_gradients():
     a = rand64(3, 4, 2, requires_grad=True)
     b = rand64(3, 4, 2, requires_grad=True)
-    check_gradients(lambda: tensor_sum(mul_mask(sigmoid(a), relu(add(a, b)))), [a, b])
+    check_gradients(lambda: tensor_sum(mul(sigmoid(a), relu(add(a, b)))), [a, b])
 
 
 def test_mul_mask_broadcast_gradient():
     x = rand64(4, 3, 3, requires_grad=True)
     m = Tensor(rng.uniform(0.1, 0.9, (1, 3, 3)), requires_grad=True)
-    check_gradients(lambda: tensor_sum(mul_mask(x, m)), [x, m])
+    check_gradients(lambda: tensor_sum(mul(x, m)), [x, m])
+
+
+ELEMENTWISE = [pytest.param(add, np.add, id="add"), pytest.param(mul, np.multiply, id="mul")]
+
+
+@pytest.mark.parametrize("op, np_op", ELEMENTWISE)
+@pytest.mark.parametrize("a_shape, b_shape", [
+    ((4, 3, 3), (1, 3, 3)),        # a spatial mask over every channel
+    ((4, 3, 3), (4, 1, 1)),        # a channel vector over every position
+    ((1, 3, 3), (4, 3, 3)),        # the left operand is the one broadcast
+    ((2, 4, 3, 3), (1, 4, 1, 1)),  # a batch of maps and a per-channel vector
+    ((3, 2), ()),                  # a 0-d operand
+])
+def test_broadcast_gradients(op, np_op, a_shape, b_shape):
+    a = rand64(*a_shape, requires_grad=True)
+    b = rand64(*b_shape, requires_grad=True)
+    np.testing.assert_array_equal(op(a, b).data, np_op(a.data, b.data))
+    check_gradients(lambda: tensor_sum(sigmoid(op(a, b))), [a, b])
+    assert a.grad.shape == a_shape and b.grad.shape == b_shape
+
+
+@pytest.mark.parametrize("op, np_op", ELEMENTWISE)
+def test_number_operand_takes_the_tensor_dtype(op, np_op):
+    x = rand64(3, 4, requires_grad=True)
+    check_gradients(lambda: tensor_sum(sigmoid(op(x, -0.4))), [x])
+    x32 = Tensor(np.linspace(-1, 1, 6, dtype=np.float32))
+    out = op(x32, 0.1)
+    assert out.data.dtype == np.float32
+    np.testing.assert_array_equal(out.data, np_op(x32.data, np.float32(0.1)))
+
+
+def test_broadcast_gradient_sums_in_float64():
+    # float32 accumulation would lose the 1 against 1e8; float64 keeps it
+    x = Tensor(np.array([1e8, 1.0, -1e8], np.float32).reshape(3, 1, 1))
+    m = Tensor(np.ones((1, 1, 1), np.float32), requires_grad=True)
+    tensor_sum(mul(x, m)).backward()
+    assert m.grad.dtype == np.float32 and m.grad[0, 0, 0] == 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -232,8 +271,7 @@ def test_bilinear_gradient():
     for src, dst in [((3, 3), (7, 8)), ((4, 4), (32, 32)), ((1, 1), (4, 5))]:
         x = rand64(2, *src, requires_grad=True)
         w = rand64(2, *dst)
-        check_gradients(lambda: tensor_sum(mul_mask(bilinear_upsample(x, dst), Tensor(w.data))),
-                        [x])
+        check_gradients(lambda: tensor_sum(mul(bilinear_upsample(x, dst), Tensor(w.data))), [x])
 
 
 # ---------------------------------------------------------------------------
@@ -295,12 +333,12 @@ def test_randomized_op_gradient_suite():
         co = int(r.integers(1, 4))
         wt = Tensor(r.standard_normal((co, c, k, k)) * 0.5, requires_grad=True)
         b = Tensor(r.standard_normal(co) * 0.1, requires_grad=True)
-        v = Tensor(r.standard_normal(co) * 0.5, requires_grad=True)
+        v = Tensor(r.standard_normal((co, 1, 1)) * 0.5, requires_grad=True)
 
         def build():
             # relu omitted: finite differences break down at its kinks
             y = conv2d(x, wt, b)
-            y = broadcast_add_channel(y, v)
+            y = add(y, v)
             y = bilinear_upsample(sigmoid(y), (int(h) + 2, int(w) + 3))
             return tensor_mean(y)
 
