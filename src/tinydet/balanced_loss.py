@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -161,24 +161,13 @@ class TheoremReport:
     discrepancy_notes: list = field(default_factory=list)
 
     def as_dict(self) -> dict:
-        """JSON-ready payload; infinite interval ends become null."""
+        """JSON-ready payload; infinite values (the open interval ends) become null."""
         def enc(v):
-            if isinstance(v, float) and math.isinf(v):
-                return None
-            return v
+            if isinstance(v, (list, tuple)):
+                return [enc(x) for x in v]
+            return None if isinstance(v, float) and math.isinf(v) else v
 
-        payload = {
-            "small_eps_gradient": self.small_eps_gradient,
-            "large_eps_gradient_ratio": self.large_eps_gradient_ratio,
-            "inflection_locations": list(self.inflection_locations),
-            "lipschitz_bound": self.lipschitz_bound,
-            "convexity_intervals": [[enc(lo), enc(hi)] for lo, hi in self.convexity_intervals],
-            "observed_convexity_intervals": [
-                [enc(lo), enc(hi)] for lo, hi in self.observed_convexity_intervals
-            ],
-            "discrepancy_notes": list(self.discrepancy_notes),
-        }
-        return payload
+        return {key: enc(v) for key, v in asdict(self).items()}
 
     def to_json(self) -> str:
         return json.dumps(self.as_dict(), indent=2, sort_keys=True)

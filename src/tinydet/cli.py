@@ -13,9 +13,10 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import dataclass, field
 
 from .balanced_loss import DCLossParams, verify_theorem1
-from .config import coerce, from_dict
+from .config import from_dict, read_json
 from .detector import DetectorConfig, DetectorModel
 from .experiments import (
     DEFAULT_VARIANTS,
@@ -31,49 +32,45 @@ from .training import DivergenceError, TrainConfig, evaluate_model
 SECTIONS = {"scene": SceneSpec, "detector": DetectorConfig, "train": TrainConfig}
 
 
+@dataclass
+class Variant:
+    """One entry of the ``variants`` key: partial sections over the base ones."""
+
+    name: str
+    detector: dict = field(default_factory=dict)
+    train: dict = field(default_factory=dict)
+
+
+@dataclass
+class ConfigFile:
+    """The --config file; its sections are read on their own by ``_section``."""
+
+    scene: dict = field(default_factory=dict)
+    detector: dict = field(default_factory=dict)
+    train: dict = field(default_factory=dict)
+    variants: tuple[Variant, ...] = field(
+        default_factory=lambda: tuple(Variant(**v) for v in DEFAULT_VARIANTS))
+    n_seeds: int = 3
+
+
 def _section(cls, payload, where: str, seed: int):
     return from_dict(cls, payload, where, **({} if cls is DetectorConfig else {"seed": seed}))
 
 
 def _read_config(path: str | None, seed: int) -> dict:
     """Every section of the --config file, parsed; absent sections take the
-    defaults and ``seed`` comes from --seed.  ``variants`` (default
-    ``DEFAULT_VARIANTS``) becomes a list of (name, DetectorConfig, TrainConfig):
-    each variant's partial ``detector`` and ``train`` objects are merged key by
-    key over the file's base sections, then read strictly.  ``n_seeds``
-    appears only when the file sets it."""
-    raw = {}
-    if path:
-        try:
-            with open(path) as f:
-                raw = json.load(f)
-        except (OSError, ValueError) as e:
-            raise ValueError(f"--config {path}: {e}") from e
-        if not isinstance(raw, dict):
-            raise ValueError(f"--config {path}: top level must be an object")
-    unknown = raw.keys() - {*SECTIONS, "variants", "n_seeds"}
-    if unknown:
-        raise ValueError(f"--config {path}: unknown keys {sorted(unknown)}; known keys: "
-                         f"{', '.join([*SECTIONS, 'variants', 'n_seeds'])}")
-    cfg = {name: _section(cls, raw.get(name, {}), name, seed) for name, cls in SECTIONS.items()}
-    if "n_seeds" in raw:
-        cfg["n_seeds"] = coerce(raw["n_seeds"], int, "n_seeds")
-    variants = raw.get("variants", DEFAULT_VARIANTS)
-    if not isinstance(variants, list):
-        raise ValueError(f"variants: expected an array, got {variants!r}")
-    cfg["variants"] = [_read_variant(v, f"variants[{i}]", raw, seed)
-                       for i, v in enumerate(variants)]
+    defaults and ``seed`` comes from --seed.  ``variants`` becomes a list of
+    (name, DetectorConfig, TrainConfig): each variant's partial ``detector``
+    and ``train`` objects are merged key by key over the file's base sections,
+    then read strictly."""
+    file = read_json(ConfigFile, path) if path else ConfigFile()
+    cfg = {name: _section(cls, getattr(file, name), name, seed) for name, cls in SECTIONS.items()}
+    cfg["n_seeds"] = file.n_seeds
+    cfg["variants"] = [
+        (v.name, *(_section(SECTIONS[k], {**getattr(file, k), **getattr(v, k)},
+                            f"variants[{i}].{k}", seed) for k in ("detector", "train")))
+        for i, v in enumerate(file.variants)]
     return cfg
-
-
-def _read_variant(variant, where: str, raw: dict, seed: int):
-    if not (isinstance(variant, dict) and isinstance(variant.get("name"), str)
-            and variant.keys() <= {"name", "detector", "train"}
-            and all(isinstance(variant.get(k, {}), dict) for k in ("detector", "train"))):
-        raise ValueError(f"{where}: expected an object of a string 'name' and optional "
-                         f"'detector' and 'train' objects, got {variant!r}")
-    return (variant["name"], *(_section(SECTIONS[k], {**raw.get(k, {}), **variant.get(k, {})},
-                                        f"{where}.{k}", seed) for k in ("detector", "train")))
 
 
 def _read_scenes(path: str):
@@ -131,8 +128,7 @@ def cmd_eval(args, cfg):
 def cmd_ablate(args, cfg):
     scenes = _read_scenes(args.data)
     val_scenes = _read_scenes(args.val_data)
-    _, summary = run_variants(scenes, val_scenes, cfg["variants"], args.out,
-                              **{k: cfg[k] for k in ("n_seeds",) if k in cfg})
+    _, summary = run_variants(scenes, val_scenes, cfg["variants"], args.out, cfg["n_seeds"])
     print(json.dumps(summary, indent=2, sort_keys=True))
     return 0
 

@@ -1,29 +1,26 @@
-"""The one reader of config dataclasses from JSON.
+"""The one reader of dataclasses from JSON.
 
-``dataclasses.asdict`` is the writer: every config that goes to disk (the
-dataset manifest's ``spec``, the checkpoint manifest's ``config``) is its
-``asdict``, and every config that comes in (those two and each ``--config``
-section) is read back through ``from_dict``, which accepts exactly what the
-dataclass declares and raises ``ValueError`` for anything else.
+``dataclasses.asdict`` is the writer: every record that goes to disk (a
+dataset's ``annotations.json`` and its manifest's ``spec``, a checkpoint's
+manifest and its ``config``) is the ``asdict`` of a dataclass, and every
+record that comes in (those and each ``--config`` section) is read back
+through ``from_dict``, which accepts exactly what the dataclass declares and
+raises ``ValueError`` for anything else.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import json
 import sys
 import typing
 
-__all__ = ["from_dict", "coerce", "fits_float64"]
-
-
-def fits_float64(value) -> bool:
-    """Whether a JSON number fits a float64: an integer past ±1.8e308 does not."""
-    return isinstance(value, float) or abs(value) <= sys.float_info.max
+__all__ = ["from_dict", "read_json"]
 
 
 def coerce(value, hint, where: str):
     """``value`` checked against the type ``hint``: arrays become tuples and
-    objects become nested config dataclasses; a float field takes an int."""
+    objects become nested dataclasses; a float field takes an int."""
     if dataclasses.is_dataclass(hint):
         return from_dict(hint, value, where)
     if typing.get_origin(hint) is tuple:
@@ -34,7 +31,7 @@ def coerce(value, hint, where: str):
     allowed = (int, float) if hint is float else hint
     if isinstance(value, bool) != (hint is bool) or not isinstance(value, allowed):
         raise ValueError(f"{where}: expected {getattr(hint, '__name__', hint)}, got {value!r}")
-    if isinstance(value, int) and not fits_float64(value):
+    if isinstance(value, int) and abs(value) > sys.float_info.max:  # no float64 holds it
         raise ValueError(f"{where}: the integer does not fit a float64")
     return value
 
@@ -43,21 +40,41 @@ def from_dict(cls, payload, where: str, **fixed):
     """Build the dataclass ``cls`` from a JSON object.
 
     ``fixed`` holds the fields a command-line flag sets (``seed``); the payload
-    may not spell them.  Unknown keys, values of the wrong type and values the
-    constructor rejects raise ``ValueError`` naming ``where``.
+    may not spell them.  Unknown keys, missing keys of fields without a
+    default, values of the wrong type and values the constructor rejects raise
+    ``ValueError`` naming ``where`` (the empty string for a file's top level)
+    and the key path below it.
     """
+    name = where or "top level"
     if not isinstance(payload, dict):
-        raise ValueError(f"{where}: expected an object, got {payload!r}")
+        raise ValueError(f"{name}: expected an object, got {payload!r}")
     hints = typing.get_type_hints(cls)
-    known = [f.name for f in dataclasses.fields(cls) if f.name not in fixed]
+    fields = [f for f in dataclasses.fields(cls) if f.name not in fixed]
+    known = [f.name for f in fields]
     kwargs = dict(fixed)
     for key, value in payload.items():
         if key in fixed:
-            raise ValueError(f"{where}: {key!r} is set on the command line, not in a config")
+            raise ValueError(f"{name}: {key!r} is set on the command line, not in a config")
         if key not in known:
-            raise ValueError(f"{where}: unknown key {key!r}; known keys: {', '.join(known)}")
-        kwargs[key] = coerce(value, hints[key], f"{where}.{key}")
+            raise ValueError(f"{name}: unknown key {key!r}; known keys: {', '.join(known)}")
+        kwargs[key] = coerce(value, hints[key], f"{where}.{key}" if where else key)
+    required = (f.name for f in fields
+                if f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING)
+    for key in required:
+        if key not in kwargs:
+            raise ValueError(f"{name}: missing key {key!r}")
     try:
         return cls(**kwargs)
     except ValueError as e:
-        raise ValueError(f"{where}: {e}") from e
+        raise ValueError(f"{name}: {e}") from e
+
+
+def read_json(cls, path: str):
+    """The dataclass ``cls`` read from the JSON file at ``path``; an unreadable
+    file or a record ``from_dict`` rejects raises ValueError naming ``path``."""
+    try:
+        with open(path) as f:
+            payload = json.load(f)
+        return from_dict(cls, payload, "")
+    except (OSError, ValueError) as e:
+        raise ValueError(f"{path}: {e}") from e

@@ -205,17 +205,12 @@ def average_precision(dets_per_image, gts_per_image, class_id: int,
     return None if np.isnan(ap) else float(ap)
 
 
-def evaluate_ap(dets_per_image, gts_per_image, num_classes: int | None = None) -> EvalResult:
-    """Full metric set over matched detection/ground-truth image lists."""
-    if num_classes is None:
-        seen = {c for gts in gts_per_image for _, c in gts}
-        seen |= {d.class_id for dets in dets_per_image for d in dets}
-        classes = sorted(seen) if seen else [0]
-    else:
-        classes = list(range(num_classes))
+def evaluate_ap(dets_per_image, gts_per_image, num_classes: int) -> EvalResult:
+    """Full metric set over matched detection/ground-truth image lists; the
+    class mean runs over classes ``0 .. num_classes - 1``."""
     buckets = (None, SIZE_BUCKETS["vt"], SIZE_BUCKETS["t"])
     per_class = [_class_ap(dets_per_image, gts_per_image, c, IOU_THRESHOLDS, buckets)
-                 for c in classes]
+                 for c in range(num_classes)]
 
     def per_threshold(b: int) -> list[float]:  # class means; 0.0 when no class has a gt
         means = []

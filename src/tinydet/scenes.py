@@ -20,56 +20,20 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .anchors import Box
-from .config import fits_float64
+from .config import read_json
 from .tensor import path_inside, read_tensor_file, write_tensor_file
 
 __all__ = [
     "SceneSpec",
     "Scene",
+    "ImageRecord",
+    "AnnotationRecord",
+    "Annotations",
     "class_color",
     "generate_scene",
     "write_dataset",
     "read_dataset",
-    "ANNOTATION_SCHEMA",
-    "validate_annotations",
 ]
-
-ANNOTATION_SCHEMA = {
-    "type": "object",
-    "required": ["images", "annotations"],
-    "properties": {
-        "images": {
-            "type": "array",
-            "items": {
-                "type": "object",
-                "required": ["id", "file", "height", "width"],
-                "properties": {
-                    "id": {"type": "integer"},
-                    "file": {"type": "string"},
-                    "height": {"type": "integer"},
-                    "width": {"type": "integer"},
-                },
-            },
-        },
-        "annotations": {
-            "type": "array",
-            "items": {
-                "type": "object",
-                "required": ["image_id", "bbox", "category"],
-                "properties": {
-                    "image_id": {"type": "integer"},
-                    "bbox": {
-                        "type": "array",
-                        "items": {"type": "number"},
-                        "minItems": 4,
-                        "maxItems": 4,
-                    },
-                    "category": {"type": "integer", "minimum": 0},
-                },
-            },
-        },
-    },
-}
 
 
 @dataclass
@@ -190,69 +154,58 @@ def generate_scene(spec: SceneSpec, index: int = 0) -> Scene:
 # dataset directory layout: manifest.json, annotations.json, images/NNNNN.efbt
 
 
-_ARTICLES = {"object": "an object", "array": "an array", "string": "a string",
-             "integer": "an integer", "number": "a number"}
+@dataclass
+class ImageRecord:
+    """One image of ``annotations.json``: its EFBT file and declared size."""
+
+    id: int
+    file: str
+    height: int
+    width: int
 
 
-def _is_json_type(value, kind: str) -> bool:
-    # JSON Schema types: a bool is no number, an integral float is an integer
-    if isinstance(value, bool):
-        return False
-    if kind == "integer":
-        return isinstance(value, int) or isinstance(value, float) and value.is_integer()
-    return isinstance(value, {"object": dict, "array": list, "string": str,
-                              "number": (int, float)}[kind])
+@dataclass
+class AnnotationRecord:
+    """One ground-truth box ``(x1, y1, x2, y2)`` of image ``image_id``."""
+
+    image_id: int
+    bbox: tuple[float, ...]
+    category: int
+
+    def __post_init__(self):
+        if len(self.bbox) != 4:
+            raise ValueError(f"bbox must have 4 entries, got {len(self.bbox)}")
+        if not all(math.isfinite(v) for v in self.bbox):
+            raise ValueError(f"bbox is not finite: {list(self.bbox)}")
+        if self.category < 0:
+            raise ValueError(f"category must be >= 0, got {self.category}")
 
 
-def _check_schema(value, schema: dict, path: str, where: str):
-    name = where or "top level"
-    kind = schema.get("type")
-    if kind and not _is_json_type(value, kind):
-        raise ValueError(f"{path}: {name} must be {_ARTICLES[kind]}, got {value!r}")
-    for key in schema.get("required", ()):
-        if key not in value:
-            raise ValueError(f"{path}: {name} missing {key!r}")
-    for key, sub in schema.get("properties", {}).items():
-        if key in value:
-            _check_schema(value[key], sub, path, f"{where}.{key}" if where else key)
-    if "items" in schema:
-        for i, item in enumerate(value):
-            _check_schema(item, schema["items"], path, f"{where}[{i}]")
-    if "minItems" in schema and len(value) < schema["minItems"]:
-        raise ValueError(f"{path}: {name} must have at least {schema['minItems']} entries")
-    if "maxItems" in schema and len(value) > schema["maxItems"]:
-        raise ValueError(f"{path}: {name} must have at most {schema['maxItems']} entries")
-    if kind in ("number", "integer") and not fits_float64(value):
-        raise ValueError(f"{path}: {name} does not fit a float64")
-    if "minimum" in schema and value < schema["minimum"]:
-        raise ValueError(f"{path}: {name} must be >= {schema['minimum']}, got {value!r}")
+@dataclass
+class Annotations:
+    """The whole of ``annotations.json``."""
 
-
-def validate_annotations(payload, path: str = "<annotations>"):
-    """Check ``payload`` against ``ANNOTATION_SCHEMA`` (the type, required,
-    properties, items, minItems, maxItems and minimum keywords it uses), with
-    record-level diagnostics."""
-    _check_schema(payload, ANNOTATION_SCHEMA, path, "")
+    images: tuple[ImageRecord, ...]
+    annotations: tuple[AnnotationRecord, ...]
 
 
 def write_dataset(spec: SceneSpec, n: int, out_dir: str):
     """Generate and persist n scenes; returns the manifest dict."""
+    if n < 0:
+        raise ValueError(f"scene count must be >= 0, got {n}")
     images_dir = os.path.join(out_dir, "images")
     os.makedirs(images_dir, exist_ok=True)
     images = []
     annotations = []
     for i in range(n):
         scene = generate_scene(spec, i)
-        fname = f"images/{i:05d}.efbt"
-        write_tensor_file(os.path.join(out_dir, fname), scene.image)
-        images.append({"id": i, "file": fname, "height": spec.height, "width": spec.width})
-        for box, cls in scene.gts:
-            annotations.append({"image_id": i, "bbox": [box.x1, box.y1, box.x2, box.y2],
-                                "category": cls})
-    payload = {"images": images, "annotations": annotations}
-    validate_annotations(payload)
+        images.append(ImageRecord(i, f"images/{i:05d}.efbt", spec.height, spec.width))
+        write_tensor_file(os.path.join(out_dir, images[-1].file), scene.image)
+        annotations += [AnnotationRecord(i, (box.x1, box.y1, box.x2, box.y2), cls)
+                        for box, cls in scene.gts]
     with open(os.path.join(out_dir, "annotations.json"), "w") as f:
-        json.dump(payload, f, indent=2, sort_keys=True)
+        json.dump(asdict(Annotations(tuple(images), tuple(annotations))), f,
+                  indent=2, sort_keys=True)
     manifest = {"format": "tinydet-dataset-v1", "count": n, "spec": asdict(spec)}
     with open(os.path.join(out_dir, "manifest.json"), "w") as f:
         json.dump(manifest, f, indent=2, sort_keys=True)
@@ -260,7 +213,10 @@ def write_dataset(spec: SceneSpec, n: int, out_dir: str):
 
 
 def read_dataset(directory: str):
-    """Load a dataset directory back into (scenes, manifest)."""
+    """Load a dataset directory back into (scenes, manifest).  Beyond what the
+    records declare, image ids must be unique, every annotation must name a
+    known image and hold a non-degenerate box, and every image file must lie
+    inside ``directory`` and hold the declared shape."""
     manifest_path = os.path.join(directory, "manifest.json")
     ann_path = os.path.join(directory, "annotations.json")
     try:
@@ -270,29 +226,24 @@ def read_dataset(directory: str):
         raise ValueError(f"{manifest_path}: {e}") from e
     if not isinstance(manifest, dict):
         raise ValueError(f"{manifest_path}: top level must be an object")
-    try:
-        with open(ann_path) as f:
-            payload = json.load(f)
-    except (OSError, ValueError) as e:
-        raise ValueError(f"{ann_path}: {e}") from e
-    validate_annotations(payload, ann_path)
-    by_image = {rec["id"]: [] for rec in payload["images"]}
-    if len(by_image) != len(payload["images"]):
+    records = read_json(Annotations, ann_path)
+    by_image = {rec.id: [] for rec in records.images}
+    if len(by_image) != len(records.images):
         raise ValueError(f"{ann_path}: images repeat an id")
-    for i, rec in enumerate(payload["annotations"]):
-        if rec["image_id"] not in by_image:
-            raise ValueError(f"{ann_path}: annotations[{i}] references unknown image "
-                             f"{rec['image_id']}")
-        if not all(math.isfinite(v) for v in rec["bbox"]):
-            raise ValueError(f"{ann_path}: annotations[{i}].bbox is not finite: {rec['bbox']}")
-        x1, y1, x2, y2 = rec["bbox"]
-        by_image[rec["image_id"]].append((Box(x1, y1, x2, y2), int(rec["category"])))
+    for i, rec in enumerate(records.annotations):
+        where = f"{ann_path}: annotations[{i}]"
+        if rec.image_id not in by_image:
+            raise ValueError(f"{where} references unknown image {rec.image_id}")
+        try:
+            by_image[rec.image_id].append((Box(*rec.bbox), rec.category))
+        except ValueError as e:
+            raise ValueError(f"{where}.bbox: {e}") from e
     scenes = []
-    for i, rec in enumerate(payload["images"]):
+    for i, rec in enumerate(records.images):
         where = f"{ann_path}: images[{i}]"
-        img = read_tensor_file(path_inside(directory, rec["file"], where))
-        if img.shape != (3, rec["height"], rec["width"]):
+        img = read_tensor_file(path_inside(directory, rec.file, where))
+        if img.shape != (3, rec.height, rec.width):
             raise ValueError(f"{where}: image of shape {list(img.shape)}, the record declares "
-                             f"[3, {rec['height']}, {rec['width']}]")
-        scenes.append(Scene(image=img, gts=by_image[rec["id"]]))
+                             f"[3, {rec.height}, {rec.width}]")
+        scenes.append(Scene(image=img, gts=by_image[rec.id]))
     return scenes, manifest

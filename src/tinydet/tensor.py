@@ -24,8 +24,11 @@ import math
 import os
 import struct
 import sys
+from dataclasses import asdict, dataclass
 
 import numpy as np
+
+from .config import read_json
 
 __all__ = [
     "Tensor",
@@ -448,6 +451,29 @@ def path_inside(directory: str, file: str, where: str) -> str:
 _CHECKPOINT_FORMAT = "tinydet-checkpoint-v1"
 
 
+@dataclass
+class ParamEntry:
+    """One checkpoint tensor: its parameter name, shape and EFBT file."""
+
+    name: str
+    shape: tuple[int, ...]
+    file: str
+
+
+@dataclass
+class CheckpointManifest:
+    """A checkpoint's ``manifest.json``; ``config`` is the model's config."""
+
+    format: str
+    seed: int
+    params: tuple[ParamEntry, ...]
+    config: dict
+
+    def __post_init__(self):
+        if self.format != _CHECKPOINT_FORMAT:
+            raise ValueError(f"format must be {_CHECKPOINT_FORMAT!r}, got {self.format!r}")
+
+
 class ParamStore:
     """Named map of trainable tensors with order-deterministic initialization.
 
@@ -512,48 +538,35 @@ class ParamStore:
         os.makedirs(os.path.join(directory, "params"), exist_ok=True)
         entries = []
         for i, (name, t) in enumerate(self.params.items()):
-            fname = f"params/p{i:04d}.efbt"
-            write_tensor_file(os.path.join(directory, fname), t.data)
-            entries.append({"name": name, "shape": list(t.data.shape), "file": fname})
-        manifest = {"format": _CHECKPOINT_FORMAT, "seed": self.seed,
-                    "params": entries, "config": config}
+            entries.append(ParamEntry(name, t.data.shape, f"params/p{i:04d}.efbt"))
+            write_tensor_file(os.path.join(directory, entries[-1].file), t.data)
+        manifest = CheckpointManifest(_CHECKPOINT_FORMAT, self.seed, tuple(entries), config)
         with open(os.path.join(directory, "manifest.json"), "w") as f:
-            json.dump(manifest, f, indent=2, sort_keys=True)
+            json.dump(asdict(manifest), f, indent=2, sort_keys=True)
 
     @staticmethod
-    def load(directory: str) -> tuple[int, dict[str, np.ndarray], object]:
+    def load(directory: str) -> tuple[int, dict[str, np.ndarray], dict]:
         """Read a checkpoint written by ``save``: returns (seed, name -> array,
         config), the seed and arrays ready for ``ParamStore(seed, saved=...)``.
 
-        A missing or malformed manifest, a manifest without a config, and a
-        tensor file outside ``directory`` raise ValueError.
+        A manifest that ``CheckpointManifest`` does not describe, a tensor file
+        outside ``directory`` and a tensor whose shape differs from its entry
+        raise ValueError.
         """
         path = os.path.join(directory, "manifest.json")
         try:
-            with open(path) as f:
-                manifest = json.load(f)
-        except (OSError, ValueError) as e:
-            raise ValueError(f"checkpoint {path}: {e}") from e
-        if not (isinstance(manifest, dict) and manifest.get("format") == _CHECKPOINT_FORMAT
-                and isinstance(manifest.get("seed"), int)
-                and isinstance(manifest.get("params"), list)):
-            raise ValueError(f"checkpoint {path}: not a {_CHECKPOINT_FORMAT} manifest "
-                             f"(format, integer seed, params array)")
-        if "config" not in manifest:
-            raise ValueError(f"checkpoint {path}: carries no model config")
+            manifest = read_json(CheckpointManifest, path)
+        except ValueError as e:
+            raise ValueError(f"checkpoint {e}") from e
         arrays = {}
-        for i, e in enumerate(manifest["params"]):
-            if not (isinstance(e, dict) and isinstance(e.get("name"), str)
-                    and isinstance(e.get("file"), str)):
-                raise ValueError(f"checkpoint {path}: params[{i}] needs string 'name' and 'file'")
-            data = read_tensor_file(path_inside(directory, e["file"],
-                                                f"checkpoint {path}: params[{i}]"))
-            if list(data.shape) != e.get("shape"):
-                raise ValueError(
-                    f"checkpoint {e['file']}: shape {list(data.shape)} != manifest {e.get('shape')}"
-                )
-            arrays[e["name"]] = data
-        return manifest["seed"], arrays, manifest["config"]
+        for i, e in enumerate(manifest.params):
+            where = f"checkpoint {path}: params[{i}]"
+            data = read_tensor_file(path_inside(directory, e.file, where))
+            if data.shape != e.shape:
+                raise ValueError(f"{where}: shape {list(data.shape)} in {e.file}, the manifest "
+                                 f"declares {list(e.shape)}")
+            arrays[e.name] = data
+        return manifest.seed, arrays, manifest.config
 
 
 # ---------------------------------------------------------------------------

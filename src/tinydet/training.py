@@ -22,14 +22,13 @@ __all__ = ["TrainConfig", "TrainResult", "DivergenceError", "SGDMomentum",
 
 @dataclass
 class TrainConfig:
-    learning_rate: float = 0.005
+    learning_rate: float = 0.08
     momentum: float = 0.9
-    weight_decay: float = 1e-4
+    weight_decay: float = 6.25e-6
     epochs: int = 12
     decay_epochs: tuple[int, ...] = (8, 11)
     decay_factor: float = 0.1
     batch_size: int = 4
-    grad_scale: float = 16.0  # loss multiplier for backward only; curves stay unscaled
     reg_loss: str = "smooth_l1"  # smooth_l1 | dcloss | dcloss_swapped
     dc_k: float = 10.0
     dc_delta: float = 0.15
@@ -135,7 +134,7 @@ def train(scenes, det_cfg: DetectorConfig, cfg: TrainConfig) -> TrainResult:
                 image = Tensor(scenes[idx].image)
                 outputs = model.forward(image)
                 total, cls_v, reg_v = model.loss(outputs, assignments[idx], dc_params)
-                mul(total, cfg.grad_scale / len(batch)).backward()
+                mul(total, 1.0 / len(batch)).backward()
                 batch_stats += (cls_v, reg_v, float(total.data))
             batch_stats /= len(batch)
             if not np.isfinite(batch_stats).all():
@@ -156,7 +155,7 @@ def train(scenes, det_cfg: DetectorConfig, cfg: TrainConfig) -> TrainResult:
                        first_batch_components=first_batch, dc_params=dc_params)
 
 
-def evaluate_model(model: DetectorModel, scenes, num_classes: int | None = None) -> EvalResult:
+def evaluate_model(model: DetectorModel, scenes) -> EvalResult:
     dets = [model.predict(Tensor(s.image)) for s in scenes]
     gts = [s.gts for s in scenes]
-    return evaluate_ap(dets, gts, num_classes=num_classes or model.cfg.num_classes)
+    return evaluate_ap(dets, gts, num_classes=model.cfg.num_classes)

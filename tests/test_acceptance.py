@@ -373,7 +373,7 @@ def test_criterion_8_experiment_determinism(tmp_path):
     spec = SceneSpec(seed=9, objects_min=12, objects_max=20, side_min=8.0)
     scenes = [generate_scene(spec, i) for i in range(6)]
     p2p3 = DetectorConfig(levels=("P2", "P3"))
-    train_cfg = TrainConfig(epochs=2, batch_size=2, learning_rate=0.02)
+    train_cfg = TrainConfig(epochs=2, batch_size=2, learning_rate=0.32)
     variants = [("P2+P3", p2p3, train_cfg), ("P2-P6", DetectorConfig(), train_cfg)] + [
         (f"d{d}", p2p3, replace(train_cfg, reg_loss="dcloss", dc_delta=d, dc_learnable=False))
         for d in (0.1, 0.3)]

@@ -1,5 +1,5 @@
 import json
-from dataclasses import asdict
+from dataclasses import asdict, dataclass
 
 import pytest
 from hypothesis import given, settings
@@ -51,7 +51,7 @@ train_configs = st.builds(
     TrainConfig, learning_rate=st.floats(1e-9, 10.0), momentum=floats,
     weight_decay=floats, epochs=st.integers(1, 100),
     decay_epochs=st.lists(st.integers(0, 100)).map(tuple), decay_factor=floats,
-    batch_size=sizes, grad_scale=floats,
+    batch_size=sizes,
     reg_loss=st.sampled_from(["smooth_l1", "dcloss", "dcloss_swapped"]),
     dc_k=floats, dc_delta=floats, dc_learnable=st.booleans(),
     seed=st.integers(0, 2 ** 32))
@@ -96,3 +96,22 @@ def test_from_dict_converts_arrays_and_fills_fixed_fields():
     det = from_dict(DetectorConfig, {"backbone": {"stage_channels": [4, 4, 4, 4]},
                                      "gate_width": None}, "detector")
     assert det.backbone == BackboneConfig(stage_channels=(4, 4, 4, 4))
+
+
+@dataclass
+class _Pair:
+    first: int
+    second: int = 0
+
+
+@dataclass
+class _Pairs:
+    pairs: tuple[_Pair, ...]
+
+
+def test_from_dict_names_a_missing_key():
+    with pytest.raises(ValueError, match=r"^top level: missing key 'pairs'$"):
+        from_dict(_Pairs, {}, "")
+    with pytest.raises(ValueError, match=r"^section\.pairs\[1\]: missing key 'first'$"):
+        from_dict(_Pairs, {"pairs": [{"first": 1}, {"second": 2}]}, "section")
+    assert from_dict(_Pairs, {"pairs": [{"first": 1}]}, "") == _Pairs((_Pair(1),))

@@ -166,7 +166,7 @@ def test_ap_perfect_detection():
     gts = [[(Box(10, 10, 20, 20), 0)]]
     dets = [[det(10, 10, 20, 20, score=0.9)]]
     assert average_precision(dets, gts, 0, 0.5) == 1.0
-    assert evaluate_ap(dets, gts).ap == pytest.approx(1.0)
+    assert evaluate_ap(dets, gts, num_classes=1).ap == pytest.approx(1.0)
 
 
 def test_ap_miss_and_false_positive():
@@ -240,7 +240,7 @@ def test_evaluate_ap_result_shape():
     assert all(0.0 <= v <= 1.0 for v in d.values())
     assert res.ap50 >= res.ap75
     with pytest.raises(ValueError, match="align"):
-        evaluate_ap(dets, gts[:-1])
+        evaluate_ap(dets, gts[:-1], num_classes=2)
 
 
 # ---------------------------------------------------------------------------

@@ -1,14 +1,16 @@
 import csv
+import dataclasses
 import json
 import os
 import re
 import struct
+import typing
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from tinydet.cli import _read_config, build_parser, main
+from tinydet.cli import SECTIONS, ConfigFile, _read_config, build_parser, main
 from tinydet.config import from_dict
 from tinydet.detector import DetectorConfig, DetectorModel
 from tinydet.experiments import (
@@ -118,7 +120,7 @@ def test_ablation_summary_and_determinism(tmp_path):
 def test_delta_sweep_rows_and_determinism(tmp_path):
     scenes = small_scenes(4)
     # P2+P3 and 12 steps: one step on the default five levels leaves AP at 0
-    base = TrainConfig(epochs=3, batch_size=1, learning_rate=0.02)
+    base = TrainConfig(epochs=3, batch_size=1, learning_rate=0.32)
     variants = [(f"d{d}", DetectorConfig(levels=("P2", "P3")),
                  replace(base, reg_loss="dcloss", dc_delta=d, dc_learnable=False))
                 for d in (0.1, 0.3)]
@@ -300,6 +302,30 @@ def test_readme_cli_matches_the_parser(tmp_path):
         _read_config(str(path), seed=0)
 
 
+def test_readme_counts_the_settable_values():
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    readme = " ".join(read_file(os.path.join(root, "README.md")).split())
+
+    def settable(cls):  # a nested config object counts, and so does each field inside it
+        hints = typing.get_type_hints(cls)
+        return sum(1 + (settable(hints[f.name]) if dataclasses.is_dataclass(hints[f.name]) else 0)
+                   for f in dataclasses.fields(cls) if f.name != "seed")  # seed is --seed's
+
+    scene, detector, train = (settable(SECTIONS[k]) for k in ("scene", "detector", "train"))
+    backbone = settable(BackboneConfig)
+    total = scene + detector + train + len(dataclasses.fields(ConfigFile)) - len(SECTIONS)
+    assert f"The file sets {total} values: {scene} scene fields, {detector} detector values " \
+           f"({detector - backbone} fields, one of them the `backbone` object, plus the " \
+           f"{backbone} fields inside it), {train} train fields" in readme
+
+
+def test_cli_gen_rejects_a_negative_count(tmp_path, capsys):
+    out = tmp_path / "gen"
+    assert main(["gen", "--count", "-3", "--out", str(out)]) == 1
+    assert "scene count must be >= 0, got -3" in capsys.readouterr().err
+    assert not (out / "manifest.json").exists()
+
+
 def test_cli_error_exit_codes(tmp_path, capsys):
     # missing dataset -> validation error (1)
     assert main(["audit", "--data", str(tmp_path / "nope"),
@@ -415,18 +441,18 @@ def _image(shape):
 
 
 @pytest.mark.parametrize("edit, match", [
-    (_set(["images"], [5]), r"images\[0\] must be an object"),
-    (_set(["annotations", 0, "bbox"], 5), r"annotations\[0\]\.bbox must be an array"),
+    (_set(["images"], [5]), r"images\[0\]: expected an object"),
+    (_set(["annotations", 0, "bbox"], 5), r"annotations\[0\]\.bbox: expected an array"),
     (_set(["annotations", 0, "bbox"], [0, 0, "a", 4]),
-     r"annotations\[0\]\.bbox\[2\] must be a number"),
+     r"annotations\[0\]\.bbox\[2\]: expected float"),
     (_set(["annotations", 0, "bbox"], [0, 0, float("inf"), 4]), "not finite"),
     (_set(["annotations", 0, "category"], 7), r"class 7 outside \[0, 3\)"),
-    (_set(["annotations", 0, "category"], -1), r"annotations\[0\]\.category must be >= 0"),
-    (_set(["annotations", 0, "category"], True), "must be an integer"),
+    (_set(["annotations", 0, "category"], -1), r"annotations\[0\]: category must be >= 0"),
+    (_set(["annotations", 0, "category"], True), r"annotations\[0\]\.category: expected int"),
     (_set(["images", 0, "file"], "../../../etc/passwd"), "outside"),
     (_set(["images", 0, "file"], "/etc/passwd"), "outside"),
     (_set(["annotations", 0, "bbox"], [0, 0, 10 ** 400, 4]),
-     r"annotations\[0\]\.bbox\[2\] does not fit a float64"),
+     r"annotations\[0\]\.bbox\[2\]: the integer does not fit a float64"),
     (_image((5,)), r"images\[0\]: image of shape \[5\], the record declares \[3, 128, 128\]"),
     (_image((3, 64, 64)), r"image of shape \[3, 64, 64\], the record declares \[3, 128, 128\]"),
     (_set(["images", 1, "id"], 0), "images repeat an id"),
@@ -452,7 +478,7 @@ def test_cli_eval_rejects_bad_checkpoints(tmp_path, dataset, capsys):
     (ckpt / "manifest.json").write_text(json.dumps({"format": "x"}))
     assert main(["eval", "--data", dataset, "--checkpoint", str(ckpt),
                  "--out", str(tmp_path / "ev")]) == 1
-    assert "format" in capsys.readouterr().err
+    assert "manifest.json: top level: missing key 'seed'" in capsys.readouterr().err
 
 
 def test_cli_eval_rejects_checkpoint_with_crafted_header(tmp_path, dataset, capsys):
@@ -477,7 +503,7 @@ def test_cli_divergence_exit_code(tmp_path, dataset, capsys):
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_cli_divergence_keeps_the_last_good_checkpoint(tmp_path, dataset, capsys):
     out = tmp_path / "run"
-    cfg = cli_config(tmp_path, {"train": {"learning_rate": 1e12}})
+    cfg = cli_config(tmp_path, {"train": {"learning_rate": 1.6e13}})
     assert main(["train", "--data", dataset, "--config", cfg, "--out", str(out)]) == 2
     assert not (out / "checkpoint_train").exists()
     ckpt = str(out / "checkpoint_train_last_good")

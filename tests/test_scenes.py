@@ -10,16 +10,16 @@ from hypothesis import strategies as st
 
 from jsonfuzz import edited
 
+from tinydet.anchors import Box
 from tinydet.scenes import (
-    ANNOTATION_SCHEMA,
     Scene,
     SceneSpec,
     class_color,
     generate_scene,
     read_dataset,
-    validate_annotations,
     write_dataset,
 )
+from tinydet.tensor import write_tensor_file
 
 SPEC = SceneSpec(seed=42)
 
@@ -112,31 +112,6 @@ def test_noise_free_spec_is_piecewise_flat():
     assert scene.image.min() >= 0.0
 
 
-def test_annotation_schema_shape():
-    assert ANNOTATION_SCHEMA["required"] == ["images", "annotations"]
-    item = ANNOTATION_SCHEMA["properties"]["annotations"]["items"]
-    assert item["required"] == ["image_id", "bbox", "category"]
-
-
-def test_validate_annotations_diagnostics():
-    good = {"images": [{"id": 0, "file": "x", "height": 128, "width": 128}],
-            "annotations": [{"image_id": 0, "bbox": [0, 0, 4, 4], "category": 1}]}
-    validate_annotations(good)
-    with pytest.raises(ValueError, match="top level"):
-        validate_annotations([])
-    with pytest.raises(ValueError, match="images"):
-        validate_annotations({"annotations": []})
-    with pytest.raises(ValueError, match=r"images\[0\] missing 'height'"):
-        validate_annotations({"images": [{"id": 0, "file": "x", "width": 1}],
-                              "annotations": []})
-    with pytest.raises(ValueError, match=r"annotations\[0\].*bbox"):
-        validate_annotations({"images": [], "annotations": [{"image_id": 0, "category": 0}]})
-    with pytest.raises(ValueError, match="4 entries"):
-        validate_annotations({"images": [],
-                              "annotations": [{"image_id": 0, "bbox": [1, 2, 3],
-                                               "category": 0}]})
-
-
 def test_dataset_roundtrip(tmp_path):
     spec = SceneSpec(seed=5)
     manifest = write_dataset(spec, 4, str(tmp_path))
@@ -164,13 +139,6 @@ def test_read_dataset_diagnostics(tmp_path):
         read_dataset(str(tmp_path))
 
 
-def test_annotations_validate_against_jsonschema(tmp_path):
-    jsonschema = pytest.importorskip("jsonschema")
-    write_dataset(SceneSpec(seed=9), 3, str(tmp_path))
-    payload = json.load(open(tmp_path / "annotations.json"))
-    jsonschema.validate(payload, ANNOTATION_SCHEMA)
-
-
 def _good_annotations():
     return {"images": [{"id": 0, "file": "images/00000.efbt", "height": 128, "width": 128}],
             "annotations": [{"image_id": 0, "bbox": [0, 0, 4, 4], "category": 1}]}
@@ -185,43 +153,70 @@ def _with(path, value):
     return payload
 
 
+def _read_annotations(directory, payload):
+    # a dataset directory holding one 128x128 image and ``payload`` as annotations.json
+    os.makedirs(directory / "images", exist_ok=True)
+    write_tensor_file(str(directory / "images" / "00000.efbt"), np.zeros((3, 128, 128)))
+    (directory / "manifest.json").write_text("{}")
+    (directory / "annotations.json").write_text(json.dumps(payload))
+    return read_dataset(str(directory))[0]
+
+
+def test_validate_annotations_diagnostics(tmp_path):
+    [scene] = _read_annotations(tmp_path, _good_annotations())
+    assert scene.gts == [(Box(0, 0, 4, 4), 1)]
+    # a category past the detector's class count is the detector's to reject
+    [scene] = _read_annotations(tmp_path, _with(["annotations", 0, "category"], 7))
+    assert scene.gts == [(Box(0, 0, 4, 4), 7)]
+    payload = _good_annotations()
+    del payload["images"][0]["height"]
+    with pytest.raises(ValueError, match=r"annotations\.json: images\[0\]: missing key 'height'"):
+        _read_annotations(tmp_path, payload)
+    del payload["annotations"][0]["bbox"]
+    payload["images"] = []
+    with pytest.raises(ValueError, match=r"annotations\[0\]: missing key 'bbox'"):
+        _read_annotations(tmp_path, payload)
+
+
 BAD_ANNOTATIONS = [
-    ([], "top level must be an object"),
-    ({"images": []}, "missing 'annotations'"),
-    (_with(["images"], {}), "images must be an array"),
-    (_with(["images"], [5]), r"images\[0\] must be an object"),
-    (_with(["images", 0, "id"], "0"), r"images\[0\]\.id must be an integer"),
-    (_with(["images", 0, "id"], 0.5), r"images\[0\]\.id must be an integer"),
-    (_with(["images", 0, "file"], 3), r"images\[0\]\.file must be a string"),
-    (_with(["images", 0, "height"], None), r"images\[0\]\.height must be an integer"),
-    (_with(["annotations", 0, "bbox"], 5), r"annotations\[0\]\.bbox must be an array"),
-    (_with(["annotations", 0, "bbox"], [0, 0, "a", 4]), r"bbox\[2\] must be a number"),
-    (_with(["annotations", 0, "bbox"], [0, 0, True, 4]), r"bbox\[2\] must be a number"),
-    (_with(["annotations", 0, "bbox"], [0, 0, 4]), "at least 4 entries"),
-    (_with(["annotations", 0, "bbox"], [0, 0, 4, 4, 4]), "at most 4 entries"),
+    ([], r"annotations\.json: top level: expected an object, got \[\]"),
+    ({"images": []}, "top level: missing key 'annotations'"),
+    (_with(["images"], {}), r"images: expected an array, got \{\}"),
+    (_with(["images"], [5]), r"images\[0\]: expected an object, got 5"),
+    (_with(["images", 0, "id"], "0"), r"images\[0\]\.id: expected int, got '0'"),
+    (_with(["images", 0, "id"], 0.5), r"images\[0\]\.id: expected int, got 0\.5"),
+    (_with(["images", 0, "file"], 3), r"images\[0\]\.file: expected str, got 3"),
+    (_with(["images", 0, "height"], None), r"images\[0\]\.height: expected int, got None"),
+    (_with(["annotations", 0, "bbox"], 5), r"annotations\[0\]\.bbox: expected an array"),
+    (_with(["annotations", 0, "bbox"], [0, 0, "a", 4]),
+     r"annotations\[0\]\.bbox\[2\]: expected float, got 'a'"),
+    (_with(["annotations", 0, "bbox"], [0, 0, True, 4]),
+     r"annotations\[0\]\.bbox\[2\]: expected float, got True"),
+    (_with(["annotations", 0, "bbox"], [0, 0, 4]),
+     r"annotations\[0\]: bbox must have 4 entries, got 3"),
+    (_with(["annotations", 0, "bbox"], [0, 0, 4, 4, 4]), "bbox must have 4 entries, got 5"),
     (_with(["annotations", 0, "category"], -1), r"category must be >= 0, got -1"),
-    (_with(["annotations", 0, "category"], True), r"category must be an integer"),
-    (_with(["annotations", 0, "image_id"], 1.5), r"image_id must be an integer"),
+    (_with(["annotations", 0, "category"], True),
+     r"annotations\[0\]\.category: expected int, got True"),
+    (_with(["annotations", 0, "image_id"], 1.5),
+     r"annotations\[0\]\.image_id: expected int, got 1\.5"),
+    # rejected since the records are read like a config: an integral float
+    # for an integer and an unknown key
+    (_with(["images", 0, "id"], 0.0), r"images\[0\]\.id: expected int, got 0\.0"),
+    (_with(["images", 0, "depth"], 3), r"images\[0\]: unknown key 'depth'"),
+    (_with(["annotations", 0, "bbox"], [0, 0, 10 ** 400, 4]),
+     r"annotations\[0\]\.bbox\[2\]: the integer does not fit a float64"),
+    (_with(["annotations", 0, "bbox"], [0, 0, float("nan"), 4]),
+     r"annotations\[0\]: bbox is not finite"),
+    (_with(["annotations", 0, "bbox"], [4, 0, 0, 4]), r"annotations\[0\]\.bbox: degenerate box"),
+    (_with(["annotations", 0, "image_id"], 1), r"annotations\[0\] references unknown image 1"),
 ]
 
 
 @pytest.mark.parametrize("payload, match", BAD_ANNOTATIONS)
-def test_validate_annotations_enforces_the_schema(payload, match):
+def test_validate_annotations_enforces_the_schema(tmp_path, payload, match):
     with pytest.raises(ValueError, match=match):
-        validate_annotations(payload)
-
-
-def test_validate_annotations_agrees_with_jsonschema():
-    jsonschema = pytest.importorskip("jsonschema")
-    validator = jsonschema.Draft202012Validator(ANNOTATION_SCHEMA)
-    for payload, _ in BAD_ANNOTATIONS:
-        assert not validator.is_valid(payload), payload
-    # category 7 is schema-valid (the detector's class count rejects it later),
-    # and JSON Schema counts an integral float as an integer
-    for payload in (_good_annotations(), _with(["annotations", 0, "category"], 7),
-                    _with(["images", 0, "id"], 0.0)):
-        assert validator.is_valid(payload)
-        validate_annotations(payload)
+        _read_annotations(tmp_path, payload)
 
 
 def test_read_dataset_rejects_image_files_outside_the_directory(tmp_path):

@@ -407,10 +407,16 @@ def test_checkpoint_load_rejects_bad_manifests(tmp_path):
         (tmp_path / "ckpt" / "params" / "p0000.efbt").read_bytes())
     entry = manifest["params"][0]
     bad = [
-        ({"format": "x"}, "format"),
-        ({**manifest, "params": None}, "params array"),
-        ({k: v for k, v in manifest.items() if k != "config"}, "no model config"),
-        ({**manifest, "params": [{**entry, "name": 3}]}, "string 'name'"),
+        ({"format": "x"}, "top level: missing key 'seed'"),
+        ({**manifest, "format": "x"}, "top level: format must be 'tinydet-checkpoint-v1', got 'x'"),
+        ({**manifest, "seed": 1.0}, "seed: expected int"),
+        ({**manifest, "params": None}, "params: expected an array"),
+        ({k: v for k, v in manifest.items() if k != "config"}, "top level: missing key 'config'"),
+        ({**manifest, "extra": 1}, "unknown key 'extra'"),
+        ({**manifest, "params": [5]}, r"params\[0\]: expected an object"),
+        ({**manifest, "params": [{**entry, "name": 3}]}, r"params\[0\]\.name: expected str"),
+        ({**manifest, "params": [{**entry, "shape": [3, 2]}]},
+         r"params\[0\]: shape \[3, 2, 1, 1\] in params/p0000.efbt, the manifest declares \[3, 2\]"),
         ({**manifest, "params": [{**entry, "file": "../outside.efbt"}]}, "outside"),
         ({**manifest, "params": [{**entry, "file": "params/../../outside.efbt"}]}, "outside"),
         ({**manifest, "params": [{**entry, "file": str(tmp_path / "outside.efbt")}]},

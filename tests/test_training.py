@@ -116,7 +116,7 @@ def test_training_with_adaptive_loss_variants():
 def test_training_learnable_transition_moves_params():
     scenes = small_dataset(4)
     cfg = TrainConfig(epochs=2, reg_loss="dcloss", dc_learnable=True,
-                      learning_rate=0.01)
+                      learning_rate=0.16)
     result = train(scenes, SMALL_DET, cfg)
     assert (result.dc_params.k, result.dc_params.delta) != (10.0, 0.15)
     assert result.dc_params.k > 0 and result.dc_params.delta > 0
@@ -125,7 +125,7 @@ def test_training_learnable_transition_moves_params():
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_divergence_error_carries_snapshot():
     scenes = small_dataset(4)
-    cfg = TrainConfig(epochs=4, learning_rate=1e12)  # guaranteed blow-up
+    cfg = TrainConfig(epochs=4, learning_rate=1.6e13)  # guaranteed blow-up
     with pytest.raises(DivergenceError) as exc_info:
         train(scenes, SMALL_DET, cfg)
     state = exc_info.value.last_good_state
