@@ -447,8 +447,11 @@ def _image(shape):
      r"annotations\[0\]\.bbox\[2\]: expected float"),
     (_set(["annotations", 0, "bbox"], [0, 0, float("inf"), 4]), "not finite"),
     (_set(["annotations", 0, "category"], 7), r"class 7 outside \[0, 3\)"),
-    (_set(["annotations", 0, "category"], -1), r"annotations\[0\]: category must be >= 0"),
-    (_set(["annotations", 0, "category"], True), r"annotations\[0\]\.category: expected int"),
+    pytest.param(_set(["annotations", 0, "category"], -1),
+                 r"annotations\[0\]: category must be >= 0",
+                 id=r"edit-annotations\[0\]\.category must be >= 0"),
+    pytest.param(_set(["annotations", 0, "category"], True),
+                 r"annotations\[0\]\.category: expected int", id="edit-must be an integer"),
     (_set(["images", 0, "file"], "../../../etc/passwd"), "outside"),
     (_set(["images", 0, "file"], "/etc/passwd"), "outside"),
     (_set(["annotations", 0, "bbox"], [0, 0, 10 ** 400, 4]),

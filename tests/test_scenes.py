@@ -187,7 +187,9 @@ BAD_ANNOTATIONS = [
     (_with(["images", 0, "id"], 0.5), r"images\[0\]\.id: expected int, got 0\.5"),
     (_with(["images", 0, "file"], 3), r"images\[0\]\.file: expected str, got 3"),
     (_with(["images", 0, "height"], None), r"images\[0\]\.height: expected int, got None"),
-    (_with(["annotations", 0, "bbox"], 5), r"annotations\[0\]\.bbox: expected an array"),
+    pytest.param(_with(["annotations", 0, "bbox"], 5),
+                 r"annotations\[0\]\.bbox: expected an array",
+                 id=r"payload8-annotations\[0\]\.bbox must be an array"),
     (_with(["annotations", 0, "bbox"], [0, 0, "a", 4]),
      r"annotations\[0\]\.bbox\[2\]: expected float, got 'a'"),
     (_with(["annotations", 0, "bbox"], [0, 0, True, 4]),
