@@ -7,7 +7,7 @@ audits, a deterministic synthetic-scene generator, and a training/evaluation
 harness with CSV/JSON reports.
 """
 
-from .anchors import Box, assign_maxiou, gen_anchors, iou
+from .anchors import Box, assign_maxiou, gen_anchors
 from .balanced_loss import (
     DCLossParams,
     TheoremReport,

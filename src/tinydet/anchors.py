@@ -21,7 +21,6 @@ __all__ = [
     "IGNORED",
     "boxes_array",
     "gen_anchors",
-    "iou",
     "iou_matrix",
     "assign_maxiou",
     "pyramid_anchors",
@@ -50,7 +49,7 @@ class Box:
         return np.array([self.x1, self.y1, self.x2, self.y2], dtype=np.float64)
 
 
-def gen_anchors(stride: int, feature_dims, base_size: float = 2.0) -> np.ndarray:
+def gen_anchors(stride: int, feature_dims, base_size: float) -> np.ndarray:
     """Square anchors [H*W, 4], one per cell, side base_size*stride."""
     h, w = int(feature_dims[0]), int(feature_dims[1])
     if h <= 0 or w <= 0:
@@ -64,22 +63,12 @@ def gen_anchors(stride: int, feature_dims, base_size: float = 2.0) -> np.ndarray
 
 
 def boxes_array(boxes) -> np.ndarray:
-    """[N,4] float64 corners of an [N,4] array or a sequence of Box or 4-sequences."""
-    if isinstance(boxes, np.ndarray):
-        return boxes.astype(np.float64).reshape(-1, 4)
-    return np.array([[b.x1, b.y1, b.x2, b.y2] if isinstance(b, Box) else b for b in boxes],
-                    dtype=np.float64).reshape(-1, 4)
-
-
-def iou(a, b) -> float:
-    """Intersection-over-union of two boxes, in [0, 1]."""
-    return float(iou_matrix(boxes_array([a]), boxes_array([b]))[0, 0])
+    """[N,4] float64 corners of a sequence of Box."""
+    return np.array([[b.x1, b.y1, b.x2, b.y2] for b in boxes], dtype=np.float64).reshape(-1, 4)
 
 
 def iou_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Pairwise IoU of [N,4] vs [M,4] boxes -> [N,M]."""
-    a = boxes_array(a)
-    b = boxes_array(b)
+    """Pairwise IoU of float64 [N,4] vs [M,4] corner arrays -> [N,M]."""
     x1 = np.maximum(a[:, None, 0], b[None, :, 0])
     y1 = np.maximum(a[:, None, 1], b[None, :, 1])
     x2 = np.minimum(a[:, None, 2], b[None, :, 2])
@@ -91,40 +80,38 @@ def iou_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.divide(inter, union, out=np.zeros_like(inter), where=union > 0)
 
 
-def assign_maxiou(anchors: np.ndarray, gts, pos_thr: float = 0.5,
-                  neg_thr: float = 0.4) -> np.ndarray:
-    """Label each anchor: gt index (>= 0) if positive, NEGATIVE, or IGNORED."""
+def assign_maxiou(anchors: np.ndarray, gts: np.ndarray, pos_thr: float,
+                  neg_thr: float) -> np.ndarray:
+    """Label each of the float64 [N,4] anchors against the [G,4] ground-truth
+    boxes: gt index (>= 0) if positive, NEGATIVE, or IGNORED."""
     if not (0.0 <= neg_thr <= pos_thr <= 1.0):
         raise ValueError(f"need 0 <= neg_thr <= pos_thr <= 1, got {neg_thr}, {pos_thr}")
-    anchors = boxes_array(anchors)
     n = anchors.shape[0]
-    gt_arr = boxes_array(gts)
     labels = np.full(n, NEGATIVE, dtype=np.int64)
-    if gt_arr.shape[0] == 0:
+    if gts.shape[0] == 0:
         return labels
-    m = iou_matrix(anchors, gt_arr)
+    m = iou_matrix(anchors, gts)
     best_gt = m.argmax(axis=1)
     best_iou = m[np.arange(n), best_gt]
     labels[(best_iou >= neg_thr) & (best_iou < pos_thr)] = IGNORED
     labels[best_iou >= pos_thr] = best_gt[best_iou >= pos_thr]
     # argmax returns the first (lowest-index) maximum: documented tie rule
-    for j in range(gt_arr.shape[0]):
+    for j in range(gts.shape[0]):
         i = int(m[:, j].argmax())
         if m[i, j] > 0:
             labels[i] = j
     return labels
 
 
-def pyramid_anchors(image_hw, base_size: float = 2.0, levels=None):
-    """Anchors for every pyramid level of an image: returns (concatenated
+def pyramid_anchors(image_hw, base_size: float, levels):
+    """Anchors for the pyramid ``levels`` of an image: returns (concatenated
     anchors [N,4], per-level slices into them).  Level grids are
     ceil(H/stride) x ceil(W/stride)."""
     h, w = int(image_hw[0]), int(image_hw[1])
-    names = list(levels) if levels is not None else list(LEVEL_STRIDES)
     per_level = []
     slices = {}
     start = 0
-    for name in names:
+    for name in levels:
         s = LEVEL_STRIDES[name]
         a = gen_anchors(s, ((h + s - 1) // s, (w + s - 1) // s), base_size)
         per_level.append(a)

@@ -45,8 +45,8 @@ __all__ = [
 class DCLossParams:
     """Transition slope k and threshold delta, optionally learnable."""
 
-    k: float = 10.0
-    delta: float = 0.15
+    k: float
+    delta: float
     learnable: bool = False
     swap_weights: bool = False
     grad_k: float = 0.0
@@ -121,8 +121,9 @@ def dcloss_grad(eps, params: DCLossParams):
     return d_eps, d_k, d_delta
 
 
-def _second_derivative(eps, params: DCLossParams, h: float = 1e-6):
+def _second_derivative(eps, params: DCLossParams):
     """Numeric d2L/deps2 via central differences of the closed-form gradient."""
+    h = 1e-6
     lo = np.maximum(np.asarray(eps, dtype=np.float64) - h, 0.0)
     hi = np.asarray(eps, dtype=np.float64) + h
     g_lo, _, _ = dcloss_grad(lo, params)
@@ -178,8 +179,7 @@ class TheoremReport:
 _QUOTED_SLOPE_LIMIT = {"delta": 0.15, "claimed": 10.8}
 
 
-def verify_theorem1(params: DCLossParams, grid_points: int = 2001,
-                    small_eps: float = 1e-6, large_eps: float = 1e3) -> TheoremReport:
+def verify_theorem1(params: DCLossParams) -> TheoremReport:
     """Audit the stated gradient-phase properties against the implemented loss.
 
     Measures the small/large error gradient limits, scans the numeric second
@@ -189,6 +189,7 @@ def verify_theorem1(params: DCLossParams, grid_points: int = 2001,
     errors, linear for large ones").  Discrepancies are reported, never
     silently patched.
     """
+    grid_points, small_eps, large_eps = 2001, 1e-6, 1e3
     report = TheoremReport()
     notes = report.discrepancy_notes
 
@@ -278,12 +279,10 @@ def verify_theorem1(params: DCLossParams, grid_points: int = 2001,
     return report
 
 
-def smooth_l1(pred, target, beta: float = 1.0) -> float:
-    """Piecewise quadratic/linear baseline loss with a fixed knee at beta."""
-    if beta <= 0:
-        raise ValueError(f"beta must be positive, got {beta}")
+def smooth_l1(pred, target) -> float:
+    """Piecewise quadratic/linear baseline loss with its knee at 1."""
     eps = np.abs(np.asarray(pred, dtype=np.float64) - np.asarray(target, dtype=np.float64))
-    val = np.where(eps < beta, 0.5 * eps * eps / beta, eps - 0.5 * beta)
+    val = np.where(eps < 1.0, 0.5 * eps * eps, eps - 0.5)
     return float(np.mean(val))
 
 
@@ -316,18 +315,18 @@ def dcloss_term(pred: Tensor, target, params: DCLossParams) -> Tensor:
     return _make(val, (pred,), backward)
 
 
-def smooth_l1_term(pred: Tensor, target, beta: float = 1.0) -> Tensor:
+def smooth_l1_term(pred: Tensor, target) -> Tensor:
     """Mean smooth-L1 over a prediction tensor vs. a constant target array."""
     t = np.asarray(target, dtype=np.float64)
     if t.shape != pred.data.shape:
         raise ValueError(f"smooth_l1_term: target shape {t.shape} != pred {pred.data.shape}")
-    out = np.asarray(smooth_l1(pred.data, t, beta)).astype(pred.data.dtype)
+    out = np.asarray(smooth_l1(pred.data, t)).astype(pred.data.dtype)
     diff = pred.data.astype(np.float64) - t
     eps = np.abs(diff)
     n = max(eps.size, 1)
 
     def backward(g):
-        d = np.where(eps < beta, eps / beta, 1.0) * np.sign(diff)
+        d = np.where(eps < 1.0, eps, 1.0) * np.sign(diff)
         pred._accumulate(g * (d / n))
 
     return _make(out, (pred,), backward)

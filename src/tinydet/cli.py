@@ -62,13 +62,15 @@ def _read_config(path: str | None, seed: int) -> dict:
     defaults and ``seed`` comes from --seed.  ``variants`` becomes a list of
     (name, DetectorConfig, TrainConfig): each variant's partial ``detector``
     and ``train`` objects are merged key by key over the file's base sections,
-    then read strictly."""
+    then read strictly.  Every error names the file."""
     file = read_json(ConfigFile, path) if path else ConfigFile()
-    cfg = {name: _section(cls, getattr(file, name), name, seed) for name, cls in SECTIONS.items()}
+    at = f"{path}: " if path else ""
+    cfg = {name: _section(cls, getattr(file, name), at + name, seed)
+           for name, cls in SECTIONS.items()}
     cfg["n_seeds"] = file.n_seeds
     cfg["variants"] = [
         (v.name, *(_section(SECTIONS[k], {**getattr(file, k), **getattr(v, k)},
-                            f"variants[{i}].{k}", seed) for k in ("detector", "train")))
+                            f"{at}variants[{i}].{k}", seed) for k in ("detector", "train")))
         for i, v in enumerate(file.variants)]
     return cfg
 
@@ -81,7 +83,7 @@ def _read_scenes(path: str):
 
 def cmd_gen(args, cfg):
     manifest = write_dataset(cfg["scene"], args.count, args.out)
-    print(f"wrote {manifest['count']} scenes to {args.out}")
+    print(f"wrote {manifest.count} scenes to {args.out}")
     return 0
 
 

@@ -1,11 +1,12 @@
 """The one reader of dataclasses from JSON.
 
-``dataclasses.asdict`` is the writer: every record that goes to disk (a
-dataset's ``annotations.json`` and its manifest's ``spec``, a checkpoint's
-manifest and its ``config``) is the ``asdict`` of a dataclass, and every
-record that comes in (those and each ``--config`` section) is read back
-through ``from_dict``, which accepts exactly what the dataclass declares and
-raises ``ValueError`` for anything else.
+``dataclasses.asdict`` is the writer: every record that goes to disk is the
+``asdict`` of a dataclass.  ``from_dict`` is the reader of a dataset's
+``annotations.json`` (``Annotations``) and ``manifest.json``
+(``DatasetManifest``, whose ``spec`` stays a plain dict that nothing reads),
+a checkpoint's manifest and its ``config``, and each ``--config`` section; it
+accepts exactly what the dataclass declares and raises ``ValueError`` for
+anything else.
 """
 
 from __future__ import annotations

@@ -96,11 +96,10 @@ class DetectorConfig:
 
 
 def build_head_params(store: ParamStore, channels: int, num_classes: int,
-                      trunk_channels: int | None = None):
-    c = trunk_channels if trunk_channels is not None else channels
-    store.register_conv("head.trunk", c, channels, 3)
-    store.register_conv("head.cls", num_classes, c, 1)
-    store.register_conv("head.reg", 4, c, 1)
+                      trunk_channels: int):
+    store.register_conv("head.trunk", trunk_channels, channels, 3)
+    store.register_conv("head.cls", num_classes, trunk_channels, 1)
+    store.register_conv("head.reg", 4, trunk_channels, 1)
 
 
 def head_forward(pyr: dict[str, Tensor], store: ParamStore, levels):
@@ -136,9 +135,9 @@ def encode_deltas(anchors: np.ndarray, gt: np.ndarray) -> np.ndarray:
                      np.log(gw / aw), np.log(gh / ah)], axis=0)
 
 
-def decode_deltas(anchors: np.ndarray, deltas: np.ndarray,
-                  image_hw=None) -> np.ndarray:
-    """Inverse of encode_deltas; deltas is [4,N].  Output boxes [N,4]."""
+def decode_deltas(anchors: np.ndarray, deltas: np.ndarray, image_hw) -> np.ndarray:
+    """Inverse of encode_deltas, clipped to the (H, W) image; deltas is [4,N].
+    Output boxes [N,4]."""
     aw = anchors[:, 2] - anchors[:, 0]
     ah = anchors[:, 3] - anchors[:, 1]
     ax = (anchors[:, 0] + anchors[:, 2]) / 2
@@ -148,9 +147,8 @@ def decode_deltas(anchors: np.ndarray, deltas: np.ndarray,
     w = aw * np.exp(np.clip(deltas[2], -6, 6))
     h = ah * np.exp(np.clip(deltas[3], -6, 6))
     boxes = np.stack([cx - w / 2, cy - h / 2, cx + w / 2, cy + h / 2], axis=1)
-    if image_hw is not None:
-        boxes[:, 0::2] = np.clip(boxes[:, 0::2], 0, image_hw[1])
-        boxes[:, 1::2] = np.clip(boxes[:, 1::2], 0, image_hw[0])
+    boxes[:, 0::2] = np.clip(boxes[:, 0::2], 0, image_hw[1])
+    boxes[:, 1::2] = np.clip(boxes[:, 1::2], 0, image_hw[0])
     return boxes
 
 
@@ -223,7 +221,7 @@ class DetectorModel:
     def pyramid(self, image: Tensor) -> dict[str, Tensor]:
         feats = backbone_forward(image, self.store, self.cfg.backbone)
         pyr = build_fpn(feats, self.store, self.cfg.backbone)
-        return efpn_bs_forward(pyr, self.store, levels=self.cfg.enhance_levels)
+        return efpn_bs_forward(pyr, self.store, self.cfg.enhance_levels)
 
     def forward(self, image: Tensor):
         """(class logits [K,N], box deltas [4,N]), see ``head_forward``."""
@@ -247,7 +245,7 @@ class DetectorModel:
             return cls_loss, float(cls_loss.data), 0.0
         pred = gather_columns(reg_out, assignment.reg_idx)
         if dc_params is None:
-            reg = smooth_l1_term(pred, assignment.reg_targets, beta=1.0)
+            reg = smooth_l1_term(pred, assignment.reg_targets)
         else:
             reg = dcloss_term(pred, assignment.reg_targets, dc_params)
         return add(cls_loss, reg), float(cls_loss.data), float(reg.data)
@@ -267,7 +265,7 @@ class DetectorModel:
                                      "the model has diverged")
         anchors, _ = pyramid_anchors((h, w), cfg.base_anchor, cfg.levels)
         scores = sigmoid_array(cls_out.data.astype(np.float64))
-        boxes = decode_deltas(anchors, reg_out.data.astype(np.float64), image_hw=(h, w))
+        boxes = decode_deltas(anchors, reg_out.data.astype(np.float64), (h, w))
         sized = (boxes[:, 2] - boxes[:, 0] > 1e-3) & (boxes[:, 3] - boxes[:, 1] > 1e-3)
         cls, idx = np.nonzero((scores >= cfg.score_floor) & sized)  # class-major
         kept = nms(boxes[idx], scores[cls, idx], cls, cfg.nms_iou, cfg.max_detections)

@@ -19,7 +19,7 @@ themselves out of bucket, are dropped from the PR curve.  As in COCO's
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -62,11 +62,10 @@ class EvalResult:
     ap_t: float = 0.0
 
     def as_dict(self):
-        return {"ap": self.ap, "ap50": self.ap50, "ap75": self.ap75,
-                "ap_vt": self.ap_vt, "ap_t": self.ap_t}
+        return asdict(self)
 
 
-def nms(boxes, scores, classes, iou_thr: float = 0.5, max_keep: int | None = None) -> np.ndarray:
+def nms(boxes, scores, classes, iou_thr: float, max_keep: int) -> np.ndarray:
     """Greedy class-wise suppression of candidates (boxes [N,4], scores [N],
     classes [N]): a candidate is dropped when its IoU with a kept, higher-ranked
     candidate of its class exceeds ``iou_thr``.  Returns the kept indices ranked
@@ -87,9 +86,8 @@ def nms(boxes, scores, classes, iou_thr: float = 0.5, max_keep: int | None = Non
         return ((iou_matrix(boxes[rows], boxes[cols]) > iou_thr)
                 & (classes[rows][:, None] == classes[cols][None, :]))
 
-    cap = len(order) if max_keep is None else max_keep
     kept, start = [], 0
-    while len(kept) < cap and start < len(order):
+    while len(kept) < max_keep and start < len(order):
         end = min(len(order), start + max(_BLOCK, _WINDOW // max(len(kept), 1)))
         live = np.arange(start, end)
         for k in range(0, len(kept), _BLOCK):
@@ -103,7 +101,7 @@ def nms(boxes, scores, classes, iou_thr: float = 0.5, max_keep: int | None = Non
         for i in range(len(block)):
             if alive[i]:
                 kept.append(block[i])
-                if len(kept) == cap:
+                if len(kept) == max_keep:
                     break
                 alive &= spared[i]
     return order[kept]

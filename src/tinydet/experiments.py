@@ -11,12 +11,13 @@ from __future__ import annotations
 import csv
 import json
 import os
-from dataclasses import asdict, replace
+from dataclasses import asdict, fields, replace
 
 import numpy as np
 
 from .anchors import IGNORED, NEGATIVE, pyramid_anchors
 from .detector import DetectorConfig, DetectorModel, assign_image
+from .evaluation import EvalResult
 from .training import DivergenceError, TrainConfig, evaluate_model, train
 
 __all__ = [
@@ -28,7 +29,7 @@ __all__ = [
     "run_variants",
 ]
 
-METRICS = ("ap", "ap50", "ap75", "ap_vt", "ap_t")
+METRICS = tuple(f.name for f in fields(EvalResult))
 
 # The paper's component ablation, in the shape of the ``variants`` config key:
 # the FPN baseline, +E-FPN-BS (context and gating on P2), then +DCLoss with a
@@ -106,7 +107,7 @@ def run_training(train_scenes, val_scenes, det_cfg: DetectorConfig,
     return result, metrics
 
 
-def run_variants(train_scenes, val_scenes, variants, out_dir: str, n_seeds: int = 3):
+def run_variants(train_scenes, val_scenes, variants, out_dir: str, n_seeds: int):
     """Train and evaluate each variant, a ``(name, DetectorConfig, TrainConfig)``,
     once per seed ``train_cfg.seed + s`` for ``s < n_seeds``; report the runs and,
     per variant, its configs with the mean, std and normal-approximation 95% CI

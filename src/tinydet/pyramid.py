@@ -1,9 +1,9 @@
 """Feature pyramid construction over a small strided-conv backbone.
 
 Levels P2..P6 at strides 4/8/16/32/64, all with a shared channel width.  The
-enhancement step upsamples P5 to P2's resolution once, feeds the aligned copy
-through the context module and the gating module, and replaces the P2 slot;
-every other level passes through untouched.
+enhancement step upsamples P5 to each level of ``enhance_levels`` (P2 by
+default), feeds the aligned copy through the context and gating modules, and
+replaces that level; every other level passes through untouched.
 """
 
 from __future__ import annotations
@@ -116,9 +116,8 @@ def build_fpn(features, store: ParamStore, cfg: BackboneConfig) -> dict[str, Ten
     return pyr
 
 
-def efpn_bs_forward(pyr: dict[str, Tensor], store: ParamStore,
-                    levels=("P2",)) -> dict[str, Tensor]:
-    """Replace the configured low levels (default P2 only) with the
+def efpn_bs_forward(pyr: dict[str, Tensor], store: ParamStore, levels) -> dict[str, Tensor]:
+    """Replace the ``levels`` (``DetectorConfig.enhance_levels``) with the
     context-enhanced, gated version driven by an upsampled P5; no levels
     means no enhancement.  All other levels pass through unchanged."""
     out = dict(pyr)

@@ -29,6 +29,7 @@ __all__ = [
     "ImageRecord",
     "AnnotationRecord",
     "Annotations",
+    "DatasetManifest",
     "class_color",
     "generate_scene",
     "write_dataset",
@@ -189,8 +190,25 @@ class Annotations:
     annotations: tuple[AnnotationRecord, ...]
 
 
-def write_dataset(spec: SceneSpec, n: int, out_dir: str):
-    """Generate and persist n scenes; returns the manifest dict."""
+_DATASET_FORMAT = "tinydet-dataset-v1"
+
+
+@dataclass
+class DatasetManifest:
+    """A dataset's ``manifest.json``: ``count`` images, generated from ``spec``
+    (a ``SceneSpec`` as a dict; optional, and no reader takes it)."""
+
+    format: str
+    count: int
+    spec: dict = field(default_factory=dict)
+
+    def __post_init__(self):
+        if self.format != _DATASET_FORMAT:
+            raise ValueError(f"format must be {_DATASET_FORMAT!r}, got {self.format!r}")
+
+
+def write_dataset(spec: SceneSpec, n: int, out_dir: str) -> DatasetManifest:
+    """Generate and persist n scenes; returns the manifest."""
     if n < 0:
         raise ValueError(f"scene count must be >= 0, got {n}")
     images_dir = os.path.join(out_dir, "images")
@@ -206,27 +224,25 @@ def write_dataset(spec: SceneSpec, n: int, out_dir: str):
     with open(os.path.join(out_dir, "annotations.json"), "w") as f:
         json.dump(asdict(Annotations(tuple(images), tuple(annotations))), f,
                   indent=2, sort_keys=True)
-    manifest = {"format": "tinydet-dataset-v1", "count": n, "spec": asdict(spec)}
+    manifest = DatasetManifest(_DATASET_FORMAT, n, asdict(spec))
     with open(os.path.join(out_dir, "manifest.json"), "w") as f:
-        json.dump(manifest, f, indent=2, sort_keys=True)
+        json.dump(asdict(manifest), f, indent=2, sort_keys=True)
     return manifest
 
 
 def read_dataset(directory: str):
     """Load a dataset directory back into (scenes, manifest).  Beyond what the
-    records declare, image ids must be unique, every annotation must name a
-    known image and hold a non-degenerate box, and every image file must lie
-    inside ``directory`` and hold the declared shape."""
+    records declare, the manifest's count must be the number of images, image
+    ids must be unique, every annotation must name a known image and hold a
+    non-degenerate box, and every image file must lie inside ``directory`` and
+    hold the declared shape."""
     manifest_path = os.path.join(directory, "manifest.json")
     ann_path = os.path.join(directory, "annotations.json")
-    try:
-        with open(manifest_path) as f:
-            manifest = json.load(f)
-    except (OSError, ValueError) as e:
-        raise ValueError(f"{manifest_path}: {e}") from e
-    if not isinstance(manifest, dict):
-        raise ValueError(f"{manifest_path}: top level must be an object")
+    manifest = read_json(DatasetManifest, manifest_path)
     records = read_json(Annotations, ann_path)
+    if manifest.count != len(records.images):
+        raise ValueError(f"{manifest_path}: count {manifest.count}, but {ann_path} "
+                         f"lists {len(records.images)} images")
     by_image = {rec.id: [] for rec in records.images}
     if len(by_image) != len(records.images):
         raise ValueError(f"{ann_path}: images repeat an id")

@@ -43,7 +43,6 @@ __all__ = [
     "max_pool_2x2",
     "bilinear_upsample",
     "reshape",
-    "tensor_sum",
     "tensor_mean",
     "gather_columns",
     "concat_columns",
@@ -357,15 +356,6 @@ def reshape(x: Tensor, shape) -> Tensor:
         x._accumulate(g.reshape(x.data.shape))
 
     return _make(x.data.reshape(shape), (x,), backward)
-
-
-def tensor_sum(x: Tensor) -> Tensor:
-    out = np.asarray(x.data.sum(dtype=np.float64)).astype(x.data.dtype)
-
-    def backward(g):
-        x._accumulate(np.full_like(x.data, g))
-
-    return _make(out, (x,), backward)
 
 
 def tensor_mean(x: Tensor) -> Tensor:

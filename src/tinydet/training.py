@@ -66,8 +66,8 @@ class SGDMomentum:
     """v = m*v + g + wd*p; p -= lr*v.  Also updates the loss transition
     parameters when they are learnable, projecting them back to > 0."""
 
-    def __init__(self, tensors, momentum: float = 0.9, weight_decay: float = 0.0,
-                 dc_params: DCLossParams | None = None):
+    def __init__(self, tensors, momentum: float, weight_decay: float,
+                 dc_params: DCLossParams | None):
         self.tensors = list(tensors)
         self.momentum = momentum
         self.weight_decay = weight_decay

@@ -7,6 +7,19 @@ be built in float64 for probe noise well below the tolerances.
 
 import numpy as np
 
+from tinydet.tensor import Tensor, _make
+
+
+def tensor_sum(x: Tensor) -> Tensor:
+    """Scalar sum of ``x`` (accumulated in float64) on the tape: the reduction
+    the gradient checks build their losses with."""
+    out = np.asarray(x.data.sum(dtype=np.float64)).astype(x.data.dtype)
+
+    def backward(g):
+        x._accumulate(np.full_like(x.data, g))
+
+    return _make(out, (x,), backward)
+
 
 def fd_grads(build, tensors, h=1e-4):
     """Central-difference gradients of build() w.r.t. each tensor's entries."""

@@ -11,7 +11,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from gradcheck import check_gradients, max_rel_err
+from gradcheck import check_gradients, max_rel_err, tensor_sum
 from oracles import ap_scalar, assign_scalar
 
 from tinydet.anchors import pyramid_anchors
@@ -52,7 +52,6 @@ from tinydet.tensor import (
     max_pool_2x2,
     relu,
     sigmoid,
-    tensor_sum,
 )
 from tinydet.training import TrainConfig, evaluate_model, train
 
@@ -262,7 +261,7 @@ def test_criterion_4_module_contracts():
     build_cem_params(store, c, c)
     build_fbsm_params(store, c, c)
     pyr = build_fpn(backbone_forward(img, store, cfg), store, cfg)
-    enhanced = efpn_bs_forward(pyr, store)
+    enhanced = efpn_bs_forward(pyr, store, ("P2",))
     for name in ("P3", "P4", "P5", "P6"):
         assert enhanced[name].data.tobytes() == pyr[name].data.tobytes()
     tensor_sum(enhanced["P2"]).backward()
@@ -287,7 +286,7 @@ def test_criterion_5_level_stats_audit(tmp_path):
     assert by_level["P2"] / total >= 0.90
 
     # the brute-force assignment oracle agrees, scene by scene, on a sampled subset
-    anchors, _ = pyramid_anchors((128, 128), det_cfg.base_anchor)
+    anchors, _ = pyramid_anchors((128, 128), det_cfg.base_anchor, det_cfg.levels)
     for s in scenes[:25]:
         want = assign_scalar(anchors, [b.as_array() for b, _ in s.gts], 0.5, 0.4)
         np.testing.assert_array_equal(assign_image(s.gts, (128, 128), det_cfg).labels, want)

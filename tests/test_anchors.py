@@ -11,8 +11,8 @@ from tinydet.anchors import (
     NEGATIVE,
     Box,
     assign_maxiou,
+    boxes_array,
     gen_anchors,
-    iou,
     iou_matrix,
     pyramid_anchors,
 )
@@ -46,10 +46,13 @@ def test_box_validation_and_area():
 
 
 def test_iou_hand_values():
-    assert iou(Box(0, 0, 2, 2), Box(0, 0, 2, 2)) == 1.0
-    assert iou(Box(0, 0, 2, 2), Box(2, 2, 4, 4)) == 0.0  # touching corners
-    assert iou(Box(0, 0, 2, 2), Box(1, 1, 3, 3)) == pytest.approx(1 / 7)
-    assert iou(Box(0, 0, 4, 4), Box(1, 1, 3, 3)) == pytest.approx(4 / 16)
+    a = boxes_array([Box(0, 0, 2, 2), Box(0, 0, 4, 4)])
+    b = boxes_array([Box(0, 0, 2, 2), Box(2, 2, 4, 4), Box(1, 1, 3, 3)])
+    m = iou_matrix(a, b)
+    assert m[0, 0] == 1.0
+    assert m[0, 1] == 0.0  # touching corners
+    assert m[0, 2] == pytest.approx(1 / 7)
+    assert m[1, 2] == pytest.approx(4 / 16)
 
 
 def test_iou_matrix_matches_scalar_oracle():
@@ -87,11 +90,11 @@ def test_gen_anchors_layout():
 
 def test_gen_anchors_rejects_empty_grid():
     with pytest.raises(ValueError, match="positive"):
-        gen_anchors(4, (0, 3))
+        gen_anchors(4, (0, 3), 2.0)
 
 
 def test_pyramid_anchors_counts_for_128():
-    anchors, slices = pyramid_anchors((128, 128))
+    anchors, slices = pyramid_anchors((128, 128), 2.0, tuple(LEVEL_STRIDES))
     expect = {"P2": 32 * 32, "P3": 16 * 16, "P4": 8 * 8, "P5": 4 * 4, "P6": 2 * 2}
     assert list(slices) == list(expect)
     assert anchors.shape == (sum(expect.values()), 4)
@@ -102,11 +105,11 @@ def test_pyramid_anchors_counts_for_128():
         # each slice holds exactly its own level's grid
         side = 128 // LEVEL_STRIDES[name]
         np.testing.assert_array_equal(anchors[slices[name]],
-                                      gen_anchors(LEVEL_STRIDES[name], (side, side)))
+                                      gen_anchors(LEVEL_STRIDES[name], (side, side), 2.0))
 
 
 def test_pyramid_anchors_grid_is_ceil_of_image_over_stride():
-    anchors, slices = pyramid_anchors((100, 70), base_size=3.0, levels=("P2", "P6"))
+    anchors, slices = pyramid_anchors((100, 70), 3.0, ("P2", "P6"))
     assert list(slices) == ["P2", "P6"]
     np.testing.assert_array_equal(anchors[slices["P2"]], gen_anchors(4, (25, 18), 3.0))
     np.testing.assert_array_equal(anchors[slices["P6"]], gen_anchors(64, (2, 2), 3.0))
@@ -123,47 +126,47 @@ def test_assign_basic_thresholds():
         [2, 0, 10, 8],     # IoU 6/10 = 0.6  -> positive
         [40, 40, 48, 48],  # no overlap -> negative
     ], dtype=float)
-    labels = assign_maxiou(anchors, [Box(0, 0, 8, 8)])
+    labels = assign_maxiou(anchors, boxes_array([Box(0, 0, 8, 8)]), 0.5, 0.4)
     np.testing.assert_array_equal(labels, [0, NEGATIVE, 0, NEGATIVE])
 
 
 def test_assign_ignore_band():
     # IoU between 0.4 and 0.5 lands in the ignore band
     anchors = np.array([[0, 0, 8, 8], [3, 0, 11, 8]], dtype=float)  # 5/11 = 0.4545
-    labels = assign_maxiou(anchors, [Box(0, 0, 8, 8)])
+    labels = assign_maxiou(anchors, boxes_array([Box(0, 0, 8, 8)]), 0.5, 0.4)
     np.testing.assert_array_equal(labels, [0, IGNORED])
 
 
 def test_assign_force_best_match_rescues_low_iou():
     # best anchor for the gt has IoU below pos_thr but above zero
     anchors = np.array([[0, 0, 8, 8], [100, 100, 108, 108]], dtype=float)
-    gts = [Box(6, 6, 10, 10)]  # IoU with anchor 0 is 4/76 ~ 0.05
-    assert iou(anchors[0], gts[0]) < 0.4  # a negative, were it not forced
-    assert assign_maxiou(anchors, gts)[0] == 0
+    gts = boxes_array([Box(6, 6, 10, 10)])  # IoU with anchor 0 is 4/76 ~ 0.05
+    assert iou_scalar(anchors[0], gts[0]) < 0.4  # a negative, were it not forced
+    assert assign_maxiou(anchors, gts, 0.5, 0.4)[0] == 0
 
 
 def test_assign_force_best_match_tie_goes_to_first():
     # two anchors with identical IoU against the gt: lowest index wins
     anchors = np.array([[0, 0, 4, 4], [4, 0, 8, 4]], dtype=float)
-    gts = [Box(1, 0, 7, 4)]
-    labels = assign_maxiou(anchors, gts)
+    gts = boxes_array([Box(1, 0, 7, 4)])
+    labels = assign_maxiou(anchors, gts, 0.5, 0.4)
     assert labels[0] == 0 and labels[1] != 0
 
 
 def test_assign_no_gts_all_negative():
-    labels = assign_maxiou(random_boxes(10), [])
+    labels = assign_maxiou(random_boxes(10), np.zeros((0, 4)), 0.5, 0.4)
     np.testing.assert_array_equal(labels, np.full(10, NEGATIVE))
 
 
 def test_assign_zero_overlap_best_not_forced():
     anchors = np.array([[0, 0, 4, 4]], dtype=float)
-    labels = assign_maxiou(anchors, [Box(50, 50, 60, 60)])
+    labels = assign_maxiou(anchors, boxes_array([Box(50, 50, 60, 60)]), 0.5, 0.4)
     assert labels[0] == NEGATIVE
 
 
 def test_assign_threshold_validation():
     with pytest.raises(ValueError):
-        assign_maxiou(random_boxes(4), [Box(0, 0, 2, 2)], pos_thr=0.3, neg_thr=0.4)
+        assign_maxiou(random_boxes(4), boxes_array([Box(0, 0, 2, 2)]), pos_thr=0.3, neg_thr=0.4)
 
 
 def test_assign_matches_brute_force_oracle():
@@ -171,7 +174,7 @@ def test_assign_matches_brute_force_oracle():
         r = np.random.default_rng(trial)
         anchors = random_boxes(40, r=r)
         gts = random_boxes(r.integers(1, 6), r=r)
-        got = assign_maxiou(anchors, gts)
+        got = assign_maxiou(anchors, gts, 0.5, 0.4)
         want = assign_scalar(anchors, gts, pos_thr=0.5, neg_thr=0.4)
         np.testing.assert_array_equal(got, want)
 
@@ -194,9 +197,11 @@ def test_level_stats_counts_and_conservation(tmp_path):
     expect_total = {"P2": 1024, "P3": 256, "P4": 64, "P5": 16, "P6": 4}
     for s in stats:
         assert s["positives"] + s["negatives"] + s["ignored"] == 5 * expect_total[s["level"]]
-    anchors, _ = pyramid_anchors((128, 128))
+    cfg = DetectorConfig()
+    anchors, _ = pyramid_anchors((128, 128), cfg.base_anchor, cfg.levels)
     assert sum(s["positives"] for s in stats) == \
-        sum(int((assign_maxiou(anchors, b) >= 0).sum()) for b in boxes) > 0
+        sum(int((assign_maxiou(anchors, b, cfg.pos_thr, cfg.neg_thr) >= 0).sum())
+            for b in boxes) > 0
     # each scene is audited at its own size
     wide = audit_positive_samples([scene_of(boxes[0], (64, 192))], DetectorConfig(),
                                   str(tmp_path))

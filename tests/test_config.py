@@ -1,3 +1,4 @@
+import inspect
 import json
 from dataclasses import asdict, dataclass
 
@@ -5,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tinydet import anchors, balanced_loss, detector, evaluation, experiments, pyramid, training
 from tinydet.config import from_dict
 from tinydet.detector import DetectorConfig
 from tinydet.pyramid import LEVEL_STRIDES, BackboneConfig
@@ -115,3 +117,27 @@ def test_from_dict_names_a_missing_key():
     with pytest.raises(ValueError, match=r"^section\.pairs\[1\]: missing key 'first'$"):
         from_dict(_Pairs, {"pairs": [{"first": 1}, {"second": 2}]}, "section")
     assert from_dict(_Pairs, {"pairs": [{"first": 1}]}, "") == _Pairs((_Pair(1),))
+
+
+# Parameters whose values live in a config record (DetectorConfig, TrainConfig,
+# the ``n_seeds`` key) or that every caller passes: a default here would be a
+# second copy of the record's default, free to drift from it.
+STRICT_PARAMETERS = [
+    (anchors.gen_anchors, ("base_size",)),
+    (anchors.pyramid_anchors, ("base_size", "levels")),
+    (anchors.assign_maxiou, ("pos_thr", "neg_thr")),
+    (evaluation.nms, ("iou_thr", "max_keep")),
+    (pyramid.efpn_bs_forward, ("levels",)),
+    (detector.build_head_params, ("trunk_channels",)),
+    (detector.decode_deltas, ("image_hw",)),
+    (balanced_loss.DCLossParams, ("k", "delta")),
+    (training.SGDMomentum, ("momentum", "weight_decay", "dc_params")),
+    (experiments.run_variants, ("n_seeds",)),
+]
+
+
+def test_values_the_config_records_own_have_no_second_default():
+    defaulted = [f"{fn.__module__}.{fn.__qualname__}({name})"
+                 for fn, names in STRICT_PARAMETERS for name in names
+                 if inspect.signature(fn).parameters[name].default is not inspect.Parameter.empty]
+    assert not defaulted, f"defaults below the config records: {defaulted}"

@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from gradcheck import check_gradients
+from gradcheck import check_gradients, tensor_sum
 
 from tinydet.context import build_cem_params, cem_forward, global_context
-from tinydet.tensor import ParamStore, Tensor, tensor_sum
+from tinydet.tensor import ParamStore, Tensor
 
 rng = np.random.default_rng(5)
 

@@ -59,7 +59,7 @@ def test_encode_decode_roundtrip():
         r = np.random.default_rng(trial)
         anchors, gts = random_anchors_gts(20, r)
         d = encode_deltas(anchors, gts)
-        back = decode_deltas(anchors, d)
+        back = decode_deltas(anchors, d, (128, 128))  # every box lies inside: no clipping
         np.testing.assert_allclose(back, gts, atol=1e-9)
 
 
@@ -72,9 +72,9 @@ def test_decode_clamps_to_image():
 
 
 def test_decode_caps_log_scale():
-    a = np.array([[0.0, 0.0, 8.0, 8.0]])
+    a = np.array([[2000.0, 2000.0, 2008.0, 2008.0]])  # the capped box fits the image
     d = np.array([[0.0], [0.0], [100.0], [100.0]])
-    boxes = decode_deltas(a, d)
+    boxes = decode_deltas(a, d, (4096, 4096))
     assert boxes[0, 2] - boxes[0, 0] == pytest.approx(8 * np.exp(6))
 
 
@@ -119,7 +119,7 @@ def test_assign_regression_targets_recover_gt():
     asn = assign_image(gts, (128, 128), CFG)
     anchors, _ = pyramid_anchors((128, 128), CFG.base_anchor, CFG.levels)
     assert len(asn.reg_idx) >= 1
-    back = decode_deltas(anchors[asn.reg_idx], asn.reg_targets)
+    back = decode_deltas(anchors[asn.reg_idx], asn.reg_targets, (128, 128))
     np.testing.assert_allclose(back, np.tile(gts[0][0].as_array(), (len(asn.reg_idx), 1)),
                                atol=1e-9)
 
@@ -149,7 +149,7 @@ def test_head_column_j_is_anchor_j_of_pyramid_anchors():
     # centre and side, so column j must read back anchor j.
     levels = ("P2", "P4", "P3", "P6")  # out of stride order on purpose
     store = ParamStore(seed=0)
-    build_head_params(store, 4, 1)
+    build_head_params(store, 4, 1, 4)
     for t in store.tensors():
         t.data[...] = 0.0
     for c in range(4):
@@ -203,17 +203,18 @@ def test_loss_variants_agree_at_zero_error():
     scene, asn = scene_and_assignment()
     cls_out, reg_out = model.forward(Tensor(scene.image))
     _, cls_a, reg_a = model.loss((cls_out, reg_out), asn)
-    _, cls_b, reg_b = model.loss((cls_out, reg_out), asn, DCLossParams())
+    dc = DCLossParams(k=10.0, delta=0.15)
+    _, cls_b, reg_b = model.loss((cls_out, reg_out), asn, dc)
     assert cls_a == cls_b
     pred = Tensor(reg_out.data[:, asn.reg_idx])
-    assert reg_a == float(smooth_l1_term(pred, asn.reg_targets, beta=1.0).data)
-    assert reg_b == float(dcloss_term(pred, asn.reg_targets, DCLossParams()).data)
+    assert reg_a == float(smooth_l1_term(pred, asn.reg_targets).data)
+    assert reg_b == float(dcloss_term(pred, asn.reg_targets, dc).data)
     assert reg_a != reg_b
     # at zero error both regression terms vanish
     zero = Tensor(reg_out.data.copy())
     zero.data[:, asn.reg_idx] = asn.reg_targets
-    for dc in (None, DCLossParams()):
-        assert model.loss((cls_out, zero), asn, dc)[2] == pytest.approx(0.0, abs=1e-6)
+    for params in (None, dc):
+        assert model.loss((cls_out, zero), asn, params)[2] == pytest.approx(0.0, abs=1e-6)
 
 
 def test_ignored_anchors_carry_no_loss_weight():

@@ -7,6 +7,7 @@ import pytest
 from oracles import ap_scalar, nms_scalar
 
 from tinydet.anchors import Box, iou_matrix, pyramid_anchors
+from tinydet.detector import DetectorConfig
 from tinydet.evaluation import (
     IOU_THRESHOLDS,
     SIZE_BUCKETS,
@@ -68,22 +69,22 @@ def test_nms_suppresses_overlaps():
     d1 = det(0, 0, 10, 10, score=0.9)
     d2 = det(1, 1, 11, 11, score=0.8)   # IoU 0.68 with d1 -> suppressed
     d3 = det(50, 50, 60, 60, score=0.7)  # disjoint -> kept
-    kept = nms(*candidates(d1, d2, d3), iou_thr=0.5)
+    kept = nms(*candidates(d1, d2, d3), iou_thr=0.5, max_keep=3)
     assert kept.tolist() == [0, 2]
 
 
 def test_nms_is_class_wise():
     a = det(0, 0, 10, 10, cls=0, score=0.9)
     b = det(0, 0, 10, 10, cls=1, score=0.8)  # same box, different class
-    assert len(nms(*candidates(a, b))) == 2
+    assert len(nms(*candidates(a, b), 0.5, 2)) == 2
 
 
 def test_nms_threshold_is_strict():
     # IoU exactly at the threshold is kept (suppression needs IoU > thr)
     a = det(0, 0, 10, 10, score=0.9)
     b = det(5, 0, 15, 10, score=0.8)  # IoU = 5/15 = 1/3
-    assert len(nms(*candidates(a, b), iou_thr=1 / 3)) == 2
-    assert len(nms(*candidates(a, b), iou_thr=0.33)) == 1
+    assert len(nms(*candidates(a, b), iou_thr=1 / 3, max_keep=2)) == 2
+    assert len(nms(*candidates(a, b), iou_thr=0.33, max_keep=2)) == 1
 
 
 def test_nms_idempotent():
@@ -92,9 +93,9 @@ def test_nms_idempotent():
     boxes = np.concatenate([xy, xy + 8], axis=1)
     classes = r.integers(2, size=30)
     scores = r.uniform(0.1, 0.99, 30)
-    once = nms(boxes, scores, classes)
+    once = nms(boxes, scores, classes, 0.5, len(boxes))
     assert len(once) < 30
-    again = nms(boxes[once], scores[once], classes[once])
+    again = nms(boxes[once], scores[once], classes[once], 0.5, len(once))
     assert again.tolist() == list(range(len(once)))
 
 
@@ -118,21 +119,23 @@ def test_nms_matches_scalar_oracle_and_caps_to_a_prefix():
               for thr in (0.0, 0.3)]
     for boxes, scores, classes, thr in cases:
         want = nms_scalar(boxes, scores, classes, thr)
-        assert nms(boxes, scores, classes, thr).tolist() == want
+        assert nms(boxes, scores, classes, thr, len(boxes)).tolist() == want
         for k in (0, 1, 3, 127, 128, 129, len(want), len(want) + 5):
             assert nms(boxes, scores, classes, thr, max_keep=k).tolist() == want[:k]
-    assert nms(np.zeros((0, 4)), np.zeros(0), np.zeros(0, dtype=int)).tolist() == []
+    assert nms(np.zeros((0, 4)), np.zeros(0), np.zeros(0, dtype=int), 0.5, 0).tolist() == []
 
 
 def test_nms_memory_is_bounded_by_max_keep():
     # 261,888 candidates: one N x N IoU matrix per class would take 61 GB
-    anchors, _ = pyramid_anchors((1024, 1024))
+    cfg = DetectorConfig()
+    anchors, _ = pyramid_anchors((1024, 1024), cfg.base_anchor, cfg.levels)
     r = np.random.default_rng(0)
     classes = np.repeat(np.arange(3), len(anchors))
     scores = r.uniform(0.05, 1.0, len(classes))
     xy = r.uniform(0, 1, (len(classes), 2))
     cluster = np.concatenate([xy, xy + 10], axis=1)  # all overlap: one box kept per class
-    for boxes, max_keep, n_kept in ((np.tile(anchors, (3, 1)), 100, 100), (cluster, None, 3)):
+    for boxes, max_keep, n_kept in ((np.tile(anchors, (3, 1)), 100, 100),
+                                    (cluster, len(classes), 3)):
         tracemalloc.start()
         try:
             kept = nms(boxes, scores, classes, 0.5, max_keep=max_keep)
@@ -148,7 +151,7 @@ def test_zero_area_boxes_overlap_nothing_without_a_warning():
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # 0/0 would raise "invalid value encountered"
         ious = iou_matrix(boxes, boxes)
-        kept = nms(boxes, np.array([0.9, 0.8, 0.7, 0.6]), np.zeros(4, dtype=int), 0.0)
+        kept = nms(boxes, np.array([0.9, 0.8, 0.7, 0.6]), np.zeros(4, dtype=int), 0.0, 4)
     assert ious.tolist() == [[0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 1]]
     assert kept.tolist() == [0, 1, 2, 3]
 

@@ -111,7 +111,7 @@ def test_ablation_summary_and_determinism(tmp_path):
         assert read_file(tmp_path / "a" / "reports" / name) == \
             read_file(tmp_path / "b" / "reports" / name)
     with pytest.raises(ValueError, match="repeat"):
-        run_variants(scenes, scenes[:2], variants[:1] * 2, str(tmp_path / "c"))
+        run_variants(scenes, scenes[:2], variants[:1] * 2, str(tmp_path / "c"), n_seeds=2)
     with pytest.raises(ValueError, match="n_seeds"):
         run_variants(scenes, scenes[:2], variants, str(tmp_path / "c"), n_seeds=0)
     assert not os.path.exists(tmp_path / "c")
@@ -135,7 +135,7 @@ def test_delta_sweep_rows_and_determinism(tmp_path):
         assert read_file(tmp_path / "a" / "reports" / name) == \
             read_file(tmp_path / "b" / "reports" / name)
     with pytest.raises(ValueError, match="variants"):
-        run_variants(scenes, scenes[:2], [], str(tmp_path))
+        run_variants(scenes, scenes[:2], [], str(tmp_path), n_seeds=1)
 
 
 # ---------------------------------------------------------------------------
@@ -177,6 +177,17 @@ def test_cli_audit_reads_no_manifest_spec(tmp_path, dataset, capsys):
         json.dump(manifest, f)
     assert main(["audit", "--data", dataset, "--out", str(tmp_path / "audit")]) == 0
     assert "P2: positives=" in capsys.readouterr().out
+
+
+def test_cli_audit_rejects_a_manifest_that_disagrees_with_the_images(tmp_path, dataset, capsys):
+    path = os.path.join(dataset, "manifest.json")
+    manifest = json.loads(read_file(path))
+    for edit, match in (({"count": 7}, "count 7, but"), ({"format": "nonsense"}, "format must be")):
+        with open(path, "w") as f:
+            json.dump({**manifest, **edit}, f)
+        assert main(["audit", "--data", dataset, "--out", str(tmp_path / "audit")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: ") and match in err, err
 
 
 def test_cli_gen_matches_library(tmp_path):
@@ -368,8 +379,19 @@ def test_cli_config_faults_exit_1(tmp_path, dataset, capsys, payload):
     path.write_text(json.dumps(payload))
     for argv in (["gen", "--count", "1"], ["train", "--data", dataset]):
         assert main([*argv, "--config", str(path), "--out", str(tmp_path / "o")]) == 1
-        assert "error:" in capsys.readouterr().err
+        assert capsys.readouterr().err.startswith(f"error: {path}: ")
     assert not os.path.exists(tmp_path / "o" / "images")
+
+
+@pytest.mark.parametrize("payload, where", [
+    ({"train": {"epochs": "4"}}, "train.epochs: expected int, got '4'"),
+    ({"variants": [{"name": "a", "train": {"epoch": 1}}]}, "variants[0].train: unknown key 'epoch'"),
+])
+def test_cli_config_section_errors_name_the_file(tmp_path, capsys, payload, where):
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(payload))
+    assert main(["verify-loss", "--config", str(path), "--out", str(tmp_path / "o")]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {path}: {where}")
 
 
 def test_cli_config_count_no_host_holds_exits_1(tmp_path, dataset, capsys):

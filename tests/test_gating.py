@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from gradcheck import check_gradients
+from gradcheck import check_gradients, tensor_sum
 
 from tinydet.gating import build_fbsm_params, fbsm_forward, fuse_gates, gate
-from tinydet.tensor import ParamStore, Tensor, tensor_sum
+from tinydet.tensor import ParamStore, Tensor
 
 rng = np.random.default_rng(17)
 

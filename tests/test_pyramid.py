@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from gradcheck import tensor_sum
+
 from tinydet.context import build_cem_params
 from tinydet.gating import build_fbsm_params
 from tinydet.pyramid import (
@@ -12,7 +14,7 @@ from tinydet.pyramid import (
     build_fpn_params,
     efpn_bs_forward,
 )
-from tinydet.tensor import ParamStore, Tensor, tensor_sum
+from tinydet.tensor import ParamStore, Tensor
 
 rng = np.random.default_rng(23)
 
@@ -75,7 +77,7 @@ def test_p6_is_max_pool_of_p5():
 def test_enhancement_replaces_only_p2():
     store = make_store()
     pyr = build_fpn(backbone_forward(image(), store, CFG), store, CFG)
-    out = efpn_bs_forward(pyr, store)
+    out = efpn_bs_forward(pyr, store, ("P2",))
     assert not np.array_equal(out["P2"].data, pyr["P2"].data)
     assert out["P2"].data.shape == pyr["P2"].data.shape
     for name in ("P3", "P4", "P5", "P6"):
@@ -85,7 +87,7 @@ def test_enhancement_replaces_only_p2():
 def test_enhancement_disabled_is_identity():
     store = make_store()
     pyr = build_fpn(backbone_forward(image(), store, CFG), store, CFG)
-    out = efpn_bs_forward(pyr, store, levels=())
+    out = efpn_bs_forward(pyr, store, ())
     assert list(out) == list(pyr)
     assert all(out[name] is pyr[name] for name in pyr)
 
@@ -93,7 +95,7 @@ def test_enhancement_disabled_is_identity():
 def test_enhancement_configurable_levels():
     store = make_store()
     pyr = build_fpn(backbone_forward(image(), store, CFG), store, CFG)
-    out = efpn_bs_forward(pyr, store, levels=("P2", "P3"))
+    out = efpn_bs_forward(pyr, store, ("P2", "P3"))
     for name in ("P2", "P3"):
         assert not np.array_equal(out[name].data, pyr[name].data)
     for name in ("P4", "P5", "P6"):
@@ -105,7 +107,7 @@ def test_gradient_reaches_p5_through_enhanced_p2():
     # into every backbone and pyramid parameter, including P5's lateral conv
     store = make_store()
     pyr = build_fpn(backbone_forward(image(), store, CFG), store, CFG)
-    out = efpn_bs_forward(pyr, store)
+    out = efpn_bs_forward(pyr, store, ("P2",))
     tensor_sum(out["P2"]).backward()
     lat5 = store["fpn.lateral5.w"]
     assert lat5.grad is not None and np.abs(lat5.grad).max() > 0
@@ -117,7 +119,8 @@ def test_full_pipeline_deterministic():
     def run():
         store = make_store(seed=4)
         img = Tensor(np.random.default_rng(1).standard_normal((3, 128, 128)).astype(np.float32))
-        pyr = efpn_bs_forward(build_fpn(backbone_forward(img, store, CFG), store, CFG), store)
+        pyr = efpn_bs_forward(build_fpn(backbone_forward(img, store, CFG), store, CFG), store,
+                              ("P2",))
         return pyr["P2"].data.tobytes()
 
     assert run() == run()

@@ -2,6 +2,7 @@ import json
 import os
 import shutil
 import tempfile
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -115,10 +116,11 @@ def test_noise_free_spec_is_piecewise_flat():
 def test_dataset_roundtrip(tmp_path):
     spec = SceneSpec(seed=5)
     manifest = write_dataset(spec, 4, str(tmp_path))
-    assert manifest["count"] == 4
-    assert manifest["spec"]["seed"] == 5
+    assert manifest.count == 4
+    assert manifest.spec["seed"] == 5
     scenes, loaded_manifest = read_dataset(str(tmp_path))
-    assert loaded_manifest == json.load(open(tmp_path / "manifest.json"))
+    assert loaded_manifest == manifest
+    assert asdict(loaded_manifest) == json.load(open(tmp_path / "manifest.json"))
     assert len(scenes) == 4
     for i, scene in enumerate(scenes):
         fresh = generate_scene(spec, i)
@@ -136,6 +138,21 @@ def test_read_dataset_diagnostics(tmp_path):
     payload["annotations"][0]["image_id"] = 99
     ann.write_text(json.dumps(payload))
     with pytest.raises(ValueError, match="unknown image"):
+        read_dataset(str(tmp_path))
+
+
+@pytest.mark.parametrize("edit, match", [
+    ({"count": 7}, r"manifest\.json: count 7, but .*annotations\.json lists 2 images"),
+    ({"count": 1}, "count 1, but"),
+    ({"format": "nonsense"}, r"manifest\.json: top level: format must be 'tinydet-dataset-v1'"),
+    ({"count": "2"}, r"manifest\.json: count: expected int, got '2'"),
+    ({"seed": 3}, r"manifest\.json: top level: unknown key 'seed'"),
+])
+def test_read_dataset_checks_the_manifest(tmp_path, edit, match):
+    write_dataset(SceneSpec(seed=1), 2, str(tmp_path))
+    path = tmp_path / "manifest.json"
+    path.write_text(json.dumps({**json.loads(path.read_text()), **edit}))
+    with pytest.raises(ValueError, match=match):
         read_dataset(str(tmp_path))
 
 
@@ -157,7 +174,7 @@ def _read_annotations(directory, payload):
     # a dataset directory holding one 128x128 image and ``payload`` as annotations.json
     os.makedirs(directory / "images", exist_ok=True)
     write_tensor_file(str(directory / "images" / "00000.efbt"), np.zeros((3, 128, 128)))
-    (directory / "manifest.json").write_text("{}")
+    (directory / "manifest.json").write_text('{"format": "tinydet-dataset-v1", "count": 1}')
     (directory / "annotations.json").write_text(json.dumps(payload))
     return read_dataset(str(directory))[0]
 

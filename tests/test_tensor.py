@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from gradcheck import check_gradients, max_rel_err
+from gradcheck import check_gradients, max_rel_err, tensor_sum
 from oracles import bilinear_scalar, conv2d_scalar
 
 from tinydet.tensor import (
@@ -27,7 +27,6 @@ from tinydet.tensor import (
     reshape,
     sigmoid,
     tensor_mean,
-    tensor_sum,
     weighted_bce_with_logits,
     write_tensor_file,
 )

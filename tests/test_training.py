@@ -45,7 +45,7 @@ def test_epoch_lr_schedule():
 def test_sgd_momentum_update_rule():
     t = Tensor(np.array([1.0, -2.0], dtype=np.float32), requires_grad=True)
     t.grad = np.array([0.5, 0.5])
-    opt = SGDMomentum([t], momentum=0.9, weight_decay=0.1)
+    opt = SGDMomentum([t], momentum=0.9, weight_decay=0.1, dc_params=None)
     opt.step(lr=0.1)
     # v = g + wd*p = [0.6, 0.3]; p -= 0.1*v
     np.testing.assert_allclose(t.data, [1.0 - 0.06, -2.0 - 0.03], rtol=1e-6)
@@ -58,7 +58,7 @@ def test_sgd_momentum_update_rule():
 
 def test_sgd_skips_gradless_tensors():
     t = Tensor(np.ones(3, dtype=np.float32))
-    opt = SGDMomentum([t])
+    opt = SGDMomentum([t], momentum=0.9, weight_decay=0.0, dc_params=None)
     opt.step(lr=1.0)
     np.testing.assert_array_equal(t.data, np.ones(3))
 
@@ -66,7 +66,7 @@ def test_sgd_skips_gradless_tensors():
 def test_sgd_updates_learnable_loss_params_with_projection():
     p = DCLossParams(k=10.0, delta=0.15, learnable=True)
     p.grad_k, p.grad_delta = 1.0, 100.0
-    opt = SGDMomentum([], dc_params=p)
+    opt = SGDMomentum([], momentum=0.9, weight_decay=0.0, dc_params=p)
     opt.step(lr=0.01)
     assert p.k == pytest.approx(10.0 - 0.01)
     assert p.delta == DCLossParams.MIN_VALUE  # projected back above zero
