@@ -139,14 +139,11 @@ def lipschitz_bound(delta: float) -> float:
 
 
 def convexity_region(params: DCLossParams):
-    """Closed-form convexity intervals (0, delta-r) and (delta+r, inf),
-    r = sqrt(delta^2 + 2/k^2); empty intervals are dropped."""
+    """Closed-form convexity intervals: [(delta+r, inf)], r = sqrt(delta^2 + 2/k^2).
+    The other candidate, (0, delta-r), is always empty: r > delta for every
+    k, delta > 0."""
     r = math.sqrt(params.delta**2 + 2.0 / params.k**2)
-    intervals = []
-    if params.delta - r > 0:
-        intervals.append((0.0, params.delta - r))
-    intervals.append((params.delta + r, math.inf))
-    return intervals
+    return [(params.delta + r, math.inf)]
 
 
 @dataclass

@@ -15,7 +15,7 @@ import os
 import sys
 from dataclasses import dataclass, field
 
-from .balanced_loss import DCLossParams, verify_theorem1
+from .balanced_loss import verify_theorem1
 from .config import from_dict, read_json
 from .detector import DetectorConfig, DetectorModel
 from .experiments import (
@@ -96,10 +96,7 @@ def cmd_audit(args, cfg):
 
 
 def cmd_verify_loss(args, cfg):
-    t = cfg["train"]
-    params = DCLossParams(k=t.dc_k, delta=t.dc_delta,
-                          swap_weights=t.reg_loss == "dcloss_swapped")
-    report = verify_theorem1(params)
+    report = verify_theorem1(cfg["train"].dcloss_params())
     write_report(args.out, "theorem_report", report.as_dict())
     print(report.to_json())
     return 0

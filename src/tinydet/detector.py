@@ -121,16 +121,16 @@ def head_forward(pyr: dict[str, Tensor], store: ParamStore, levels):
     return concat_columns(cls_cols), concat_columns(reg_cols)
 
 
+def _center_size(boxes: np.ndarray):
+    """(cx, cy, w, h) of [N,4] (x1, y1, x2, y2) boxes."""
+    return ((boxes[:, 0] + boxes[:, 2]) / 2, (boxes[:, 1] + boxes[:, 3]) / 2,
+            boxes[:, 2] - boxes[:, 0], boxes[:, 3] - boxes[:, 1])
+
+
 def encode_deltas(anchors: np.ndarray, gt: np.ndarray) -> np.ndarray:
     """Normalized (dx, dy, dw, dh) of gt boxes relative to anchors."""
-    aw = anchors[:, 2] - anchors[:, 0]
-    ah = anchors[:, 3] - anchors[:, 1]
-    ax = (anchors[:, 0] + anchors[:, 2]) / 2
-    ay = (anchors[:, 1] + anchors[:, 3]) / 2
-    gw = gt[:, 2] - gt[:, 0]
-    gh = gt[:, 3] - gt[:, 1]
-    gx = (gt[:, 0] + gt[:, 2]) / 2
-    gy = (gt[:, 1] + gt[:, 3]) / 2
+    ax, ay, aw, ah = _center_size(anchors)
+    gx, gy, gw, gh = _center_size(gt)
     return np.stack([(gx - ax) / aw, (gy - ay) / ah,
                      np.log(gw / aw), np.log(gh / ah)], axis=0)
 
@@ -138,10 +138,7 @@ def encode_deltas(anchors: np.ndarray, gt: np.ndarray) -> np.ndarray:
 def decode_deltas(anchors: np.ndarray, deltas: np.ndarray, image_hw) -> np.ndarray:
     """Inverse of encode_deltas, clipped to the (H, W) image; deltas is [4,N].
     Output boxes [N,4]."""
-    aw = anchors[:, 2] - anchors[:, 0]
-    ah = anchors[:, 3] - anchors[:, 1]
-    ax = (anchors[:, 0] + anchors[:, 2]) / 2
-    ay = (anchors[:, 1] + anchors[:, 3]) / 2
+    ax, ay, aw, ah = _center_size(anchors)
     cx = ax + deltas[0] * aw
     cy = ay + deltas[1] * ah
     w = aw * np.exp(np.clip(deltas[2], -6, 6))
@@ -230,7 +227,7 @@ class DetectorModel:
     # -- loss ---------------------------------------------------------------
 
     def loss(self, outputs, assignment: ImageAssignment,
-             dc_params: DCLossParams | None = None):
+             dc_params: DCLossParams | None):
         """Scalar total loss plus float (cls, reg) components for the curves.
         Regression uses smooth L1, or the adaptive loss when ``dc_params`` is
         given."""

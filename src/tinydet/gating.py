@@ -25,8 +25,9 @@ __all__ = ["build_fbsm_params", "gate", "fuse_gates", "fbsm_forward"]
 
 
 def build_fbsm_params(store: ParamStore, c_high: int, c_low: int,
-                      gate_width: int | None = None):
-    """Each gate branch is G wide: ``gate_width``, or max(4, c_low // 4)."""
+                      gate_width: int | None):
+    """Each gate branch is G wide: ``gate_width``, or max(4, c_low // 4) when it
+    is None (``DetectorConfig.gate_width``'s default)."""
     g = gate_width if gate_width is not None else max(4, c_low // 4)
     store.register_conv("fbsm.psi_h1", g, c_high, 3)
     store.register_conv("fbsm.psi_h2", 1, g, 1)

@@ -18,7 +18,7 @@ from .tensor import (
     add,
     bilinear_upsample,
     conv2d,
-    max_pool_2x2,
+    max_pool,
     relu,
 )
 
@@ -111,7 +111,7 @@ def build_fpn(features, store: ParamStore, cfg: BackboneConfig) -> dict[str, Ten
     for i, name in enumerate(("P2", "P3", "P4", "P5")):
         pyr[name] = conv2d(merged[i], store[f"fpn.smooth{i + 2}.w"],
                            store[f"fpn.smooth{i + 2}.b"])
-    pyr["P6"] = max_pool_2x2(pyr["P5"])
+    pyr["P6"] = max_pool(pyr["P5"], (2, 2))
     assert c == pyr["P2"].data.shape[0]
     return pyr
 

@@ -39,8 +39,7 @@ __all__ = [
     "sigmoid_array",
     "add",
     "mul",
-    "adaptive_max_pool_1x1",
-    "max_pool_2x2",
+    "max_pool",
     "bilinear_upsample",
     "reshape",
     "tensor_mean",
@@ -203,43 +202,29 @@ def sigmoid(x: Tensor) -> Tensor:
 # pooling / resampling
 
 
-def adaptive_max_pool_1x1(x: Tensor) -> Tensor:
-    """Collapse the spatial dimensions of a [C,H,W] map to a [C] vector of maxima.
+def max_pool(x: Tensor, size) -> Tensor:
+    """Max pooling of a [C,H,W] map over non-overlapping (kh, kw) windows.
 
-    The gradient routes to the first argmax per channel in row-major order,
-    so the backward pass is deterministic under ties.
+    H and W must be multiples of kh and kw; ``size = x.shape[1:]`` pools the
+    whole map to [C,1,1].  The gradient routes to the first maximum of each
+    window in row-major order, so the backward pass is deterministic under ties.
     """
     if x.data.ndim != 3:
-        raise ValueError(f"adaptive_max_pool_1x1 expects [C,H,W], got {x.data.shape}")
-    c = x.data.shape[0]
-    flat = x.data.reshape(c, -1)
-    idx = flat.argmax(axis=1)  # first max in row-major order
-    out = flat[np.arange(c), idx]
-
-    def backward(g):
-        gx = np.zeros_like(flat)
-        gx[np.arange(c), idx] = g
-        x._accumulate(gx.reshape(x.data.shape))
-
-    return _make(out, (x,), backward)
-
-
-def max_pool_2x2(x: Tensor) -> Tensor:
-    """2x2 max pooling with stride 2 over a [C,H,W] map (H, W even)."""
-    if x.data.ndim != 3:
-        raise ValueError(f"max_pool_2x2 expects [C,H,W], got {x.data.shape}")
+        raise ValueError(f"max_pool expects [C,H,W], got {x.data.shape}")
+    kh, kw = size
     c, h, w = x.data.shape
-    if h % 2 or w % 2:
-        raise ValueError(f"max_pool_2x2 requires even spatial dims, got {h}x{w}")
-    win = x.data.reshape(c, h // 2, 2, w // 2, 2).transpose(0, 1, 3, 2, 4)
-    win = win.reshape(c, h // 2, w // 2, 4)
+    if kh < 1 or kw < 1 or h % kh or w % kw:
+        raise ValueError(f"max_pool: window {kh}x{kw} does not tile a {h}x{w} map")
+    oh, ow = h // kh, w // kw
+    win = x.data.reshape(c, oh, kh, ow, kw).transpose(0, 1, 3, 2, 4)
+    win = win.reshape(c, oh, ow, kh * kw)
     idx = win.argmax(axis=-1)  # first max within each window
     out = np.take_along_axis(win, idx[..., None], axis=-1)[..., 0]
 
     def backward(g):
         gw = np.zeros_like(win)
         np.put_along_axis(gw, idx[..., None], g[..., None], axis=-1)
-        gx = gw.reshape(c, h // 2, w // 2, 2, 2).transpose(0, 1, 3, 2, 4)
+        gx = gw.reshape(c, oh, ow, kh, kw).transpose(0, 1, 3, 2, 4)
         x._accumulate(gx.reshape(c, h, w))
 
     return _make(out, (x,), backward)
@@ -416,8 +401,7 @@ def weighted_bce_with_logits(logits: Tensor, targets, weights) -> Tensor:
     # stable: max(z,0) - z*t + log1p(exp(-|z|))
     per = np.maximum(z, 0.0) - z * t + np.log1p(np.exp(-np.abs(z)))
     out = np.asarray((per * w).sum()).astype(logits.data.dtype)
-    sig = 1.0 / (1.0 + np.exp(-np.abs(z)))
-    sig = np.where(z >= 0, sig, 1.0 - sig)
+    sig = sigmoid_array(z)
 
     def backward(g):
         logits._accumulate(g * (w * (sig - t)))
@@ -482,32 +466,24 @@ class ParamStore:
         self.params: dict[str, Tensor] = {}
         self.saved = saved
 
-    def register(self, name: str, shape, fan_in: int | None = None,
-                 fan_out: int | None = None, zero: bool = False) -> Tensor:
-        if name in self.params:
-            raise ValueError(f"parameter {name!r} already registered")
-        shape = tuple(int(s) for s in shape)
-        if self.saved is not None:
-            data = self.saved.pop(name, None)
-            if data is None or data.shape != shape:
-                raise ValueError(f"parameter {name!r} of shape {list(shape)} is not saved")
-        elif zero:
-            data = np.zeros(shape, dtype=self.dtype)
-        else:
-            if fan_in is None or fan_out is None:
-                raise ValueError(f"parameter {name!r}: fan_in/fan_out required")
-            a = float(np.sqrt(6.0 / (fan_in + fan_out)))
-            data = self._rng.uniform(-a, a, size=shape).astype(self.dtype)
-        t = Tensor(data, requires_grad=True)
-        self.params[name] = t
-        return t
-
     def register_conv(self, name: str, c_out: int, c_in: int, k: int):
-        """Register a conv weight/bias pair; returns (weight, bias)."""
-        w = self.register(f"{name}.w", (c_out, c_in, k, k),
-                          fan_in=c_in * k * k, fan_out=c_out * k * k)
-        b = self.register(f"{name}.b", (c_out,), zero=True)
-        return w, b
+        """Register the weight ``<name>.w`` [c_out,c_in,k,k] (fan_in = c_in*k*k,
+        fan_out = c_out*k*k) and the bias ``<name>.b`` [c_out]; returns
+        (weight, bias).  A name already in the store raises ValueError."""
+        a = float(np.sqrt(6.0 / ((c_in + c_out) * k * k)))
+        for n, shape in ((f"{name}.w", (c_out, c_in, k, k)), (f"{name}.b", (c_out,))):
+            if n in self.params:
+                raise ValueError(f"parameter {n!r} already registered")
+            if self.saved is not None:
+                data = self.saved.pop(n, None)
+                if data is None or data.shape != shape:
+                    raise ValueError(f"parameter {n!r} of shape {list(shape)} is not saved")
+            elif n.endswith(".b"):
+                data = np.zeros(shape, dtype=self.dtype)
+            else:
+                data = self._rng.uniform(-a, a, size=shape).astype(self.dtype)
+            self.params[n] = Tensor(data, requires_grad=True)
+        return self.params[f"{name}.w"], self.params[f"{name}.b"]
 
     def __getitem__(self, name: str) -> Tensor:
         return self.params[name]

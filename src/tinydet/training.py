@@ -45,6 +45,12 @@ class TrainConfig:
         if self.reg_loss not in ("smooth_l1", "dcloss", "dcloss_swapped"):
             raise ValueError(f"unknown regression loss {self.reg_loss!r}")
 
+    def dcloss_params(self) -> DCLossParams:
+        """The adaptive loss's k/delta: ``dc_k``, ``dc_delta``, ``dc_learnable``,
+        with swapped weights under ``reg_loss == "dcloss_swapped"``."""
+        return DCLossParams(k=self.dc_k, delta=self.dc_delta, learnable=self.dc_learnable,
+                            swap_weights=self.reg_loss == "dcloss_swapped")
+
 
 @dataclass
 class TrainResult:
@@ -108,11 +114,7 @@ def train(scenes, det_cfg: DetectorConfig, cfg: TrainConfig) -> TrainResult:
     if not scenes:
         raise ValueError("training dataset is empty")
     model = DetectorModel(det_cfg, seed=cfg.seed)
-    dc_params = None
-    if cfg.reg_loss in ("dcloss", "dcloss_swapped"):
-        dc_params = DCLossParams(k=cfg.dc_k, delta=cfg.dc_delta,
-                                 learnable=cfg.dc_learnable,
-                                 swap_weights=cfg.reg_loss == "dcloss_swapped")
+    dc_params = None if cfg.reg_loss == "smooth_l1" else cfg.dcloss_params()
     opt = SGDMomentum(model.store.tensors(), cfg.momentum, cfg.weight_decay, dc_params)
     assignments = [assign_image(s.gts, s.image.shape[1:], det_cfg) for s in scenes]
     order_rng = np.random.default_rng(cfg.seed)

@@ -46,10 +46,9 @@ from tinydet.scenes import SceneSpec, generate_scene
 from tinydet.tensor import (
     ParamStore,
     Tensor,
-    adaptive_max_pool_1x1,
     bilinear_upsample,
     conv2d,
-    max_pool_2x2,
+    max_pool,
     relu,
     sigmoid,
 )
@@ -93,9 +92,9 @@ def test_criterion_1_gradient_suite():
 
     for _ in range(10):  # pooling (continuous inputs: max is locally smooth)
         x = f64(2, 6, 6)
-        check_gradients(lambda: tensor_sum(max_pool_2x2(x)), [x])
+        check_gradients(lambda: tensor_sum(max_pool(x, (2, 2))), [x])
         y = f64(2, 5, 5)
-        check_gradients(lambda: tensor_sum(adaptive_max_pool_1x1(y)), [y])
+        check_gradients(lambda: tensor_sum(max_pool(y, (5, 5))), [y])
         cases += 2
 
     for _ in range(10):  # bilinear upsample
@@ -113,7 +112,7 @@ def test_criterion_1_gradient_suite():
 
     for _ in range(10):  # gating module (full dual-gate + fusion + refine)
         store = ParamStore(seed=int(rng.integers(1 << 30)))
-        build_fbsm_params(store, 3, 2)
+        build_fbsm_params(store, 3, 2, gate_width=None)
         for t in store.tensors():
             t.data = rng.standard_normal(t.data.shape) * 0.5
         ph, ce = f64(3, 4, 4), f64(2, 4, 4)
@@ -233,7 +232,7 @@ def test_criterion_4_module_contracts():
 
     # gating mask entries strictly inside (0, 1) for random parameters
     store = ParamStore(seed=11)
-    build_fbsm_params(store, 4, 3)
+    build_fbsm_params(store, 4, 3, gate_width=None)
     for t in store.tensors():
         t.data = r.standard_normal(t.data.shape).astype(np.float32)
     ph4 = Tensor(r.standard_normal((4, 8, 8)).astype(np.float32))
@@ -245,7 +244,7 @@ def test_criterion_4_module_contracts():
 
     # gating module with all-zero parameters outputs exactly zero
     store0 = ParamStore(seed=12)
-    build_fbsm_params(store0, 4, 3)
+    build_fbsm_params(store0, 4, 3, gate_width=None)
     for t in store0.tensors():
         t.data = np.zeros_like(t.data)
     out0 = fbsm_forward(ph4, ce, store0)
@@ -259,7 +258,7 @@ def test_criterion_4_module_contracts():
     build_fpn_params(store, cfg)
     c = cfg.pyramid_channels
     build_cem_params(store, c, c)
-    build_fbsm_params(store, c, c)
+    build_fbsm_params(store, c, c, gate_width=None)
     pyr = build_fpn(backbone_forward(img, store, cfg), store, cfg)
     enhanced = efpn_bs_forward(pyr, store, ("P2",))
     for name in ("P3", "P4", "P5", "P6"):

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tinydet import anchors, balanced_loss, detector, evaluation, experiments, pyramid, training
+from tinydet import anchors, balanced_loss, detector, evaluation, experiments, gating, pyramid, training
 from tinydet.config import from_dict
 from tinydet.detector import DetectorConfig
 from tinydet.pyramid import LEVEL_STRIDES, BackboneConfig
@@ -130,6 +130,8 @@ STRICT_PARAMETERS = [
     (pyramid.efpn_bs_forward, ("levels",)),
     (detector.build_head_params, ("trunk_channels",)),
     (detector.decode_deltas, ("image_hw",)),
+    (detector.DetectorModel.loss, ("dc_params",)),
+    (gating.build_fbsm_params, ("gate_width",)),
     (balanced_loss.DCLossParams, ("k", "delta")),
     (training.SGDMomentum, ("momentum", "weight_decay", "dc_params")),
     (experiments.run_variants, ("n_seeds",)),

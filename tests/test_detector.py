@@ -176,7 +176,7 @@ def test_loss_finite_and_components():
     model = DetectorModel(CFG, seed=0)
     scene, asn = scene_and_assignment()
     outputs = model.forward(Tensor(scene.image))
-    total, cls_v, reg_v = model.loss(outputs, asn)
+    total, cls_v, reg_v = model.loss(outputs, asn, dc_params=None)
     assert np.isfinite(total.data) and total.data.shape == ()
     assert float(total.data) == pytest.approx(cls_v + reg_v, rel=1e-5)
     assert cls_v > 0 and reg_v >= 0
@@ -185,7 +185,7 @@ def test_loss_finite_and_components():
 def test_loss_backward_touches_all_parameters():
     model = DetectorModel(CFG, seed=0)
     scene, asn = scene_and_assignment()
-    total, _, _ = model.loss(model.forward(Tensor(scene.image)), asn)
+    total, _, _ = model.loss(model.forward(Tensor(scene.image)), asn, dc_params=None)
     total.backward()
     for name, t in model.store.items():
         assert t.grad is not None, name
@@ -202,7 +202,7 @@ def test_loss_variants_agree_at_zero_error():
     model = DetectorModel(CFG, seed=0)
     scene, asn = scene_and_assignment()
     cls_out, reg_out = model.forward(Tensor(scene.image))
-    _, cls_a, reg_a = model.loss((cls_out, reg_out), asn)
+    _, cls_a, reg_a = model.loss((cls_out, reg_out), asn, dc_params=None)
     dc = DCLossParams(k=10.0, delta=0.15)
     _, cls_b, reg_b = model.loss((cls_out, reg_out), asn, dc)
     assert cls_a == cls_b
@@ -221,7 +221,7 @@ def test_ignored_anchors_carry_no_loss_weight():
     model = DetectorModel(CFG, seed=0)
     scene, asn = scene_and_assignment()
     outputs = model.forward(Tensor(scene.image))
-    base_total, _, _ = model.loss(outputs, asn)
+    base_total, _, _ = model.loss(outputs, asn, dc_params=None)
     # perturbing the assignment so everything is ignored zeroes the cls loss
     empty = ImageAssignment(
         labels=np.full_like(asn.labels, IGNORED),
@@ -229,7 +229,7 @@ def test_ignored_anchors_carry_no_loss_weight():
         reg_idx=np.zeros(0, dtype=np.int64), reg_targets=np.zeros((4, 0)),
         n_pos=0, n_neg=0)
     outputs = model.forward(Tensor(scene.image))
-    total, cls_v, reg_v = model.loss(outputs, empty)
+    total, cls_v, reg_v = model.loss(outputs, empty, dc_params=None)
     assert cls_v == 0.0 and reg_v == 0.0
     assert float(base_total.data) > 0
 
@@ -275,7 +275,7 @@ def test_model_deterministic_across_instances():
 
     def run():
         model = DetectorModel(CFG, seed=9)
-        total, _, _ = model.loss(model.forward(Tensor(scene.image)), asn)
+        total, _, _ = model.loss(model.forward(Tensor(scene.image)), asn, dc_params=None)
         return total.data.tobytes()
 
     assert run() == run()

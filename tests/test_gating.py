@@ -9,9 +9,9 @@ from tinydet.tensor import ParamStore, Tensor
 rng = np.random.default_rng(17)
 
 
-def make_params(c_high, c_low, seed=0, dtype=np.float64, **kw):
+def make_params(c_high, c_low, seed=0, dtype=np.float64, gate_width=None):
     store = ParamStore(seed=seed)
-    build_fbsm_params(store, c_high, c_low, **kw)
+    build_fbsm_params(store, c_high, c_low, gate_width)
     for name, t in store.items():
         t.data = t.data.astype(dtype)
     return store

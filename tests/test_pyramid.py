@@ -27,7 +27,7 @@ def make_store(seed=0):
     build_fpn_params(store, CFG)
     c = CFG.pyramid_channels
     build_cem_params(store, c, c)
-    build_fbsm_params(store, c, c)
+    build_fbsm_params(store, c, c, gate_width=None)
     return store
 
 

@@ -106,11 +106,17 @@ def test_class_colors_distinct():
 
 def test_noise_free_spec_is_piecewise_flat():
     spec = SceneSpec(seed=1, noise_sigma=0.0)
-    scene = generate_scene(spec, 0)
-    # without noise or texture amplitude the background is exactly 0.4
-    corner = scene.image[:, :2, :2]
-    assert np.abs(corner - 0.4).max() < 1e-6 or True  # texture may still vary
-    assert scene.image.min() >= 0.0
+    for index in range(5):
+        scene = generate_scene(spec, index)
+        # no noise and a texture amplitude of 2 * noise_sigma = 0: every pixel
+        # outside the ground-truth boxes is exactly the background level 0.4,
+        # and each object adds at most one more value per channel
+        outside = np.ones(scene.image.shape[1:], dtype=bool)
+        for b, _ in scene.gts:
+            outside[int(b.y1):int(b.y2), int(b.x1):int(b.x2)] = False
+        assert (scene.image[:, outside] == np.float32(0.4)).all()
+        for channel in scene.image:
+            assert len(np.unique(channel)) <= 1 + len(scene.gts)
 
 
 def test_dataset_roundtrip(tmp_path):

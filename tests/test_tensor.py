@@ -14,13 +14,12 @@ from oracles import bilinear_scalar, conv2d_scalar
 from tinydet.tensor import (
     ParamStore,
     Tensor,
-    adaptive_max_pool_1x1,
     add,
     bilinear_upsample,
     concat_columns,
     conv2d,
     gather_columns,
-    max_pool_2x2,
+    max_pool,
     mul,
     read_tensor_file,
     relu,
@@ -198,33 +197,60 @@ def test_broadcast_gradient_sums_in_float64():
 
 
 def test_adaptive_max_pool_constant_and_direct():
-    out = adaptive_max_pool_1x1(t64(np.full((3, 4, 4), 2.5)))
-    np.testing.assert_array_equal(out.data, [2.5, 2.5, 2.5])
-    out = adaptive_max_pool_1x1(t64([[[1.0, 2.0], [3.0, 4.0]]]))
-    assert float(out.data[0]) == 4.0
+    # a window the size of the map pools [C,H,W] to [C,1,1]
+    out = max_pool(t64(np.full((3, 4, 4), 2.5)), (4, 4))
+    np.testing.assert_array_equal(out.data, np.full((3, 1, 1), 2.5))
+    out = max_pool(t64([[[1.0, 2.0], [3.0, 4.0]]]), (2, 2))
+    assert out.data.shape == (1, 1, 1) and float(out.data[0, 0, 0]) == 4.0
 
 
 def test_adaptive_max_pool_gradient_one_hot():
     x = rand64(2, 3, 3, requires_grad=True)
-    check_gradients(lambda: tensor_sum(adaptive_max_pool_1x1(x)), [x])
+    check_gradients(lambda: tensor_sum(max_pool(x, (3, 3))), [x])
     # exactly one nonzero cell per channel, value 1
     for c in range(2):
         g = x.grad[c]
         assert (g != 0).sum() == 1 and g.max() == 1.0
+    # under ties, the first maximum in row-major order takes the gradient
+    x = t64([[[1.0, 3.0, 0.0], [3.0, 2.0, 3.0]]], requires_grad=True)
+    tensor_sum(max_pool(x, (2, 3))).backward()
+    np.testing.assert_array_equal(x.grad, [[[0.0, 1.0, 0.0], [0.0, 0.0, 0.0]]])
+
+
+def naive_max_pool(x, kh, kw):
+    c, h, w = x.shape
+    out = np.empty((c, h // kh, w // kw))
+    for ch in range(c):
+        for i in range(h // kh):
+            for j in range(w // kw):
+                out[ch, i, j] = x[ch, kh * i:kh * i + kh, kw * j:kw * j + kw].max()
+    return out
 
 
 def test_max_pool_2x2_matches_naive():
     x = rand64(2, 6, 4)
-    out = max_pool_2x2(x)
-    for c in range(2):
-        for i in range(3):
-            for j in range(2):
-                assert out.data[c, i, j] == x.data[c, 2 * i:2 * i + 2, 2 * j:2 * j + 2].max()
+    np.testing.assert_array_equal(max_pool(x, (2, 2)).data, naive_max_pool(x.data, 2, 2))
+
+
+def test_max_pool_non_square_window_matches_naive():
+    x = rand64(3, 9, 4, requires_grad=True)
+    out = max_pool(x, (3, 2))
+    assert out.data.shape == (3, 3, 2)
+    np.testing.assert_array_equal(out.data, naive_max_pool(x.data, 3, 2))
+    check_gradients(lambda: tensor_sum(max_pool(x, (3, 2))), [x])
+
+
+def test_max_pool_rejects_a_window_that_does_not_tile_the_map():
+    for size in ((2, 2), (3, 1), (1, 4), (0, 1)):
+        with pytest.raises(ValueError, match="does not tile"):
+            max_pool(rand64(2, 5, 6), size)
+    with pytest.raises(ValueError, match=r"\[C,H,W\]"):
+        max_pool(rand64(4, 4), (2, 2))
 
 
 def test_max_pool_2x2_gradient():
     x = rand64(2, 4, 4, requires_grad=True)
-    check_gradients(lambda: tensor_sum(max_pool_2x2(x)), [x])
+    check_gradients(lambda: tensor_sum(max_pool(x, (2, 2))), [x])
 
 
 def test_bilinear_constant_and_degenerate():
@@ -309,6 +335,16 @@ def test_gather_concat_bce_gradients():
     check_gradients(build, [x, y])
 
 
+def test_bce_gradient_is_exact_far_below_zero():
+    # d/dz of the BCE at target 0 is sigmoid(z): at z = -30 that is ~9.4e-14,
+    # which 1 - 1/(1 + e^30) misses by 1e-3 relative in float64
+    for z in (-20.0, -30.0, -40.0):
+        x = t64([[z]], requires_grad=True)
+        weighted_bce_with_logits(x, [[0.0]], [[1.0]]).backward()
+        expected = math.exp(z) / (1.0 + math.exp(z))
+        assert x.grad[0, 0] == pytest.approx(expected, rel=1e-12, abs=0.0)
+
+
 def test_gather_columns_rejects_bad_input():
     with pytest.raises(ValueError, match=r"\[C,N\]"):
         gather_columns(rand64(3, 4, 4), [0])
@@ -352,7 +388,7 @@ def test_param_store_bitwise_determinism():
     def make():
         s = ParamStore(seed=7)
         s.register_conv("a", 4, 3, 3)
-        s.register("w", (5, 5), fan_in=5, fan_out=5)
+        s.register_conv("b", 5, 5, 1)
         return s
 
     s1, s2 = make(), make()
@@ -376,9 +412,9 @@ def test_forward_backward_repeatable_bitwise():
 
 def test_param_store_duplicate_name_rejected():
     s = ParamStore(seed=0)
-    s.register("p", (2,), fan_in=2, fan_out=2)
-    with pytest.raises(ValueError, match="already registered"):
-        s.register("p", (2,), fan_in=2, fan_out=2)
+    s.register_conv("p", 2, 2, 1)
+    with pytest.raises(ValueError, match="'p.w' already registered"):
+        s.register_conv("p", 2, 2, 1)
 
 
 def test_checkpoint_roundtrip(tmp_path):
