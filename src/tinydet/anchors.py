@@ -103,19 +103,33 @@ def assign_maxiou(anchors: np.ndarray, gts: np.ndarray, pos_thr: float,
     return labels
 
 
+# (h, w, base_size, levels) -> (read-only anchors, slices); emptied when full,
+# so a dataset of many image sizes cannot grow it without bound
+_PYRAMID_ANCHORS: dict = {}
+_CACHE_SIZE = 64
+
+
 def pyramid_anchors(image_hw, base_size: float, levels):
     """Anchors for the pyramid ``levels`` of an image: returns (concatenated
     anchors [N,4], per-level slices into them).  Level grids are
-    ceil(H/stride) x ceil(W/stride)."""
+    ceil(H/stride) x ceil(W/stride).  The anchors are built once per
+    (image size, base_size, levels) and returned read-only."""
     h, w = int(image_hw[0]), int(image_hw[1])
-    per_level = []
-    slices = {}
-    start = 0
-    for name in levels:
-        s = LEVEL_STRIDES[name]
-        a = gen_anchors(s, ((h + s - 1) // s, (w + s - 1) // s), base_size)
-        per_level.append(a)
-        slices[name] = slice(start, start + len(a))
-        start += len(a)
-    return np.concatenate(per_level, axis=0), slices
-
+    key = (h, w, base_size, tuple(levels))
+    if key not in _PYRAMID_ANCHORS:
+        if len(_PYRAMID_ANCHORS) >= _CACHE_SIZE:
+            _PYRAMID_ANCHORS.clear()
+        per_level = []
+        slices = {}
+        start = 0
+        for name in levels:
+            s = LEVEL_STRIDES[name]
+            a = gen_anchors(s, ((h + s - 1) // s, (w + s - 1) // s), base_size)
+            per_level.append(a)
+            slices[name] = slice(start, start + len(a))
+            start += len(a)
+        anchors = np.concatenate(per_level, axis=0)
+        anchors.setflags(write=False)
+        _PYRAMID_ANCHORS[key] = anchors, slices
+    anchors, slices = _PYRAMID_ANCHORS[key]
+    return anchors, dict(slices)

@@ -65,6 +65,16 @@ class EvalResult:
         return asdict(self)
 
 
+def _ranked(neg_scores: np.ndarray, classes: np.ndarray, m: int) -> np.ndarray:
+    """Indices of the ``m`` best candidates, plus every candidate tied with the
+    m-th on score, ranked by (-score, class, index)."""
+    if m < len(neg_scores):
+        idx = np.flatnonzero(neg_scores <= np.partition(neg_scores, m - 1)[m - 1])
+    else:
+        idx = np.arange(len(neg_scores))
+    return idx[np.lexsort((classes[idx], neg_scores[idx]))]  # ties: by index
+
+
 def nms(boxes, scores, classes, iou_thr: float, max_keep: int) -> np.ndarray:
     """Greedy class-wise suppression of candidates (boxes [N,4], scores [N],
     classes [N]): a candidate is dropped when its IoU with a kept, higher-ranked
@@ -73,21 +83,31 @@ def nms(boxes, scores, classes, iou_thr: float, max_keep: int) -> np.ndarray:
     class decide a candidate's fate, so stopping after ``max_keep`` kept gives
     exactly the first ``max_keep`` of the full result.
 
-    Ranked candidates are walked in blocks: a window of the next ones is cleared
+    Only a prefix of the ranking is sorted: the best 2 * max_keep candidates
+    (at least ``_BLOCK``) and every one tied with the last of them, widened to
+    four times its length whenever the walk reaches its end.  Widening keeps
+    the prefix's order, since every candidate it adds scores lower.  Ranked
+    candidates are walked in blocks: a window of the next ones is cleared
     against every kept box, and its first ``_BLOCK`` survivors are resolved in
-    greedy order.  Memory is O(N) for the ranking; the window narrows as boxes
-    are kept, so no IoU temporary exceeds ``_WINDOW`` elements."""
+    greedy order.  Memory is O(N); the window narrows as boxes are kept, so no
+    IoU temporary exceeds ``_WINDOW`` elements."""
     boxes = np.asarray(boxes, dtype=np.float64).reshape(-1, 4)
     classes = np.asarray(classes)
-    order = np.lexsort((classes, -np.asarray(scores, dtype=np.float64)))  # ties: by index
-    boxes, classes = np.take(boxes, order, axis=0), classes[order]  # take copies rows ~5x faster
+    neg_scores = -np.asarray(scores, dtype=np.float64)
+    n, m = len(neg_scores), max(_BLOCK, 2 * max_keep)
+    order = np.arange(0)
 
     def overlaps(rows, cols):  # [len(rows), len(cols)]: same class and IoU > iou_thr
-        return ((iou_matrix(boxes[rows], boxes[cols]) > iou_thr)
-                & (classes[rows][:, None] == classes[cols][None, :]))
+        return ((iou_matrix(ranked_boxes[rows], ranked_boxes[cols]) > iou_thr)
+                & (ranked_classes[rows][:, None] == ranked_classes[cols][None, :]))
 
     kept, start = [], 0
-    while len(kept) < max_keep and start < len(order):
+    while len(kept) < max_keep and start < n:
+        if start == len(order):
+            order = _ranked(neg_scores, classes, m)
+            m = 4 * max(m, len(order))
+            ranked_boxes = np.take(boxes, order, axis=0)  # take copies rows ~5x faster
+            ranked_classes = classes[order]
         end = min(len(order), start + max(_BLOCK, _WINDOW // max(len(kept), 1)))
         live = np.arange(start, end)
         for k in range(0, len(kept), _BLOCK):

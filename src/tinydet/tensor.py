@@ -81,13 +81,18 @@ class Tensor:
 
     def _accumulate(self, g):
         if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        self.grad += g.astype(self.data.dtype, copy=False)
+            self.grad = np.array(g, dtype=self.data.dtype)  # a copy: g may be a view
+        else:
+            self.grad += g.astype(self.data.dtype, copy=False)
 
     def backward(self):
         """Populate grad buffers of every reachable requires_grad tensor.
 
         Only valid on a scalar (0-d) tensor produced by this module's ops.
+        Each op node drops its backward closure and its parents once it has
+        run, so the graph (im2col columns included) is freed as soon as the
+        caller lets go of the loss; a second backward through a spent node
+        raises ValueError.
         """
         if self.data.shape != ():
             raise ValueError(
@@ -110,11 +115,17 @@ class Tensor:
                     stack.append((p, False))
         self.grad = np.ones_like(self.data)
         for node in reversed(topo):
-            if node._backward is not None and node.grad is not None:
-                node._backward(node.grad)
+            if node._backward is not None:
+                if node.grad is not None:
+                    node._backward(node.grad)
+                node._backward, node._parents = _spent, ()
 
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, dtype={self.data.dtype}, requires_grad={self.requires_grad})"
+
+
+def _spent(g):
+    raise ValueError("backward() already ran through this graph; build it again")
 
 
 def _make(data, parents, backward_fn):
@@ -171,12 +182,13 @@ def mul(a: Tensor, b: Tensor | float) -> Tensor:
 
 
 def relu(x: Tensor) -> Tensor:
-    pos = x.data > 0
+    """max(x, 0) in x's dtype; NaN stays NaN, so a diverged map is not hidden."""
+    out = np.maximum(x.data, 0)
 
     def backward(g):
-        x._accumulate(g * pos)
+        x._accumulate(g * (out > 0))
 
-    return _make(np.where(pos, x.data, x.data.dtype.type(0)), (x,), backward)
+    return _make(out, (x,), backward)
 
 
 def sigmoid_array(d: np.ndarray) -> np.ndarray:
@@ -230,17 +242,30 @@ def max_pool(x: Tensor, size) -> Tensor:
     return _make(out, (x,), backward)
 
 
+# (src, dst, dtype) -> read-only interpolation matrix; emptied when full
+_INTERP: dict = {}
+_CACHE_SIZE = 64
+
+
 def _interp_matrix(src: int, dst: int, dtype) -> np.ndarray:
-    """[dst,src] half-pixel-center linear interpolation weights along one axis."""
-    pos = np.clip((np.arange(dst, dtype=np.float64) + 0.5) * (src / dst) - 0.5,
-                  0.0, src - 1.0)
-    lo = np.floor(pos).astype(np.int64)
-    w_hi = pos - lo
-    rows = np.arange(dst)
-    r = np.zeros((dst, src))
-    r[rows, lo] = 1 - w_hi
-    r[rows, np.minimum(lo + 1, src - 1)] += w_hi
-    return r.astype(dtype)
+    """[dst,src] half-pixel-center linear interpolation weights along one axis,
+    built once per (src, dst, dtype) and returned read-only."""
+    key = (src, dst, np.dtype(dtype))
+    if key not in _INTERP:
+        if len(_INTERP) >= _CACHE_SIZE:
+            _INTERP.clear()
+        pos = np.clip((np.arange(dst, dtype=np.float64) + 0.5) * (src / dst) - 0.5,
+                      0.0, src - 1.0)
+        lo = np.floor(pos).astype(np.int64)
+        w_hi = pos - lo
+        rows = np.arange(dst)
+        r = np.zeros((dst, src))
+        r[rows, lo] = 1 - w_hi
+        r[rows, np.minimum(lo + 1, src - 1)] += w_hi
+        r = r.astype(dtype)
+        r.setflags(write=False)
+        _INTERP[key] = r
+    return _INTERP[key]
 
 
 def bilinear_upsample(x: Tensor, target) -> Tensor:
@@ -273,12 +298,42 @@ def bilinear_upsample(x: Tensor, target) -> Tensor:
 # convolution
 
 
+def _windows(a: np.ndarray, kh: int, kw: int, oh: int, ow: int, step: int = 1) -> np.ndarray:
+    """im2col: the [C*kh*kw, oh*ow] columns of a [C,H,W] array, column (y, x)
+    holding the kh x kw window at (y*step, x*step) of every channel.
+
+    The window view is built with the ndarray constructor, which checks its
+    extent against the buffer; the reshape copies it unless it is already
+    contiguous (a 1x1 window at step 1)."""
+    a = np.ascontiguousarray(a)
+    c = a.shape[0]
+    sc, sy, sx = a.strides
+    view = np.ndarray((c, kh, kw, oh, ow), a.dtype, a, 0, (sc, sy, sx, sy * step, sx * step))
+    return view.reshape(c * kh * kw, oh * ow)
+
+
+def _embed(a: np.ndarray, shape, top: int, left: int, step: int) -> np.ndarray:
+    """Zeros of ``shape`` with the [C,h,w] array ``a`` written every ``step``
+    pixels from (top, left); ``a`` itself when that would change nothing."""
+    if a.shape == tuple(shape) and step == 1:
+        return a
+    out = np.zeros(shape, dtype=a.dtype)
+    _, h, w = a.shape
+    out[:, top : top + (h - 1) * step + 1 : step, left : left + (w - 1) * step + 1 : step] = a
+    return out
+
+
 def conv2d(x: Tensor, weight: Tensor, bias: Tensor, stride: int = 1) -> Tensor:
     """2-D cross-correlation with bias over a single [C_in,H,W] image.
 
     Kernels are 1x1 or 3x3, padded so that stride-1 convolution preserves the
-    spatial size; stride s > 1 yields ceil(H/s) x ceil(W/s) outputs.  The
-    convolution is one GEMM of the weights with the im2col columns.
+    spatial size; stride s > 1 yields ceil(H/s) x ceil(W/s) outputs.  Both the
+    forward pass and the input gradient are one GEMM with ``_windows`` columns:
+    forward, the [Co, Ci*kh*kw] weights times the windows of the zero-padded
+    input at step s; the input gradient, the flipped, channel-swapped
+    [Ci, Co*kh*kw] kernel times the step-1 windows of the output gradient,
+    dilated by s and zero-padded to the input's size plus kh-1 by kw-1.  The
+    weight gradient is the output gradient times the forward columns.
     """
     if x.data.ndim != 3:
         raise ValueError(f"conv2d expects input [C,H,W], got {x.data.shape}")
@@ -297,19 +352,8 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor, stride: int = 1) -> Tensor:
     ph, pw = kh // 2, kw // 2
     oh = (h + 2 * ph - kh) // stride + 1
     ow = (w + 2 * pw - kw) // stride + 1
-    padded_shape = (c, h + 2 * ph, w + 2 * pw)
-    if ph or pw:
-        padded = np.zeros(padded_shape, dtype=x.data.dtype)
-        padded[:, ph : ph + h, pw : pw + w] = x.data
-    else:
-        padded = x.data
-    # im2col: a read-only [C,kh,kw,oh,ow] window view, copied by the reshape
-    # unless it is already contiguous (1x1, stride 1)
-    sc, sy, sx = padded.strides
-    cols = np.lib.stride_tricks.as_strided(
-        padded, (c, kh, kw, oh, ow), (sc, sy, sx, sy * stride, sx * stride),
-        writeable=False,
-    ).reshape(c * kh * kw, oh * ow)
+    padded = _embed(x.data, (c, h + 2 * ph, w + 2 * pw), ph, pw, 1)
+    cols = _windows(padded, kh, kw, oh, ow, stride)
     wmat = weight.data.reshape(co, ci * kh * kw)
     out = (wmat @ cols + bias.data[:, None]).reshape(co, oh, ow)
 
@@ -320,12 +364,9 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor, stride: int = 1) -> Tensor:
         if bias.requires_grad:
             bias._accumulate(gmat.sum(axis=1, dtype=np.float64))
         if x.requires_grad:
-            gcols = (wmat.T @ gmat).reshape(ci, kh, kw, oh, ow)
-            gpad = np.zeros(padded_shape, dtype=x.data.dtype)
-            for i in range(kh):
-                for j in range(kw):
-                    gpad[:, i : i + oh * stride : stride, j : j + ow * stride : stride] += gcols[:, i, j]
-            x._accumulate(gpad[:, ph : ph + h, pw : pw + w])
+            flipped = weight.data[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(ci, co * kh * kw)
+            spread = _embed(g, (co, h + kh - 1, w + kw - 1), ph, pw, stride)
+            x._accumulate((flipped @ _windows(spread, kh, kw, h, w)).reshape(ci, h, w))
 
     return _make(out, (x, weight, bias), backward)
 

@@ -115,6 +115,18 @@ def test_pyramid_anchors_grid_is_ceil_of_image_over_stride():
     np.testing.assert_array_equal(anchors[slices["P6"]], gen_anchors(64, (2, 2), 3.0))
 
 
+def test_pyramid_anchors_are_cached_read_only():
+    anchors, slices = pyramid_anchors((96, 64), 2.0, ("P2", "P3"))
+    again, slices_again = pyramid_anchors((96, 64), 2.0, ("P2", "P3"))
+    assert again is anchors and slices_again == slices
+    with pytest.raises(ValueError, match="read-only"):
+        anchors[0, 0] = 1.0
+    slices.clear()  # each call gets its own slice map
+    assert pyramid_anchors((96, 64), 2.0, ("P2", "P3"))[1] == slices_again
+    np.testing.assert_array_equal(anchors[slices_again["P3"]], gen_anchors(8, (12, 8), 2.0))
+    assert pyramid_anchors((96, 64), 3.0, ("P2", "P3"))[0] is not anchors
+
+
 # ---------------------------------------------------------------------------
 # assignment
 

@@ -249,10 +249,11 @@ def test_predict_contract():
         assert 0 <= d.box.y1 < d.box.y2 <= 128
 
 
-@pytest.mark.parametrize("param", ["head.cls.b", "head.reg.b"])
+@pytest.mark.parametrize("param", ["head.cls.b", "head.reg.b", "backbone.stem0.w"])
 def test_predict_raises_on_a_diverged_head(param):
     # NaN scores used to fall below the floor and give no detections; NaN box
-    # deltas used to raise "degenerate box"
+    # deltas used to raise "degenerate box"; a NaN backbone weight used to be
+    # zeroed by relu, giving finite detections
     model = DetectorModel(CFG, seed=0)
     model.store[param].data[...] = np.nan
     scene, _ = scene_and_assignment()

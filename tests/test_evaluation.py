@@ -6,6 +6,7 @@ import pytest
 
 from oracles import ap_scalar, nms_scalar
 
+from tinydet import evaluation
 from tinydet.anchors import Box, iou_matrix, pyramid_anchors
 from tinydet.detector import DetectorConfig
 from tinydet.evaluation import (
@@ -123,6 +124,47 @@ def test_nms_matches_scalar_oracle_and_caps_to_a_prefix():
         for k in (0, 1, 3, 127, 128, 129, len(want), len(want) + 5):
             assert nms(boxes, scores, classes, thr, max_keep=k).tolist() == want[:k]
     assert nms(np.zeros((0, 4)), np.zeros(0), np.zeros(0, dtype=int), 0.5, 0).tolist() == []
+
+
+def test_nms_ranks_a_prefix_keeps_ties_at_the_cut_and_widens(monkeypatch):
+    sizes, ranked = [], evaluation._ranked
+
+    def counted(*args):  # records the length of each ranked prefix nms asks for
+        order = ranked(*args)
+        sizes.append(len(order))
+        return order
+
+    monkeypatch.setattr(evaluation, "_ranked", counted)
+    r = np.random.default_rng(11)
+    n = 900
+    # one stack of heavily overlapping boxes per class, with its best-scoring
+    # candidates on top and a few far apart at the bottom of the ranking: the
+    # walk must widen the prefix several times to find them
+    xy = r.uniform(0, 2, (n, 2))
+    far = r.choice(n, 12, replace=False)
+    xy[far] = r.uniform(100, 400, (12, 2))
+    stack = (np.concatenate([xy, xy + 10], axis=1), np.where(np.isin(np.arange(n), far), 0.01,
+                                                             r.uniform(0.2, 1.0, n)))
+    # three score values only: ties at the cut run over the whole set
+    tied = (np.concatenate([xy := r.uniform(0, 100, (n, 2)), xy + 6], axis=1),
+            r.choice([0.3, 0.6, 0.9], n))
+    # a tie straddles the default cut at rank 128, across classes and indices
+    straddle = (np.concatenate([xy := r.uniform(0, 150, (n, 2)), xy + 8], axis=1),
+                np.where(np.arange(n) < 120, 0.95, np.where(np.arange(n) % 7 == 0, 0.5, 0.1)))
+    for boxes, scores in (stack, tied, straddle):
+        classes = r.integers(3, size=n)
+        for thr in (0.0, 0.5):
+            want = nms_scalar(boxes, scores, classes, thr)
+            for k in (1, 3, 64, 65, 100, len(want) - 1, len(want), len(want) + 1):
+                sizes.clear()
+                assert nms(boxes, scores, classes, thr, max_keep=k).tolist() == want[:k]
+                assert sizes == sorted(set(sizes))  # each widening ranks more
+    # infer128's case: 100 kept from few overlaps rank a 200-candidate prefix only
+    xy = r.uniform(0, 1000, (4092, 2))
+    sizes.clear()
+    kept = nms(np.concatenate([xy, xy + 8], axis=1), r.uniform(0.05, 1.0, 4092),
+               r.integers(3, size=4092), 0.5, max_keep=100)
+    assert len(kept) == 100 and sizes == [200]
 
 
 def test_nms_memory_is_bounded_by_max_keep():

@@ -13,6 +13,7 @@ from oracles import bilinear_scalar, conv2d_scalar
 
 from tinydet.tensor import (
     ParamStore,
+    _interp_matrix,
     Tensor,
     add,
     bilinear_upsample,
@@ -99,6 +100,24 @@ def test_conv2d_leaves_input_unchanged(k, stride):
     np.testing.assert_array_equal(x.data, before)
 
 
+@pytest.mark.parametrize("h, w", [(5, 7), (1, 1)])
+@pytest.mark.parametrize("c_in, c_out", [(4, 2), (2, 5)])
+@pytest.mark.parametrize("stride", [1, 2])
+@pytest.mark.parametrize("k", [1, 3])
+def test_conv2d_gradient_over_kernels_strides_and_channels(k, stride, c_in, c_out, h, w):
+    # the input gradient is one GEMM over the dilated, padded output gradient:
+    # probe every kernel size and stride, fewer and more output channels than
+    # input ones, odd maps and 1x1 maps; a random output weighting keeps the
+    # output gradient from being uniform
+    r = np.random.default_rng(k * 1000 + stride * 100 + c_out * 10 + h)  # leaves `rng` alone
+    x = t64(r.standard_normal((c_in, h, w)), requires_grad=True)
+    wt = t64(r.standard_normal((c_out, c_in, k, k)), requires_grad=True)
+    b = t64(r.standard_normal(c_out), requires_grad=True)
+    probe = t64(r.standard_normal((c_out, -(-h // stride), -(-w // stride))))
+    check_gradients(lambda: tensor_sum(mul(conv2d(x, wt, b, stride), probe)), [x, wt, b],
+                    tol=1e-5)
+
+
 def test_conv2d_channel_mismatch_rejected():
     with pytest.raises(ValueError, match="channels"):
         conv2d(rand64(3, 4, 4), t64(np.zeros((2, 4, 1, 1))), t64(np.zeros(2)))
@@ -126,6 +145,13 @@ def test_relu_definition_and_idempotence():
     x = rand64(50)
     once = relu(x).data
     np.testing.assert_array_equal(relu(Tensor(once)).data, once)
+
+
+def test_relu_keeps_nan():
+    # a NaN map must stay NaN so that a diverged model fails loudly downstream
+    out = relu(Tensor(np.array([np.nan, -1.0, 0.0, 2.0], dtype=np.float32))).data
+    assert out.dtype == np.float32
+    assert np.isnan(out[0]) and out[1:].tolist() == [0.0, 0.0, 2.0]
 
 
 def test_add_shape_mismatch_rejected():
@@ -278,6 +304,24 @@ def test_bilinear_float32_matches_float64_reference():
     assert np.max(np.abs(out.data - ref)) < 1e-6
 
 
+def test_interpolation_matrices_are_cached_read_only():
+    r = _interp_matrix(4, 9, np.float32)
+    assert r is _interp_matrix(4, 9, np.float32)
+    assert _interp_matrix(4, 9, np.float64).dtype == np.float64
+    with pytest.raises(ValueError, match="read-only"):
+        r[0, 0] = 2.0
+    # a cached matrix serves the float32 forward and backward unchanged
+    x = Tensor(np.random.default_rng(3).standard_normal((2, 3, 4)).astype(np.float32),
+               requires_grad=True)
+    ref = bilinear_scalar(x.data.astype(np.float64), 6, 9)
+    for _ in range(2):
+        x.zero_grad()
+        out = bilinear_upsample(x, (6, 9))
+        assert np.max(np.abs(out.data - ref)) < 1e-6
+        tensor_sum(out).backward()
+        np.testing.assert_allclose(x.grad.sum(), 54 * 2, rtol=1e-6)
+
+
 def test_bilinear_range_preserved():
     for _ in range(10):
         x = rand64(2, 3, 4)
@@ -319,6 +363,26 @@ def test_backward_rejects_non_scalar():
     x = rand64(3, requires_grad=True)
     with pytest.raises(ValueError, match="scalar"):
         relu(x).backward()
+
+
+def test_backward_through_a_spent_graph_raises():
+    x = t64(np.random.default_rng(4).standard_normal((3, 4)), requires_grad=True)
+    hidden = relu(x)
+    loss = tensor_sum(hidden)
+    loss.backward()
+    first = x.grad.copy()
+    assert loss._parents == ()  # the graph is released once backward has run
+    with pytest.raises(ValueError, match="already ran"):
+        loss.backward()
+    np.testing.assert_array_equal(x.grad, first)
+    # a new graph over a node of the spent one cannot reach its inputs either
+    with pytest.raises(ValueError, match="already ran"):
+        tensor_sum(hidden).backward()
+    # a leaf is no graph: its backward may run again
+    leaf = t64(2.0, requires_grad=True)
+    leaf.backward()
+    leaf.backward()
+    assert float(leaf.grad) == 1.0
 
 
 def test_gather_concat_bce_gradients():
