@@ -13,8 +13,8 @@ from oracles import bilinear_scalar, conv2d_scalar
 
 from tinydet.tensor import (
     ParamStore,
-    _interp_matrix,
     Tensor,
+    _interp_matrix,
     add,
     bilinear_upsample,
     concat_columns,
