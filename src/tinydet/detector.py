@@ -266,5 +266,6 @@ class DetectorModel:
         sized = (boxes[:, 2] - boxes[:, 0] > 1e-3) & (boxes[:, 3] - boxes[:, 1] > 1e-3)
         cls, idx = np.nonzero((scores >= cfg.score_floor) & sized)  # class-major
         kept = nms(boxes[idx], scores[cls, idx], cls, cfg.nms_iou, cfg.max_detections)
-        return [Detection(Box(*boxes[i]), int(c), float(scores[c, i]))
-                for c, i in zip(cls[kept], idx[kept])]
+        cls, idx = cls[kept], idx[kept]
+        return [Detection(Box(*row), c, s) for row, c, s in
+                zip(boxes[idx].tolist(), cls.tolist(), scores[cls, idx].tolist())]

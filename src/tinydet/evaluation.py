@@ -3,27 +3,36 @@
 NMS works on candidate arrays in ranked order, 128 at a time: a window of the
 next candidates is cleared against every box kept so far, its first 128
 survivors are resolved against each other, and the walk stops once enough
-boxes are kept.  Memory is O(N) for the ranking plus IoU temporaries of at
-most 2**16 elements, and the result is exactly the one-box-at-a-time one.  AP
-follows the COCO recipe: detections are sorted by score globally (ties
-broken by image and insertion order so results are reproducible), matched
-greedily per image to the best still-unmatched ground truth at or above the
-IoU threshold, and the all-point interpolated area under the precision-recall
-curve is averaged over classes and thresholds.  Size buckets (very-tiny and
-tiny, by sqrt of box area) use ignore semantics: out-of-bucket ground truths
-never count as misses, and detections matched to them, or unmatched and
-themselves out of bucket, are dropped from the PR curve.  As in COCO's
-``evaluateImg``, the detection x ground-truth IoU is computed once per
-(image, class) and every threshold and bucket is matched from it in one pass.
+boxes are kept.  A block's survivor rows are packed into bits, so its greedy
+walk runs over Python int masks, not one array operation per kept box.
+Memory is O(N) for the ranking plus IoU temporaries of at most 2**16
+elements, and the result is exactly the one-box-at-a-time one.  AP follows
+the COCO recipe: detections are sorted by score globally (ties broken by
+image and insertion order so results are reproducible), matched greedily per
+image to the best still-unmatched ground truth at or above the IoU threshold,
+and the all-point interpolated area under the precision-recall curve is
+averaged over classes and thresholds.  Size buckets (very-tiny and tiny, by
+sqrt of box area) use ignore semantics: out-of-bucket ground truths never
+count as misses, and detections matched to them, or unmatched and themselves
+out of bucket, are dropped from the PR curve.
+
+The detections and ground truths are read into arrays once.  As in COCO's
+``evaluateImg``, each image's detection x ground-truth IoU is computed once
+and every threshold and bucket is matched from it in one pass, visiting only
+the detections that overlap a ground truth of their class at the lowest
+threshold.  As in COCO's ``accumulate``, the precision-recall curves of all
+thresholds and buckets of a class come from one pass of running sums down a
+[detections, thresholds x buckets] array.
 """
 
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
+from itertools import accumulate, chain, pairwise
 
 import numpy as np
 
-from .anchors import Box, boxes_array, iou_matrix
+from .anchors import Box, iou_matrix
 
 __all__ = [
     "Detection",
@@ -116,14 +125,15 @@ def nms(boxes, scores, classes, iou_thr: float, max_keep: int) -> np.ndarray:
         start = live[_BLOCK] if len(live) > _BLOCK else end
         if not len(block):
             continue
-        spared = ~overlaps(block, block)  # entries at or before i are decided already
-        alive = np.ones(len(block), dtype=bool)
-        for i in range(len(block)):
-            if alive[i]:
-                kept.append(block[i])
-                if len(kept) == max_keep:
-                    break
-                alive &= spared[i]
+        # bit j of row i: block[j] survives block[i]; a row as an int, once i is kept
+        spared = np.packbits(~overlaps(block, block), axis=1, bitorder="little")
+        width, spared = spared.shape[1], spared.tobytes()
+        alive = (1 << len(block)) - 1
+        while alive and len(kept) < max_keep:
+            i = (alive & -alive).bit_length() - 1  # the best-ranked live candidate
+            kept.append(block[i])
+            row = int.from_bytes(spared[i * width:(i + 1) * width], "little")
+            alive &= row >> (i + 1) << (i + 1)  # bits at or before i are decided already
     return order[kept]
 
 
@@ -142,73 +152,90 @@ def _last_argmax(v: np.ndarray, mask: np.ndarray) -> np.ndarray:
     return np.where(mask.any(axis=-1), best, -1)
 
 
-def _curve_ap(hits: np.ndarray, n_gt) -> float:
-    """All-point interpolated AP of ranked hits (1 true positive, 0 false
-    positive, NaN dropped from the curve)."""
-    hits = hits[~np.isnan(hits)]
-    if not len(hits):
-        return 0.0
-    tp = np.cumsum(hits)
-    fp = np.cumsum(1.0 - hits)
-    recall = tp / n_gt
-    precision = tp / np.maximum(tp + fp, 1e-12)
-    precision = np.maximum.accumulate(precision[::-1])[::-1]  # monotone envelope
-    step = np.diff(recall, prepend=0.0)
-    rise = step > 0
-    # rectangle areas at recall steps; cumsum adds left to right like a plain loop
-    return float(np.cumsum(np.append(0.0, step[rise] * precision[rise]))[-1])
-
-
-def _class_ap(dets_per_image, gts_per_image, class_id: int, thresholds, buckets) -> np.ndarray:
-    """AP of one class at each IoU threshold x size bucket, [T,B]; NaN where
-    the bucket holds no ground truth of the class.
-
-    Per image, detections go in (-score, index) order.  At each threshold and
-    bucket a detection takes the unmatched in-bucket ground truth of highest
-    IoU >= the threshold (the last index among equal IoUs); failing that an
-    unmatched out-of-bucket one absorbs it; failing that it is a false
-    positive, or dropped when it is out of bucket itself."""
+def _read(dets_per_image, gts_per_image):
+    """Every detection as a row (x1, y1, x2, y2, class, score) [D,6] and every
+    ground truth as a row (x1, y1, x2, y2, class) [G,5], image after image,
+    read once; plus the (detection, ground-truth) row ranges of each image."""
     if len(dets_per_image) != len(gts_per_image):
         raise ValueError("detections and ground truths must align per image")
-    thr = np.asarray(thresholds, dtype=np.float64)[:, None, None]
-    shape = (len(thresholds), len(buckets))
-    n_gt = np.zeros(len(buckets), dtype=np.int64)
-    keys, hits = [], []  # per detection: its global rank key, its outcomes [T,B]
-    for img, (dets, gts) in enumerate(zip(dets_per_image, gts_per_image)):
-        gt = boxes_array([b for b, c in gts if c == class_id])
-        gt_in = _in_buckets(gt, buckets)  # [B,G]
-        n_gt += gt_in.sum(axis=1)
-        idx = [j for j, d in enumerate(dets) if d.class_id == class_id]
-        if not idx:
+    dets = [(d.box.x1, d.box.y1, d.box.x2, d.box.y2, d.class_id, d.score)
+            for per_image in dets_per_image for d in per_image]
+    gts = [(b.x1, b.y1, b.x2, b.y2, c) for per_image in gts_per_image for b, c in per_image]
+    spans = [pairwise(accumulate(map(len, lists), initial=0)) for lists in (dets_per_image, gts_per_image)]
+    return _array(dets, 6), _array(gts, 5), list(zip(*spans))
+
+
+def _array(rows, width: int) -> np.ndarray:
+    """float64 [len(rows), width]; fromiter skips np.array's inspection of each row."""
+    return np.fromiter(chain.from_iterable(rows), np.float64, width * len(rows)).reshape(-1, width)
+
+
+def _match(hits, dets, gts, gt_in, thr) -> None:
+    """Match one image's detections (rows [D,6]) to its ground truths (rows
+    [G,5], in bucket as ``gt_in`` [B,G]) at every IoU threshold ``thr`` [T]
+    and bucket, setting ``hits`` [D,T,B] in place: 1 true positive, 0 false
+    positive, NaN dropped.
+
+    Detections go in (-score, index) order.  At each threshold and bucket a
+    detection takes the unmatched in-bucket ground truth of its class with the
+    highest IoU >= the threshold (the last index among equal IoUs); failing
+    that an unmatched out-of-bucket one absorbs it; failing that it stays a
+    false positive, or dropped when it is out of bucket itself.  Only
+    detections whose best IoU with a ground truth of their class reaches the
+    lowest threshold are visited: no other one can match."""
+    # a ground truth of another class: -inf, below every threshold
+    ious = np.where(dets[:, None, 4] == gts[None, :, 4], iou_matrix(dets[:, :4], gts[:, :4]), -np.inf)
+    visit = np.flatnonzero(ious.max(axis=1) >= thr.min())
+    matched = np.zeros((len(thr), len(gt_in), len(gts)), dtype=bool)
+    for k in visit[np.argsort(-dets[visit, 5], kind="stable")]:
+        free = ~matched & (ious[k] >= thr[:, None, None])
+        if not free.any():
             continue
-        score = np.array([dets[j].score for j in idx], dtype=np.float64)
-        det = boxes_array([dets[j].box for j in idx])
-        # unmatched: a false positive where the detection is in bucket, else dropped
-        hit = np.where(_in_buckets(det, buckets).T[:, None, :], 0.0, np.nan)
-        hit = np.broadcast_to(hit, (len(idx), *shape)).copy()  # [D,T,B]
-        if len(gt):
-            ious = iou_matrix(det, gt)
-            matched = np.zeros((*shape, len(gt)), dtype=bool)
-            for k in np.argsort(-score, kind="stable"):
-                free = ~matched & (ious[k] >= thr)
-                if not free.any():
-                    continue
-                best = _last_argmax(ious[k], free & gt_in)
-                absorb = _last_argmax(ious[k], free & ~gt_in)
-                take = np.where(best >= 0, best, absorb)
-                t, b = np.nonzero(take >= 0)
-                matched[t, b, take[t, b]] = True
-                hit[k][best >= 0] = 1.0
-                hit[k][(best < 0) & (absorb >= 0)] = np.nan
-        keys += [(-dets[j].score, img, j) for j in idx]
-        hits.append(hit)
-    ranked = np.concatenate([np.zeros((0, *shape)), *hits])[
-        sorted(range(len(keys)), key=keys.__getitem__)]
-    ap = np.full(shape, np.nan)
-    for b in np.flatnonzero(n_gt):
-        for t in range(len(thresholds)):
-            ap[t, b] = _curve_ap(ranked[:, t, b], n_gt[b])
-    return ap
+        best = _last_argmax(ious[k], free & gt_in)
+        absorb = _last_argmax(ious[k], free & ~gt_in)
+        take = np.where(best >= 0, best, absorb)
+        t, b = np.nonzero(take >= 0)
+        matched[t, b, take[t, b]] = True
+        hits[k][best >= 0] = 1.0
+        hits[k][(best < 0) & (absorb >= 0)] = np.nan
+
+
+def _curve_ap(hits: np.ndarray, n_gt: np.ndarray) -> np.ndarray:
+    """All-point interpolated AP of every column of ranked hits [D,C] (1 true
+    positive, 0 false positive, NaN dropped from the curve) against n_gt [C]
+    ground truths; NaN where n_gt is 0.
+
+    A dropped row adds 0.0 to the running counts, so it repeats the previous
+    row's recall and precision and moves neither the envelope nor the area:
+    each column is bitwise the AP of its kept rows alone."""
+    kept = ~np.isnan(hits)
+    tp = np.cumsum(np.where(kept, hits, 0.0), axis=0)
+    recall = tp / np.maximum(n_gt, 1)
+    precision = tp / np.maximum(np.cumsum(kept, axis=0), 1e-12)
+    precision = np.maximum.accumulate(precision[::-1], axis=0)[::-1]  # monotone envelope
+    step = np.diff(recall, axis=0, prepend=0.0)
+    # rectangle areas at recall steps (0.0 elsewhere); cumsum adds top to bottom like a loop
+    area = np.cumsum(step * precision, axis=0)[-1] if len(hits) else np.zeros(hits.shape[1])
+    return np.where(n_gt > 0, area, np.nan)
+
+
+def _ap_table(dets, gts, images, class_ids, thresholds, buckets) -> np.ndarray:
+    """AP of each class at each IoU threshold x size bucket, [K,T,B], from
+    ``_read``'s arrays; NaN where the bucket holds no ground truth of the
+    class.  Detections are ranked globally by (-score, image, index)."""
+    thr = np.asarray(thresholds, dtype=np.float64)
+    shape = (len(thr), len(buckets))
+    # unmatched: a false positive where the detection is in bucket, else dropped
+    hits = np.where(_in_buckets(dets[:, :4], buckets).T[:, None, :], 0.0, np.nan)
+    hits = np.broadcast_to(hits, (len(dets), *shape)).copy()
+    gt_in = _in_buckets(gts[:, :4], buckets)
+    for (d0, d1), (g0, g1) in images:
+        if d1 > d0 and g1 > g0:
+            _match(hits[d0:d1], dets[d0:d1], gts[g0:g1], gt_in[:, g0:g1], thr)
+    order = np.argsort(-dets[:, 5], kind="stable")  # rows are in (image, index) order already
+    hits, classes = hits[order].reshape(len(order), shape[0] * shape[1]), dets[order, 4]
+    return np.array([_curve_ap(hits[classes == c], np.tile(gt_in[:, gts[:, 4] == c].sum(axis=1), len(thr)))
+                     for c in class_ids]).reshape(-1, *shape)
 
 
 def average_precision(dets_per_image, gts_per_image, class_id: int,
@@ -219,7 +246,7 @@ def average_precision(dets_per_image, gts_per_image, class_id: int,
     Returns None when the class has no in-bucket ground truths (excluded from
     the class mean, matching COCO).
     """
-    ap = _class_ap(dets_per_image, gts_per_image, class_id, (iou_thr,), (bucket,))[0, 0]
+    ap = _ap_table(*_read(dets_per_image, gts_per_image), (class_id,), (iou_thr,), (bucket,))[0, 0, 0]
     return None if np.isnan(ap) else float(ap)
 
 
@@ -227,8 +254,8 @@ def evaluate_ap(dets_per_image, gts_per_image, num_classes: int) -> EvalResult:
     """Full metric set over matched detection/ground-truth image lists; the
     class mean runs over classes ``0 .. num_classes - 1``."""
     buckets = (None, SIZE_BUCKETS["vt"], SIZE_BUCKETS["t"])
-    per_class = [_class_ap(dets_per_image, gts_per_image, c, IOU_THRESHOLDS, buckets)
-                 for c in range(num_classes)]
+    per_class = _ap_table(*_read(dets_per_image, gts_per_image), range(num_classes),
+                          IOU_THRESHOLDS, buckets)
 
     def per_threshold(b: int) -> list[float]:  # class means; 0.0 when no class has a gt
         means = []

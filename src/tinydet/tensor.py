@@ -192,13 +192,11 @@ def relu(x: Tensor) -> Tensor:
 
 
 def sigmoid_array(d: np.ndarray) -> np.ndarray:
-    """Logistic of an array, in its dtype; piecewise so that no |d| overflows."""
-    out = np.empty_like(d)
-    p = d >= 0
-    out[p] = 1.0 / (1.0 + np.exp(-d[p]))
-    e = np.exp(d[~p])
-    out[~p] = e / (1.0 + e)
-    return out
+    """Logistic of an array, in its dtype; from e = exp(-|d|), so that no |d|
+    overflows.  ``minimum(d, -d)`` is -|d| but passes a NaN on unchanged,
+    where ``-abs(d)`` would flip its sign bit."""
+    e = np.exp(np.minimum(d, -d))
+    return np.where(d >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
 def sigmoid(x: Tensor) -> Tensor:

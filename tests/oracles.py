@@ -185,3 +185,117 @@ def ap_scalar(dets_per_image, gts_per_image, class_id, iou_thr, bucket=None):
             ap += (r - prev) * p_interp(r)
             prev = r
     return ap
+
+
+# ---------------------------------------------------------------------------
+# Bitwise AP reference: the per-(image, class) matcher and the per-column
+# precision-recall curve that evaluation.py replaced with array passes.  It
+# takes IoUs from the package's ``iou_matrix`` so that its floats are the ones
+# the fast path sees; everything after that is the plain column-at-a-time form.
+
+
+def _in_buckets(boxes, buckets):
+    scale = np.sqrt((boxes[:, 2] - boxes[:, 0]) * (boxes[:, 3] - boxes[:, 1]))
+    bounds = [b or (-np.inf, np.inf) for b in buckets]
+    return np.array([(lo < scale) & (scale <= hi) for lo, hi in bounds]).reshape(len(bounds), -1)
+
+
+def _last_argmax(v, mask):
+    best = v.shape[-1] - 1 - np.where(mask, v, -np.inf)[..., ::-1].argmax(axis=-1)
+    return np.where(mask.any(axis=-1), best, -1)
+
+
+def curve_ap_reference(hits, n_gt):
+    """All-point interpolated AP of one column of ranked hits (1 true positive,
+    0 false positive, NaN dropped from the curve)."""
+    hits = hits[~np.isnan(hits)]
+    if not len(hits):
+        return 0.0
+    tp = np.cumsum(hits)
+    fp = np.cumsum(1.0 - hits)
+    recall = tp / n_gt
+    precision = tp / np.maximum(tp + fp, 1e-12)
+    precision = np.maximum.accumulate(precision[::-1])[::-1]
+    step = np.diff(recall, prepend=0.0)
+    rise = step > 0
+    return float(np.cumsum(np.append(0.0, step[rise] * precision[rise]))[-1])
+
+
+def class_ap_reference(dets_per_image, gts_per_image, class_id, thresholds, buckets):
+    """AP of one class at each IoU threshold x size bucket, [T,B]; NaN where
+    the bucket holds no ground truth of the class.  Every detection of the
+    class is matched in (-score, index) order per image, then ranked globally
+    by (-score, image, index), one column at a time."""
+    from tinydet.anchors import boxes_array, iou_matrix
+
+    thr = np.asarray(thresholds, dtype=np.float64)[:, None, None]
+    shape = (len(thresholds), len(buckets))
+    n_gt = np.zeros(len(buckets), dtype=np.int64)
+    keys, hits = [], []
+    for img, (dets, gts) in enumerate(zip(dets_per_image, gts_per_image)):
+        gt = boxes_array([b for b, c in gts if c == class_id])
+        gt_in = _in_buckets(gt, buckets)
+        n_gt += gt_in.sum(axis=1)
+        idx = [j for j, d in enumerate(dets) if d.class_id == class_id]
+        if not idx:
+            continue
+        score = np.array([dets[j].score for j in idx], dtype=np.float64)
+        det = boxes_array([dets[j].box for j in idx])
+        hit = np.where(_in_buckets(det, buckets).T[:, None, :], 0.0, np.nan)
+        hit = np.broadcast_to(hit, (len(idx), *shape)).copy()
+        if len(gt):
+            ious = iou_matrix(det, gt)
+            matched = np.zeros((*shape, len(gt)), dtype=bool)
+            for k in np.argsort(-score, kind="stable"):
+                free = ~matched & (ious[k] >= thr)
+                if not free.any():
+                    continue
+                best = _last_argmax(ious[k], free & gt_in)
+                absorb = _last_argmax(ious[k], free & ~gt_in)
+                take = np.where(best >= 0, best, absorb)
+                t, b = np.nonzero(take >= 0)
+                matched[t, b, take[t, b]] = True
+                hit[k][best >= 0] = 1.0
+                hit[k][(best < 0) & (absorb >= 0)] = np.nan
+        keys += [(-dets[j].score, img, j) for j in idx]
+        hits.append(hit)
+    ranked = np.concatenate([np.zeros((0, *shape)), *hits])[
+        sorted(range(len(keys)), key=keys.__getitem__)]
+    ap = np.full(shape, np.nan)
+    for b in np.flatnonzero(n_gt):
+        for t in range(len(thresholds)):
+            ap[t, b] = curve_ap_reference(ranked[:, t, b], n_gt[b])
+    return ap
+
+
+def evaluate_ap_reference(dets_per_image, gts_per_image, num_classes):
+    """``evaluate_ap``'s fields from ``class_ap_reference``, one class at a time."""
+    from tinydet.evaluation import IOU_THRESHOLDS, SIZE_BUCKETS, EvalResult
+
+    buckets = (None, SIZE_BUCKETS["vt"], SIZE_BUCKETS["t"])
+    per_class = [class_ap_reference(dets_per_image, gts_per_image, c, IOU_THRESHOLDS, buckets)
+                 for c in range(num_classes)]
+
+    def per_threshold(b):
+        means = []
+        for t in range(len(IOU_THRESHOLDS)):
+            vals = [ap[t, b] for ap in per_class if not np.isnan(ap[t, b])]
+            means.append(float(np.mean(vals)) if vals else 0.0)
+        return means
+
+    main = per_threshold(0)
+    return EvalResult(ap=float(np.mean(main)), ap50=main[IOU_THRESHOLDS.index(0.5)],
+                      ap75=main[IOU_THRESHOLDS.index(0.75)],
+                      ap_vt=float(np.mean(per_threshold(1))),
+                      ap_t=float(np.mean(per_threshold(2))))
+
+
+def sigmoid_piecewise(d):
+    """Logistic in d's dtype, one branch per sign: 1/(1+exp(-d)) where d >= 0,
+    exp(d)/(1+exp(d)) elsewhere."""
+    out = np.empty_like(d)
+    p = d >= 0
+    out[p] = 1.0 / (1.0 + np.exp(-d[p]))
+    e = np.exp(d[~p])
+    out[~p] = e / (1.0 + e)
+    return out

@@ -4,7 +4,13 @@ import warnings
 import numpy as np
 import pytest
 
-from oracles import ap_scalar, nms_scalar
+from oracles import (
+    ap_scalar,
+    class_ap_reference,
+    evaluate_ap_reference,
+    iou_scalar,
+    nms_scalar,
+)
 
 from tinydet import evaluation
 from tinydet.anchors import Box, iou_matrix, pyramid_anchors
@@ -165,6 +171,23 @@ def test_nms_ranks_a_prefix_keeps_ties_at_the_cut_and_widens(monkeypatch):
     kept = nms(np.concatenate([xy, xy + 8], axis=1), r.uniform(0.05, 1.0, 4092),
                r.integers(3, size=4092), 0.5, max_keep=100)
     assert len(kept) == 100 and sizes == [200]
+
+
+def test_nms_block_walk_at_word_and_block_edges():
+    # one block of n candidates: the packed survivor rows end inside a byte, on
+    # a byte, on a 64-bit word and on the block's last bit
+    r = np.random.default_rng(170)
+    for n in (1, 7, 8, 9, 63, 64, 65, 127, 128):
+        # a row of boxes 3 apart, each 8 wide: neighbours overlap (IoU 5/11),
+        # so greedy keeps about every other one; plus tied scores
+        x = np.arange(n) * 3.0
+        boxes = np.stack([x, x * 0, x + 8, x * 0 + 8], axis=1)
+        scores = np.round(r.uniform(0, 1, n), 1)
+        classes = r.integers(2, size=n)
+        for thr in (0.3, 1.0):  # at 1.0 nothing is suppressed: every bit stays live
+            want = nms_scalar(boxes, scores, classes, thr)
+            for k in sorted({1, len(want) // 2, max(len(want) - 1, 1), len(want), n}):
+                assert nms(boxes, scores, classes, thr, max_keep=k).tolist() == want[:k]
 
 
 def test_nms_memory_is_bounded_by_max_keep():
@@ -346,3 +369,77 @@ def test_matcher_tie_rules():
     for d, g, classes in cases:
         assert evaluate_ap(d, g, num_classes=len(classes)) == \
             class_mean_of_average_precision(d, g, classes)
+
+
+def fuzz_case(r):
+    """Detections and ground truths drawn to reach every branch of the matcher:
+    boxes on both sides of the size buckets, jittered copies of ground truths
+    (some of another class), detections far from every ground truth, images
+    without detections or without ground truths, and few distinct scores, so
+    that ties run across images."""
+    n_classes = int(r.integers(1, 4))
+    pool = np.round(r.uniform(0, 1, 6), 2)
+
+    def box():
+        x, y = r.uniform(0, 60, 2)
+        w, h = r.uniform(1.0, 24.0, 2)
+        return Box(x, y, x + w, y + h)
+
+    dets, gts = [], []
+    for _ in range(int(r.integers(1, 6))):
+        img_gts = [(box(), int(r.integers(n_classes))) for _ in range(int(r.integers(0, 6)))]
+        img_dets = []
+        for b, c in img_gts:
+            for _ in range(int(r.integers(0, 3))):
+                j = r.uniform(-3, 3, 4)
+                if b.x2 + j[2] > b.x1 + j[0] and b.y2 + j[3] > b.y1 + j[1]:
+                    img_dets.append(Detection(Box(b.x1 + j[0], b.y1 + j[1], b.x2 + j[2], b.y2 + j[3]),
+                                              c if r.random() < 0.8 else int(r.integers(n_classes)),
+                                              float(r.choice(pool))))
+        img_dets += [Detection(box(), int(r.integers(n_classes)), float(r.choice(pool)))
+                     for _ in range(int(r.integers(0, 5)))]
+        img_dets = [img_dets[i] for i in r.permutation(len(img_dets))]
+        dets.append([] if r.random() < 0.15 else img_dets)
+        gts.append([] if r.random() < 0.15 else img_gts)
+    if r.random() < 0.2:  # one class detected nowhere
+        gone = int(r.integers(n_classes))
+        dets = [[d for d in img_dets if d.class_id != gone] for img_dets in dets]
+    return dets, gts, n_classes
+
+
+def test_evaluate_ap_equals_the_column_reference_bitwise():
+    r = np.random.default_rng(2016)
+    seen = dict.fromkeys(["no dets", "no gts", "class without dets", "cross-image tie",
+                          "overlaps no gt", "matches an out-of-bucket gt", "dropped", "true positive"], 0)
+    vt = SIZE_BUCKETS["vt"]
+
+    def in_vt(b):
+        return vt[0] < np.sqrt(b.area) <= vt[1]
+
+    for _ in range(150):
+        dets, gts, k = fuzz_case(r)
+        assert evaluate_ap(dets, gts, num_classes=k) == evaluate_ap_reference(dets, gts, k)
+        for c in range(k):
+            for thr, bucket in ((0.0, None), (0.3, vt), (0.5, SIZE_BUCKETS["t"]), (0.75, vt)):
+                want = class_ap_reference(dets, gts, c, (thr,), (bucket,))[0, 0]
+                got = average_precision(dets, gts, c, thr, bucket)
+                assert (got is None) if np.isnan(want) else got == want
+        # which branches this case reached
+        seen["no dets"] += sum(not d for d in dets)
+        seen["no gts"] += sum(not g for g in gts)
+        seen["class without dets"] += sum(
+            any(gc == c for g in gts for _, gc in g) and not any(d.class_id == c for ds in dets for d in ds)
+            for c in range(k))
+        firsts = [{d.score for d in ds} for ds in dets]
+        seen["cross-image tie"] += sum(len(a & b) > 0 for i, a in enumerate(firsts) for b in firsts[i + 1:])
+        for ds, g in zip(dets, gts):
+            for d in ds:
+                same = [(iou_scalar(d.box.as_array(), b.as_array()), b) for b, c in g if c == d.class_id]
+                best, b = max(same, key=lambda v: v[0], default=(0.0, None))
+                if best < 0.5:
+                    seen["overlaps no gt"] += 1
+                    seen["dropped"] += not in_vt(d.box)  # unmatched and out of the vt bucket
+                else:
+                    seen["true positive"] += in_vt(b)
+                    seen["matches an out-of-bucket gt"] += not in_vt(b)
+    assert min(seen.values()) >= 10, seen

@@ -2,6 +2,7 @@ import math
 import os
 import struct
 import tempfile
+import warnings
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gradcheck import check_gradients, max_rel_err, tensor_sum
-from oracles import bilinear_scalar, conv2d_scalar
+from oracles import bilinear_scalar, conv2d_scalar, sigmoid_piecewise
 
 from tinydet.tensor import (
     ParamStore,
@@ -26,6 +27,7 @@ from tinydet.tensor import (
     relu,
     reshape,
     sigmoid,
+    sigmoid_array,
     tensor_mean,
     weighted_bce_with_logits,
     write_tensor_file,
@@ -137,6 +139,24 @@ def test_sigmoid_symmetry_and_range():
     x = rand64(100)
     s = sigmoid(x).data
     assert np.all((s > 0) & (s < 1))
+
+
+def test_sigmoid_array_is_bitwise_the_piecewise_logistic():
+    special = [0.0, -0.0, 1e-300, -1e-300, 30, -30, 40, -40, 745, -745,
+               np.inf, -np.inf, np.nan, -np.nan]
+    r = np.random.default_rng(135)
+    for dtype, bits in ((np.float32, np.uint32), (np.float64, np.uint64)):
+        # the special values alone, then shuffled among many normal draws so
+        # that they also land in the vectorized loops' inner lanes
+        values = np.array(special, dtype=dtype)
+        many = r.permutation(np.concatenate([np.tile(values, 20),
+                                             r.normal(0, 20, 3000).astype(dtype)]))
+        for d in (values, many, many[:2046].reshape(3, 682), many[:1024].reshape(1, 32, 32)):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                got = sigmoid_array(d)
+            assert got.dtype == dtype and got.shape == d.shape
+            np.testing.assert_array_equal(got.view(bits), sigmoid_piecewise(d).view(bits))
 
 
 def test_relu_definition_and_idempotence():
@@ -288,10 +308,12 @@ def test_bilinear_constant_and_degenerate():
 
 
 def test_bilinear_matches_scalar_reference():
-    # includes the P5 -> P2 geometry (4 -> 32) and a 1x1 source
+    # includes the P5 -> P2 geometry (4 -> 32) and a 1x1 source; its own
+    # generator, so tests added above it cannot change the draws it checks
+    r = np.random.default_rng(290)
     for src, dst in [((2, 2), (4, 4)), ((4, 5), (9, 11)), ((4, 4), (32, 32)),
                      ((1, 1), (5, 7))]:
-        x = rand64(3, *src)
+        x = t64(r.standard_normal((3, *src)))
         out = bilinear_upsample(x, dst)
         assert max_rel_err(out.data, bilinear_scalar(x.data, *dst)) < 1e-12
 
