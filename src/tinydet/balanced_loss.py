@@ -1,13 +1,13 @@
-"""Adaptive L1/L2 regression loss with a learnable logistic transition.
+"""Adaptive L1/L2 regression loss with a logistic transition.
 
 The loss on an absolute error eps is
 
     L(eps) = a(eps) * eps^2 + (1 - a(eps)) * eps,
     a(eps) = sigma(k * (eps - delta)),
 
-with slope k > 0 and threshold delta > 0.  A ``swap_weights`` variant uses
-(1-a) on the quadratic term instead, which makes the loss quadratic for small
-errors and linear for large ones (Huber-like outlier suppression).
+with slope k > 0 and threshold delta > 0.  When ``DCLossParams.learnable`` is
+set, the loss node accumulates dL/dk and dL/ddelta into the params, and
+``DCLossParams.step`` applies one momentum step to k and delta per batch.
 
 All scalar math here is float64.  Besides the loss itself the module provides
 closed-form gradients in eps, k and delta, the slope bound implied by a
@@ -43,29 +43,32 @@ __all__ = [
 
 @dataclass
 class DCLossParams:
-    """Transition slope k and threshold delta, optionally learnable."""
+    """Transition slope k and threshold delta, optionally learnable: the loss
+    accumulates into ``grad_k``/``grad_delta`` and ``step`` applies them."""
 
     k: float
     delta: float
     learnable: bool = False
-    swap_weights: bool = False
     grad_k: float = 0.0
     grad_delta: float = 0.0
+    velocity: tuple[float, float] = (0.0, 0.0)
 
     MIN_VALUE = 1e-3
 
     def __post_init__(self):
-        if not (self.k > 0 and self.delta > 0):
-            raise ValueError(f"k and delta must be positive, got k={self.k}, delta={self.delta}")
+        if not (0 < self.k < math.inf and 0 < self.delta < math.inf):
+            raise ValueError(f"k and delta must be finite and positive, got k={self.k}, "
+                             f"delta={self.delta}")
 
-    def zero_grad(self):
-        self.grad_k = 0.0
-        self.grad_delta = 0.0
-
-    def project(self):
-        """Clamp k and delta to stay strictly positive after an update."""
-        self.k = max(self.k, self.MIN_VALUE)
-        self.delta = max(self.delta, self.MIN_VALUE)
+    def step(self, lr: float, momentum: float):
+        """When learnable, one momentum step on (k, delta): v = m*v + g and
+        p = max(p - lr*v, MIN_VALUE).  Then the accumulated gradients reset."""
+        if self.learnable:
+            self.velocity = (momentum * self.velocity[0] + self.grad_k,
+                             momentum * self.velocity[1] + self.grad_delta)
+            self.k = max(self.k - lr * self.velocity[0], self.MIN_VALUE)
+            self.delta = max(self.delta - lr * self.velocity[1], self.MIN_VALUE)
+        self.grad_k = self.grad_delta = 0.0
 
 
 def _sigma(x):
@@ -78,42 +81,26 @@ def alpha(eps, params: DCLossParams):
     return _sigma(params.k * (np.asarray(eps, dtype=np.float64) - params.delta))
 
 
-def _terms(eps, params: DCLossParams):
-    """Quadratic/linear term split honoring swap_weights: returns (a, A, B)
-    with L = a*A + (1-a)*B."""
-    eps = np.asarray(eps, dtype=np.float64)
-    a = alpha(eps, params)
-    if params.swap_weights:
-        return a, eps, eps * eps
-    return a, eps * eps, eps
-
-
 def dcloss_value(pred, target, params: DCLossParams):
     """Loss for a prediction/target pair (or arrays; mean over all entries)."""
     eps = np.abs(np.asarray(pred, dtype=np.float64) - np.asarray(target, dtype=np.float64))
-    a, qa, qb = _terms(eps, params)
-    val = a * qa + (1.0 - a) * qb
-    return float(np.mean(val))
+    a = alpha(eps, params)
+    return float(np.mean(a * (eps * eps) + (1.0 - a) * eps))
 
 
 def dcloss_grad(eps, params: DCLossParams):
     """Closed-form (dL/deps, dL/dk, dL/ddelta) at error eps (scalar or array).
 
-    With a' = k a (1-a):
-      dL/deps  = a A' + (1-a) B' + a'(A - B)
-      dL/dk    = (eps - delta) a (1-a) (A - B)
-      dL/ddelta= -k a (1-a) (A - B)
-    where (A, B) = (eps^2, eps), swapped when swap_weights is set.
+    With a' = k a (1-a) and D = eps^2 - eps:
+      dL/deps  = 2 eps a + (1-a) + a' D
+      dL/dk    = (eps - delta) a (1-a) D
+      dL/ddelta= -k a (1-a) D
     """
     eps = np.asarray(eps, dtype=np.float64)
-    a, qa, qb = _terms(eps, params)
+    a = alpha(eps, params)
     a1 = a * (1.0 - a)
-    if params.swap_weights:
-        d_qa, d_qb = np.ones_like(eps), 2.0 * eps
-    else:
-        d_qa, d_qb = 2.0 * eps, np.ones_like(eps)
-    diff = qa - qb
-    d_eps = a * d_qa + (1.0 - a) * d_qb + params.k * a1 * diff
+    diff = eps * eps - eps
+    d_eps = a * (2.0 * eps) + (1.0 - a) + params.k * a1 * diff
     d_k = (eps - params.delta) * a1 * diff
     d_delta = -params.k * a1 * diff
     if eps.ndim == 0:
@@ -195,8 +182,7 @@ def verify_theorem1(params: DCLossParams) -> TheoremReport:
     g_large, _, _ = dcloss_grad(large_eps, params)
     report.large_eps_gradient_ratio = float(g_large / (2.0 * large_eps))
 
-    sigma_kd = _sigma(params.k * params.delta)
-    expect_small = sigma_kd if not params.swap_weights else 1.0 - sigma_kd
+    expect_small = _sigma(params.k * params.delta)
 
     # measured small-eps slope: a bounded constant, not ~2*eps
     if abs(g_small - expect_small) > 1e-3 * max(1.0, abs(expect_small)):
@@ -204,17 +190,16 @@ def verify_theorem1(params: DCLossParams) -> TheoremReport:
             f"small-error gradient {g_small:.6f} deviates from the derived constant "
             f"{expect_small:.6f}"
         )
-    if not params.swap_weights:
-        if abs(g_small) > 10.0 * small_eps:
-            notes.append(
-                "stated small-error phase is quadratic (gradient ~ 2*eps -> 0); measured "
-                f"gradient tends to the constant {g_small:.6f}"
-            )
-        if abs(report.large_eps_gradient_ratio - 1.0) < 1e-3:
-            notes.append(
-                "stated large-error phase is linear (gradient -> 1); measured gradient "
-                f"grows as 2*eps (ratio to 2*eps = {report.large_eps_gradient_ratio:.6f})"
-            )
+    if abs(g_small) > 10.0 * small_eps:
+        notes.append(
+            "stated small-error phase is quadratic (gradient ~ 2*eps -> 0); measured "
+            f"gradient tends to the constant {g_small:.6f}"
+        )
+    if abs(report.large_eps_gradient_ratio - 1.0) < 1e-3:
+        notes.append(
+            "stated large-error phase is linear (gradient -> 1); measured gradient "
+            f"grows as 2*eps (ratio to 2*eps = {report.large_eps_gradient_ratio:.6f})"
+        )
 
     report.lipschitz_bound = lipschitz_bound(params.delta)
     q = _QUOTED_SLOPE_LIMIT

@@ -33,14 +33,12 @@ METRICS = tuple(f.name for f in fields(EvalResult))
 
 # The paper's component ablation, in the shape of the ``variants`` config key:
 # the FPN baseline, +E-FPN-BS (context and gating on P2), then +DCLoss with a
-# fixed and with a learnable transition.
+# fixed transition.
 DEFAULT_VARIANTS = [
     {"name": "fpn", "detector": {"enhance_levels": []}, "train": {"reg_loss": "smooth_l1"}},
     {"name": "efpn_bs", "detector": {"enhance_levels": ["P2"]}, "train": {"reg_loss": "smooth_l1"}},
     {"name": "efpn_bs+dcloss", "detector": {"enhance_levels": ["P2"]},
      "train": {"reg_loss": "dcloss", "dc_learnable": False}},
-    {"name": "efpn_bs+dcloss_learnable", "detector": {"enhance_levels": ["P2"]},
-     "train": {"reg_loss": "dcloss", "dc_learnable": True}},
 ]
 
 

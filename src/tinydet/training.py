@@ -1,13 +1,18 @@
 """Deterministic training loop: momentum SGD with weight decay and step decay.
 
 Gradients accumulate over a batch of per-image graphs, the optimizer applies
-one update per batch, and everything (shuffling, init, updates) is driven by
-the config seed, so a rerun reproduces checkpoints and loss curves bitwise.
+one update per batch to the model's weights, and a learnable adaptive loss
+then steps its own k and delta (``DCLossParams.step``).  Everything
+(shuffling, init, updates) is driven by the config seed, so a rerun
+reproduces checkpoints and loss curves bitwise.  A non-finite loss, or a
+non-finite weight at the end of an epoch, raises ``DivergenceError`` with the
+weights of the last completed epoch.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,7 +34,7 @@ class TrainConfig:
     decay_epochs: tuple[int, ...] = (8, 11)
     decay_factor: float = 0.1
     batch_size: int = 4
-    reg_loss: str = "smooth_l1"  # smooth_l1 | dcloss | dcloss_swapped
+    reg_loss: str = "smooth_l1"  # smooth_l1 | dcloss
     dc_k: float = 10.0
     dc_delta: float = 0.15
     dc_learnable: bool = False
@@ -38,18 +43,23 @@ class TrainConfig:
     def __post_init__(self):
         if self.epochs < 1:
             raise ValueError("epochs must be >= 1")
-        if self.learning_rate <= 0:
-            raise ValueError("learning rate must be positive")
+        if not 0 < self.learning_rate < math.inf:
+            raise ValueError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
+        if not 0 <= self.momentum < 1:
+            raise ValueError(f"momentum must lie in [0, 1), got {self.momentum}")
+        if not 0 <= self.weight_decay < math.inf:
+            raise ValueError(f"weight_decay must be finite and >= 0, got {self.weight_decay}")
+        if not 0 < self.decay_factor <= 1:
+            raise ValueError(f"decay_factor must lie in (0, 1], got {self.decay_factor}")
         if self.batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
-        if self.reg_loss not in ("smooth_l1", "dcloss", "dcloss_swapped"):
+        if self.reg_loss not in ("smooth_l1", "dcloss"):
             raise ValueError(f"unknown regression loss {self.reg_loss!r}")
+        self.dcloss_params()  # range-checks dc_k and dc_delta
 
     def dcloss_params(self) -> DCLossParams:
-        """The adaptive loss's k/delta: ``dc_k``, ``dc_delta``, ``dc_learnable``,
-        with swapped weights under ``reg_loss == "dcloss_swapped"``."""
-        return DCLossParams(k=self.dc_k, delta=self.dc_delta, learnable=self.dc_learnable,
-                            swap_weights=self.reg_loss == "dcloss_swapped")
+        """The adaptive loss's k/delta: ``dc_k``, ``dc_delta``, ``dc_learnable``."""
+        return DCLossParams(k=self.dc_k, delta=self.dc_delta, learnable=self.dc_learnable)
 
 
 @dataclass
@@ -69,17 +79,13 @@ class DivergenceError(RuntimeError):
 
 
 class SGDMomentum:
-    """v = m*v + g + wd*p; p -= lr*v.  Also updates the loss transition
-    parameters when they are learnable, projecting them back to > 0."""
+    """v = m*v + g + wd*p; p -= lr*v."""
 
-    def __init__(self, tensors, momentum: float, weight_decay: float,
-                 dc_params: DCLossParams | None):
+    def __init__(self, tensors, momentum: float, weight_decay: float):
         self.tensors = list(tensors)
         self.momentum = momentum
         self.weight_decay = weight_decay
         self.velocity = [np.zeros_like(t.data) for t in self.tensors]
-        self.dc_params = dc_params
-        self.dc_velocity = np.zeros(2)
 
     def step(self, lr: float):
         for t, v in zip(self.tensors, self.velocity):
@@ -88,13 +94,6 @@ class SGDMomentum:
             v *= self.momentum
             v += t.grad + self.weight_decay * t.data
             t.data -= (lr * v).astype(t.data.dtype)
-        p = self.dc_params
-        if p is not None and p.learnable:
-            g = np.array([p.grad_k, p.grad_delta])
-            self.dc_velocity = self.momentum * self.dc_velocity + g
-            p.k -= lr * self.dc_velocity[0]
-            p.delta -= lr * self.dc_velocity[1]
-            p.project()
 
 
 def _snapshot(model: DetectorModel) -> dict:
@@ -115,7 +114,7 @@ def train(scenes, det_cfg: DetectorConfig, cfg: TrainConfig) -> TrainResult:
         raise ValueError("training dataset is empty")
     model = DetectorModel(det_cfg, seed=cfg.seed)
     dc_params = None if cfg.reg_loss == "smooth_l1" else cfg.dcloss_params()
-    opt = SGDMomentum(model.store.tensors(), cfg.momentum, cfg.weight_decay, dc_params)
+    opt = SGDMomentum(model.store.tensors(), cfg.momentum, cfg.weight_decay)
     assignments = [assign_image(s.gts, s.image.shape[1:], det_cfg) for s in scenes]
     order_rng = np.random.default_rng(cfg.seed)
     curve = []
@@ -129,8 +128,6 @@ def train(scenes, det_cfg: DetectorConfig, cfg: TrainConfig) -> TrainResult:
         for start in range(0, len(order), cfg.batch_size):
             batch = order[start:start + cfg.batch_size]
             model.store.zero_grad()
-            if dc_params is not None:
-                dc_params.zero_grad()
             batch_stats = np.zeros(3)
             for idx in batch:
                 image = Tensor(scenes[idx].image)
@@ -146,8 +143,12 @@ def train(scenes, det_cfg: DetectorConfig, cfg: TrainConfig) -> TrainResult:
             if first_batch is None:
                 first_batch = (float(batch_stats[0]), float(batch_stats[1]))
             opt.step(lr)
+            if dc_params is not None:
+                dc_params.step(lr, cfg.momentum)
             sums += batch_stats
             count += 1
+        if not all(np.isfinite(t.data).all() for t in model.store.tensors()):
+            raise DivergenceError(f"non-finite parameters after epoch {epoch}", last_good)
         last_good = _snapshot(model)
         curve.append({"epoch": epoch, "lr": lr,
                       "cls": float(sums[0] / count),

@@ -68,14 +68,6 @@ def test_loss_is_mean_over_entries():
     assert loss_at(errs) == pytest.approx(per.mean(), rel=1e-12)
 
 
-def test_swap_weights_exchanges_branches():
-    swap = DCLossParams(k=10.0, delta=0.15, swap_weights=True)
-    e = np.array([0.4])
-    a = alpha(e, P)[0]
-    assert loss_at(e) == pytest.approx(a * 0.16 + (1 - a) * 0.4, rel=1e-12)
-    assert loss_at(e, swap) == pytest.approx((1 - a) * 0.16 + a * 0.4, rel=1e-12)
-
-
 # ---------------------------------------------------------------------------
 # closed-form gradient
 
@@ -96,21 +88,31 @@ def test_gradient_matches_finite_differences_randomized():
         r = np.random.default_rng(trial)
         k = r.uniform(1.0, 30.0)
         d = r.uniform(0.02, 0.8)
-        p = DCLossParams(k=k, delta=d, swap_weights=bool(trial % 2))
+        p = DCLossParams(k=k, delta=d)
         eps = r.uniform(4 * h, 2.0)
         g_e, g_k, g_d = dcloss_grad(eps, p)
         fd_e = (loss_at(np.array([eps + h]), p) - loss_at(np.array([eps - h]), p)) / (2 * h)
         fd_k = (
-            loss_at(np.array([eps]), DCLossParams(k=k + h, delta=d, swap_weights=p.swap_weights))
-            - loss_at(np.array([eps]), DCLossParams(k=k - h, delta=d, swap_weights=p.swap_weights))
+            loss_at(np.array([eps]), DCLossParams(k=k + h, delta=d))
+            - loss_at(np.array([eps]), DCLossParams(k=k - h, delta=d))
         ) / (2 * h)
         fd_d = (
-            loss_at(np.array([eps]), DCLossParams(k=k, delta=d + h, swap_weights=p.swap_weights))
-            - loss_at(np.array([eps]), DCLossParams(k=k, delta=d - h, swap_weights=p.swap_weights))
+            loss_at(np.array([eps]), DCLossParams(k=k, delta=d + h))
+            - loss_at(np.array([eps]), DCLossParams(k=k, delta=d - h))
         ) / (2 * h)
         assert g_e == pytest.approx(fd_e, rel=1e-6, abs=1e-6)
         assert g_k == pytest.approx(fd_k, rel=1e-4, abs=1e-7)
         assert g_d == pytest.approx(fd_d, rel=1e-4, abs=1e-7)
+
+
+def test_delta_gradient_is_positive_below_unit_error():
+    # dL/ddelta = k a (1-a) eps (1-eps) > 0 on 0 < eps < 1, so gradient
+    # descent lowers delta at every step: a learnable delta collapses to the
+    # clamp by construction
+    eps = np.linspace(0.0, 1.0, 1001)[1:-1]
+    for k, d in [(1.0, 0.02), (5.0, 0.3), (10.0, 0.15), (20.0, 0.1), (30.0, 0.8)]:
+        _, _, g_d = dcloss_grad(eps, DCLossParams(k=k, delta=d))
+        assert (g_d > 0).all(), (k, d)
 
 
 # ---------------------------------------------------------------------------
@@ -178,15 +180,52 @@ def test_degenerate_small_k_is_half_blend():
 
 
 def test_params_validation_and_projection():
-    with pytest.raises(ValueError):
-        DCLossParams(k=-1.0, delta=0.15)
-    with pytest.raises(ValueError):
-        DCLossParams(k=10.0, delta=0.0)
+    for k, delta in [(-1.0, 0.15), (10.0, 0.0), (math.nan, 0.15), (10.0, math.inf),
+                     (math.inf, 0.15), (10.0, math.nan)]:
+        with pytest.raises(ValueError, match="k and delta must be finite and positive"):
+            DCLossParams(k=k, delta=delta)
+    # a step that would take k and delta below zero stops at the floor
     p = DCLossParams(k=10.0, delta=0.15, learnable=True)
-    p.k = -5.0
-    p.delta = -2.0
-    p.project()
-    assert p.k >= DCLossParams.MIN_VALUE and p.delta >= DCLossParams.MIN_VALUE
+    p.grad_k, p.grad_delta = 1e4, 1e4
+    p.step(lr=1.0, momentum=0.9)
+    assert p.k == p.delta == DCLossParams.MIN_VALUE
+
+
+def _former_optimizer_update(p, velocity, lr, momentum):
+    """The k/delta update that the weight optimizer used to apply: a float64
+    velocity array, then a clamp at MIN_VALUE."""
+    velocity = momentum * velocity + np.array([p["grad_k"], p["grad_delta"]])
+    k = p["k"] - lr * velocity[0]
+    delta = p["delta"] - lr * velocity[1]
+    return max(k, DCLossParams.MIN_VALUE), max(delta, DCLossParams.MIN_VALUE), velocity
+
+
+def test_step_matches_the_former_optimizer_update():
+    r = np.random.default_rng(5)
+    p = DCLossParams(k=10.0, delta=0.15, learnable=True)
+    ref = {"k": 10.0, "delta": 0.15}
+    velocity = np.zeros(2)
+    clamped = False
+    for i in range(12):
+        lr = 0.08 if i < 8 else 0.008
+        grads = r.normal(0.0, 0.05, 2) + [0.0, 0.1 * i]  # d/ddelta grows until the clamp
+        ref["grad_k"], ref["grad_delta"] = float(grads[0]), float(grads[1])
+        p.grad_k, p.grad_delta = ref["grad_k"], ref["grad_delta"]
+        ref["k"], ref["delta"], velocity = _former_optimizer_update(ref, velocity, lr, 0.9)
+        p.step(lr, 0.9)
+        assert float(p.k).hex() == float(ref["k"]).hex()
+        assert float(p.delta).hex() == float(ref["delta"]).hex()
+        assert p.grad_k == p.grad_delta == 0.0
+        clamped |= p.delta == DCLossParams.MIN_VALUE
+    assert clamped and p.k > DCLossParams.MIN_VALUE
+
+
+def test_step_not_learnable_only_resets_the_gradients():
+    p = DCLossParams(k=10.0, delta=0.15)
+    p.grad_k, p.grad_delta = 3.0, -4.0
+    p.step(lr=0.1, momentum=0.9)
+    assert (p.k, p.delta, p.velocity) == (10.0, 0.15, (0.0, 0.0))
+    assert p.grad_k == p.grad_delta == 0.0
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 import inspect
 import json
+import math
 from dataclasses import asdict, dataclass
 
 import pytest
@@ -49,13 +50,14 @@ def detector_configs(draw):
         head_channels=draw(sizes), base_anchor=draw(floats), pos_thr=pos_thr, neg_thr=neg_thr,
         score_floor=draw(unit), nms_iou=draw(unit), max_detections=draw(sizes))
 
+positive = st.floats(0.0, exclude_min=True, allow_infinity=False)
 train_configs = st.builds(
-    TrainConfig, learning_rate=st.floats(1e-9, 10.0), momentum=floats,
-    weight_decay=floats, epochs=st.integers(1, 100),
-    decay_epochs=st.lists(st.integers(0, 100)).map(tuple), decay_factor=floats,
-    batch_size=sizes,
-    reg_loss=st.sampled_from(["smooth_l1", "dcloss", "dcloss_swapped"]),
-    dc_k=floats, dc_delta=floats, dc_learnable=st.booleans(),
+    TrainConfig, learning_rate=positive, momentum=st.floats(0.0, 1.0, exclude_max=True),
+    weight_decay=st.floats(0.0, allow_infinity=False), epochs=st.integers(1, 100),
+    decay_epochs=st.lists(st.integers(0, 100)).map(tuple),
+    decay_factor=st.floats(0.0, 1.0, exclude_min=True), batch_size=sizes,
+    reg_loss=st.sampled_from(["smooth_l1", "dcloss"]),
+    dc_k=positive, dc_delta=positive, dc_learnable=st.booleans(),
     seed=st.integers(0, 2 ** 32))
 
 
@@ -85,6 +87,21 @@ def test_asdict_then_from_dict_roundtrips_through_json(config):
     (TrainConfig, {"batch_size": 0}, {}, "batch_size must be >= 1"),
     (DetectorConfig, {"num_classes": 0}, {}, "num_classes must be >= 1"),
     (DetectorConfig, {"enhance": False}, {}, "unknown key 'enhance'"),
+    (TrainConfig, {"reg_loss": "dcloss_swapped"}, {}, "unknown regression loss"),
+    (TrainConfig, {"learning_rate": math.nan}, {}, "learning_rate must be finite and > 0"),
+    (TrainConfig, {"learning_rate": math.inf}, {}, "learning_rate must be finite and > 0"),
+    (TrainConfig, {"learning_rate": 0.0}, {}, "learning_rate must be finite and > 0"),
+    (TrainConfig, {"momentum": math.nan}, {}, r"momentum must lie in \[0, 1\)"),
+    (TrainConfig, {"momentum": 1.0}, {}, r"momentum must lie in \[0, 1\)"),
+    (TrainConfig, {"momentum": -0.1}, {}, r"momentum must lie in \[0, 1\)"),
+    (TrainConfig, {"weight_decay": -1e-6}, {}, "weight_decay must be finite and >= 0"),
+    (TrainConfig, {"weight_decay": math.inf}, {}, "weight_decay must be finite and >= 0"),
+    (TrainConfig, {"decay_factor": 0.0}, {}, r"decay_factor must lie in \(0, 1\]"),
+    (TrainConfig, {"decay_factor": 1.5}, {}, r"decay_factor must lie in \(0, 1\]"),
+    (TrainConfig, {"decay_factor": math.nan}, {}, r"decay_factor must lie in \(0, 1\]"),
+    (TrainConfig, {"dc_k": -1.0}, {}, r"^section: k and delta must be finite and positive"),
+    (TrainConfig, {"dc_delta": math.nan}, {}, "k and delta must be finite and positive"),
+    (TrainConfig, {"dc_k": math.inf, "reg_loss": "smooth_l1"}, {}, "must be finite and positive"),
 ])
 def test_from_dict_rejects(cls, payload, fixed, match):
     with pytest.raises(ValueError, match=match):
@@ -133,7 +150,8 @@ STRICT_PARAMETERS = [
     (detector.DetectorModel.loss, ("dc_params",)),
     (gating.build_fbsm_params, ("gate_width",)),
     (balanced_loss.DCLossParams, ("k", "delta")),
-    (training.SGDMomentum, ("momentum", "weight_decay", "dc_params")),
+    (balanced_loss.DCLossParams.step, ("lr", "momentum")),
+    (training.SGDMomentum, ("momentum", "weight_decay")),
     (experiments.run_variants, ("n_seeds",)),
 ]
 

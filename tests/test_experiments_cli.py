@@ -256,10 +256,10 @@ def test_cli_ablate_runs_the_default_paper_variants(tmp_path, dataset, capsys):
             read_file(tmp_path / "b" / "reports" / name)
     summary = json.load(open(tmp_path / "a" / "reports" / "ablation.json"))["summary"]
     assert [e["variant"] for e in summary] == [v["name"] for v in DEFAULT_VARIANTS] == \
-        ["fpn", "efpn_bs", "efpn_bs+dcloss", "efpn_bs+dcloss_learnable"]
+        ["fpn", "efpn_bs", "efpn_bs+dcloss"]
     assert [(e["detector"]["enhance_levels"], e["train"]["reg_loss"], e["train"]["dc_learnable"])
             for e in summary] == [([], "smooth_l1", False), (["P2"], "smooth_l1", False),
-                                  (["P2"], "dcloss", False), (["P2"], "dcloss", True)]
+                                  (["P2"], "dcloss", False)]
     assert {e["train"]["seed"] for e in summary} == {5}
 
 
@@ -330,6 +330,18 @@ def test_readme_counts_the_settable_values():
            f"{backbone} fields inside it), {train} train fields" in readme
 
 
+def test_readme_lists_the_default_variants():
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    readme = read_file(os.path.join(root, "README.md"))
+    table = readme[readme.index("| variant | `detector` | `train` |"):].split("\n\n")[0]
+
+    def cell(section):
+        return ", ".join(f"`{k}: {json.dumps(v)}`" for k, v in section.items())
+
+    assert table.splitlines()[2:] == [
+        f"| `{v['name']}` | {cell(v['detector'])} | {cell(v['train'])} |" for v in DEFAULT_VARIANTS]
+
+
 def test_cli_gen_rejects_a_negative_count(tmp_path, capsys):
     out = tmp_path / "gen"
     assert main(["gen", "--count", "-3", "--out", str(out)]) == 1
@@ -373,6 +385,10 @@ def test_cli_error_exit_codes(tmp_path, capsys):
     {"detector": {"enhance": False}},           # spelled "enhance_levels": [] now
     {"train": {"batch_size": 0}},
     {"detector": {"num_classes": 10 ** 400}},   # no float64 holds it
+    {"train": {"reg_loss": "dcloss_swapped"}},  # removed loss form
+    {"train": {"learning_rate": float("nan"), "epochs": 1}},
+    {"train": {"momentum": float("nan"), "epochs": 1}},
+    {"train": {"dc_k": -1}},
 ])
 def test_cli_config_faults_exit_1(tmp_path, dataset, capsys, payload):
     path = tmp_path / "config.json"
@@ -407,7 +423,7 @@ def test_cli_audit_and_verify_loss_read_the_sections(tmp_path, dataset, capsys):
 
     cfg = cli_config(tmp_path, {"detector": {"base_anchor": 4.0, "pos_thr": 0.45},
                                 "train": {"dc_k": 8.0, "dc_delta": 0.2,
-                                          "reg_loss": "dcloss_swapped"}})
+                                          "reg_loss": "dcloss"}})
     assert main(["audit", "--data", dataset, "--config", cfg, "--out", str(tmp_path)]) == 0
     scenes = read_dataset(dataset)[0]
     expected = audit_positive_samples(scenes, DetectorConfig(base_anchor=4.0, pos_thr=0.45),
@@ -418,7 +434,7 @@ def test_cli_audit_and_verify_loss_read_the_sections(tmp_path, dataset, capsys):
         read_file(tmp_path / "lib" / "reports" / "level_stats.json")
     assert main(["verify-loss", "--config", cfg, "--out", str(tmp_path)]) == 0
     report = json.load(open(tmp_path / "reports" / "theorem_report.json"))
-    params = DCLossParams(k=8.0, delta=0.2, swap_weights=True)
+    params = DCLossParams(k=8.0, delta=0.2)
     assert report == json.loads(verify_theorem1(params).to_json())
 
 
@@ -538,6 +554,19 @@ def test_cli_divergence_keeps_the_last_good_checkpoint(tmp_path, dataset, capsys
     assert main(["eval", "--data", dataset, "--checkpoint", ckpt,
                  "--out", str(tmp_path / "ev")]) == 0
     assert "numeric failure" in capsys.readouterr().err
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_cli_divergence_in_the_last_step_keeps_the_last_good_checkpoint(tmp_path, capsys):
+    dataset = str(tmp_path / "data")
+    write_dataset(SceneSpec(), 4, dataset)
+    out = tmp_path / "run"
+    cfg = cli_config(tmp_path, {"train": {"learning_rate": 1e200, "epochs": 1}})
+    assert main(["train", "--data", dataset, "--config", cfg, "--out", str(out)]) == 2
+    assert "non-finite parameters after epoch 1" in capsys.readouterr().err
+    assert not (out / "checkpoint_train").exists()
+    model = DetectorModel.load(str(out / "checkpoint_train_last_good"))
+    assert all(np.isfinite(t.data).all() for _, t in model.store.items())
 
 
 def test_cli_eval_of_a_diverged_checkpoint_exits_2(tmp_path, dataset, capsys):
