@@ -89,10 +89,11 @@ class Tensor:
         """Populate grad buffers of every reachable requires_grad tensor.
 
         Only valid on a scalar (0-d) tensor produced by this module's ops.
-        Each op node drops its backward closure and its parents once it has
-        run, so the graph (im2col columns included) is freed as soon as the
-        caller lets go of the loss; a second backward through a spent node
-        raises ValueError.
+        The walk pops each op node off its list before running it, and the
+        node then drops its backward closure and its parents, so a spent node
+        (its data, grad and im2col columns) is freed during the walk unless
+        the caller still holds it; a held node keeps its grad.  A second
+        backward through a spent node raises ValueError.
         """
         if self.data.shape != ():
             raise ValueError(
@@ -114,7 +115,8 @@ class Tensor:
                 if id(p) not in visited:
                     stack.append((p, False))
         self.grad = np.ones_like(self.data)
-        for node in reversed(topo):
+        while topo:
+            node = topo.pop()
             if node._backward is not None:
                 if node.grad is not None:
                     node._backward(node.grad)
@@ -295,18 +297,21 @@ def bilinear_upsample(x: Tensor, target) -> Tensor:
 # ---------------------------------------------------------------------------
 # convolution
 
+_CHUNK = 2 ** 16  # conv2d input gradient: window elements per GEMM, at most
 
-def _windows(a: np.ndarray, kh: int, kw: int, oh: int, ow: int, step: int = 1) -> np.ndarray:
+
+def _windows(a: np.ndarray, kh: int, kw: int, oh: int, ow: int, step: int = 1,
+             top: int = 0) -> np.ndarray:
     """im2col: the [C*kh*kw, oh*ow] columns of a [C,H,W] array, column (y, x)
-    holding the kh x kw window at (y*step, x*step) of every channel.
+    holding the kh x kw window at (top + y*step, x*step) of every channel.
 
     The window view is built with the ndarray constructor, which checks its
-    extent against the buffer; the reshape copies it unless it is already
-    contiguous (a 1x1 window at step 1)."""
+    extent against the buffer; the reshape copies it unless the window is
+    1x1 at step 1, where it is a view."""
     a = np.ascontiguousarray(a)
     c = a.shape[0]
     sc, sy, sx = a.strides
-    view = np.ndarray((c, kh, kw, oh, ow), a.dtype, a, 0, (sc, sy, sx, sy * step, sx * step))
+    view = np.ndarray((c, kh, kw, oh, ow), a.dtype, a, top * sy, (sc, sy, sx, sy * step, sx * step))
     return view.reshape(c * kh * kw, oh * ow)
 
 
@@ -331,7 +336,10 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor, stride: int = 1) -> Tensor:
     input at step s; the input gradient, the flipped, channel-swapped
     [Ci, Co*kh*kw] kernel times the step-1 windows of the output gradient,
     dilated by s and zero-padded to the input's size plus kh-1 by kw-1.  The
-    weight gradient is the output gradient times the forward columns.
+    input gradient takes those windows in chunks of whole rows, at most
+    ``_CHUNK`` elements each (one row at least), and writes one GEMM per chunk
+    into its rows of the result; a map that fits in one chunk takes one GEMM.
+    The weight gradient is the output gradient times the forward columns.
     """
     if x.data.ndim != 3:
         raise ValueError(f"conv2d expects input [C,H,W], got {x.data.shape}")
@@ -364,7 +372,13 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor, stride: int = 1) -> Tensor:
         if x.requires_grad:
             flipped = weight.data[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(ci, co * kh * kw)
             spread = _embed(g, (co, h + kh - 1, w + kw - 1), ph, pw, stride)
-            x._accumulate((flipped @ _windows(spread, kh, kw, h, w)).reshape(ci, h, w))
+            gx = np.empty((ci, h, w), np.result_type(flipped, spread))
+            rows = max(1, _CHUNK // (co * kh * kw * w))
+            for top in range(0, h, rows):
+                n = min(rows, h - top)
+                np.matmul(flipped, _windows(spread, kh, kw, n, w, top=top),
+                          out=gx[:, top : top + n].reshape(ci, n * w))
+            x._accumulate(gx)
 
     return _make(out, (x, weight, bias), backward)
 

@@ -3,6 +3,7 @@ import os
 import struct
 import tempfile
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -16,6 +17,8 @@ from tinydet.tensor import (
     ParamStore,
     Tensor,
     _interp_matrix,
+    _make,
+    _windows,
     add,
     bilinear_upsample,
     concat_columns,
@@ -118,6 +121,35 @@ def test_conv2d_gradient_over_kernels_strides_and_channels(k, stride, c_in, c_ou
     probe = t64(r.standard_normal((c_out, -(-h // stride), -(-w // stride))))
     check_gradients(lambda: tensor_sum(mul(conv2d(x, wt, b, stride), probe)), [x, wt, b],
                     tol=1e-5)
+
+
+@pytest.mark.parametrize("h", [5, 7])
+@pytest.mark.parametrize("rows", [1, 2, 3])
+@pytest.mark.parametrize("stride", [1, 2])
+@pytest.mark.parametrize("k", [1, 3])
+def test_conv2d_input_gradient_in_row_chunks(monkeypatch, k, stride, rows, h):
+    # the input gradient's windows are taken `rows` input rows at a time: one
+    # row per chunk, and chunks of 2 and 3 rows, whose last chunk on 5 and 7
+    # rows is partial
+    c_in, c_out, w = 3, 2, 4
+    monkeypatch.setattr("tinydet.tensor._CHUNK", rows * c_out * k * k * w)
+    r = np.random.default_rng(k * 100 + stride * 10 + rows + h)  # leaves `rng` alone
+    x = t64(r.standard_normal((c_in, h, w)), requires_grad=True)
+    wt = t64(r.standard_normal((c_out, c_in, k, k)), requires_grad=True)
+    b = t64(r.standard_normal(c_out), requires_grad=True)
+    probe = t64(r.standard_normal((c_out, -(-h // stride), -(-w // stride))))
+    check_gradients(lambda: tensor_sum(mul(conv2d(x, wt, b, stride), probe)), [x, wt, b],
+                    tol=1e-5)
+    chunks = []
+
+    def spy(a, kh, kw, oh, ow, step=1, top=0):
+        chunks.append((top, oh))
+        return _windows(a, kh, kw, oh, ow, step, top)
+
+    loss = tensor_sum(mul(conv2d(x, wt, b, stride), probe))
+    monkeypatch.setattr("tinydet.tensor._windows", spy)
+    loss.backward()
+    assert chunks == [(top, min(rows, h - top)) for top in range(0, h, rows)]
 
 
 def test_conv2d_channel_mismatch_rejected():
@@ -405,6 +437,28 @@ def test_backward_through_a_spent_graph_raises():
     leaf.backward()
     leaf.backward()
     assert float(leaf.grad) == 1.0
+
+
+def test_backward_frees_each_spent_node_during_the_walk():
+    x = t64(np.random.default_rng(5).standard_normal((3, 4)), requires_grad=True)
+    dead = []
+
+    def probe_backward(g):
+        # `hidden`'s backward has run; nothing but the walk referred to it
+        dead.append(hidden_data() is None)
+        x._accumulate(g)
+
+    probe = _make(x.data.copy(), (x,), probe_backward)
+    hidden = relu(probe)
+    hidden_data = weakref.ref(hidden.data)
+    held = mul(hidden, 2.0)
+    loss = tensor_sum(held)
+    del hidden
+    loss.backward()
+    assert dead == [True]
+    # a node the caller holds keeps its gradient
+    np.testing.assert_array_equal(held.grad, np.ones((3, 4)))
+    np.testing.assert_array_equal(x.grad, 2.0 * (x.data > 0))
 
 
 def test_gather_concat_bce_gradients():
