@@ -37,7 +37,6 @@ from .tensor import (
     conv2d,
     gather_columns,
     relu,
-    reshape,
     sigmoid_array,
     weighted_bce_with_logits,
 )
@@ -76,6 +75,9 @@ class DetectorConfig:
             if name not in LEVEL_STRIDES:
                 raise ValueError(f"unknown pyramid level {name!r}; levels are "
                                  f"{', '.join(LEVEL_STRIDES)}")
+        for name in self.enhance_levels:
+            if LEVEL_STRIDES[name] > LEVEL_STRIDES["P5"]:
+                raise ValueError(f"enhance_levels names {name}, which is coarser than the P5 it upsamples")
         for field_name in ("levels", "enhance_levels"):
             names = getattr(self, field_name)
             if len(set(names)) != len(names):
@@ -106,19 +108,16 @@ def head_forward(pyr: dict[str, Tensor], store: ParamStore, levels):
     """(class logits [K,N], box deltas [4,N]) over every anchor of ``levels``.
 
     Column j belongs to anchor j of ``pyramid_anchors``: the levels in turn,
-    each level's cells row-major.  This is the only per-level loop of the
+    each level's cells row-major, as ``concat_columns`` flattens each level's
+    [K,h,w] and [4,h,w] maps.  This is the only per-level loop of the
     detector; assignment, loss and ``predict`` all work on these columns.
     """
-    cls_cols, reg_cols = [], []
+    cls_maps, reg_maps = [], []
     for name in levels:
-        f = pyr[name]
-        n = f.data.shape[1] * f.data.shape[2]
-        trunk = relu(conv2d(f, store["head.trunk.w"], store["head.trunk.b"]))
-        cls = conv2d(trunk, store["head.cls.w"], store["head.cls.b"])
-        reg = conv2d(trunk, store["head.reg.w"], store["head.reg.b"])
-        cls_cols.append(reshape(cls, (cls.data.shape[0], n)))
-        reg_cols.append(reshape(reg, (4, n)))
-    return concat_columns(cls_cols), concat_columns(reg_cols)
+        trunk = relu(conv2d(pyr[name], store["head.trunk.w"], store["head.trunk.b"]))
+        cls_maps.append(conv2d(trunk, store["head.cls.w"], store["head.cls.b"]))
+        reg_maps.append(conv2d(trunk, store["head.reg.w"], store["head.reg.b"]))
+    return concat_columns(cls_maps), concat_columns(reg_maps)
 
 
 def _center_size(boxes: np.ndarray):
@@ -217,7 +216,7 @@ class DetectorModel:
 
     def pyramid(self, image: Tensor) -> dict[str, Tensor]:
         feats = backbone_forward(image, self.store, self.cfg.backbone)
-        pyr = build_fpn(feats, self.store, self.cfg.backbone)
+        pyr = build_fpn(feats, self.store)
         return efpn_bs_forward(pyr, self.store, self.cfg.enhance_levels)
 
     def forward(self, image: Tensor):

@@ -69,8 +69,7 @@ def backbone_forward(image: Tensor, store: ParamStore, cfg: BackboneConfig):
     h, w = image.data.shape[1:]
     if h % 64 or w % 64:
         raise ValueError(f"image dims must be divisible by 64, got {h}x{w}")
-    if cfg.input_offset:
-        image = add(image, -cfg.input_offset)
+    image = add(image, -cfg.input_offset)
     x = relu(conv2d(image, store["backbone.stem0.w"], store["backbone.stem0.b"], stride=2))
     x = relu(conv2d(x, store["backbone.stem1.w"], store["backbone.stem1.b"], stride=2))
     feats = [x]  # C2, stride 4
@@ -87,13 +86,12 @@ def build_fpn_params(store: ParamStore, cfg: BackboneConfig):
         store.register_conv(f"fpn.smooth{i + 2}", c, c, 3)
 
 
-def build_fpn(features, store: ParamStore, cfg: BackboneConfig) -> dict[str, Tensor]:
+def build_fpn(features, store: ParamStore) -> dict[str, Tensor]:
     """Standard top-down pyramid: lateral 1x1, upsample-and-add, 3x3 smoothing;
     P6 is a stride-2 max pool of P5.  Returns features keyed P2..P6 in order;
     level strides are ``LEVEL_STRIDES``."""
     if len(features) != 4:
         raise ValueError(f"build_fpn expects 4 backbone features, got {len(features)}")
-    c = cfg.pyramid_channels
     laterals = []
     for i, f in enumerate(features):
         w = store[f"fpn.lateral{i + 2}.w"]
@@ -112,7 +110,6 @@ def build_fpn(features, store: ParamStore, cfg: BackboneConfig) -> dict[str, Ten
         pyr[name] = conv2d(merged[i], store[f"fpn.smooth{i + 2}.w"],
                            store[f"fpn.smooth{i + 2}.b"])
     pyr["P6"] = max_pool(pyr["P5"], (2, 2))
-    assert c == pyr["P2"].data.shape[0]
     return pyr
 
 

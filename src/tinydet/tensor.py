@@ -41,7 +41,6 @@ __all__ = [
     "mul",
     "max_pool",
     "bilinear_upsample",
-    "reshape",
     "tensor_mean",
     "gather_columns",
     "concat_columns",
@@ -67,14 +66,6 @@ class Tensor:
         self.requires_grad = bool(requires_grad)
         self._parents = ()
         self._backward = None
-
-    @property
-    def shape(self):
-        return self.data.shape
-
-    @property
-    def dtype(self):
-        return self.data.dtype
 
     def zero_grad(self):
         self.grad = None
@@ -217,7 +208,7 @@ def sigmoid(x: Tensor) -> Tensor:
 def max_pool(x: Tensor, size) -> Tensor:
     """Max pooling of a [C,H,W] map over non-overlapping (kh, kw) windows.
 
-    H and W must be multiples of kh and kw; ``size = x.shape[1:]`` pools the
+    H and W must be multiples of kh and kw; ``size = x.data.shape[1:]`` pools the
     whole map to [C,1,1].  The gradient routes to the first maximum of each
     window in row-major order, so the backward pass is deterministic under ties.
     """
@@ -387,15 +378,6 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor, stride: int = 1) -> Tensor:
 # shape / reduction / selection
 
 
-def reshape(x: Tensor, shape) -> Tensor:
-    shape = tuple(int(s) for s in shape)
-
-    def backward(g):
-        x._accumulate(g.reshape(x.data.shape))
-
-    return _make(x.data.reshape(shape), (x,), backward)
-
-
 def tensor_mean(x: Tensor) -> Tensor:
     n = x.data.size
     out = np.asarray(x.data.sum(dtype=np.float64) / n).astype(x.data.dtype)
@@ -423,23 +405,23 @@ def gather_columns(x: Tensor, idx) -> Tensor:
 
 
 def concat_columns(tensors) -> Tensor:
-    """Concatenate a list of [C,Ni] tensors along the column axis."""
+    """Concatenate [C,...] tensors along the columns, each flattened row-major to [C,Ni]."""
     tensors = list(tensors)
     if not tensors:
         raise ValueError("concat_columns: empty input")
     c = tensors[0].data.shape[0]
     for t in tensors:
-        if t.data.ndim != 2 or t.data.shape[0] != c:
-            raise ValueError("concat_columns: inputs must be [C,N] with equal C")
-    sizes = [t.data.shape[1] for t in tensors]
-    offsets = np.cumsum([0] + sizes)
+        if t.data.ndim < 2 or t.data.shape[0] != c:
+            raise ValueError("concat_columns: inputs must be [C,...] with equal C")
+    cols = [t.data.reshape(c, math.prod(t.data.shape[1:])) for t in tensors]
+    offsets = np.cumsum([0] + [a.shape[1] for a in cols])
 
     def backward(g):
         for t, lo, hi in zip(tensors, offsets[:-1], offsets[1:]):
             if t.requires_grad:
-                t._accumulate(g[:, lo:hi])
+                t._accumulate(g[:, lo:hi].reshape(t.data.shape))
 
-    return _make(np.concatenate([t.data for t in tensors], axis=1), tuple(tensors), backward)
+    return _make(np.concatenate(cols, axis=1), tuple(tensors), backward)
 
 
 def weighted_bce_with_logits(logits: Tensor, targets, weights) -> Tensor:
@@ -505,16 +487,15 @@ class ParamStore:
     """Named map of trainable tensors with order-deterministic initialization.
 
     The same seed and the same registration order give bitwise-identical
-    initial values.  Weights use symmetric uniform(-a, a) initialization with
-    a = sqrt(6 / (fan_in + fan_out)); biases start at zero.  A store built
-    over ``saved``, a name -> array map, takes each parameter from it instead
-    and pops it; a name it lacks or a shape that differs raises ValueError
-    before anything is allocated.
+    initial values.  Weights use float32 uniform(-a, a) initialization with
+    a = sqrt(6 / (fan_in + fan_out)); biases start at zero.  A store built over
+    ``saved``, a name -> array map, takes each parameter from it instead, in
+    its dtype, and pops it; a name it lacks or a shape that differs raises
+    ValueError before anything is allocated.
     """
 
-    def __init__(self, seed: int = 0, dtype=np.float32, saved: dict | None = None):
+    def __init__(self, seed: int = 0, saved: dict | None = None):
         self.seed = int(seed)
-        self.dtype = np.dtype(dtype)
         self._rng = np.random.default_rng(self.seed)
         self.params: dict[str, Tensor] = {}
         self.saved = saved
@@ -532,9 +513,9 @@ class ParamStore:
                 if data is None or data.shape != shape:
                     raise ValueError(f"parameter {n!r} of shape {list(shape)} is not saved")
             elif n.endswith(".b"):
-                data = np.zeros(shape, dtype=self.dtype)
+                data = np.zeros(shape, dtype=np.float32)
             else:
-                data = self._rng.uniform(-a, a, size=shape).astype(self.dtype)
+                data = self._rng.uniform(-a, a, size=shape).astype(np.float32)
             self.params[n] = Tensor(data, requires_grad=True)
         return self.params[f"{name}.w"], self.params[f"{name}.b"]
 

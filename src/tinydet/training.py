@@ -66,7 +66,6 @@ class TrainConfig:
 class TrainResult:
     model: DetectorModel
     loss_curve: list          # per-epoch dicts: epoch, cls, reg, total, lr
-    first_batch_components: tuple  # (cls, reg) of the very first batch
     dc_params: DCLossParams | None
 
 
@@ -118,7 +117,6 @@ def train(scenes, det_cfg: DetectorConfig, cfg: TrainConfig) -> TrainResult:
     assignments = [assign_image(s.gts, s.image.shape[1:], det_cfg) for s in scenes]
     order_rng = np.random.default_rng(cfg.seed)
     curve = []
-    first_batch = None
     last_good = _snapshot(model)
     for epoch in range(1, cfg.epochs + 1):
         lr = _epoch_lr(cfg, epoch)
@@ -140,8 +138,6 @@ def train(scenes, det_cfg: DetectorConfig, cfg: TrainConfig) -> TrainResult:
                 raise DivergenceError(
                     f"non-finite loss at epoch {epoch}, batch starting {start}: "
                     f"cls={batch_stats[0]}, reg={batch_stats[1]}", last_good)
-            if first_batch is None:
-                first_batch = (float(batch_stats[0]), float(batch_stats[1]))
             opt.step(lr)
             if dc_params is not None:
                 dc_params.step(lr, cfg.momentum)
@@ -154,8 +150,7 @@ def train(scenes, det_cfg: DetectorConfig, cfg: TrainConfig) -> TrainResult:
                       "cls": float(sums[0] / count),
                       "reg": float(sums[1] / count),
                       "total": float(sums[2] / count)})
-    return TrainResult(model=model, loss_curve=curve,
-                       first_batch_components=first_batch, dc_params=dc_params)
+    return TrainResult(model=model, loss_curve=curve, dc_params=dc_params)
 
 
 def evaluate_model(model: DetectorModel, scenes) -> EvalResult:

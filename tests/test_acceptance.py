@@ -259,7 +259,7 @@ def test_criterion_4_module_contracts():
     c = cfg.pyramid_channels
     build_cem_params(store, c, c)
     build_fbsm_params(store, c, c, gate_width=None)
-    pyr = build_fpn(backbone_forward(img, store, cfg), store, cfg)
+    pyr = build_fpn(backbone_forward(img, store, cfg), store)
     enhanced = efpn_bs_forward(pyr, store, ("P2",))
     for name in ("P3", "P4", "P5", "P6"):
         assert enhanced[name].data.tobytes() == pyr[name].data.tobytes()

@@ -17,6 +17,8 @@ from tinydet.training import TrainConfig
 floats = st.floats(allow_nan=False, allow_infinity=False)
 sizes = st.integers(1, 512)
 level_names = st.sampled_from(list(LEVEL_STRIDES))
+# the enhancement upsamples P5 to each level it names, so none is coarser than P5
+enhance_names = st.sampled_from([n for n, s in LEVEL_STRIDES.items() if s <= LEVEL_STRIDES["P5"]])
 
 
 @st.composite
@@ -46,7 +48,7 @@ def detector_configs(draw):
     return DetectorConfig(
         backbone=draw(backbones), num_classes=draw(sizes),
         levels=tuple(draw(st.lists(level_names, min_size=1, unique=True))),
-        enhance_levels=tuple(draw(st.lists(level_names, unique=True))), gate_width=draw(st.none() | sizes),
+        enhance_levels=tuple(draw(st.lists(enhance_names, unique=True))), gate_width=draw(st.none() | sizes),
         head_channels=draw(sizes), base_anchor=draw(floats), pos_thr=pos_thr, neg_thr=neg_thr,
         score_floor=draw(unit), nms_iou=draw(unit), max_detections=draw(sizes))
 
@@ -102,6 +104,7 @@ def test_asdict_then_from_dict_roundtrips_through_json(config):
     (TrainConfig, {"dc_k": -1.0}, {}, r"^section: k and delta must be finite and positive"),
     (TrainConfig, {"dc_delta": math.nan}, {}, "k and delta must be finite and positive"),
     (TrainConfig, {"dc_k": math.inf, "reg_loss": "smooth_l1"}, {}, "must be finite and positive"),
+    (DetectorConfig, {"enhance_levels": ["P2", "P6"]}, {}, "enhance_levels names P6, which is coarser than the P5"),
 ])
 def test_from_dict_rejects(cls, payload, fixed, match):
     with pytest.raises(ValueError, match=match):

@@ -2,8 +2,11 @@
 
 05_tiny_training_run.py (a training run of about 20 s) is left out; the
 acceptance training gate covers the train/evaluate calls it makes.
+``test_demo_imports_resolve`` checks every demo's ``tinydet`` imports, 05's too.
 """
 
+import ast
+import importlib
 import os
 import subprocess
 import sys
@@ -28,3 +31,13 @@ def test_demo_runs(name, tmp_path):
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip()
+
+
+@pytest.mark.parametrize("path", sorted((ROOT / "demos").glob("*.py")), ids=lambda p: p.name)
+def test_demo_imports_resolve(path):
+    imports = [node for node in ast.walk(ast.parse(path.read_text()))
+               if isinstance(node, ast.ImportFrom) and node.module.startswith("tinydet")]
+    assert imports
+    missing = [f"{node.module}.{alias.name}" for node in imports for alias in node.names
+               if not hasattr(importlib.import_module(node.module), alias.name)]
+    assert not missing, f"{path.name} imports names tinydet lacks: {missing}"

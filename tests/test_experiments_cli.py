@@ -389,6 +389,7 @@ def test_cli_error_exit_codes(tmp_path, capsys):
     {"train": {"learning_rate": float("nan"), "epochs": 1}},
     {"train": {"momentum": float("nan"), "epochs": 1}},
     {"train": {"dc_k": -1}},
+    {"detector": {"enhance_levels": ["P6"]}},   # coarser than the P5 it upsamples
 ])
 def test_cli_config_faults_exit_1(tmp_path, dataset, capsys, payload):
     path = tmp_path / "config.json"

@@ -56,7 +56,7 @@ def test_backbone_rejects_bad_input():
 
 def test_pyramid_shapes_and_strides():
     store = make_store()
-    pyr = build_fpn(backbone_forward(image(), store, CFG), store, CFG)
+    pyr = build_fpn(backbone_forward(image(), store, CFG), store)
     assert list(pyr) == ["P2", "P3", "P4", "P5", "P6"]
     for name, side in [("P2", 32), ("P3", 16), ("P4", 8), ("P5", 4), ("P6", 2)]:
         f = pyr[name]
@@ -66,7 +66,7 @@ def test_pyramid_shapes_and_strides():
 
 def test_p6_is_max_pool_of_p5():
     store = make_store()
-    pyr = build_fpn(backbone_forward(image(), store, CFG), store, CFG)
+    pyr = build_fpn(backbone_forward(image(), store, CFG), store)
     p5, p6 = pyr["P5"].data, pyr["P6"].data
     for c in range(p5.shape[0]):
         for i in range(p6.shape[1]):
@@ -76,7 +76,7 @@ def test_p6_is_max_pool_of_p5():
 
 def test_enhancement_replaces_only_p2():
     store = make_store()
-    pyr = build_fpn(backbone_forward(image(), store, CFG), store, CFG)
+    pyr = build_fpn(backbone_forward(image(), store, CFG), store)
     out = efpn_bs_forward(pyr, store, ("P2",))
     assert not np.array_equal(out["P2"].data, pyr["P2"].data)
     assert out["P2"].data.shape == pyr["P2"].data.shape
@@ -86,7 +86,7 @@ def test_enhancement_replaces_only_p2():
 
 def test_enhancement_disabled_is_identity():
     store = make_store()
-    pyr = build_fpn(backbone_forward(image(), store, CFG), store, CFG)
+    pyr = build_fpn(backbone_forward(image(), store, CFG), store)
     out = efpn_bs_forward(pyr, store, ())
     assert list(out) == list(pyr)
     assert all(out[name] is pyr[name] for name in pyr)
@@ -94,7 +94,7 @@ def test_enhancement_disabled_is_identity():
 
 def test_enhancement_configurable_levels():
     store = make_store()
-    pyr = build_fpn(backbone_forward(image(), store, CFG), store, CFG)
+    pyr = build_fpn(backbone_forward(image(), store, CFG), store)
     out = efpn_bs_forward(pyr, store, ("P2", "P3"))
     for name in ("P2", "P3"):
         assert not np.array_equal(out[name].data, pyr[name].data)
@@ -106,7 +106,7 @@ def test_gradient_reaches_p5_through_enhanced_p2():
     # the enhanced P2 depends on P5, so a loss on P2 alone must push gradient
     # into every backbone and pyramid parameter, including P5's lateral conv
     store = make_store()
-    pyr = build_fpn(backbone_forward(image(), store, CFG), store, CFG)
+    pyr = build_fpn(backbone_forward(image(), store, CFG), store)
     out = efpn_bs_forward(pyr, store, ("P2",))
     tensor_sum(out["P2"]).backward()
     lat5 = store["fpn.lateral5.w"]
@@ -119,7 +119,7 @@ def test_full_pipeline_deterministic():
     def run():
         store = make_store(seed=4)
         img = Tensor(np.random.default_rng(1).standard_normal((3, 128, 128)).astype(np.float32))
-        pyr = efpn_bs_forward(build_fpn(backbone_forward(img, store, CFG), store, CFG), store,
+        pyr = efpn_bs_forward(build_fpn(backbone_forward(img, store, CFG), store), store,
                               ("P2",))
         return pyr["P2"].data.tobytes()
 

@@ -28,7 +28,6 @@ from tinydet.tensor import (
     mul,
     read_tensor_file,
     relu,
-    reshape,
     sigmoid,
     sigmoid_array,
     tensor_mean,
@@ -493,9 +492,17 @@ def test_gather_columns_rejects_bad_input():
             gather_columns(rand64(3, 4), idx)
 
 
-def test_reshape_mean_gradients():
+def test_concat_columns_flattens_maps_row_major():
     x = rand64(2, 3, 4, requires_grad=True)
-    check_gradients(lambda: tensor_mean(reshape(x, (6, 4))), [x])
+    r = np.random.default_rng(496)
+    y = Tensor(r.standard_normal((2, 5)), requires_grad=True)
+    out = concat_columns([x, y])
+    np.testing.assert_array_equal(out.data, np.concatenate([x.data.reshape(2, 12), y.data], axis=1))
+    weights = t64(r.standard_normal((2, 17)))  # column-dependent, so the order shows
+    check_gradients(lambda: tensor_mean(mul(concat_columns([x, y]), weights)), [x, y])
+    for bad in ([x, Tensor(np.zeros((3, 5)))], [Tensor(np.zeros(2)), y], [y, Tensor(np.zeros(2))]):
+        with pytest.raises(ValueError, match="equal C"):
+            concat_columns(bad)
 
 
 def test_randomized_op_gradient_suite():

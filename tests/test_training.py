@@ -74,7 +74,6 @@ def test_short_training_run_decreases_loss():
         assert set(rec) == {"epoch", "lr", "cls", "reg", "total"}
         assert np.isfinite(rec["total"])
     assert result.loss_curve[-1]["total"] < result.loss_curve[0]["total"]
-    assert result.first_batch_components[0] > 0
     assert result.dc_params is None
 
 
