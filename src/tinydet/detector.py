@@ -10,6 +10,7 @@ positive anchors only with a pluggable loss.
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -92,6 +93,8 @@ class DetectorConfig:
         for name in ("score_floor", "nms_iou"):
             if not 0.0 <= getattr(self, name) <= 1.0:
                 raise ValueError(f"{name} must lie in [0, 1], got {getattr(self, name)}")
+        if not 0 < self.base_anchor < math.inf:
+            raise ValueError(f"base_anchor must be finite and > 0, got {self.base_anchor}")
         if not 0.0 <= self.neg_thr <= self.pos_thr <= 1.0:
             raise ValueError(f"need 0 <= neg_thr <= pos_thr <= 1, got neg_thr "
                              f"{self.neg_thr}, pos_thr {self.pos_thr}")

@@ -8,6 +8,7 @@ replaces that level; every other level passes through untouched.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .context import cem_forward
@@ -52,6 +53,8 @@ class BackboneConfig:
         for name, value in widths.items():
             if value < 1:
                 raise ValueError(f"{name} must be >= 1, got {value}")
+        if not math.isfinite(self.input_offset):
+            raise ValueError(f"input_offset must be finite, got {self.input_offset}")
 
 
 def build_backbone_params(store: ParamStore, cfg: BackboneConfig):

@@ -72,7 +72,8 @@ class Tensor:
 
     def _accumulate(self, g):
         if self.grad is None:
-            self.grad = np.array(g, dtype=self.data.dtype)  # a copy: g may be a view
+            # a copy in C order: g may be a view, a transposed one included
+            self.grad = np.array(g, dtype=self.data.dtype, order="C")
         else:
             self.grad += g.astype(self.data.dtype, copy=False)
 
@@ -82,8 +83,9 @@ class Tensor:
         Only valid on a scalar (0-d) tensor produced by this module's ops.
         The walk pops each op node off its list before running it, and the
         node then drops its backward closure and its parents, so a spent node
-        (its data, grad and im2col columns) is freed during the walk unless
-        the caller still holds it; a held node keeps its grad.  A second
+        (its data, its grad and what its op kept for the backward: a conv's
+        padded input or its columns, see ``conv2d``) is freed during the walk
+        unless the caller still holds it; a held node keeps its grad.  A second
         backward through a spent node raises ValueError.
         """
         if self.data.shape != ():
@@ -317,28 +319,48 @@ def _embed(a: np.ndarray, shape, top: int, left: int, step: int) -> np.ndarray:
     return out
 
 
+def _taps(a: np.ndarray, k: int, n: int) -> np.ndarray:
+    """The [k, k, n, C] view of a contiguous [C,H,W] array: tap (dy, dx) is a
+    column-major [n, C] matrix whose row j holds flat element j + dy*W + dx
+    of every channel.  The ndarray constructor checks the last tap's extent
+    against the buffer."""
+    c = a.shape[0]
+    sc, sy, sx = a.strides
+    return np.ndarray((k, k, n, c), a.dtype, a, 0, (sy, sx, sx, sc))
+
+
 def conv2d(x: Tensor, weight: Tensor, bias: Tensor, stride: int = 1) -> Tensor:
     """2-D cross-correlation with bias over a single [C_in,H,W] image.
 
     Kernels are 1x1 or 3x3, padded so that stride-1 convolution preserves the
     spatial size; stride s > 1 yields ceil(H/s) x ceil(W/s) outputs.  Both the
     forward pass and the input gradient are one GEMM with ``_windows`` columns:
-    forward, the [Co, Ci*kh*kw] weights times the windows of the zero-padded
+    forward, the [Co, Ci*k*k] weights times the windows of the zero-padded
     input at step s; the input gradient, the flipped, channel-swapped
-    [Ci, Co*kh*kw] kernel times the step-1 windows of the output gradient,
-    dilated by s and zero-padded to the input's size plus kh-1 by kw-1.  The
+    [Ci, Co*k*k] kernel times the step-1 windows of the output gradient,
+    dilated by s and zero-padded to the input's size plus k-1 by k-1.  The
     input gradient takes those windows in chunks of whole rows, at most
     ``_CHUNK`` elements each (one row at least), and writes one GEMM per chunk
     into its rows of the result; a map that fits in one chunk takes one GEMM.
-    The weight gradient is the output gradient times the forward columns.
+
+    What the backward keeps differs by kernel and stride.  A 3x3 stride-1 conv
+    keeps its zero-padded input, [Ci, H+3, W+2] with one extra zero row, and
+    drops its columns after the forward GEMM; its weight gradient is one
+    ``np.matmul`` of the padded output gradient, read flat as [Co, H*(W+2)],
+    with the nine ``_taps`` views of the padded input.  The two pad columns of
+    each output-gradient row are zero, so the taps they meet add exactly 0,
+    and the extra zero row holds the last tap's reach past the final row.  A
+    1x1 conv keeps its columns, a view of its input, and a stride-2 conv keeps
+    its columns, 9/4 of its input; their weight gradient is the output
+    gradient times those columns.
     """
     if x.data.ndim != 3:
         raise ValueError(f"conv2d expects input [C,H,W], got {x.data.shape}")
     if weight.data.ndim != 4:
         raise ValueError(f"conv2d expects weight [Co,Ci,kh,kw], got {weight.data.shape}")
     co, ci, kh, kw = weight.data.shape
-    if kh not in (1, 3) or kw not in (1, 3):
-        raise ValueError(f"conv2d supports 1x1/3x3 kernels, got {kh}x{kw}")
+    if kh != kw or kh not in (1, 3):
+        raise ValueError(f"conv2d supports square 1x1/3x3 kernels, got a {kh}x{kw} kernel")
     if x.data.shape[0] != ci:
         raise ValueError(
             f"conv2d: input has {x.data.shape[0]} channels, weight expects {ci}"
@@ -346,28 +368,36 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor, stride: int = 1) -> Tensor:
     if bias.data.shape != (co,):
         raise ValueError(f"conv2d: bias shape {bias.data.shape} != ({co},)")
     c, h, w = x.data.shape
-    ph, pw = kh // 2, kw // 2
-    oh = (h + 2 * ph - kh) // stride + 1
-    ow = (w + 2 * pw - kw) // stride + 1
-    padded = _embed(x.data, (c, h + 2 * ph, w + 2 * pw), ph, pw, 1)
-    cols = _windows(padded, kh, kw, oh, ow, stride)
-    wmat = weight.data.reshape(co, ci * kh * kw)
+    k, p = kh, kh // 2
+    oh = (h + 2 * p - k) // stride + 1
+    ow = (w + 2 * p - k) // stride + 1
+    keep_padded = k > 1 and stride == 1  # with one extra zero row, for ``_taps``
+    padded = _embed(x.data, (c, h + 2 * p + keep_padded, w + 2 * p), p, p, 1)
+    cols = _windows(padded, k, k, oh, ow, stride)
+    wmat = weight.data.reshape(co, ci * k * k)
     out = (wmat @ cols + bias.data[:, None]).reshape(co, oh, ow)
+    kept = padded if keep_padded else cols  # the backward's closure holds this one only
 
     def backward(g):
         gmat = g.reshape(co, oh * ow)
+        if keep_padded or x.requires_grad:
+            spread = _embed(g, (co, h + k - 1, w + k - 1), p, p, stride)
         if weight.requires_grad:
-            weight._accumulate((gmat @ cols.T).reshape(weight.data.shape))
+            if keep_padded:
+                wp = w + k - 1
+                flat = spread.reshape(co, -1)[:, p * wp + p : p * wp + p + h * wp]
+                weight._accumulate(np.matmul(flat, _taps(kept, k, h * wp)).transpose(2, 3, 0, 1))
+            else:
+                weight._accumulate((gmat @ kept.T).reshape(weight.data.shape))
         if bias.requires_grad:
             bias._accumulate(gmat.sum(axis=1, dtype=np.float64))
         if x.requires_grad:
-            flipped = weight.data[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(ci, co * kh * kw)
-            spread = _embed(g, (co, h + kh - 1, w + kw - 1), ph, pw, stride)
+            flipped = weight.data[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(ci, co * k * k)
             gx = np.empty((ci, h, w), np.result_type(flipped, spread))
-            rows = max(1, _CHUNK // (co * kh * kw * w))
+            rows = max(1, _CHUNK // (co * k * k * w))
             for top in range(0, h, rows):
                 n = min(rows, h - top)
-                np.matmul(flipped, _windows(spread, kh, kw, n, w, top=top),
+                np.matmul(flipped, _windows(spread, k, k, n, w, top=top),
                           out=gx[:, top : top + n].reshape(ci, n * w))
             x._accumulate(gx)
 

@@ -31,6 +31,28 @@ def conv2d_scalar(x, w, b, stride=1):
     return out
 
 
+def conv2d_weight_grad_scalar(x, g, k, stride=1):
+    """Gradient of conv2d_scalar's output, weighted by ``g`` [Co,oh,ow], with
+    respect to its [Co,Ci,k,k] weights: loops over kernel and output."""
+    co, oh, ow = g.shape
+    ci, h, ww = x.shape
+    p = k // 2
+    out = np.zeros((co, ci, k, k), dtype=np.float64)
+    for o in range(co):
+        for ic in range(ci):
+            for ky in range(k):
+                for kx in range(k):
+                    acc = 0.0
+                    for oy in range(oh):
+                        for ox in range(ow):
+                            y = oy * stride + ky - p
+                            xx = ox * stride + kx - p
+                            if 0 <= y < h and 0 <= xx < ww:
+                                acc += float(x[ic, y, xx]) * float(g[o, oy, ox])
+                    out[o, ic, ky, kx] = acc
+    return out
+
+
 def bilinear_scalar(x, th, tw):
     """Half-pixel-center bilinear resize, one output sample at a time."""
     c, h, w = x.shape

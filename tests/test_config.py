@@ -40,6 +40,7 @@ backbones = st.builds(BackboneConfig, stem_channels=sizes,
                       pyramid_channels=sizes, input_offset=floats)
 
 unit = st.floats(0.0, 1.0)
+positive = st.floats(0.0, exclude_min=True, allow_infinity=False)
 
 
 @st.composite
@@ -49,10 +50,9 @@ def detector_configs(draw):
         backbone=draw(backbones), num_classes=draw(sizes),
         levels=tuple(draw(st.lists(level_names, min_size=1, unique=True))),
         enhance_levels=tuple(draw(st.lists(enhance_names, unique=True))), gate_width=draw(st.none() | sizes),
-        head_channels=draw(sizes), base_anchor=draw(floats), pos_thr=pos_thr, neg_thr=neg_thr,
+        head_channels=draw(sizes), base_anchor=draw(positive), pos_thr=pos_thr, neg_thr=neg_thr,
         score_floor=draw(unit), nms_iou=draw(unit), max_detections=draw(sizes))
 
-positive = st.floats(0.0, exclude_min=True, allow_infinity=False)
 train_configs = st.builds(
     TrainConfig, learning_rate=positive, momentum=st.floats(0.0, 1.0, exclude_max=True),
     weight_decay=st.floats(0.0, allow_infinity=False), epochs=st.integers(1, 100),

@@ -417,6 +417,13 @@ def test_checkpoint_load_fuzz_loads_or_raises_value_error(fuzz_checkpoint, data)
     (BackboneConfig, {"pyramid_channels": 0}, "pyramid_channels must be >= 1"),
     (BackboneConfig, {"stem_channels": 0}, "stem_channels must be >= 1"),
     (BackboneConfig, {"stage_channels": (8, 0, 16, 16)}, r"stage_channels\[1\] must be >= 1"),
+    (BackboneConfig, {"input_offset": float("nan")}, "input_offset must be finite"),
+    (BackboneConfig, {"input_offset": float("inf")}, "input_offset must be finite"),
+    (BackboneConfig, {"input_offset": -float("inf")}, "input_offset must be finite"),
+    (DetectorConfig, {"base_anchor": 0.0}, "base_anchor must be finite and > 0"),
+    (DetectorConfig, {"base_anchor": -1.0}, "base_anchor must be finite and > 0"),
+    (DetectorConfig, {"base_anchor": float("nan")}, "base_anchor must be finite and > 0"),
+    (DetectorConfig, {"base_anchor": float("inf")}, "base_anchor must be finite and > 0"),
 ])
 def test_config_rejects_out_of_range_values(cls, kw, match):
     with pytest.raises(ValueError, match=match):

@@ -390,6 +390,10 @@ def test_cli_error_exit_codes(tmp_path, capsys):
     {"train": {"momentum": float("nan"), "epochs": 1}},
     {"train": {"dc_k": -1}},
     {"detector": {"enhance_levels": ["P6"]}},   # coarser than the P5 it upsamples
+    {"detector": {"base_anchor": 0}},
+    {"detector": {"base_anchor": float("nan")}},
+    {"detector": {"backbone": {"input_offset": float("nan")}}},
+    {"detector": {"backbone": {"input_offset": float("inf")}}},
 ])
 def test_cli_config_faults_exit_1(tmp_path, dataset, capsys, payload):
     path = tmp_path / "config.json"

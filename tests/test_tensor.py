@@ -11,7 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gradcheck import check_gradients, max_rel_err, tensor_sum
-from oracles import bilinear_scalar, conv2d_scalar, sigmoid_piecewise
+from oracles import bilinear_scalar, conv2d_scalar, conv2d_weight_grad_scalar, sigmoid_piecewise
 
 from tinydet.tensor import (
     ParamStore,
@@ -122,6 +122,28 @@ def test_conv2d_gradient_over_kernels_strides_and_channels(k, stride, c_in, c_ou
                     tol=1e-5)
 
 
+@pytest.mark.parametrize("h, w", [(5, 7), (2, 3), (1, 1)])
+@pytest.mark.parametrize("c_in", [1, 4])
+@pytest.mark.parametrize("stride", [1, 2])
+@pytest.mark.parametrize("k", [1, 3])
+def test_conv2d_weight_gradient_matches_scalar_oracle(k, stride, c_in, h, w):
+    # a 3x3 stride-1 conv reads its weight gradient off nine shifted views of
+    # the padded input, against an output gradient whose two pad columns per
+    # row must add exactly 0: the first and last input columns are large, so a
+    # pad column that met them would show.  Small integers keep every sum
+    # exact in float64, on both sides.
+    r = np.random.default_rng(k * 1000 + stride * 100 + c_in * 10 + h)  # leaves `rng` alone
+    xd = r.integers(-8, 9, (c_in, h, w)).astype(np.float64)
+    xd[:, :, [0, -1]] *= 1e6
+    probe = t64(r.integers(-8, 9, (3, -(-h // stride), -(-w // stride))))
+    ref = conv2d_weight_grad_scalar(xd, probe.data, k, stride)
+    for input_grad in (True, False):
+        x = t64(xd, requires_grad=input_grad)
+        wt = t64(r.integers(-8, 9, (3, c_in, k, k)), requires_grad=True)
+        tensor_sum(mul(conv2d(x, wt, t64(np.zeros(3)), stride), probe)).backward()
+        assert max_rel_err(wt.grad, ref) < 1e-12
+
+
 @pytest.mark.parametrize("h", [5, 7])
 @pytest.mark.parametrize("rows", [1, 2, 3])
 @pytest.mark.parametrize("stride", [1, 2])
@@ -157,8 +179,10 @@ def test_conv2d_channel_mismatch_rejected():
 
 
 def test_conv2d_kernel_size_rejected():
-    with pytest.raises(ValueError, match="kernel"):
-        conv2d(rand64(1, 4, 4), t64(np.zeros((1, 1, 5, 5))), t64(np.zeros(1)))
+    # 1x3 and 3x1 are made of supported sizes, but only square kernels are
+    for kh, kw in [(5, 5), (1, 3), (3, 1)]:
+        with pytest.raises(ValueError, match=f"a {kh}x{kw} kernel"):
+            conv2d(rand64(1, 4, 4), t64(np.zeros((1, 1, kh, kw))), t64(np.zeros(1)))
 
 
 # ---------------------------------------------------------------------------

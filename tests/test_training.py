@@ -112,16 +112,35 @@ def test_training_learnable_transition_moves_params():
     assert result.dc_params.grad_k == result.dc_params.grad_delta == 0.0
 
 
+def _default_256_step():
+    """The default-config model, and the assignment of a 256x256 scene."""
+    cfg = DetectorConfig()
+    scene = generate_scene(SceneSpec(height=256, width=256, seed=0), 0)
+    return DetectorModel(cfg, seed=0), scene, assign_image(scene.gts, scene.image.shape[1:], cfg)
+
+
+def test_graph_memory_keeps_padded_inputs_not_columns():
+    # one default-config 256x256 forward and loss: each 3x3 stride-1 conv keeps
+    # its zero-padded input for the backward, not its 9x larger im2col
+    # columns, so the graph holds ~9.7 MiB; keeping the columns read 15.4 MiB
+    model, scene, assignment = _default_256_step()
+    tracemalloc.start()
+    try:
+        total, _, _ = model.loss(model.forward(Tensor(scene.image)), assignment, None)
+        live = tracemalloc.get_traced_memory()[0]  # `total` holds the graph
+    finally:
+        tracemalloc.stop()
+    assert total.requires_grad
+    assert live / 2 ** 20 < 12, f"graph {live / 2 ** 20:.2f} MiB"
+
+
 def test_backward_memory_is_bounded_above_the_graph():
-    # one default-config 256x256 step: the forward leaves a ~15.5 MiB graph
+    # one default-config 256x256 step: the forward leaves a ~9.7 MiB graph
     # live; the backward frees each spent node and takes conv2d's input-gradient
     # windows in bounded row chunks, so its peak stays ~1.3 MiB above the graph.
     # Keeping spent nodes to the end of the walk and building the windows of a
     # whole map (4.5 MiB for the head trunk on P2) reads 6.6 MiB.
-    cfg = DetectorConfig()
-    model = DetectorModel(cfg, seed=0)
-    scene = generate_scene(SceneSpec(height=256, width=256, seed=0), 0)
-    assignment = assign_image(scene.gts, scene.image.shape[1:], cfg)
+    model, scene, assignment = _default_256_step()
     tracemalloc.start()
     try:
         total, _, _ = model.loss(model.forward(Tensor(scene.image)), assignment, None)
