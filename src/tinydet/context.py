@@ -9,7 +9,7 @@ lives in the store as ``cem.proj``.
 
 from __future__ import annotations
 
-from .tensor import ParamStore, Tensor, add, conv2d, max_pool, relu
+from .tensor import ParamStore, Tensor, add, conv2d, max_pool
 
 __all__ = ["build_cem_params", "global_context", "cem_forward"]
 
@@ -19,7 +19,8 @@ def build_cem_params(store: ParamStore, c_high: int, c_low: int):
 
 
 def global_context(p_high: Tensor, store: ParamStore) -> Tensor:
-    """Max-pool a [C_h,H,W] map to [C_h,1,1] and project: relu(W * max(P_h) + b) -> [C_l,1,1]."""
+    """Max-pool a [C_h,H,W] map to [C_h,1,1] and project: max(W * max(P_h) + b, 0)
+    -> [C_l,1,1], one 1x1 conv with its ReLU folded in."""
     if p_high.data.ndim != 3:
         raise ValueError(f"global_context expects [C,H,W], got {p_high.data.shape}")
     weight = store["cem.proj.w"]
@@ -29,7 +30,7 @@ def global_context(p_high: Tensor, store: ParamStore) -> Tensor:
             f"global_context: input has {p_high.data.shape[0]} channels, projection expects {c_h}"
         )
     pooled = max_pool(p_high, p_high.data.shape[1:])
-    return relu(conv2d(pooled, weight, store["cem.proj.b"]))
+    return conv2d(pooled, weight, store["cem.proj.b"], relu=True)
 
 
 def cem_forward(p_high_aligned: Tensor, p_low: Tensor, store: ParamStore) -> Tensor:

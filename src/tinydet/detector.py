@@ -37,7 +37,6 @@ from .tensor import (
     concat_columns,
     conv2d,
     gather_columns,
-    relu,
     sigmoid_array,
     weighted_bce_with_logits,
 )
@@ -117,7 +116,7 @@ def head_forward(pyr: dict[str, Tensor], store: ParamStore, levels):
     """
     cls_maps, reg_maps = [], []
     for name in levels:
-        trunk = relu(conv2d(pyr[name], store["head.trunk.w"], store["head.trunk.b"]))
+        trunk = conv2d(pyr[name], store["head.trunk.w"], store["head.trunk.b"], relu=True)
         cls_maps.append(conv2d(trunk, store["head.cls.w"], store["head.cls.b"]))
         reg_maps.append(conv2d(trunk, store["head.reg.w"], store["head.reg.b"]))
     return concat_columns(cls_maps), concat_columns(reg_maps)

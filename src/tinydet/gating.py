@@ -3,8 +3,9 @@ the context-enhanced low-level map, fused into one spatial mask that
 multiplies the enhanced features before a 3x3 refinement.
 
 Every mask is single-channel ("spatial" gating), broadcast across feature
-channels when it multiplies the enhanced map.  The refinement is plain
-relu(conv(.)).  The six convs live in the store as ``fbsm.<conv>``: the gate
+channels when it multiplies the enhanced map.  The refinement is a 3x3 conv
+with its ReLU folded in (``conv2d(..., relu=True)``), as is each gate's first
+conv.  The six convs live in the store as ``fbsm.<conv>``: the gate
 branches ``psi_h1``/``psi_h2`` and ``psi_l1``/``psi_l2``, the fusion conv
 ``phi_f`` and the refinement conv ``phi_r``.
 """
@@ -17,7 +18,6 @@ from .tensor import (
     add,
     conv2d,
     mul,
-    relu,
     sigmoid,
 )
 
@@ -39,9 +39,10 @@ def build_fbsm_params(store: ParamStore, c_high: int, c_low: int,
 
 def gate(x: Tensor, store: ParamStore, branch: str) -> Tensor:
     """One gate branch (``"psi_h"`` or ``"psi_l"``):
-    sigmoid(psi2(relu(psi1(x)))), entries strictly in (0,1)."""
+    sigmoid(psi2(psi1(x))), psi1 with its ReLU folded into the conv; entries
+    strictly in (0,1)."""
     p = f"fbsm.{branch}"
-    hidden = relu(conv2d(x, store[f"{p}1.w"], store[f"{p}1.b"]))
+    hidden = conv2d(x, store[f"{p}1.w"], store[f"{p}1.b"], relu=True)
     return sigmoid(conv2d(hidden, store[f"{p}2.w"], store[f"{p}2.b"]))
 
 
@@ -56,9 +57,10 @@ def fuse_gates(m_high: Tensor, m_low: Tensor, store: ParamStore) -> Tensor:
 
 
 def fbsm_forward(p_high_aligned: Tensor, c_enhanced: Tensor, store: ParamStore) -> Tensor:
-    """Mask the enhanced features and refine: relu(phi_r(C_enh * mask)).
+    """Mask the enhanced features and refine: phi_r(C_enh * mask), phi_r a 3x3
+    conv with its ReLU folded in.
 
-    Output matches C_enh's shape and is non-negative (final ReLU).
+    Output matches C_enh's shape and is non-negative (the folded ReLU).
     """
     if p_high_aligned.data.shape[1:] != c_enhanced.data.shape[1:]:
         raise ValueError(
@@ -67,4 +69,4 @@ def fbsm_forward(p_high_aligned: Tensor, c_enhanced: Tensor, store: ParamStore) 
     mask = fuse_gates(gate(p_high_aligned, store, "psi_h"), gate(c_enhanced, store, "psi_l"),
                       store)
     gated = mul(c_enhanced, mask)
-    return relu(conv2d(gated, store["fbsm.phi_r.w"], store["fbsm.phi_r.b"]))
+    return conv2d(gated, store["fbsm.phi_r.w"], store["fbsm.phi_r.b"], relu=True)

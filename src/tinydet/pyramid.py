@@ -20,7 +20,6 @@ from .tensor import (
     bilinear_upsample,
     conv2d,
     max_pool,
-    relu,
 )
 
 __all__ = [
@@ -66,18 +65,20 @@ def build_backbone_params(store: ParamStore, cfg: BackboneConfig):
 
 
 def backbone_forward(image: Tensor, store: ParamStore, cfg: BackboneConfig):
-    """Image [3,H,W] (H, W divisible by 64) -> features C2..C5 at strides 4..32."""
+    """Image [3,H,W] (H, W divisible by 64) -> features C2..C5 at strides 4..32;
+    each stage is a stride-2 3x3 conv with its ReLU folded in."""
     if image.data.ndim != 3 or image.data.shape[0] != 3:
         raise ValueError(f"backbone expects [3,H,W], got {image.data.shape}")
     h, w = image.data.shape[1:]
     if h % 64 or w % 64:
         raise ValueError(f"image dims must be divisible by 64, got {h}x{w}")
     image = add(image, -cfg.input_offset)
-    x = relu(conv2d(image, store["backbone.stem0.w"], store["backbone.stem0.b"], stride=2))
-    x = relu(conv2d(x, store["backbone.stem1.w"], store["backbone.stem1.b"], stride=2))
+    x = conv2d(image, store["backbone.stem0.w"], store["backbone.stem0.b"], stride=2, relu=True)
+    x = conv2d(x, store["backbone.stem1.w"], store["backbone.stem1.b"], stride=2, relu=True)
     feats = [x]  # C2, stride 4
     for i in range(1, 4):
-        x = relu(conv2d(x, store[f"backbone.stage{i}.w"], store[f"backbone.stage{i}.b"], stride=2))
+        x = conv2d(x, store[f"backbone.stage{i}.w"], store[f"backbone.stage{i}.b"], stride=2,
+                   relu=True)
         feats.append(x)
     return feats  # [C2, C3, C4, C5]
 

@@ -63,6 +63,19 @@ class SceneSpec:
             raise ValueError("need 0 <= objects_min <= objects_max")
         if self.num_classes < 1:
             raise ValueError("need at least one object class")
+        if not (math.isfinite(self.noise_sigma) and self.noise_sigma >= 0):
+            raise ValueError(f"noise_sigma must be finite and >= 0, got {self.noise_sigma}")
+        if not math.isfinite(self.contrast):
+            raise ValueError(f"contrast must be finite, got {self.contrast}")
+        if not (math.isfinite(self.side_scale) and self.side_scale >= 0):
+            raise ValueError(f"side_scale must be finite and >= 0, got {self.side_scale}")
+        for name in ("height", "width"):
+            value = getattr(self, name)
+            if value < 1:
+                raise ValueError(f"{name} must be >= 1, got {value}")
+            if self.objects_max > 0 and value < self.side_max:
+                raise ValueError(f"{name} {value} is below side_max {self.side_max}, "
+                                 f"so no object fits")
 
 
 @dataclass
@@ -72,6 +85,7 @@ class Scene:
 
 
 _BG_LEVEL = 0.4
+_NOISE_BLOCK = 2 ** 13  # generate_scene: noise values drawn per block, at most
 
 
 def class_color(class_id: int) -> np.ndarray:
@@ -107,7 +121,11 @@ def _sample_side(rng, spec: SceneSpec) -> int:
 
 
 def generate_scene(spec: SceneSpec, index: int = 0) -> Scene:
-    """Render one scene; fully determined by (spec, index)."""
+    """Render one scene; fully determined by (spec, index).
+
+    It keeps one float64 [H,W,3] working image and no other array of its
+    size: the noise is added to it a block of rows at a time, it is clipped
+    in place, and it is cast to the float32 [3,H,W] result once."""
     rng = _scene_rng(spec.seed, index)
     h, w = spec.height, spec.width
     img = np.full((h, w, 3), _BG_LEVEL, dtype=np.float64)
@@ -146,8 +164,16 @@ def generate_scene(spec: SceneSpec, index: int = 0) -> Scene:
                 f"in {w}x{h} after bounded retries"
             )
     if spec.noise_sigma > 0:
-        img += rng.normal(0.0, spec.noise_sigma, size=img.shape)
-    img = np.clip(img, 0.0, 1.0)
+        # rng.normal(0, sigma) is 0.0 + sigma * z over this stream of z: the
+        # same values, drawn a block of rows at a time
+        rows = max(1, _NOISE_BLOCK // (3 * w))
+        block = np.empty((rows, w, 3))
+        for top in range(0, h, rows):
+            z = block[: min(rows, h - top)]
+            rng.standard_normal(out=z)
+            z *= spec.noise_sigma
+            img[top : top + len(z)] += z
+    np.clip(img, 0.0, 1.0, out=img)
     return Scene(image=img.transpose(2, 0, 1).astype(np.float32), gts=boxes)
 
 

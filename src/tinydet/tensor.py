@@ -34,7 +34,6 @@ __all__ = [
     "Tensor",
     "ParamStore",
     "conv2d",
-    "relu",
     "sigmoid",
     "sigmoid_array",
     "add",
@@ -85,7 +84,8 @@ class Tensor:
         node then drops its backward closure and its parents, so a spent node
         (its data, its grad and what its op kept for the backward: a conv's
         padded input or its columns, see ``conv2d``) is freed during the walk
-        unless the caller still holds it; a held node keeps its grad.  A second
+        unless the caller still holds it; a held node keeps its grad (masked, for
+        a ``conv2d`` with ``relu``).  A second
         backward through a spent node raises ValueError.
         """
         if self.data.shape != ():
@@ -174,16 +174,6 @@ def mul(a: Tensor, b: Tensor | float) -> Tensor:
             b._accumulate(_unbroadcast(g * a.data, b.data.shape))
 
     return _make(a.data * b.data, (a, b), backward)
-
-
-def relu(x: Tensor) -> Tensor:
-    """max(x, 0) in x's dtype; NaN stays NaN, so a diverged map is not hidden."""
-    out = np.maximum(x.data, 0)
-
-    def backward(g):
-        x._accumulate(g * (out > 0))
-
-    return _make(out, (x,), backward)
 
 
 def sigmoid_array(d: np.ndarray) -> np.ndarray:
@@ -329,8 +319,15 @@ def _taps(a: np.ndarray, k: int, n: int) -> np.ndarray:
     return np.ndarray((k, k, n, c), a.dtype, a, 0, (sy, sx, sx, sc))
 
 
-def conv2d(x: Tensor, weight: Tensor, bias: Tensor, stride: int = 1) -> Tensor:
-    """2-D cross-correlation with bias over a single [C_in,H,W] image.
+def conv2d(x: Tensor, weight: Tensor, bias: Tensor, stride: int = 1,
+           relu: bool = False) -> Tensor:
+    """2-D cross-correlation with bias over a single [C_in,H,W] image, and with
+    ``relu`` its ReLU: the output is clamped to max(out, 0) in place, so a NaN
+    stays NaN and a diverged map is not hidden, and the backward masks the
+    output's gradient with ``out > 0`` in place.  The graph then holds one map
+    where a separate activation op would hold two, and the backward makes no
+    masked copy; a caller that holds the output reads the masked gradient, that
+    of the pre-activation, in its ``grad``.
 
     Kernels are 1x1 or 3x3, padded so that stride-1 convolution preserves the
     spatial size; stride s > 1 yields ceil(H/s) x ceil(W/s) outputs.  Both the
@@ -376,9 +373,13 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor, stride: int = 1) -> Tensor:
     cols = _windows(padded, k, k, oh, ow, stride)
     wmat = weight.data.reshape(co, ci * k * k)
     out = (wmat @ cols + bias.data[:, None]).reshape(co, oh, ow)
+    if relu:
+        np.maximum(out, 0, out=out)
     kept = padded if keep_padded else cols  # the backward's closure holds this one only
 
     def backward(g):
+        if relu:
+            g *= out > 0
         gmat = g.reshape(co, oh * ow)
         if keep_padded or x.requires_grad:
             spread = _embed(g, (co, h + k - 1, w + k - 1), p, p, stride)

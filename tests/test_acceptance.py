@@ -49,7 +49,6 @@ from tinydet.tensor import (
     bilinear_upsample,
     conv2d,
     max_pool,
-    relu,
     sigmoid,
 )
 from tinydet.training import TrainConfig, evaluate_model, train
@@ -83,9 +82,13 @@ def test_criterion_1_gradient_suite():
         check_gradients(lambda: tensor_sum(conv2d(x, w, b, stride=s)), [x, w, b])
         cases += 1
 
-    for _ in range(10):  # relu (inputs kept away from the kink) and sigmoid
+    for _ in range(10):  # conv2d's folded relu (inputs kept away from the kink) and sigmoid
         x = f64(3, 5, 5, margin=0.05)
-        check_gradients(lambda: tensor_sum(relu(x)), [x])
+        # a 1x1 identity conv: its pre-activation is x, and a probe of w or b
+        # moves it by 1e-4 times an entry of x, or by 1e-4: inside the 0.05 margin
+        w = Tensor(np.eye(3).reshape(3, 3, 1, 1), requires_grad=True)
+        b = Tensor(np.zeros(3), requires_grad=True)
+        check_gradients(lambda: tensor_sum(conv2d(x, w, b, relu=True)), [x, w, b])
         y = f64(3, 5, 5)
         check_gradients(lambda: tensor_sum(sigmoid(y)), [y])
         cases += 2

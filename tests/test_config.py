@@ -27,11 +27,13 @@ def scene_specs(draw):
     side_min = draw(st.floats(0.5, 16.0))
     side_max = draw(st.floats(side_min, 16.0 if tiny_only else 1e6))
     objects_min = draw(st.integers(0, 20))
-    return SceneSpec(height=draw(sizes), width=draw(sizes), objects_min=objects_min,
+    dims = st.integers(math.ceil(side_max), math.ceil(side_max) + 511)  # an object fits
+    non_negative = st.floats(0.0, allow_infinity=False)
+    return SceneSpec(height=draw(dims), width=draw(dims), objects_min=objects_min,
                      objects_max=draw(st.integers(objects_min, 40)), side_min=side_min,
-                     side_max=side_max, side_scale=draw(floats),
+                     side_max=side_max, side_scale=draw(non_negative),
                      num_classes=draw(st.integers(1, 10)), contrast=draw(floats),
-                     noise_sigma=draw(floats), tiny_only=tiny_only,
+                     noise_sigma=draw(non_negative), tiny_only=tiny_only,
                      seed=draw(st.integers(0, 2 ** 64 - 1)))
 
 

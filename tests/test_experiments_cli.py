@@ -394,6 +394,12 @@ def test_cli_error_exit_codes(tmp_path, capsys):
     {"detector": {"base_anchor": float("nan")}},
     {"detector": {"backbone": {"input_offset": float("nan")}}},
     {"detector": {"backbone": {"input_offset": float("inf")}}},
+    {"scene": {"noise_sigma": -0.1}},           # no longer reaches numpy's scale check
+    {"scene": {"noise_sigma": float("nan")}},
+    {"scene": {"contrast": float("inf")}},
+    {"scene": {"side_scale": -1.0}},
+    {"scene": {"height": 0}},
+    {"scene": {"width": 8}},                    # below side_max: no object fits
 ])
 def test_cli_config_faults_exit_1(tmp_path, dataset, capsys, payload):
     path = tmp_path / "config.json"

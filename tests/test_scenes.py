@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import shutil
@@ -35,6 +36,36 @@ def test_spec_validation():
         SceneSpec(objects_min=3, objects_max=1)
     with pytest.raises(ValueError):
         SceneSpec(num_classes=0)
+    bad = [({"noise_sigma": -0.01}, "noise_sigma"), ({"noise_sigma": float("nan")}, "noise_sigma"),
+           ({"noise_sigma": float("inf")}, "noise_sigma"), ({"contrast": float("nan")}, "contrast"),
+           ({"contrast": float("-inf")}, "contrast"), ({"side_scale": -1.0}, "side_scale"),
+           ({"side_scale": float("inf")}, "side_scale"), ({"height": 0}, "height"),
+           ({"width": -4}, "width"), ({"height": 12}, "height 12 is below side_max"),
+           ({"width": 15, "side_max": 15.5}, "width 15 is below side_max")]
+    for fields, match in bad:
+        with pytest.raises(ValueError, match=match):
+            SceneSpec(**fields)
+    SceneSpec(height=1, width=1, objects_min=0, objects_max=0)  # nothing to place
+    SceneSpec(noise_sigma=0.0, side_scale=0.0, contrast=-0.5)
+
+
+# SHA-256 over the image bytes of scenes 0-7: the generator's output is pinned
+SCENE_SHA256 = {
+    (128, 0): "88bddf1be936426caaa3fc8f83e5b7a6c26f5b6c02b92f0bba5bebe4a35a9598",
+    (128, 1009): "f5f146f87aa6718aeea4ff1203f2ae3728fa0fd7f9641cc7747610a4f3efb5f1",
+    (256, 0): "da903085b22b786f926ed0498db53c4808dd37d5de6dad671dc4ffae772f930c",
+    (256, 1009): "66feebee1749e9b2a1b33fd6916cc2922fe6baacbfd3a9199147568fed758fdf",
+}
+
+
+@pytest.mark.parametrize("side, seed", sorted(SCENE_SHA256))
+def test_scene_bytes_are_pinned(side, seed):
+    area = (side // 128) ** 2  # the object density of 128x128
+    spec = SceneSpec(height=side, width=side, objects_min=area, objects_max=5 * area, seed=seed)
+    digest = hashlib.sha256()
+    for i in range(8):
+        digest.update(generate_scene(spec, i).image.tobytes())
+    assert digest.hexdigest() == SCENE_SHA256[side, seed]
 
 
 def test_scene_image_contract():

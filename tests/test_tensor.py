@@ -27,7 +27,6 @@ from tinydet.tensor import (
     max_pool,
     mul,
     read_tensor_file,
-    relu,
     sigmoid,
     sigmoid_array,
     tensor_mean,
@@ -44,6 +43,14 @@ def t64(a, requires_grad=False):
 
 def rand64(*shape, requires_grad=False):
     return Tensor(rng.standard_normal(shape), requires_grad=requires_grad)
+
+
+def relu_conv(x):
+    """max(x, 0) of a [C,H,W] map through conv2d's folded ReLU: a 1x1 identity
+    kernel and a zero bias give the map back exactly before the clamp."""
+    c, dtype = x.data.shape[0], x.data.dtype
+    eye = Tensor(np.eye(c, dtype=dtype).reshape(c, c, 1, 1))
+    return conv2d(x, eye, Tensor(np.zeros(c, dtype)), relu=True)
 
 
 # ---------------------------------------------------------------------------
@@ -215,18 +222,58 @@ def test_sigmoid_array_is_bitwise_the_piecewise_logistic():
 
 
 def test_relu_definition_and_idempotence():
-    assert float(relu(t64(-3.0)).data) == 0.0
-    assert float(relu(t64(3.0)).data) == 3.0
-    x = rand64(50)
-    once = relu(x).data
-    np.testing.assert_array_equal(relu(Tensor(once)).data, once)
+    assert relu_conv(t64([[[-3.0]]])).data[0, 0, 0] == 0.0
+    assert relu_conv(t64([[[3.0]]])).data[0, 0, 0] == 3.0
+    x = Tensor(rand64(50).data.reshape(1, 5, 10))
+    once = relu_conv(x).data
+    np.testing.assert_array_equal(once, np.maximum(x.data, 0))
+    np.testing.assert_array_equal(relu_conv(Tensor(once)).data, once)
 
 
 def test_relu_keeps_nan():
     # a NaN map must stay NaN so that a diverged model fails loudly downstream
-    out = relu(Tensor(np.array([np.nan, -1.0, 0.0, 2.0], dtype=np.float32))).data
+    x = Tensor(np.array([[[np.nan, -1.0, 0.0, 2.0]]], dtype=np.float32))
+    out = relu_conv(x).data
     assert out.dtype == np.float32
-    assert np.isnan(out[0]) and out[1:].tolist() == [0.0, 0.0, 2.0]
+    assert np.isnan(out[0, 0, 0]) and out[0, 0, 1:].tolist() == [0.0, 0.0, 2.0]
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("k, stride", [(1, 1), (3, 1), (3, 2)])
+def test_conv2d_relu_is_max_of_conv_bitwise(k, stride, dtype):
+    r = np.random.default_rng(1712)
+    x = r.standard_normal((3, 7, 6)).astype(dtype)
+    x[1, 2, 3] = np.nan  # its windows' outputs are NaN, and stay NaN
+    w = Tensor(r.standard_normal((4, 3, k, k)).astype(dtype))
+    b = Tensor(r.standard_normal(4).astype(dtype))
+    fused = conv2d(Tensor(x), w, b, stride=stride, relu=True).data
+    plain = conv2d(Tensor(x), w, b, stride=stride).data
+    assert fused.dtype == dtype and np.isnan(fused).any()
+    np.testing.assert_array_equal(fused.view(f"u{fused.itemsize}"),
+                                  np.maximum(plain, 0).view(f"u{fused.itemsize}"))
+
+
+@pytest.mark.parametrize("k, stride", [(1, 1), (3, 1), (3, 2)])
+def test_conv2d_relu_backward_masks_the_gradient(k, stride):
+    # the fused backward equals the plain conv's backward under the masked
+    # upstream gradient, bitwise; the held output's grad is that masked gradient
+    r = np.random.default_rng(2018)
+    x0 = r.standard_normal((3, 7, 6)).astype(np.float32)
+    w0 = (r.standard_normal((4, 3, k, k)) * 0.5).astype(np.float32)
+    b0 = (r.standard_normal(4) * 0.1).astype(np.float32)
+    up = r.standard_normal((4, (7 - 1) // stride + 1, (6 - 1) // stride + 1)).astype(np.float32)
+
+    def grads(fused):
+        x, w, b = (Tensor(a.copy(), requires_grad=True) for a in (x0, w0, b0))
+        out = conv2d(x, w, b, stride=stride, relu=fused)
+        masked = up * (out.data > 0)  # out.data is clamped only when fused
+        tensor_sum(mul(out, Tensor(up if fused else masked))).backward()
+        return out.grad, x.grad, w.grad, b.grad, masked
+
+    fused, plain = grads(True), grads(False)
+    for got, want in zip(fused[1:4], plain[1:4]):
+        np.testing.assert_array_equal(got, want)
+    np.testing.assert_array_equal(fused[0], fused[4])
 
 
 def test_add_shape_mismatch_rejected():
@@ -247,7 +294,11 @@ def test_add_channel_vector_on_zero_map():
 def test_elementwise_gradients():
     a = rand64(3, 4, 2, requires_grad=True)
     b = rand64(3, 4, 2, requires_grad=True)
-    check_gradients(lambda: tensor_sum(mul(sigmoid(a), relu(add(a, b)))), [a, b])
+    r = np.random.default_rng(217)
+    w = Tensor(r.standard_normal((3, 3, 1, 1)), requires_grad=True)
+    bias = Tensor(r.standard_normal(3) * 0.1, requires_grad=True)
+    check_gradients(lambda: tensor_sum(mul(sigmoid(a), conv2d(add(a, b), w, bias, relu=True))),
+                    [a, b, w, bias])
 
 
 def test_mul_mask_broadcast_gradient():
@@ -437,14 +488,14 @@ def test_backward_sigmoid_at_zero():
 
 
 def test_backward_rejects_non_scalar():
-    x = rand64(3, requires_grad=True)
+    x = Tensor(rand64(3).data.reshape(1, 1, 3), requires_grad=True)
     with pytest.raises(ValueError, match="scalar"):
-        relu(x).backward()
+        relu_conv(x).backward()
 
 
 def test_backward_through_a_spent_graph_raises():
-    x = t64(np.random.default_rng(4).standard_normal((3, 4)), requires_grad=True)
-    hidden = relu(x)
+    x = t64(np.random.default_rng(4).standard_normal((1, 3, 4)), requires_grad=True)
+    hidden = relu_conv(x)
     loss = tensor_sum(hidden)
     loss.backward()
     first = x.grad.copy()
@@ -463,7 +514,7 @@ def test_backward_through_a_spent_graph_raises():
 
 
 def test_backward_frees_each_spent_node_during_the_walk():
-    x = t64(np.random.default_rng(5).standard_normal((3, 4)), requires_grad=True)
+    x = t64(np.random.default_rng(5).standard_normal((1, 3, 4)), requires_grad=True)
     dead = []
 
     def probe_backward(g):
@@ -472,7 +523,7 @@ def test_backward_frees_each_spent_node_during_the_walk():
         x._accumulate(g)
 
     probe = _make(x.data.copy(), (x,), probe_backward)
-    hidden = relu(probe)
+    hidden = relu_conv(probe)
     hidden_data = weakref.ref(hidden.data)
     held = mul(hidden, 2.0)
     loss = tensor_sum(held)
@@ -480,7 +531,7 @@ def test_backward_frees_each_spent_node_during_the_walk():
     loss.backward()
     assert dead == [True]
     # a node the caller holds keeps its gradient
-    np.testing.assert_array_equal(held.grad, np.ones((3, 4)))
+    np.testing.assert_array_equal(held.grad, np.ones((1, 3, 4)))
     np.testing.assert_array_equal(x.grad, 2.0 * (x.data > 0))
 
 
@@ -542,7 +593,7 @@ def test_randomized_op_gradient_suite():
         v = Tensor(r.standard_normal((co, 1, 1)) * 0.5, requires_grad=True)
 
         def build():
-            # relu omitted: finite differences break down at its kinks
+            # no relu=True: finite differences break down at its kinks
             y = conv2d(x, wt, b)
             y = add(y, v)
             y = bilinear_upsample(sigmoid(y), (int(h) + 2, int(w) + 3))

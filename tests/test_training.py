@@ -134,10 +134,40 @@ def test_graph_memory_keeps_padded_inputs_not_columns():
     assert live / 2 ** 20 < 12, f"graph {live / 2 ** 20:.2f} MiB"
 
 
+def _graph_nodes(root):
+    seen, stack = set(), [root]
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen.add(id(node))
+            stack.extend(node._parents)
+    return len(seen)
+
+
+@pytest.mark.parametrize("side, bound_mib", [(128, 2.1), (256, 9.0)])
+def test_graph_folds_relu_into_conv(side, bound_mib):
+    # one default-config forward and loss: each of the 14 conv+ReLU pairs is
+    # one conv2d node holding one map, so the graph has 103 nodes; a separate
+    # relu op made it 117 nodes, 2.50 MiB at 128x128 and 9.73 MiB at 256x256
+    cfg = DetectorConfig()
+    scene = generate_scene(SceneSpec(height=side, width=side, seed=0), 0)
+    model = DetectorModel(cfg, seed=0)
+    assignment = assign_image(scene.gts, scene.image.shape[1:], cfg)
+    model.loss(model.forward(Tensor(scene.image)), assignment, None)  # fills the caches
+    tracemalloc.start()
+    try:
+        total, _, _ = model.loss(model.forward(Tensor(scene.image)), assignment, None)
+        live = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert _graph_nodes(total) == 103
+    assert live / 2 ** 20 < bound_mib, f"graph {live / 2 ** 20:.2f} MiB"
+
+
 def test_backward_memory_is_bounded_above_the_graph():
-    # one default-config 256x256 step: the forward leaves a ~9.7 MiB graph
+    # one default-config 256x256 step: the forward leaves a ~8.1 MiB graph
     # live; the backward frees each spent node and takes conv2d's input-gradient
-    # windows in bounded row chunks, so its peak stays ~1.3 MiB above the graph.
+    # windows in bounded row chunks, so its peak stays ~1.1 MiB above the graph.
     # Keeping spent nodes to the end of the walk and building the windows of a
     # whole map (4.5 MiB for the head trunk on P2) reads 6.6 MiB.
     model, scene, assignment = _default_256_step()
