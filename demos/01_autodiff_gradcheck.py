@@ -1,7 +1,8 @@
 """Walkthrough: the reverse-mode tensor core, checked against finite differences.
 
-Builds a small conv -> sigmoid -> upsample graph in float64, backprops the
-scalar mean, and compares every gradient entry with central differences.
+Builds a small conv -> sigmoid -> upsample graph in float64, backprops a
+binary cross-entropy of its output against 0.5, averaged over the entries, and
+compares gradient entries with central differences.
 """
 
 import numpy as np
@@ -11,7 +12,7 @@ from tinydet.tensor import (
     bilinear_upsample,
     conv2d,
     sigmoid,
-    tensor_mean,
+    weighted_bce_with_logits,
 )
 
 rng = np.random.default_rng(0)
@@ -24,7 +25,7 @@ b = Tensor(np.zeros(4), requires_grad=True)
 def forward():
     y = sigmoid(conv2d(x, w, b))
     y = bilinear_upsample(y, (13, 13))
-    return tensor_mean(y)
+    return weighted_bce_with_logits(y, 0.5, 1.0 / y.data.size)
 
 
 loss = forward()

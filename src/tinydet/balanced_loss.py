@@ -217,6 +217,7 @@ def verify_theorem1(params: DCLossParams) -> TheoremReport:
         )
 
     report.convexity_intervals = convexity_region(params)
+    [(lo, _)] = report.convexity_intervals
 
     # second-derivative sign scan over (0, delta + 2/k]
     hi = params.delta + 2.0 / params.k
@@ -229,8 +230,7 @@ def verify_theorem1(params: DCLossParams) -> TheoremReport:
     ]
 
     # empirically observed convex regions on a wider grid
-    r = math.sqrt(params.delta**2 + 2.0 / params.k**2)
-    wide_hi = max(1.0, 3.0 * (params.delta + r))
+    wide_hi = max(1.0, 3.0 * lo)
     wide = np.linspace(wide_hi / 4000, wide_hi, 4000)
     convex = _second_derivative(wide, params) > 0
     observed = []
@@ -245,18 +245,13 @@ def verify_theorem1(params: DCLossParams) -> TheoremReport:
         observed.append((float(start), math.inf))
     report.observed_convexity_intervals = observed
 
-    def covered(x):
-        return any(lo <= x <= hi for lo, hi in observed)
-
-    for lo, hi_iv in report.convexity_intervals:
-        probe = lo + 0.25 * (min(hi_iv, wide_hi) - lo)
-        if 0 < probe < wide_hi and not covered(probe):
-            notes.append(
-                f"closed-form convexity interval ({lo:.6f}, "
-                f"{'inf' if math.isinf(hi_iv) else f'{hi_iv:.6f}'}) is not confirmed by the "
-                "numeric second derivative"
-            )
-            break
+    # the closed-form interval, probed a quarter of the way to the grid's end
+    probe = lo + 0.25 * (wide_hi - lo)
+    if not any(a <= probe <= b for a, b in observed):
+        notes.append(
+            f"closed-form convexity interval ({lo:.6f}, inf) is not confirmed by the "
+            "numeric second derivative"
+        )
 
     return report
 

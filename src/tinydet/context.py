@@ -20,17 +20,11 @@ def build_cem_params(store: ParamStore, c_high: int, c_low: int):
 
 def global_context(p_high: Tensor, store: ParamStore) -> Tensor:
     """Max-pool a [C_h,H,W] map to [C_h,1,1] and project: max(W * max(P_h) + b, 0)
-    -> [C_l,1,1], one 1x1 conv with its ReLU folded in."""
-    if p_high.data.ndim != 3:
-        raise ValueError(f"global_context expects [C,H,W], got {p_high.data.shape}")
-    weight = store["cem.proj.w"]
-    c_h = weight.data.shape[1]
-    if p_high.data.shape[0] != c_h:
-        raise ValueError(
-            f"global_context: input has {p_high.data.shape[0]} channels, projection expects {c_h}"
-        )
+    -> [C_l,1,1], one 1x1 conv with its ReLU folded in.  ``max_pool`` rejects
+    a map that is not [C,H,W], and ``conv2d`` a channel count that the
+    projection does not take."""
     pooled = max_pool(p_high, p_high.data.shape[1:])
-    return conv2d(pooled, weight, store["cem.proj.b"], relu=True)
+    return conv2d(pooled, store["cem.proj.w"], store["cem.proj.b"], relu=True)
 
 
 def cem_forward(p_high_aligned: Tensor, p_low: Tensor, store: ParamStore) -> Tensor:

@@ -159,8 +159,6 @@ class ImageAssignment:
     cls_targets: np.ndarray  # [K,N] one-hot
     reg_idx: np.ndarray      # [Np] anchor index of each positive
     reg_targets: np.ndarray  # [4,Np] encoded deltas
-    n_pos: int
-    n_neg: int
 
 
 def assign_image(gts, image_hw, cfg: DetectorConfig) -> ImageAssignment:
@@ -177,8 +175,7 @@ def assign_image(gts, image_hw, cfg: DetectorConfig) -> ImageAssignment:
     cls_targets = np.zeros((cfg.num_classes, len(anchors)), dtype=np.float64)
     cls_targets[gt_classes[labels[pos]], pos] = 1.0
     return ImageAssignment(labels=labels, cls_targets=cls_targets, reg_idx=pos,
-                           reg_targets=encode_deltas(anchors[pos], gt_boxes[labels[pos]]),
-                           n_pos=len(pos), n_neg=int((labels == NEGATIVE).sum()))
+                           reg_targets=encode_deltas(anchors[pos], gt_boxes[labels[pos]]))
 
 
 class DetectorModel:
@@ -235,9 +232,10 @@ class DetectorModel:
         cls_out, reg_out = outputs
         k = self.cfg.num_classes
         lab = assignment.labels
+        neg = lab == NEGATIVE
         w = np.zeros(len(lab))
-        w[lab >= 0] = 0.5 / (max(assignment.n_pos, 1) * k)
-        w[lab == NEGATIVE] = 0.5 / (max(assignment.n_neg, 1) * k)
+        w[lab >= 0] = 0.5 / (max(len(assignment.reg_idx), 1) * k)
+        w[neg] = 0.5 / (max(int(neg.sum()), 1) * k)
         cls_loss = weighted_bce_with_logits(cls_out, assignment.cls_targets, w)
         if not len(assignment.reg_idx):
             return cls_loss, float(cls_loss.data), 0.0

@@ -96,14 +96,8 @@ def build_fpn(features, store: ParamStore) -> dict[str, Tensor]:
     level strides are ``LEVEL_STRIDES``."""
     if len(features) != 4:
         raise ValueError(f"build_fpn expects 4 backbone features, got {len(features)}")
-    laterals = []
-    for i, f in enumerate(features):
-        w = store[f"fpn.lateral{i + 2}.w"]
-        if f.data.shape[0] != w.data.shape[1]:
-            raise ValueError(
-                f"build_fpn: C{i + 2} has {f.data.shape[0]} channels, lateral expects {w.data.shape[1]}"
-            )
-        laterals.append(conv2d(f, w, store[f"fpn.lateral{i + 2}.b"]))
+    laterals = [conv2d(f, store[f"fpn.lateral{i + 2}.w"], store[f"fpn.lateral{i + 2}.b"])
+                for i, f in enumerate(features)]
     merged = [None] * 4
     merged[3] = laterals[3]
     for i in (2, 1, 0):

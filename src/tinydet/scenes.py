@@ -51,12 +51,9 @@ class SceneSpec:
     num_classes: int = 3
     contrast: float = 0.9
     noise_sigma: float = 0.02
-    tiny_only: bool = True
     seed: int = 0
 
     def __post_init__(self):
-        if self.tiny_only and self.side_max > 16.0:
-            raise ValueError("tiny-only spec requires side_max <= 16")
         if not (0 < self.side_min <= self.side_max):
             raise ValueError("need 0 < side_min <= side_max")
         if self.objects_min < 0 or self.objects_max < self.objects_min:
@@ -174,7 +171,7 @@ def generate_scene(spec: SceneSpec, index: int = 0) -> Scene:
             z *= spec.noise_sigma
             img[top : top + len(z)] += z
     np.clip(img, 0.0, 1.0, out=img)
-    return Scene(image=img.transpose(2, 0, 1).astype(np.float32), gts=boxes)
+    return Scene(image=img.transpose(2, 0, 1).astype(np.float32, order="C"), gts=boxes)
 
 
 # ---------------------------------------------------------------------------

@@ -40,7 +40,6 @@ __all__ = [
     "mul",
     "max_pool",
     "bilinear_upsample",
-    "tensor_mean",
     "gather_columns",
     "concat_columns",
     "weighted_bce_with_logits",
@@ -124,10 +123,12 @@ def _spent(g):
 
 
 def _make(data, parents, backward_fn):
+    """An op's output, whose node records only the parents that take a gradient."""
     out = Tensor(data)
-    if any(p.requires_grad for p in parents):
+    parents = tuple(p for p in parents if p.requires_grad)
+    if parents:
         out.requires_grad = True
-        out._parents = tuple(parents)
+        out._parents = parents
         out._backward = backward_fn
     return out
 
@@ -283,10 +284,10 @@ def bilinear_upsample(x: Tensor, target) -> Tensor:
 _CHUNK = 2 ** 16  # conv2d input gradient: window elements per GEMM, at most
 
 
-def _windows(a: np.ndarray, kh: int, kw: int, oh: int, ow: int, step: int = 1,
+def _windows(a: np.ndarray, k: int, oh: int, ow: int, step: int = 1,
              top: int = 0) -> np.ndarray:
-    """im2col: the [C*kh*kw, oh*ow] columns of a [C,H,W] array, column (y, x)
-    holding the kh x kw window at (top + y*step, x*step) of every channel.
+    """im2col: the [C*k*k, oh*ow] columns of a [C,H,W] array, column (y, x)
+    holding the k x k window at (top + y*step, x*step) of every channel.
 
     The window view is built with the ndarray constructor, which checks its
     extent against the buffer; the reshape copies it unless the window is
@@ -294,18 +295,18 @@ def _windows(a: np.ndarray, kh: int, kw: int, oh: int, ow: int, step: int = 1,
     a = np.ascontiguousarray(a)
     c = a.shape[0]
     sc, sy, sx = a.strides
-    view = np.ndarray((c, kh, kw, oh, ow), a.dtype, a, top * sy, (sc, sy, sx, sy * step, sx * step))
-    return view.reshape(c * kh * kw, oh * ow)
+    view = np.ndarray((c, k, k, oh, ow), a.dtype, a, top * sy, (sc, sy, sx, sy * step, sx * step))
+    return view.reshape(c * k * k, oh * ow)
 
 
-def _embed(a: np.ndarray, shape, top: int, left: int, step: int) -> np.ndarray:
+def _embed(a: np.ndarray, shape, pad: int, step: int) -> np.ndarray:
     """Zeros of ``shape`` with the [C,h,w] array ``a`` written every ``step``
-    pixels from (top, left); ``a`` itself when that would change nothing."""
+    pixels from (pad, pad); ``a`` itself when that would change nothing."""
     if a.shape == tuple(shape) and step == 1:
         return a
     out = np.zeros(shape, dtype=a.dtype)
     _, h, w = a.shape
-    out[:, top : top + (h - 1) * step + 1 : step, left : left + (w - 1) * step + 1 : step] = a
+    out[:, pad : pad + (h - 1) * step + 1 : step, pad : pad + (w - 1) * step + 1 : step] = a
     return out
 
 
@@ -369,20 +370,21 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor, stride: int = 1,
     oh = (h + 2 * p - k) // stride + 1
     ow = (w + 2 * p - k) // stride + 1
     keep_padded = k > 1 and stride == 1  # with one extra zero row, for ``_taps``
-    padded = _embed(x.data, (c, h + 2 * p + keep_padded, w + 2 * p), p, p, 1)
-    cols = _windows(padded, k, k, oh, ow, stride)
+    padded = _embed(x.data, (c, h + 2 * p + keep_padded, w + 2 * p), p, 1)
+    cols = _windows(padded, k, oh, ow, stride)
     wmat = weight.data.reshape(co, ci * k * k)
     out = (wmat @ cols + bias.data[:, None]).reshape(co, oh, ow)
     if relu:
         np.maximum(out, 0, out=out)
     kept = padded if keep_padded else cols  # the backward's closure holds this one only
+    src = x if x.requires_grad else None  # and the input only when it takes a gradient
 
     def backward(g):
         if relu:
             g *= out > 0
         gmat = g.reshape(co, oh * ow)
-        if keep_padded or x.requires_grad:
-            spread = _embed(g, (co, h + k - 1, w + k - 1), p, p, stride)
+        if keep_padded or src is not None:
+            spread = _embed(g, (co, h + k - 1, w + k - 1), p, stride)
         if weight.requires_grad:
             if keep_padded:
                 wp = w + k - 1
@@ -392,31 +394,21 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor, stride: int = 1,
                 weight._accumulate((gmat @ kept.T).reshape(weight.data.shape))
         if bias.requires_grad:
             bias._accumulate(gmat.sum(axis=1, dtype=np.float64))
-        if x.requires_grad:
+        if src is not None:
             flipped = weight.data[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(ci, co * k * k)
             gx = np.empty((ci, h, w), np.result_type(flipped, spread))
             rows = max(1, _CHUNK // (co * k * k * w))
             for top in range(0, h, rows):
                 n = min(rows, h - top)
-                np.matmul(flipped, _windows(spread, k, k, n, w, top=top),
+                np.matmul(flipped, _windows(spread, k, n, w, top=top),
                           out=gx[:, top : top + n].reshape(ci, n * w))
-            x._accumulate(gx)
+            src._accumulate(gx)
 
     return _make(out, (x, weight, bias), backward)
 
 
 # ---------------------------------------------------------------------------
 # shape / reduction / selection
-
-
-def tensor_mean(x: Tensor) -> Tensor:
-    n = x.data.size
-    out = np.asarray(x.data.sum(dtype=np.float64) / n).astype(x.data.dtype)
-
-    def backward(g):
-        x._accumulate(np.full_like(x.data, g / n))
-
-    return _make(out, (x,), backward)
 
 
 def gather_columns(x: Tensor, idx) -> Tensor:

@@ -23,9 +23,8 @@ enhance_names = st.sampled_from([n for n, s in LEVEL_STRIDES.items() if s <= LEV
 
 @st.composite
 def scene_specs(draw):
-    tiny_only = draw(st.booleans())
     side_min = draw(st.floats(0.5, 16.0))
-    side_max = draw(st.floats(side_min, 16.0 if tiny_only else 1e6))
+    side_max = draw(st.floats(side_min, 1e6))
     objects_min = draw(st.integers(0, 20))
     dims = st.integers(math.ceil(side_max), math.ceil(side_max) + 511)  # an object fits
     non_negative = st.floats(0.0, allow_infinity=False)
@@ -33,7 +32,7 @@ def scene_specs(draw):
                      objects_max=draw(st.integers(objects_min, 40)), side_min=side_min,
                      side_max=side_max, side_scale=draw(non_negative),
                      num_classes=draw(st.integers(1, 10)), contrast=draw(floats),
-                     noise_sigma=draw(non_negative), tiny_only=tiny_only,
+                     noise_sigma=draw(non_negative),
                      seed=draw(st.integers(0, 2 ** 64 - 1)))
 
 

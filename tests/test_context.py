@@ -77,6 +77,11 @@ def test_forward_rejects_channel_mismatch():
         cem_forward(rand(6, 8, 8), rand(5, 8, 8), p)
 
 
+def test_global_context_rejects_a_map_that_is_not_chw():
+    with pytest.raises(ValueError, match=r"max_pool expects \[C,H,W\]"):
+        global_context(rand(8, 8), make_params(6, 4))
+
+
 def test_gradients_through_context_path():
     p = make_params(3, 2, seed=1)
     high = rand(3, 6, 6, requires_grad=True)

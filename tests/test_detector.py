@@ -96,16 +96,13 @@ def test_assign_image_shapes_and_counts():
         cls = gts[asn.labels[i]][1]
         assert asn.cls_targets[cls, i] == 1.0
     assert asn.cls_targets.sum() == len(asn.reg_idx)
-    assert asn.n_pos == len(asn.reg_idx) >= len(gts)  # forced best match covers every gt
-    assert asn.n_neg == int((asn.labels == NEGATIVE).sum())
-    assert asn.n_pos + asn.n_neg <= n
+    assert len(asn.reg_idx) >= len(gts)  # forced best match covers every gt
 
 
 def test_assign_image_no_gts():
     asn = assign_image([], (128, 128), CFG)
-    assert asn.n_pos == 0 and asn.reg_targets.shape == (4, 0)
+    assert len(asn.reg_idx) == 0 and asn.reg_targets.shape == (4, 0)
     assert np.all(asn.labels == NEGATIVE)
-    assert asn.n_neg == len(asn.labels)
 
 
 def test_assign_image_rejects_classes_the_detector_lacks():
@@ -226,8 +223,7 @@ def test_ignored_anchors_carry_no_loss_weight():
     empty = ImageAssignment(
         labels=np.full_like(asn.labels, IGNORED),
         cls_targets=np.zeros_like(asn.cls_targets),
-        reg_idx=np.zeros(0, dtype=np.int64), reg_targets=np.zeros((4, 0)),
-        n_pos=0, n_neg=0)
+        reg_idx=np.zeros(0, dtype=np.int64), reg_targets=np.zeros((4, 0)))
     outputs = model.forward(Tensor(scene.image))
     total, cls_v, reg_v = model.loss(outputs, empty, dc_params=None)
     assert cls_v == 0.0 and reg_v == 0.0

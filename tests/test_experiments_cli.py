@@ -413,6 +413,7 @@ def test_cli_config_faults_exit_1(tmp_path, dataset, capsys, payload):
 @pytest.mark.parametrize("payload, where", [
     ({"train": {"epochs": "4"}}, "train.epochs: expected int, got '4'"),
     ({"variants": [{"name": "a", "train": {"epoch": 1}}]}, "variants[0].train: unknown key 'epoch'"),
+    ({"scene": {"tiny_only": True}}, "scene: unknown key 'tiny_only'"),  # side_max bounds sides
 ])
 def test_cli_config_section_errors_name_the_file(tmp_path, capsys, payload, where):
     path = tmp_path / "c.json"

@@ -54,6 +54,18 @@ def test_backbone_rejects_bad_input():
         backbone_forward(Tensor(np.zeros((1, 128, 128), dtype=np.float32)), store, CFG)
 
 
+def test_build_fpn_rejects_bad_features():
+    store = make_store()
+    feats = backbone_forward(image(), store, CFG)
+    with pytest.raises(ValueError, match="4 backbone features"):
+        build_fpn(feats[:3], store)
+    # a lateral's conv2d checks the channel count
+    c3 = feats[1].data
+    feats[1] = Tensor(np.zeros((c3.shape[0] + 1, *c3.shape[1:]), dtype=np.float32))
+    with pytest.raises(ValueError, match="channels"):
+        build_fpn(feats, store)
+
+
 def test_pyramid_shapes_and_strides():
     store = make_store()
     pyr = build_fpn(backbone_forward(image(), store, CFG), store)

@@ -27,9 +27,7 @@ SPEC = SceneSpec(seed=42)
 
 
 def test_spec_validation():
-    with pytest.raises(ValueError, match="tiny-only"):
-        SceneSpec(side_max=32.0)
-    SceneSpec(side_max=32.0, tiny_only=False)  # allowed when relaxed
+    SceneSpec(side_max=32.0)  # side_max alone bounds the sides
     with pytest.raises(ValueError):
         SceneSpec(side_min=0.0)
     with pytest.raises(ValueError):
@@ -73,6 +71,7 @@ def test_scene_image_contract():
     assert scene.image.shape == (3, 128, 128)
     assert scene.image.dtype == np.float32
     assert scene.image.min() >= 0.0 and scene.image.max() <= 1.0
+    assert scene.image.flags.c_contiguous  # not the [H,W,3] working image's strides
 
 
 def test_scene_object_count_and_bounds():
@@ -164,6 +163,10 @@ def test_dataset_roundtrip(tmp_path):
         assert scene.image.tobytes() == fresh.image.tobytes()
         assert [(b.as_array().tolist(), c) for b, c in scene.gts] == \
             [(b.as_array().tolist(), c) for b, c in fresh.gts]
+    # no reader takes the manifest's spec, so one that holds a former field still loads
+    spec_v0 = {**manifest.spec, "tiny_only": True}
+    (tmp_path / "manifest.json").write_text(json.dumps({**asdict(manifest), "spec": spec_v0}))
+    assert len(read_dataset(str(tmp_path))[0]) == 4
 
 
 def test_read_dataset_diagnostics(tmp_path):

@@ -29,7 +29,6 @@ from tinydet.tensor import (
     read_tensor_file,
     sigmoid,
     sigmoid_array,
-    tensor_mean,
     weighted_bce_with_logits,
     write_tensor_file,
 )
@@ -170,9 +169,9 @@ def test_conv2d_input_gradient_in_row_chunks(monkeypatch, k, stride, rows, h):
                     tol=1e-5)
     chunks = []
 
-    def spy(a, kh, kw, oh, ow, step=1, top=0):
+    def spy(a, k, oh, ow, step=1, top=0):
         chunks.append((top, oh))
-        return _windows(a, kh, kw, oh, ow, step, top)
+        return _windows(a, k, oh, ow, step, top)
 
     loss = tensor_sum(mul(conv2d(x, wt, b, stride), probe))
     monkeypatch.setattr("tinydet.tensor._windows", spy)
@@ -574,7 +573,7 @@ def test_concat_columns_flattens_maps_row_major():
     out = concat_columns([x, y])
     np.testing.assert_array_equal(out.data, np.concatenate([x.data.reshape(2, 12), y.data], axis=1))
     weights = t64(r.standard_normal((2, 17)))  # column-dependent, so the order shows
-    check_gradients(lambda: tensor_mean(mul(concat_columns([x, y]), weights)), [x, y])
+    check_gradients(lambda: tensor_sum(mul(concat_columns([x, y]), weights)), [x, y])
     for bad in ([x, Tensor(np.zeros((3, 5)))], [Tensor(np.zeros(2)), y], [y, Tensor(np.zeros(2))]):
         with pytest.raises(ValueError, match="equal C"):
             concat_columns(bad)
@@ -597,7 +596,7 @@ def test_randomized_op_gradient_suite():
             y = conv2d(x, wt, b)
             y = add(y, v)
             y = bilinear_upsample(sigmoid(y), (int(h) + 2, int(w) + 3))
-            return tensor_mean(y)
+            return tensor_sum(y)
 
         check_gradients(build, [x, wt, b, v], tol=1e-4)
 
