@@ -16,7 +16,7 @@ store = ParamStore(seed=0)
 
 C_HIGH, C_LOW = 8, 8
 build_cem_params(store, C_HIGH, C_LOW)   # registers cem.proj
-build_fbsm_params(store, C_HIGH, C_LOW, gate_width=None)  # fbsm.psi_h1 ... fbsm.phi_r, G = 4
+build_fbsm_params(store, C_HIGH, C_LOW)  # fbsm.psi_h1 ... fbsm.phi_r, G = 4
 
 p_high = Tensor(rng.standard_normal((C_HIGH, 32, 32)).astype(np.float32))
 p_low = Tensor(rng.standard_normal((C_LOW, 32, 32)).astype(np.float32))

@@ -23,7 +23,7 @@ from .context import build_cem_params, cem_forward, global_context
 from .detector import DetectorConfig, DetectorModel
 from .evaluation import Detection, EvalResult, evaluate_ap, nms
 from .gating import build_fbsm_params, fbsm_forward, fuse_gates, gate
-from .pyramid import BackboneConfig, build_fpn, efpn_bs_forward
+from .pyramid import build_fpn, efpn_bs_forward
 from .scenes import Scene, SceneSpec, generate_scene, read_dataset, write_dataset
 from .tensor import ParamStore, Tensor
 from .training import TrainConfig, evaluate_model, train

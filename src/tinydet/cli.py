@@ -183,7 +183,7 @@ def main(argv=None) -> int:
         cfg = _read_config(args.config, args.seed)
         os.makedirs(args.out, exist_ok=True)
         return args.fn(args, cfg)
-    except (DivergenceError, FloatingPointError) as e:
+    except DivergenceError as e:
         print(f"numeric failure: {e}", file=sys.stderr)
         return 2
     except (ValueError, MemoryError) as e:  # bad input, or a count no host holds

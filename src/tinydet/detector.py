@@ -11,7 +11,7 @@ positive anchors only with a pluggable loss.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -23,7 +23,6 @@ from .evaluation import Detection, nms
 from .gating import build_fbsm_params
 from .pyramid import (
     LEVEL_STRIDES,
-    BackboneConfig,
     backbone_forward,
     build_backbone_params,
     build_fpn,
@@ -44,6 +43,7 @@ from .tensor import (
 __all__ = [
     "DetectorConfig",
     "DetectorModel",
+    "DivergenceError",
     "build_head_params",
     "head_forward",
     "encode_deltas",
@@ -53,13 +53,23 @@ __all__ = [
 ]
 
 
+class DivergenceError(RuntimeError):
+    """A non-finite loss, weight or model output; carries training's last good weights."""
+
+    def __init__(self, message: str, last_good_state: dict | None):
+        super().__init__(message)
+        self.last_good_state = last_good_state
+
+
 @dataclass
 class DetectorConfig:
-    backbone: BackboneConfig = field(default_factory=BackboneConfig)
+    stem_channels: int = 8
+    stage_channels: tuple[int, ...] = (8, 16, 16, 16)  # one per stride 4/8/16/32
+    pyramid_channels: int = 8
+    input_offset: float = 0.4  # subtracted from the image to center intensities
     num_classes: int = 3
     levels: tuple[str, ...] = ("P2", "P3", "P4", "P5", "P6")
     enhance_levels: tuple[str, ...] = ("P2",)
-    gate_width: int | None = None
     head_channels: int = 32
     base_anchor: float = 2.0
     pos_thr: float = 0.5
@@ -82,13 +92,17 @@ class DetectorConfig:
             names = getattr(self, field_name)
             if len(set(names)) != len(names):
                 raise ValueError(f"{field_name} names a level twice: {list(names)}")
-        counts = {"num_classes": self.num_classes, "head_channels": self.head_channels,
+        if len(self.stage_channels) != 4:
+            raise ValueError("backbone needs exactly 4 stages (strides 4/8/16/32)")
+        counts = {"stem_channels": self.stem_channels, "pyramid_channels": self.pyramid_channels,
+                  **{f"stage_channels[{i}]": c for i, c in enumerate(self.stage_channels)},
+                  "num_classes": self.num_classes, "head_channels": self.head_channels,
                   "max_detections": self.max_detections}
-        if self.gate_width is not None:
-            counts["gate_width"] = self.gate_width
         for name, value in counts.items():
             if value < 1:
                 raise ValueError(f"{name} must be >= 1, got {value}")
+        if not math.isfinite(self.input_offset):
+            raise ValueError(f"input_offset must be finite, got {self.input_offset}")
         for name in ("score_floor", "nms_iou"):
             if not 0.0 <= getattr(self, name) <= 1.0:
                 raise ValueError(f"{name} must lie in [0, 1], got {getattr(self, name)}")
@@ -186,11 +200,11 @@ class DetectorModel:
         seeded initialization; see ``ParamStore``."""
         self.cfg = cfg
         self.store = store = ParamStore(seed=seed, saved=saved)
-        build_backbone_params(store, cfg.backbone)
-        build_fpn_params(store, cfg.backbone)
-        c = cfg.backbone.pyramid_channels
+        build_backbone_params(store, cfg)
+        build_fpn_params(store, cfg)
+        c = cfg.pyramid_channels
         build_cem_params(store, c, c)
-        build_fbsm_params(store, c, c, gate_width=cfg.gate_width)
+        build_fbsm_params(store, c, c)
         build_head_params(store, c, cfg.num_classes, cfg.head_channels)
 
     def save(self, directory: str):
@@ -214,7 +228,7 @@ class DetectorModel:
         return model
 
     def pyramid(self, image: Tensor) -> dict[str, Tensor]:
-        feats = backbone_forward(image, self.store, self.cfg.backbone)
+        feats = backbone_forward(image, self.store, self.cfg)
         pyr = build_fpn(feats, self.store)
         return efpn_bs_forward(pyr, self.store, self.cfg.enhance_levels)
 
@@ -251,14 +265,14 @@ class DetectorModel:
     def predict(self, image: Tensor) -> list[Detection]:
         """Every anchor x class scoring at least ``score_floor`` with a box wider
         and taller than 1e-3, after class-wise NMS: at most ``max_detections``,
-        ranked by (-score, class, anchor).  Raises FloatingPointError when the
+        ranked by (-score, class, anchor).  Raises DivergenceError when the
         head's outputs are not finite, as a diverged model's are."""
         cfg = self.cfg
         h, w = image.data.shape[1:]
         cls_out, reg_out = self.forward(image)
         if not (np.isfinite(cls_out.data).all() and np.isfinite(reg_out.data).all()):
-            raise FloatingPointError("non-finite class logits or box deltas: "
-                                     "the model has diverged")
+            raise DivergenceError("non-finite class logits or box deltas: "
+                                  "the model has diverged", None)
         anchors, _ = pyramid_anchors((h, w), cfg.base_anchor, cfg.levels)
         scores = sigmoid_array(cls_out.data.astype(np.float64))
         boxes = decode_deltas(anchors, reg_out.data.astype(np.float64), (h, w))

@@ -108,8 +108,7 @@ def run_training(train_scenes, val_scenes, det_cfg: DetectorConfig,
 def run_variants(train_scenes, val_scenes, variants, out_dir: str, n_seeds: int):
     """Train and evaluate each variant, a ``(name, DetectorConfig, TrainConfig)``,
     once per seed ``train_cfg.seed + s`` for ``s < n_seeds``; report the runs and,
-    per variant, its configs with the mean, std and normal-approximation 95% CI
-    of each metric."""
+    per variant, its configs with the mean and std of each metric."""
     names = [name for name, _, _ in variants]
     if not names:
         raise ValueError("variants must hold at least one config")
@@ -128,10 +127,8 @@ def run_variants(train_scenes, val_scenes, variants, out_dir: str, n_seeds: int)
                  "detector": asdict(det_cfg), "train": asdict(train_cfg)}
         for k in METRICS:
             v = np.array([r[k] for r in runs])
-            mean = float(v.mean())
-            std = float(v.std(ddof=1)) if len(v) > 1 else 0.0
-            half = 1.96 * std / np.sqrt(len(v))
-            entry[k] = {"mean": mean, "std": std, "ci95": [mean - half, mean + half]}
+            entry[k] = {"mean": float(v.mean()),
+                        "std": float(v.std(ddof=1)) if len(v) > 1 else 0.0}
         rows += runs
         summary.append(entry)
     write_report(out_dir, "ablation", {"runs": rows, "summary": summary},

@@ -5,9 +5,9 @@ multiplies the enhanced features before a 3x3 refinement.
 Every mask is single-channel ("spatial" gating), broadcast across feature
 channels when it multiplies the enhanced map.  The refinement is a 3x3 conv
 with its ReLU folded in (``conv2d(..., relu=True)``), as is each gate's first
-conv.  The six convs live in the store as ``fbsm.<conv>``: the gate
-branches ``psi_h1``/``psi_h2`` and ``psi_l1``/``psi_l2``, the fusion conv
-``phi_f`` and the refinement conv ``phi_r``.
+conv, which is max(4, C_low // 4) channels wide.  The six convs live in the
+store as ``fbsm.<conv>``: the gate branches ``psi_h1``/``psi_h2`` and
+``psi_l1``/``psi_l2``, the fusion conv ``phi_f`` and the refinement conv ``phi_r``.
 """
 
 from __future__ import annotations
@@ -24,11 +24,9 @@ from .tensor import (
 __all__ = ["build_fbsm_params", "gate", "fuse_gates", "fbsm_forward"]
 
 
-def build_fbsm_params(store: ParamStore, c_high: int, c_low: int,
-                      gate_width: int | None):
-    """Each gate branch is G wide: ``gate_width``, or max(4, c_low // 4) when it
-    is None (``DetectorConfig.gate_width``'s default)."""
-    g = gate_width if gate_width is not None else max(4, c_low // 4)
+def build_fbsm_params(store: ParamStore, c_high: int, c_low: int):
+    """Each gate branch's hidden conv is max(4, c_low // 4) channels wide."""
+    g = max(4, c_low // 4)
     store.register_conv("fbsm.psi_h1", g, c_high, 3)
     store.register_conv("fbsm.psi_h2", 1, g, 1)
     store.register_conv("fbsm.psi_l1", g, c_low, 3)

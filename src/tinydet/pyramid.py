@@ -1,15 +1,16 @@
 """Feature pyramid construction over a small strided-conv backbone.
 
-Levels P2..P6 at strides 4/8/16/32/64, all with a shared channel width.  The
+The backbone is a four-stage strided conv stack standing in for a deep one.
+Its ``build_*_params`` functions and ``backbone_forward`` take the
+``DetectorConfig`` and read its widths and ``input_offset`` by attribute,
+since this module cannot import ``detector``.  Levels P2..P6 at strides
+4/8/16/32/64, all with a shared channel width (``pyramid_channels``).  The
 enhancement step upsamples P5 to each level of ``enhance_levels`` (P2 by
 default), feeds the aligned copy through the context and gating modules, and
 replaces that level; every other level passes through untouched.
 """
 
 from __future__ import annotations
-
-import math
-from dataclasses import dataclass
 
 from .context import cem_forward
 from .gating import fbsm_forward
@@ -24,7 +25,6 @@ from .tensor import (
 
 __all__ = [
     "LEVEL_STRIDES",
-    "BackboneConfig",
     "build_backbone_params",
     "backbone_forward",
     "build_fpn_params",
@@ -35,28 +35,7 @@ __all__ = [
 LEVEL_STRIDES = {"P2": 4, "P3": 8, "P4": 16, "P5": 32, "P6": 64}
 
 
-@dataclass
-class BackboneConfig:
-    """Four-stage strided conv stack standing in for a deep backbone."""
-
-    stem_channels: int = 8
-    stage_channels: tuple[int, ...] = (8, 16, 16, 16)
-    pyramid_channels: int = 8
-    input_offset: float = 0.4  # subtracted from the image to center intensities
-
-    def __post_init__(self):
-        if len(self.stage_channels) != 4:
-            raise ValueError("backbone needs exactly 4 stages (strides 4/8/16/32)")
-        widths = {"stem_channels": self.stem_channels, "pyramid_channels": self.pyramid_channels,
-                  **{f"stage_channels[{i}]": c for i, c in enumerate(self.stage_channels)}}
-        for name, value in widths.items():
-            if value < 1:
-                raise ValueError(f"{name} must be >= 1, got {value}")
-        if not math.isfinite(self.input_offset):
-            raise ValueError(f"input_offset must be finite, got {self.input_offset}")
-
-
-def build_backbone_params(store: ParamStore, cfg: BackboneConfig):
+def build_backbone_params(store: ParamStore, cfg):
     store.register_conv("backbone.stem0", cfg.stem_channels, 3, 3)
     store.register_conv("backbone.stem1", cfg.stage_channels[0], cfg.stem_channels, 3)
     for i in range(1, 4):
@@ -64,9 +43,10 @@ def build_backbone_params(store: ParamStore, cfg: BackboneConfig):
                             cfg.stage_channels[i - 1], 3)
 
 
-def backbone_forward(image: Tensor, store: ParamStore, cfg: BackboneConfig):
+def backbone_forward(image: Tensor, store: ParamStore, cfg):
     """Image [3,H,W] (H, W divisible by 64) -> features C2..C5 at strides 4..32;
-    each stage is a stride-2 3x3 conv with its ReLU folded in."""
+    each stage is a stride-2 3x3 conv with its ReLU folded in, after
+    ``cfg.input_offset`` is subtracted to center the image's intensities."""
     if image.data.ndim != 3 or image.data.shape[0] != 3:
         raise ValueError(f"backbone expects [3,H,W], got {image.data.shape}")
     h, w = image.data.shape[1:]
@@ -83,7 +63,7 @@ def backbone_forward(image: Tensor, store: ParamStore, cfg: BackboneConfig):
     return feats  # [C2, C3, C4, C5]
 
 
-def build_fpn_params(store: ParamStore, cfg: BackboneConfig):
+def build_fpn_params(store: ParamStore, cfg):
     c = cfg.pyramid_channels
     for i, ci in enumerate(cfg.stage_channels):
         store.register_conv(f"fpn.lateral{i + 2}", c, ci, 1)

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .balanced_loss import DCLossParams
-from .detector import DetectorConfig, DetectorModel, assign_image
+from .detector import DetectorConfig, DetectorModel, DivergenceError, assign_image
 from .evaluation import EvalResult, evaluate_ap
 from .tensor import Tensor, mul
 
@@ -67,14 +67,6 @@ class TrainResult:
     model: DetectorModel
     loss_curve: list          # per-epoch dicts: epoch, cls, reg, total, lr
     dc_params: DCLossParams | None
-
-
-class DivergenceError(RuntimeError):
-    """Raised when the loss turns non-finite; carries the last good snapshot."""
-
-    def __init__(self, message: str, last_good_state: dict | None):
-        super().__init__(message)
-        self.last_good_state = last_good_state
 
 
 class SGDMomentum:

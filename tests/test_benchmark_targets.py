@@ -8,6 +8,7 @@ import importlib.util
 import os
 import sys
 
+import numpy as np
 import pytest
 
 from tinydet.detector import DetectorConfig, DetectorModel
@@ -15,20 +16,30 @@ from tinydet.scenes import SceneSpec, generate_scene
 from tinydet.tensor import Tensor
 from tinydet.training import TrainConfig, train
 
-TRACER = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-                      "perfbench", "tracer.py")
+PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                         "perfbench")
 
 
-@pytest.fixture(scope="module")
-def tracer():
-    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
+def _perfbench_module(stem):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{stem}",
+                                                  os.path.join(PERFBENCH, f"{stem}.py"))
     module = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = module  # its dataclass looks its module up by name
+    sys.modules[spec.name] = module  # its dataclasses look their module up by name
     try:
         spec.loader.exec_module(module)
         yield module
     finally:
         del sys.modules[spec.name]
+
+
+@pytest.fixture(scope="module")
+def tracer():
+    yield from _perfbench_module("tracer")
+
+
+@pytest.fixture(scope="module")
+def workloads():
+    yield from _perfbench_module("workloads")
 
 
 def test_every_tracer_target_resolves(tracer):
@@ -56,3 +67,12 @@ def test_a_traced_training_step_and_predict_meet_the_tracer_coverage(tracer):
     # nms takes IoUs a block of ranked candidates at a time, not one row per kept
     # box: a per-box loop would call iou_matrix 100 times here.
     assert t.spans["anchors.iou_matrix"].calls <= 3
+
+
+def test_a_diverged_predict_counts_as_one_failed_benchmark_operation(workloads):
+    model = DetectorModel(DetectorConfig(), seed=0)
+    model.store["head.cls.b"].data[...] = np.nan
+    tally = workloads.Tally()
+    assert workloads._predict(model, generate_scene(SceneSpec(seed=0), 0), tally) == (None, 0.0)
+    assert (tally.attempted, tally.failed) == (1, 1)
+    assert "DivergenceError" in tally.messages[0]

@@ -1,16 +1,16 @@
 import inspect
 import json
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tinydet import anchors, balanced_loss, detector, evaluation, experiments, gating, pyramid, training
+from tinydet import anchors, balanced_loss, detector, evaluation, experiments, pyramid, training
 from tinydet.config import from_dict
 from tinydet.detector import DetectorConfig
-from tinydet.pyramid import LEVEL_STRIDES, BackboneConfig
+from tinydet.pyramid import LEVEL_STRIDES
 from tinydet.scenes import SceneSpec
 from tinydet.training import TrainConfig
 
@@ -21,51 +21,81 @@ level_names = st.sampled_from(list(LEVEL_STRIDES))
 enhance_names = st.sampled_from([n for n, s in LEVEL_STRIDES.items() if s <= LEVEL_STRIDES["P5"]])
 
 
-@st.composite
-def scene_specs(draw):
-    side_min = draw(st.floats(0.5, 16.0))
-    side_max = draw(st.floats(side_min, 1e6))
-    objects_min = draw(st.integers(0, 20))
-    dims = st.integers(math.ceil(side_max), math.ceil(side_max) + 511)  # an object fits
-    non_negative = st.floats(0.0, allow_infinity=False)
-    return SceneSpec(height=draw(dims), width=draw(dims), objects_min=objects_min,
-                     objects_max=draw(st.integers(objects_min, 40)), side_min=side_min,
-                     side_max=side_max, side_scale=draw(non_negative),
-                     num_classes=draw(st.integers(1, 10)), contrast=draw(floats),
-                     noise_sigma=draw(non_negative),
-                     seed=draw(st.integers(0, 2 ** 64 - 1)))
-
-
-backbones = st.builds(BackboneConfig, stem_channels=sizes,
-                      stage_channels=st.tuples(sizes, sizes, sizes, sizes),
-                      pyramid_channels=sizes, input_offset=floats)
-
 unit = st.floats(0.0, 1.0)
 positive = st.floats(0.0, exclude_min=True, allow_infinity=False)
+non_negative = st.floats(0.0, allow_infinity=False)
+
+
+def fitting_side(v):  # at least side_max, so that an object fits
+    return st.integers(math.ceil(v["side_max"]), math.ceil(v["side_max"]) + 511)
+
+
+# One strategy per field of each config record, so that a new field cannot
+# silently keep its default in the round trip.  A callable entry takes the
+# values drawn so far and returns the strategy: the draws a record's checks
+# tie together come after the fields they depend on.
+SCENE_FIELDS = {
+    "side_min": st.floats(0.5, 16.0),
+    "side_max": lambda v: st.floats(v["side_min"], 1e6),
+    "height": fitting_side,
+    "width": fitting_side,
+    "objects_min": st.integers(0, 20),
+    "objects_max": lambda v: st.integers(v["objects_min"], 40),
+    "side_scale": non_negative,
+    "num_classes": st.integers(1, 10),
+    "contrast": floats,
+    "noise_sigma": non_negative,
+    "seed": st.integers(0, 2 ** 64 - 1),
+}
+DETECTOR_FIELDS = {
+    "stem_channels": sizes,
+    "stage_channels": st.tuples(sizes, sizes, sizes, sizes),
+    "pyramid_channels": sizes,
+    "input_offset": floats,
+    "num_classes": sizes,
+    "levels": st.lists(level_names, min_size=1, unique=True).map(tuple),
+    "enhance_levels": st.lists(enhance_names, unique=True).map(tuple),
+    "head_channels": sizes,
+    "base_anchor": positive,
+    "neg_thr": unit,
+    "pos_thr": lambda v: st.floats(v["neg_thr"], 1.0),
+    "score_floor": unit,
+    "nms_iou": unit,
+    "max_detections": sizes,
+}
+TRAIN_FIELDS = {
+    "learning_rate": positive,
+    "momentum": st.floats(0.0, 1.0, exclude_max=True),
+    "weight_decay": non_negative,
+    "epochs": st.integers(1, 100),
+    "decay_epochs": st.lists(st.integers(0, 100)).map(tuple),
+    "decay_factor": st.floats(0.0, 1.0, exclude_min=True),
+    "batch_size": sizes,
+    "reg_loss": st.sampled_from(["smooth_l1", "dcloss"]),
+    "dc_k": positive,
+    "dc_delta": positive,
+    "dc_learnable": st.booleans(),
+    "seed": st.integers(0, 2 ** 32),
+}
+FIELD_TABLES = {SceneSpec: SCENE_FIELDS, DetectorConfig: DETECTOR_FIELDS, TrainConfig: TRAIN_FIELDS}
 
 
 @st.composite
-def detector_configs(draw):
-    neg_thr, pos_thr = sorted(draw(st.tuples(unit, unit)))
-    return DetectorConfig(
-        backbone=draw(backbones), num_classes=draw(sizes),
-        levels=tuple(draw(st.lists(level_names, min_size=1, unique=True))),
-        enhance_levels=tuple(draw(st.lists(enhance_names, unique=True))), gate_width=draw(st.none() | sizes),
-        head_channels=draw(sizes), base_anchor=draw(positive), pos_thr=pos_thr, neg_thr=neg_thr,
-        score_floor=draw(unit), nms_iou=draw(unit), max_detections=draw(sizes))
+def configs(draw, cls):
+    values = {}
+    for name, strategy in FIELD_TABLES[cls].items():
+        values[name] = draw(strategy if isinstance(strategy, st.SearchStrategy)
+                            else strategy(values))
+    return cls(**values)
 
-train_configs = st.builds(
-    TrainConfig, learning_rate=positive, momentum=st.floats(0.0, 1.0, exclude_max=True),
-    weight_decay=st.floats(0.0, allow_infinity=False), epochs=st.integers(1, 100),
-    decay_epochs=st.lists(st.integers(0, 100)).map(tuple),
-    decay_factor=st.floats(0.0, 1.0, exclude_min=True), batch_size=sizes,
-    reg_loss=st.sampled_from(["smooth_l1", "dcloss"]),
-    dc_k=positive, dc_delta=positive, dc_learnable=st.booleans(),
-    seed=st.integers(0, 2 ** 32))
+
+def test_every_config_field_has_a_strategy():
+    for cls, table in FIELD_TABLES.items():
+        assert sorted(table) == sorted(f.name for f in fields(cls)), cls.__name__
 
 
 @settings(max_examples=50, deadline=None)
-@given(st.one_of(scene_specs(), backbones, detector_configs(), train_configs))
+@given(st.one_of(*(configs(cls) for cls in FIELD_TABLES)))
 def test_asdict_then_from_dict_roundtrips_through_json(config):
     payload = json.loads(json.dumps(asdict(config)))
     assert from_dict(type(config), payload, "config") == config
@@ -84,9 +114,9 @@ def test_asdict_then_from_dict_roundtrips_through_json(config):
     (DetectorConfig, {"levels": "P2"}, {}, "expected an array"),
     (DetectorConfig, {"levels": ["P7"]}, {}, "unknown pyramid level 'P7'"),
     (DetectorConfig, {"levels": [2]}, {}, r"levels\[0\]: expected str"),
-    (DetectorConfig, {"gate_width": "4"}, {}, r"expected int \| None"),
-    (DetectorConfig, {"backbone": {"stages": 4}}, {}, r"section\.backbone: unknown key"),
-    (DetectorConfig, {"backbone": []}, {}, "expected an object"),
+    (DetectorConfig, {"gate_width": 4}, {}, "unknown key 'gate_width'"),  # follows from the width
+    (DetectorConfig, {"backbone": {"stages": 4}}, {}, "unknown key 'backbone'"),  # its fields are flat
+    (DetectorConfig, [], {}, "expected an object"),
     (TrainConfig, {"batch_size": 0}, {}, "batch_size must be >= 1"),
     (DetectorConfig, {"num_classes": 0}, {}, "num_classes must be >= 1"),
     (DetectorConfig, {"enhance": False}, {}, "unknown key 'enhance'"),
@@ -116,9 +146,9 @@ def test_from_dict_converts_arrays_and_fills_fixed_fields():
     cfg = from_dict(TrainConfig, {"decay_epochs": [2, 3], "learning_rate": 1}, "train",
                     seed=7)
     assert cfg == TrainConfig(decay_epochs=(2, 3), learning_rate=1, seed=7)
-    det = from_dict(DetectorConfig, {"backbone": {"stage_channels": [4, 4, 4, 4]},
-                                     "gate_width": None}, "detector")
-    assert det.backbone == BackboneConfig(stage_channels=(4, 4, 4, 4))
+    det = from_dict(DetectorConfig, {"stage_channels": [4, 4, 4, 4], "input_offset": 0},
+                    "detector")
+    assert det == DetectorConfig(stage_channels=(4, 4, 4, 4), input_offset=0.0)
 
 
 @dataclass
@@ -152,7 +182,6 @@ STRICT_PARAMETERS = [
     (detector.build_head_params, ("trunk_channels",)),
     (detector.decode_deltas, ("image_hw",)),
     (detector.DetectorModel.loss, ("dc_params",)),
-    (gating.build_fbsm_params, ("gate_width",)),
     (balanced_loss.DCLossParams, ("k", "delta")),
     (balanced_loss.DCLossParams.step, ("lr", "momentum")),
     (training.SGDMomentum, ("momentum", "weight_decay")),

@@ -17,6 +17,7 @@ from tinydet.balanced_loss import DCLossParams, dcloss_term, smooth_l1_term
 from tinydet.detector import (
     DetectorConfig,
     DetectorModel,
+    DivergenceError,
     ImageAssignment,
     assign_image,
     build_head_params,
@@ -25,7 +26,7 @@ from tinydet.detector import (
     head_forward,
 )
 from tinydet.evaluation import Detection
-from tinydet.pyramid import LEVEL_STRIDES, BackboneConfig
+from tinydet.pyramid import LEVEL_STRIDES
 from tinydet.scenes import SceneSpec, generate_scene
 from tinydet.tensor import ParamStore, Tensor
 
@@ -253,7 +254,7 @@ def test_predict_raises_on_a_diverged_head(param):
     model = DetectorModel(CFG, seed=0)
     model.store[param].data[...] = np.nan
     scene, _ = scene_and_assignment()
-    with pytest.raises(FloatingPointError, match="non-finite"):
+    with pytest.raises(DivergenceError, match="non-finite"):
         model.predict(Tensor(scene.image))
 
 
@@ -315,7 +316,8 @@ def test_enhancement_flag_changes_p2_path_only():
 def test_checkpoint_roundtrip_preserves_predictions(tmp_path):
     scene, _ = scene_and_assignment()
     for i, cfg in enumerate([CFG, DetectorConfig(levels=("P2", "P3"), enhance_levels=(),
-                                                 gate_width=6, base_anchor=2.5)]):
+                                                 stem_channels=4, pyramid_channels=16,
+                                                 base_anchor=2.5)]):
         model = DetectorModel(cfg, seed=i)
         before = model.predict(Tensor(scene.image))
         model.save(str(tmp_path / f"ckpt{i}"))
@@ -399,7 +401,7 @@ def test_checkpoint_load_fuzz_loads_or_raises_value_error(fuzz_checkpoint, data)
 @pytest.mark.parametrize("cls, kw, match", [
     (DetectorConfig, {"num_classes": 0}, "num_classes must be >= 1"),
     (DetectorConfig, {"head_channels": 0}, "head_channels must be >= 1"),
-    (DetectorConfig, {"gate_width": 0}, "gate_width must be >= 1"),
+    (DetectorConfig, {"stage_channels": (8, 16, 16)}, "exactly 4 stages"),
     (DetectorConfig, {"max_detections": -1}, "max_detections must be >= 1"),
     (DetectorConfig, {"max_detections": 0}, "max_detections must be >= 1"),
     (DetectorConfig, {"score_floor": -0.1}, r"score_floor must lie in \[0, 1\]"),
@@ -410,12 +412,12 @@ def test_checkpoint_load_fuzz_loads_or_raises_value_error(fuzz_checkpoint, data)
     (DetectorConfig, {"pos_thr": 1.1}, "need 0 <= neg_thr <= pos_thr <= 1"),
     (DetectorConfig, {"levels": ("P3", "P3")}, "levels names a level twice"),
     (DetectorConfig, {"enhance_levels": ("P2", "P3", "P2")}, "enhance_levels names a level twice"),
-    (BackboneConfig, {"pyramid_channels": 0}, "pyramid_channels must be >= 1"),
-    (BackboneConfig, {"stem_channels": 0}, "stem_channels must be >= 1"),
-    (BackboneConfig, {"stage_channels": (8, 0, 16, 16)}, r"stage_channels\[1\] must be >= 1"),
-    (BackboneConfig, {"input_offset": float("nan")}, "input_offset must be finite"),
-    (BackboneConfig, {"input_offset": float("inf")}, "input_offset must be finite"),
-    (BackboneConfig, {"input_offset": -float("inf")}, "input_offset must be finite"),
+    (DetectorConfig, {"pyramid_channels": 0}, "pyramid_channels must be >= 1"),
+    (DetectorConfig, {"stem_channels": 0}, "stem_channels must be >= 1"),
+    (DetectorConfig, {"stage_channels": (8, 0, 16, 16)}, r"stage_channels\[1\] must be >= 1"),
+    (DetectorConfig, {"input_offset": float("nan")}, "input_offset must be finite"),
+    (DetectorConfig, {"input_offset": float("inf")}, "input_offset must be finite"),
+    (DetectorConfig, {"input_offset": -float("inf")}, "input_offset must be finite"),
     (DetectorConfig, {"base_anchor": 0.0}, "base_anchor must be finite and > 0"),
     (DetectorConfig, {"base_anchor": -1.0}, "base_anchor must be finite and > 0"),
     (DetectorConfig, {"base_anchor": float("nan")}, "base_anchor must be finite and > 0"),
@@ -427,10 +429,10 @@ def test_config_rejects_out_of_range_values(cls, kw, match):
 
 
 def test_detector_config_accepts_the_range_edges():
-    DetectorConfig(num_classes=1, head_channels=1, gate_width=1, max_detections=1,
+    DetectorConfig(num_classes=1, head_channels=1, max_detections=1,
                    score_floor=0.0, nms_iou=1.0, neg_thr=0.5, pos_thr=0.5)
     DetectorConfig(score_floor=1.0, nms_iou=0.0, neg_thr=0.0, pos_thr=1.0,
-                   backbone=BackboneConfig(1, (1, 1, 1, 1), 1))
+                   stem_channels=1, stage_channels=(1, 1, 1, 1), pyramid_channels=1)
 
 
 def test_detector_config_rejects_unknown_levels():

@@ -311,6 +311,17 @@ def test_evaluate_ap_result_shape():
         evaluate_ap(dets, gts[:-1], num_classes=2)
 
 
+def test_evaluate_ap_rejects_a_ground_truth_class_outside_the_detector():
+    # such a class used to drop out of the class mean without a word
+    gts = [[(Box(0, 0, 8, 8), 1)], [(Box(0, 0, 8, 8), 4), (Box(2, 2, 9, 9), 0)]]
+    for bad in (4, -1):
+        gts[1][0] = (gts[1][0][0], bad)
+        with pytest.raises(ValueError, match=rf"ground-truth class {bad} outside \[0, 3\)"):
+            evaluate_ap([[], []], gts, num_classes=3)
+    gts[1][0] = (gts[1][0][0], 2)
+    assert evaluate_ap([[], []], gts, num_classes=3).ap == 0.0
+
+
 # ---------------------------------------------------------------------------
 # oracle agreement
 

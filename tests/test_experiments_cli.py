@@ -4,7 +4,6 @@ import json
 import os
 import re
 import struct
-import typing
 from dataclasses import replace
 
 import numpy as np
@@ -19,7 +18,6 @@ from tinydet.experiments import (
     run_training,
     run_variants,
 )
-from tinydet.pyramid import BackboneConfig
 from tinydet.scenes import SceneSpec, generate_scene, write_dataset
 from tinydet.tensor import write_tensor_file
 from tinydet.training import TrainConfig
@@ -103,8 +101,9 @@ def test_ablation_summary_and_determinism(tmp_path):
         assert from_dict(DetectorConfig, saved["detector"], "detector") == det_cfg
         assert from_dict(TrainConfig, saved["train"], "train") == train_cfg
         for metric in METRICS:
-            m = entry[metric]
-            assert m["ci95"][0] <= m["mean"] <= m["ci95"][1]
+            values = [r[metric] for r in rows if r["variant"] == name]
+            assert entry[metric] == {"mean": float(np.mean(values)),
+                                     "std": float(np.std(values, ddof=1))}
     # a rerun reproduces the report files bitwise
     run_variants(scenes, scenes[:2], variants, str(tmp_path / "b"), n_seeds=2)
     for name in ("ablation.json", "ablation.csv"):
@@ -265,13 +264,13 @@ def test_cli_ablate_runs_the_default_paper_variants(tmp_path, dataset, capsys):
 
 def test_read_config_merges_variants_over_the_base(tmp_path):
     cfg = cli_config(tmp_path, {
-        "detector": {"num_classes": 4, "backbone": {"stem_channels": 4, "pyramid_channels": 8}},
-        "variants": [{"name": "wide", "detector": {"backbone": {"pyramid_channels": 16}},
+        "detector": {"num_classes": 4, "stem_channels": 4, "pyramid_channels": 8},
+        "variants": [{"name": "wide", "detector": {"pyramid_channels": 16},
                       "train": {"epochs": 2}}]})
     [(name, det_cfg, train_cfg)] = _read_config(cfg, seed=7)["variants"]
     assert name == "wide"
-    # key by key over the base; a nested backbone replaces the base's whole
-    assert det_cfg == DetectorConfig(num_classes=4, backbone=BackboneConfig(pyramid_channels=16))
+    # key by key over the base: the variant keeps the base's stem_channels
+    assert det_cfg == DetectorConfig(num_classes=4, stem_channels=4, pyramid_channels=16)
     assert train_cfg == TrainConfig(epochs=2, batch_size=FAST_TRAIN["batch_size"], seed=7)
 
 
@@ -317,17 +316,13 @@ def test_readme_counts_the_settable_values():
     root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     readme = " ".join(read_file(os.path.join(root, "README.md")).split())
 
-    def settable(cls):  # a nested config object counts, and so does each field inside it
-        hints = typing.get_type_hints(cls)
-        return sum(1 + (settable(hints[f.name]) if dataclasses.is_dataclass(hints[f.name]) else 0)
-                   for f in dataclasses.fields(cls) if f.name != "seed")  # seed is --seed's
+    def settable(cls):  # seed is --seed's
+        return sum(f.name != "seed" for f in dataclasses.fields(cls))
 
     scene, detector, train = (settable(SECTIONS[k]) for k in ("scene", "detector", "train"))
-    backbone = settable(BackboneConfig)
     total = scene + detector + train + len(dataclasses.fields(ConfigFile)) - len(SECTIONS)
-    assert f"The file sets {total} values: {scene} scene fields, {detector} detector values " \
-           f"({detector - backbone} fields, one of them the `backbone` object, plus the " \
-           f"{backbone} fields inside it), {train} train fields" in readme
+    assert f"The file sets {total} values: {scene} scene fields, {detector} detector fields " \
+           f"and {train} train fields" in readme
 
 
 def test_readme_lists_the_default_variants():
@@ -369,15 +364,15 @@ def test_cli_error_exit_codes(tmp_path, capsys):
     {"train": [1]},                             # section not an object
     {"detector": {"levels": "P2"}},             # not an array
     {"detector": {"levels": ["P7"]}},           # no such level
-    {"detector": {"backbone": {"stage_channels": [8, 16]}}},
+    {"detector": {"stage_channels": [8, 16]}},
     {"height": 256},                            # flat scene keys
     {"k": 8.0}, {"base_anchor": 4.0},           # former top-level spellings
     {"n_seeds": "2"},
     {"detector": {"num_classes": 0}},           # out of range
-    {"detector": {"backbone": {"pyramid_channels": 0}}},
+    {"detector": {"pyramid_channels": 0}},
     {"detector": {"max_detections": -1}},
     {"detector": {"head_channels": 0}},
-    {"detector": {"gate_width": 0}},
+    {"detector": {"gate_width": 4}},            # derived from pyramid_channels now
     {"detector": {"score_floor": 1.5}},
     {"detector": {"nms_iou": -0.5}},
     {"detector": {"neg_thr": 0.6, "pos_thr": 0.5}},
@@ -392,14 +387,15 @@ def test_cli_error_exit_codes(tmp_path, capsys):
     {"detector": {"enhance_levels": ["P6"]}},   # coarser than the P5 it upsamples
     {"detector": {"base_anchor": 0}},
     {"detector": {"base_anchor": float("nan")}},
-    {"detector": {"backbone": {"input_offset": float("nan")}}},
-    {"detector": {"backbone": {"input_offset": float("inf")}}},
+    {"detector": {"input_offset": float("nan")}},
+    {"detector": {"input_offset": float("inf")}},
     {"scene": {"noise_sigma": -0.1}},           # no longer reaches numpy's scale check
     {"scene": {"noise_sigma": float("nan")}},
     {"scene": {"contrast": float("inf")}},
     {"scene": {"side_scale": -1.0}},
     {"scene": {"height": 0}},
     {"scene": {"width": 8}},                    # below side_max: no object fits
+    {"detector": {"backbone": {"pyramid_channels": 8}}},  # its fields are flat now
 ])
 def test_cli_config_faults_exit_1(tmp_path, dataset, capsys, payload):
     path = tmp_path / "config.json"
@@ -588,6 +584,33 @@ def test_cli_eval_of_a_diverged_checkpoint_exits_2(tmp_path, dataset, capsys):
     assert main(["eval", "--data", dataset, "--checkpoint", str(tmp_path / "ckpt"),
                  "--out", str(tmp_path / "ev")]) == 2
     assert "numeric failure" in capsys.readouterr().err
+
+
+def test_cli_eval_rejects_a_checkpoint_with_the_nested_backbone_config(tmp_path, dataset, capsys):
+    # checkpoints once nested the backbone widths and carried a gate_width
+    ckpt = tmp_path / "ckpt"
+    DetectorModel(DetectorConfig(), seed=0).save(str(ckpt))
+    manifest = json.loads((ckpt / "manifest.json").read_text())
+    config = manifest["config"]
+    config["backbone"] = {k: config.pop(k) for k in
+                          ("stem_channels", "stage_channels", "pyramid_channels", "input_offset")}
+    config["gate_width"] = None
+    (ckpt / "manifest.json").write_text(json.dumps(manifest, sort_keys=True))
+    assert main(["eval", "--data", dataset, "--checkpoint", str(ckpt),
+                 "--out", str(tmp_path / "ev")]) == 1
+    assert "unknown key 'backbone'" in capsys.readouterr().err
+
+
+def test_cli_eval_rejects_categories_the_checkpoint_lacks(tmp_path, capsys):
+    data = str(tmp_path / "data")
+    assert main(["gen", "--count", "6", "--config", cli_config(tmp_path, {"scene": {"num_classes": 5}}),
+                 "--out", data]) == 0
+    DetectorModel(DetectorConfig(), seed=0).save(str(tmp_path / "ckpt"))
+    capsys.readouterr()
+    assert main(["eval", "--data", data, "--checkpoint", str(tmp_path / "ckpt"),
+                 "--out", str(tmp_path / "ev")]) == 1
+    assert re.search(r"^error: ground-truth class [34] outside \[0, 3\)", capsys.readouterr().err)
+    assert not os.path.exists(tmp_path / "ev" / "reports" / "metrics_eval.json")
 
 
 def test_console_script_registered(tmp_path):

@@ -9,9 +9,9 @@ from tinydet.tensor import ParamStore, Tensor
 rng = np.random.default_rng(17)
 
 
-def make_params(c_high, c_low, seed=0, dtype=np.float64, gate_width=None):
+def make_params(c_high, c_low, seed=0, dtype=np.float64):
     store = ParamStore(seed=seed)
-    build_fbsm_params(store, c_high, c_low, gate_width)
+    build_fbsm_params(store, c_high, c_low)
     for name, t in store.items():
         t.data = t.data.astype(dtype)
     return store
@@ -29,7 +29,6 @@ def test_default_gate_width_rule():
     assert gate_width(make_params(8, 16)) == 4      # 16 // 4
     assert gate_width(make_params(8, 64)) == 16
     assert gate_width(make_params(8, 8)) == 4       # floor of 4
-    assert gate_width(make_params(8, 8, gate_width=6)) == 6
 
 
 def test_gate_outputs_open_unit_interval():

@@ -4,10 +4,10 @@ import pytest
 from gradcheck import tensor_sum
 
 from tinydet.context import build_cem_params
+from tinydet.detector import DetectorConfig
 from tinydet.gating import build_fbsm_params
 from tinydet.pyramid import (
     LEVEL_STRIDES,
-    BackboneConfig,
     backbone_forward,
     build_backbone_params,
     build_fpn,
@@ -18,7 +18,7 @@ from tinydet.tensor import ParamStore, Tensor
 
 rng = np.random.default_rng(23)
 
-CFG = BackboneConfig()
+CFG = DetectorConfig()
 
 
 def make_store(seed=0):
@@ -27,7 +27,7 @@ def make_store(seed=0):
     build_fpn_params(store, CFG)
     c = CFG.pyramid_channels
     build_cem_params(store, c, c)
-    build_fbsm_params(store, c, c, gate_width=None)
+    build_fbsm_params(store, c, c)
     return store
 
 
@@ -140,4 +140,4 @@ def test_full_pipeline_deterministic():
 
 def test_backbone_config_validation():
     with pytest.raises(ValueError, match="4 stages"):
-        BackboneConfig(stage_channels=(8, 16, 16))
+        DetectorConfig(stage_channels=(8, 16, 16))
