@@ -78,7 +78,10 @@ def _read_config(path: str | None, seed: int) -> dict:
 def _read_scenes(path: str):
     if not path or not os.path.isdir(path):
         raise ValueError(f"dataset directory not found: {path!r}")
-    return read_dataset(path)[0]
+    scenes = read_dataset(path)[0]
+    if not scenes:
+        raise ValueError(f"dataset {path} holds no images")
+    return scenes
 
 
 def cmd_gen(args, cfg):

@@ -4,9 +4,10 @@
 ``asdict`` of a dataclass.  ``from_dict`` is the reader of a dataset's
 ``annotations.json`` (``Annotations``) and ``manifest.json``
 (``DatasetManifest``, whose ``spec`` stays a plain dict that nothing reads),
-a checkpoint's manifest and its ``config``, and each ``--config`` section; it
-accepts exactly what the dataclass declares and raises ``ValueError`` for
-anything else.
+a checkpoint's ``manifest.json`` (``CheckpointManifest``, its ``config`` a
+``DetectorConfig``), and each ``--config`` section; it accepts exactly what
+the dataclass declares and raises ``ValueError`` for anything else.  It
+imports no other module of the package.
 """
 
 from __future__ import annotations

@@ -10,14 +10,16 @@ positive anchors only with a pluggable loss.
 
 from __future__ import annotations
 
+import json
 import math
+import os
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .anchors import NEGATIVE, Box, assign_maxiou, boxes_array, pyramid_anchors
 from .balanced_loss import DCLossParams, dcloss_term, smooth_l1_term
-from .config import from_dict
+from .config import read_json
 from .context import build_cem_params
 from .evaluation import Detection, nms
 from .gating import build_fbsm_params
@@ -36,12 +38,15 @@ from .tensor import (
     concat_columns,
     conv2d,
     gather_columns,
+    read_tensor_file,
     sigmoid_array,
     weighted_bce_with_logits,
+    write_tensor_file,
 )
 
 __all__ = [
     "DetectorConfig",
+    "CheckpointManifest",
     "DetectorModel",
     "DivergenceError",
     "build_head_params",
@@ -111,6 +116,34 @@ class DetectorConfig:
         if not 0.0 <= self.neg_thr <= self.pos_thr <= 1.0:
             raise ValueError(f"need 0 <= neg_thr <= pos_thr <= 1, got neg_thr "
                              f"{self.neg_thr}, pos_thr {self.pos_thr}")
+
+
+_CHECKPOINT_FORMAT = "tinydet-checkpoint-v2"
+
+
+@dataclass
+class CheckpointManifest:
+    """A checkpoint's ``manifest.json``: the parameter names in registration
+    order, parameter i in ``params/p{i:04d}.efbt`` with its shape in that
+    file's header, and the seed and config that built them."""
+
+    format: str
+    seed: int
+    params: tuple[str, ...]
+    config: DetectorConfig
+
+    def __post_init__(self):
+        if self.format != _CHECKPOINT_FORMAT:
+            raise ValueError(f"format must be {_CHECKPOINT_FORMAT!r}, got {self.format!r}")
+        seen = set()
+        for i, name in enumerate(self.params):
+            if name in seen:
+                raise ValueError(f"params[{i}]: {name!r} is listed twice")
+            seen.add(name)
+
+
+def _param_file(directory: str, i: int) -> str:
+    return os.path.join(directory, "params", f"p{i:04d}.efbt")
 
 
 def build_head_params(store: ParamStore, channels: int, num_classes: int,
@@ -208,23 +241,34 @@ class DetectorModel:
         build_head_params(store, c, cfg.num_classes, cfg.head_channels)
 
     def save(self, directory: str):
-        """Checkpoint the parameters together with the config that built them."""
-        self.store.save(directory, asdict(self.cfg))
+        """Checkpoint: one EFBT file per parameter and a ``CheckpointManifest``
+        that carries the seed and the config that built them."""
+        os.makedirs(os.path.join(directory, "params"), exist_ok=True)
+        for i, t in enumerate(self.store.tensors()):
+            write_tensor_file(_param_file(directory, i), t.data)
+        manifest = CheckpointManifest(_CHECKPOINT_FORMAT, self.store.seed,
+                                      tuple(self.store.params), self.cfg)
+        with open(os.path.join(directory, "manifest.json"), "w") as f:
+            json.dump(asdict(manifest), f, indent=2, sort_keys=True)
 
     @classmethod
     def load(cls, directory: str) -> "DetectorModel":
         """Rebuild the model a checkpoint's config describes over its
-        parameters; names and shapes must match the config's exactly."""
-        seed, arrays, config = ParamStore.load(directory)
-        where = f"checkpoint {directory}"
-        cfg = from_dict(DetectorConfig, config, f"{where}: config")
+        parameters; names and shapes must match the config's exactly, and a
+        manifest or parameter file that does not parse raises ValueError."""
         try:
-            model = cls(cfg, seed=seed, saved=arrays)
+            manifest = read_json(CheckpointManifest, os.path.join(directory, "manifest.json"))
         except ValueError as e:
-            raise ValueError(f"{where}: parameters do not fit its config: {e}") from e
+            raise ValueError(f"checkpoint {e}") from e
+        arrays = {name: read_tensor_file(_param_file(directory, i))
+                  for i, name in enumerate(manifest.params)}
+        where = f"checkpoint {directory}: parameters do not fit its config"
+        try:
+            model = cls(manifest.config, seed=manifest.seed, saved=arrays)
+        except ValueError as e:
+            raise ValueError(f"{where}: {e}") from e
         if arrays:
-            raise ValueError(f"{where}: parameters do not fit its config: "
-                             f"{', '.join(sorted(arrays))} not in it")
+            raise ValueError(f"{where}: {', '.join(sorted(arrays))} not in it")
         return model
 
     def pyramid(self, image: Tensor) -> dict[str, Tensor]:

@@ -21,7 +21,7 @@ import numpy as np
 
 from .anchors import Box
 from .config import read_json
-from .tensor import path_inside, read_tensor_file, write_tensor_file
+from .tensor import read_tensor_file, write_tensor_file
 
 __all__ = [
     "SceneSpec",
@@ -253,12 +253,22 @@ def write_dataset(spec: SceneSpec, n: int, out_dir: str) -> DatasetManifest:
     return manifest
 
 
+def _path_inside(directory: str, file: str, where: str) -> str:
+    """``file``, a path relative to ``directory``, joined to it.  A path that is
+    absolute or whose ``..`` leaves ``directory`` raises ValueError naming
+    ``where``.  The check is lexical: a symlink inside the directory is followed."""
+    rel = os.path.normpath(file)
+    if os.path.isabs(rel) or rel.split(os.sep)[0] == os.pardir:
+        raise ValueError(f"{where}: file {file!r} is outside {directory}")
+    return os.path.join(directory, rel)
+
+
 def read_dataset(directory: str):
     """Load a dataset directory back into (scenes, manifest).  Beyond what the
     records declare, the manifest's count must be the number of images, image
     ids must be unique, every annotation must name a known image and hold a
     non-degenerate box, and every image file must lie inside ``directory`` and
-    hold the declared shape."""
+    hold finite values in the declared shape."""
     manifest_path = os.path.join(directory, "manifest.json")
     ann_path = os.path.join(directory, "annotations.json")
     manifest = read_json(DatasetManifest, manifest_path)
@@ -280,9 +290,11 @@ def read_dataset(directory: str):
     scenes = []
     for i, rec in enumerate(records.images):
         where = f"{ann_path}: images[{i}]"
-        img = read_tensor_file(path_inside(directory, rec.file, where))
+        img = read_tensor_file(_path_inside(directory, rec.file, where))
         if img.shape != (3, rec.height, rec.width):
             raise ValueError(f"{where}: image of shape {list(img.shape)}, the record declares "
                              f"[3, {rec.height}, {rec.width}]")
+        if not np.isfinite(img).all():
+            raise ValueError(f"{where}: {rec.file} holds a non-finite value")
         scenes.append(Scene(image=img, gts=by_image[rec.id]))
     return scenes, manifest

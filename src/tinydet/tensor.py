@@ -13,22 +13,19 @@ other mismatch raises numpy's ValueError.  A plain-number operand becomes a
 the axes its operand was stretched along, in float64.
 
 Also owns the parameter store (seeded, order-deterministic initialization)
-and the "EFBT" binary tensor file format used for checkpoints and dataset
-fixtures.
+and the "EFBT" binary file format of one tensor.  It imports nothing from the
+package: which files make a checkpoint is ``detector``'s business, and which
+make a dataset is ``scenes``'s.
 """
 
 from __future__ import annotations
 
-import json
 import math
 import os
 import struct
 import sys
-from dataclasses import asdict, dataclass
 
 import numpy as np
-
-from .config import read_json
 
 __all__ = [
     "Tensor",
@@ -43,7 +40,6 @@ __all__ = [
     "gather_columns",
     "concat_columns",
     "weighted_bce_with_logits",
-    "path_inside",
     "write_tensor_file",
     "read_tensor_file",
 ]
@@ -471,41 +467,6 @@ def weighted_bce_with_logits(logits: Tensor, targets, weights) -> Tensor:
 # parameter store
 
 
-def path_inside(directory: str, file: str, where: str) -> str:
-    """``file``, a path relative to ``directory``, joined to it.  A path that is
-    absolute or whose ``..`` leaves ``directory`` raises ValueError naming
-    ``where``.  The check is lexical: a symlink inside the directory is followed."""
-    rel = os.path.normpath(file)
-    if os.path.isabs(rel) or rel.split(os.sep)[0] == os.pardir:
-        raise ValueError(f"{where}: file {file!r} is outside {directory}")
-    return os.path.join(directory, rel)
-
-_CHECKPOINT_FORMAT = "tinydet-checkpoint-v1"
-
-
-@dataclass
-class ParamEntry:
-    """One checkpoint tensor: its parameter name, shape and EFBT file."""
-
-    name: str
-    shape: tuple[int, ...]
-    file: str
-
-
-@dataclass
-class CheckpointManifest:
-    """A checkpoint's ``manifest.json``; ``config`` is the model's config."""
-
-    format: str
-    seed: int
-    params: tuple[ParamEntry, ...]
-    config: dict
-
-    def __post_init__(self):
-        if self.format != _CHECKPOINT_FORMAT:
-            raise ValueError(f"format must be {_CHECKPOINT_FORMAT!r}, got {self.format!r}")
-
-
 class ParamStore:
     """Named map of trainable tensors with order-deterministic initialization.
 
@@ -555,42 +516,6 @@ class ParamStore:
         for t in self.params.values():
             t.zero_grad()
 
-    def save(self, directory: str, config: dict):
-        """Checkpoint: one EFBT file per tensor plus a JSON manifest that also
-        carries ``config``, the model's config as a JSON object."""
-        os.makedirs(os.path.join(directory, "params"), exist_ok=True)
-        entries = []
-        for i, (name, t) in enumerate(self.params.items()):
-            entries.append(ParamEntry(name, t.data.shape, f"params/p{i:04d}.efbt"))
-            write_tensor_file(os.path.join(directory, entries[-1].file), t.data)
-        manifest = CheckpointManifest(_CHECKPOINT_FORMAT, self.seed, tuple(entries), config)
-        with open(os.path.join(directory, "manifest.json"), "w") as f:
-            json.dump(asdict(manifest), f, indent=2, sort_keys=True)
-
-    @staticmethod
-    def load(directory: str) -> tuple[int, dict[str, np.ndarray], dict]:
-        """Read a checkpoint written by ``save``: returns (seed, name -> array,
-        config), the seed and arrays ready for ``ParamStore(seed, saved=...)``.
-
-        A manifest that ``CheckpointManifest`` does not describe, a tensor file
-        outside ``directory`` and a tensor whose shape differs from its entry
-        raise ValueError.
-        """
-        path = os.path.join(directory, "manifest.json")
-        try:
-            manifest = read_json(CheckpointManifest, path)
-        except ValueError as e:
-            raise ValueError(f"checkpoint {e}") from e
-        arrays = {}
-        for i, e in enumerate(manifest.params):
-            where = f"checkpoint {path}: params[{i}]"
-            data = read_tensor_file(path_inside(directory, e.file, where))
-            if data.shape != e.shape:
-                raise ValueError(f"{where}: shape {list(data.shape)} in {e.file}, the manifest "
-                                 f"declares {list(e.shape)}")
-            arrays[e.name] = data
-        return manifest.seed, arrays, manifest.config
-
 
 # ---------------------------------------------------------------------------
 # EFBT binary tensor format
@@ -612,8 +537,9 @@ def write_tensor_file(path: str, array: np.ndarray):
 
 
 def read_tensor_file(path: str) -> np.ndarray:
-    """Read an EFBT file; an unreadable file, or a header that the file's size
-    cannot back or no ndarray can hold, raises ValueError naming the file."""
+    """Read an EFBT file; an unreadable file, a header that the file's size
+    cannot back or no ndarray can hold, and bytes past the payload raise
+    ValueError naming the file."""
     try:
         f = open(path, "rb")
     except OSError as e:
@@ -638,8 +564,9 @@ def read_tensor_file(path: str) -> np.ndarray:
         dims = struct.unpack(f"<{ndim}I", raw_dims)
         count = math.prod(dims)  # Python ints: a crafted header cannot overflow
         left = os.fstat(f.fileno()).st_size - f.tell()
-        if 4 * count > left:
-            raise ValueError(f"{path}: truncated payload: header declares {count} "
+        if 4 * count != left:
+            fault = "truncated payload" if 4 * count > left else "trailing bytes"
+            raise ValueError(f"{path}: {fault}: header declares {count} "
                              f"float32 values, {left} bytes follow")
         if 4 * math.prod(d for d in dims if d) > sys.maxsize:
             raise ValueError(f"{path}: shape {list(dims)} is too big for an array")

@@ -28,7 +28,7 @@ from tinydet.detector import (
 from tinydet.evaluation import Detection
 from tinydet.pyramid import LEVEL_STRIDES
 from tinydet.scenes import SceneSpec, generate_scene
-from tinydet.tensor import ParamStore, Tensor
+from tinydet.tensor import ParamStore, Tensor, read_tensor_file
 
 rng = np.random.default_rng(31)
 
@@ -318,17 +318,56 @@ def test_checkpoint_roundtrip_preserves_predictions(tmp_path):
     for i, cfg in enumerate([CFG, DetectorConfig(levels=("P2", "P3"), enhance_levels=(),
                                                  stem_channels=4, pyramid_channels=16,
                                                  base_anchor=2.5)]):
-        model = DetectorModel(cfg, seed=i)
+        model = DetectorModel(cfg, seed=11 + i)
         before = model.predict(Tensor(scene.image))
-        model.save(str(tmp_path / f"ckpt{i}"))
-        restored = DetectorModel.load(str(tmp_path / f"ckpt{i}"))
-        assert restored.cfg == cfg
+        ckpt = tmp_path / f"ckpt{i}"
+        model.save(str(ckpt))
+        # the manifest lists the names in registration order, parameter j in params/pNNNN.efbt
+        names = list(model.store.params)
+        assert json.loads((ckpt / "manifest.json").read_text())["params"] == names
+        assert sorted(os.listdir(ckpt / "params")) == [f"p{j:04d}.efbt" for j in range(len(names))]
+        restored = DetectorModel.load(str(ckpt))
+        assert restored.cfg == cfg and restored.store.seed == 11 + i
+        assert list(restored.store.params) == names
+        for name, t in model.store.items():
+            assert restored.store[name].data.dtype == np.float32
+            assert restored.store[name].data.tobytes() == t.data.tobytes()
         assert restored.predict(Tensor(scene.image)) == before
 
 
-def test_checkpoint_load_rejects_parameters_that_do_not_fit_its_config(tmp_path):
-    import json
+def test_checkpoint_load_rejects_bad_manifests(tmp_path):
+    with pytest.raises(ValueError, match="manifest.json"):
+        DetectorModel.load(str(tmp_path / "missing"))
+    ckpt = tmp_path / "ckpt"
+    model = DetectorModel(CFG, seed=0)
+    model.save(str(ckpt))
+    manifest = json.loads((ckpt / "manifest.json").read_text())
+    names = manifest["params"]
+    v1 = {**manifest, "format": "tinydet-checkpoint-v1",
+          "params": [{"name": n, "shape": list(model.store[n].data.shape),
+                      "file": f"params/p{i:04d}.efbt"} for i, n in enumerate(names)]}
+    bad = [
+        ({"format": "x"}, "top level: missing key 'seed'"),
+        ({**manifest, "format": "x"}, "top level: format must be 'tinydet-checkpoint-v2', got 'x'"),
+        (v1, r"manifest\.json: params\[0\]: expected str, got \{"),
+        ({**manifest, "seed": 1.0}, "seed: expected int"),
+        ({**manifest, "params": None}, "params: expected an array"),
+        ({k: v for k, v in manifest.items() if k != "config"}, "top level: missing key 'config'"),
+        ({**manifest, "config": []}, "config: expected an object"),
+        ({**manifest, "extra": 1}, "unknown key 'extra'"),
+        ({**manifest, "params": [5]}, r"params\[0\]: expected str"),
+        # stem1.b listed again in place of stem0.b, so it would take stem0.b's file
+        ({**manifest, "params": [names[0], names[3], *names[2:]]},
+         r"params\[3\]: 'backbone.stem1.b' is listed twice"),
+        ({**manifest, "params": [*names, "extra.w"]}, "p0046.efbt"),
+    ]
+    for payload, match in bad:
+        (ckpt / "manifest.json").write_text(json.dumps(payload))
+        with pytest.raises(ValueError, match=match):
+            DetectorModel.load(str(ckpt))
 
+
+def test_checkpoint_load_rejects_parameters_that_do_not_fit_its_config(tmp_path):
     ckpt = tmp_path / "ckpt"
     DetectorModel(CFG, seed=0).save(str(ckpt))
     manifest = json.loads((ckpt / "manifest.json").read_text())
@@ -337,7 +376,7 @@ def test_checkpoint_load_rejects_parameters_that_do_not_fit_its_config(tmp_path)
     with pytest.raises(ValueError, match="head.cls"):
         DetectorModel.load(str(ckpt))
     del manifest["config"]["num_classes"]
-    manifest["params"] = [e for e in manifest["params"] if not e["name"].startswith("head.")]
+    manifest["params"] = [n for n in manifest["params"] if not n.startswith("head.")]
     (ckpt / "manifest.json").write_text(json.dumps(manifest))
     with pytest.raises(ValueError, match="head.trunk.w"):
         DetectorModel.load(str(ckpt))
@@ -393,9 +432,10 @@ def test_checkpoint_load_fuzz_loads_or_raises_value_error(fuzz_checkpoint, data)
         model = _load_edited(path, manifest)
     except ValueError:
         return
-    # what loads holds exactly the parameters the manifest lists, in shape
-    assert {n: list(t.data.shape) for n, t in model.store.items()} == \
-        {e["name"]: e["shape"] for e in manifest["params"]}
+    # what loads holds exactly the parameters the manifest lists, each in its file's shape
+    assert {n: t.data.shape for n, t in model.store.items()} == \
+        {n: read_tensor_file(os.path.join(path, "params", f"p{i:04d}.efbt")).shape
+         for i, n in enumerate(manifest["params"])}
 
 
 @pytest.mark.parametrize("cls, kw, match", [

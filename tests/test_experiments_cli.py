@@ -19,7 +19,7 @@ from tinydet.experiments import (
     run_variants,
 )
 from tinydet.scenes import SceneSpec, generate_scene, write_dataset
-from tinydet.tensor import write_tensor_file
+from tinydet.tensor import read_tensor_file, write_tensor_file
 from tinydet.training import TrainConfig
 
 FAST_TRAIN = {"epochs": 1, "batch_size": 4}
@@ -539,6 +539,66 @@ def test_cli_eval_rejects_checkpoint_with_crafted_header(tmp_path, dataset, caps
     assert main(["eval", "--data", dataset, "--checkpoint", str(ckpt),
                  "--out", str(tmp_path / "ev")]) == 1
     assert "truncated payload" in capsys.readouterr().err
+
+
+def test_cli_eval_rejects_checkpoint_faults_naming_the_file(tmp_path, dataset, capsys):
+    ckpt = tmp_path / "ckpt"
+    model = DetectorModel(DetectorConfig(), seed=0)
+    model.save(str(ckpt))
+    manifest = json.loads((ckpt / "manifest.json").read_text())
+    names = manifest["params"]
+    v1 = {**manifest, "format": "tinydet-checkpoint-v1",
+          "params": [{"name": n, "shape": list(model.store[n].data.shape),
+                      "file": f"params/p{i:04d}.efbt"} for i, n in enumerate(names)]}
+    repeated = {**manifest, "params": [names[0], names[3], *names[2:]]}
+    argv = ["eval", "--data", dataset, "--checkpoint", str(ckpt), "--out", str(tmp_path / "ev")]
+    for payload, match in [(v1, r"manifest\.json: params\[0\]: expected str"),
+                           (repeated, r"manifest\.json: top level: params\[3\]: "
+                                       r"'backbone\.stem1\.b' is listed twice")]:
+        (ckpt / "manifest.json").write_text(json.dumps(payload))
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and re.search(match, err), err
+    (ckpt / "manifest.json").write_text(json.dumps(manifest))
+    with open(ckpt / "params" / "p0000.efbt", "ab") as f:
+        f.write(bytes(8))
+    assert main(argv) == 1
+    assert "p0000.efbt: trailing bytes" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["train", "eval", "audit"])
+def test_cli_rejects_a_non_finite_image(tmp_path, dataset, capsys, command):
+    # a fault of the input, not of the arithmetic: exit 1, not 2
+    image = os.path.join(dataset, "images", "00001.efbt")
+    pixels = read_tensor_file(image)
+    pixels[0, 5, 7] = np.nan
+    write_tensor_file(image, pixels)
+    ckpt = str(tmp_path / "ckpt")
+    DetectorModel(DetectorConfig(), seed=0).save(ckpt)
+    out = tmp_path / "o"
+    extra = ["--checkpoint", ckpt] if command == "eval" else []
+    assert main([command, "--data", dataset, *extra, "--config", cli_config(tmp_path),
+                 "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert re.search(r"^error: .*annotations\.json: images\[1\]: images/00001\.efbt "
+                     r"holds a non-finite value", err), err
+    assert not (out / "checkpoint_train_last_good").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["eval", "--data", "{empty}", "--checkpoint", "{ckpt}"],
+    ["train", "--data", "{data}", "--val-data", "{empty}"],
+    ["ablate", "--data", "{data}", "--val-data", "{empty}"],
+])
+def test_cli_rejects_a_dataset_with_no_images(tmp_path, dataset, capsys, argv):
+    empty, ckpt = str(tmp_path / "empty"), str(tmp_path / "ckpt")
+    assert main(["gen", "--count", "0", "--out", empty]) == 0
+    DetectorModel(DetectorConfig(), seed=0).save(ckpt)
+    out = tmp_path / "o"
+    argv = [a.format(empty=empty, ckpt=ckpt, data=dataset) for a in argv]
+    assert main([*argv, "--config", cli_config(tmp_path), "--out", str(out)]) == 1
+    assert f"error: dataset {empty} holds no images" in capsys.readouterr().err
+    assert not (out / "reports").exists()
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
