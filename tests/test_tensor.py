@@ -638,6 +638,24 @@ def test_param_store_duplicate_name_rejected():
         s.register_conv("p", 2, 2, 1)
 
 
+def test_checkpoint_roundtrip(tmp_path):
+    # the tensor-level half of a checkpoint: each parameter through its EFBT
+    # file and back into a store built over the saved arrays
+    s = ParamStore(seed=11)
+    s.register_conv("layer", 3, 2, 3)
+    for i, (_, t) in enumerate(s.items()):
+        write_tensor_file(str(tmp_path / f"p{i:04d}.efbt"), t.data)
+    saved = {name: read_tensor_file(str(tmp_path / f"p{i:04d}.efbt"))
+             for i, name in enumerate(s.params)}
+    restored = ParamStore(seed=11, saved=saved)
+    restored.register_conv("layer", 3, 2, 3)
+    assert restored.seed == 11 and saved == {}
+    assert list(restored.params) == list(s.params)
+    for name, t in s.items():
+        assert restored[name].data.dtype == np.float32
+        np.testing.assert_array_equal(restored[name].data, t.data.astype(np.float32))
+
+
 # ---------------------------------------------------------------------------
 # EFBT file format
 
