@@ -14,6 +14,7 @@ import json
 import math
 import os
 from dataclasses import asdict, dataclass
+from typing import Literal
 
 import numpy as np
 
@@ -127,14 +128,14 @@ class CheckpointManifest:
     order, parameter i in ``params/p{i:04d}.efbt`` with its shape in that
     file's header, and the seed and config that built them."""
 
-    format: str
+    format: Literal[_CHECKPOINT_FORMAT]
     seed: int
     params: tuple[str, ...]
     config: DetectorConfig
 
     def __post_init__(self):
-        if self.format != _CHECKPOINT_FORMAT:
-            raise ValueError(f"format must be {_CHECKPOINT_FORMAT!r}, got {self.format!r}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         seen = set()
         for i, name in enumerate(self.params):
             if name in seen:

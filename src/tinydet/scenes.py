@@ -16,6 +16,7 @@ import json
 import math
 import os
 from dataclasses import asdict, dataclass, field
+from typing import Literal
 
 import numpy as np
 
@@ -26,7 +27,6 @@ from .tensor import read_tensor_file, write_tensor_file
 __all__ = [
     "SceneSpec",
     "Scene",
-    "ImageRecord",
     "AnnotationRecord",
     "Annotations",
     "DatasetManifest",
@@ -175,17 +175,9 @@ def generate_scene(spec: SceneSpec, index: int = 0) -> Scene:
 
 
 # ---------------------------------------------------------------------------
-# dataset directory layout: manifest.json, annotations.json, images/NNNNN.efbt
-
-
-@dataclass
-class ImageRecord:
-    """One image of ``annotations.json``: its EFBT file and declared size."""
-
-    id: int
-    file: str
-    height: int
-    width: int
+# dataset directory layout: manifest.json holds the image count, image i is
+# images/{i:05d}.efbt with its shape in that file's EFBT header, and
+# annotations.json lists every box with the index of its image
 
 
 @dataclass
@@ -209,11 +201,11 @@ class AnnotationRecord:
 class Annotations:
     """The whole of ``annotations.json``."""
 
-    images: tuple[ImageRecord, ...]
     annotations: tuple[AnnotationRecord, ...]
 
 
-_DATASET_FORMAT = "tinydet-dataset-v1"
+_DATASET_FORMAT = "tinydet-dataset-v2"
+_IMAGE_FILE = "images/{:05d}.efbt"  # image i of a dataset directory
 
 
 @dataclass
@@ -221,80 +213,62 @@ class DatasetManifest:
     """A dataset's ``manifest.json``: ``count`` images, generated from ``spec``
     (a ``SceneSpec`` as a dict; optional, and no reader takes it)."""
 
-    format: str
+    format: Literal[_DATASET_FORMAT]
     count: int
     spec: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.format != _DATASET_FORMAT:
-            raise ValueError(f"format must be {_DATASET_FORMAT!r}, got {self.format!r}")
+        if self.count < 0:
+            raise ValueError(f"count must be >= 0, got {self.count}")
 
 
 def write_dataset(spec: SceneSpec, n: int, out_dir: str) -> DatasetManifest:
     """Generate and persist n scenes; returns the manifest."""
     if n < 0:
         raise ValueError(f"scene count must be >= 0, got {n}")
-    images_dir = os.path.join(out_dir, "images")
-    os.makedirs(images_dir, exist_ok=True)
-    images = []
+    os.makedirs(os.path.join(out_dir, "images"), exist_ok=True)
     annotations = []
     for i in range(n):
         scene = generate_scene(spec, i)
-        images.append(ImageRecord(i, f"images/{i:05d}.efbt", spec.height, spec.width))
-        write_tensor_file(os.path.join(out_dir, images[-1].file), scene.image)
+        write_tensor_file(os.path.join(out_dir, _IMAGE_FILE.format(i)), scene.image)
         annotations += [AnnotationRecord(i, (box.x1, box.y1, box.x2, box.y2), cls)
                         for box, cls in scene.gts]
     with open(os.path.join(out_dir, "annotations.json"), "w") as f:
-        json.dump(asdict(Annotations(tuple(images), tuple(annotations))), f,
-                  indent=2, sort_keys=True)
+        json.dump(asdict(Annotations(tuple(annotations))), f, indent=2, sort_keys=True)
     manifest = DatasetManifest(_DATASET_FORMAT, n, asdict(spec))
     with open(os.path.join(out_dir, "manifest.json"), "w") as f:
         json.dump(asdict(manifest), f, indent=2, sort_keys=True)
     return manifest
 
 
-def _path_inside(directory: str, file: str, where: str) -> str:
-    """``file``, a path relative to ``directory``, joined to it.  A path that is
-    absolute or whose ``..`` leaves ``directory`` raises ValueError naming
-    ``where``.  The check is lexical: a symlink inside the directory is followed."""
-    rel = os.path.normpath(file)
-    if os.path.isabs(rel) or rel.split(os.sep)[0] == os.pardir:
-        raise ValueError(f"{where}: file {file!r} is outside {directory}")
-    return os.path.join(directory, rel)
-
-
 def read_dataset(directory: str):
-    """Load a dataset directory back into (scenes, manifest).  Beyond what the
-    records declare, the manifest's count must be the number of images, image
-    ids must be unique, every annotation must name a known image and hold a
-    non-degenerate box, and every image file must lie inside ``directory`` and
-    hold finite values in the declared shape."""
-    manifest_path = os.path.join(directory, "manifest.json")
+    """Load a dataset directory back into (scenes, manifest): the manifest's
+    ``count`` image files, each a finite [3, H, W] array, and annotations that
+    each hold a non-degenerate box inside one of those images."""
+    manifest = read_json(DatasetManifest, os.path.join(directory, "manifest.json"))
     ann_path = os.path.join(directory, "annotations.json")
-    manifest = read_json(DatasetManifest, manifest_path)
     records = read_json(Annotations, ann_path)
-    if manifest.count != len(records.images):
-        raise ValueError(f"{manifest_path}: count {manifest.count}, but {ann_path} "
-                         f"lists {len(records.images)} images")
-    by_image = {rec.id: [] for rec in records.images}
-    if len(by_image) != len(records.images):
-        raise ValueError(f"{ann_path}: images repeat an id")
+    scenes = []
+    for i in range(manifest.count):
+        path = os.path.join(directory, _IMAGE_FILE.format(i))
+        img = read_tensor_file(path)
+        if img.ndim != 3 or img.shape[0] != 3:
+            raise ValueError(f"{path}: expected a [3, H, W] image, got shape {list(img.shape)}")
+        if not np.isfinite(img).all():
+            raise ValueError(f"{path}: the image holds a non-finite value")
+        scenes.append(Scene(image=img))
     for i, rec in enumerate(records.annotations):
         where = f"{ann_path}: annotations[{i}]"
-        if rec.image_id not in by_image:
-            raise ValueError(f"{where} references unknown image {rec.image_id}")
+        if not 0 <= rec.image_id < manifest.count:
+            raise ValueError(f"{where}: image_id {rec.image_id} outside [0, {manifest.count})")
         try:
-            by_image[rec.image_id].append((Box(*rec.bbox), rec.category))
+            box = Box(*rec.bbox)
         except ValueError as e:
             raise ValueError(f"{where}.bbox: {e}") from e
-    scenes = []
-    for i, rec in enumerate(records.images):
-        where = f"{ann_path}: images[{i}]"
-        img = read_tensor_file(_path_inside(directory, rec.file, where))
-        if img.shape != (3, rec.height, rec.width):
-            raise ValueError(f"{where}: image of shape {list(img.shape)}, the record declares "
-                             f"[3, {rec.height}, {rec.width}]")
-        if not np.isfinite(img).all():
-            raise ValueError(f"{where}: {rec.file} holds a non-finite value")
-        scenes.append(Scene(image=img, gts=by_image[rec.id]))
+        scene = scenes[rec.image_id]
+        _, h, w = scene.image.shape
+        if box.x1 < 0 or box.y1 < 0 or box.x2 > w or box.y2 > h:
+            raise ValueError(f"{where}.bbox: {list(rec.bbox)} lies outside the {w}x{h} "
+                             f"image {_IMAGE_FILE.format(rec.image_id)}")
+        scene.gts.append((box, rec.category))
     return scenes, manifest

@@ -2,6 +2,7 @@ import inspect
 import json
 import math
 from dataclasses import asdict, dataclass, fields
+from typing import Literal
 
 import pytest
 from hypothesis import given, settings
@@ -168,6 +169,23 @@ def test_from_dict_names_a_missing_key():
     with pytest.raises(ValueError, match=r"^section\.pairs\[1\]: missing key 'first'$"):
         from_dict(_Pairs, {"pairs": [{"first": 1}, {"second": 2}]}, "section")
     assert from_dict(_Pairs, {"pairs": [{"first": 1}]}, "") == _Pairs((_Pair(1),))
+
+
+@dataclass
+class _Versioned:
+    format: Literal["v2"]
+    pairs: tuple[_Pair, ...]
+
+
+def test_from_dict_checks_fields_in_declared_order():
+    assert from_dict(_Versioned, {"pairs": [], "format": "v2"}, "") == _Versioned("v2", ())
+    # the format is reported before the fields it governs, whatever the key order
+    for payload in ({"pairs": [{"name": "a"}], "format": "v1"}, {"format": "v1"},
+                    {"extra": 1, "format": "v1"}, {"pairs": 5, "format": 2}):
+        with pytest.raises(ValueError, match=r"^format must be 'v2', got (2|'v1')$"):
+            from_dict(_Versioned, payload, "")
+    with pytest.raises(ValueError, match=r"^section\.format must be 'v2', got None$"):
+        from_dict(_Versioned, {"format": None, "pairs": []}, "section")
 
 
 # Parameters whose values live in a config record (DetectorConfig, TrainConfig,

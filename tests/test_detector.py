@@ -347,10 +347,12 @@ def test_checkpoint_load_rejects_bad_manifests(tmp_path):
           "params": [{"name": n, "shape": list(model.store[n].data.shape),
                       "file": f"params/p{i:04d}.efbt"} for i, n in enumerate(names)]}
     bad = [
-        ({"format": "x"}, "top level: missing key 'seed'"),
-        ({**manifest, "format": "x"}, "top level: format must be 'tinydet-checkpoint-v2', got 'x'"),
-        (v1, r"manifest\.json: params\[0\]: expected str, got \{"),
+        ({"format": "tinydet-checkpoint-v2"}, "top level: missing key 'seed'"),
+        # the format is checked before the fields it governs
+        ({"format": "x"}, r"manifest\.json: format must be 'tinydet-checkpoint-v2', got 'x'"),
+        (v1, r"manifest\.json: format must be 'tinydet-checkpoint-v2', got 'tinydet-checkpoint-v1'"),
         ({**manifest, "seed": 1.0}, "seed: expected int"),
+        ({**manifest, "seed": -1}, r"manifest\.json: top level: seed must be >= 0, got -1"),
         ({**manifest, "params": None}, "params: expected an array"),
         ({k: v for k, v in manifest.items() if k != "config"}, "top level: missing key 'config'"),
         ({**manifest, "config": []}, "config: expected an object"),

@@ -181,12 +181,16 @@ def test_cli_audit_reads_no_manifest_spec(tmp_path, dataset, capsys):
 def test_cli_audit_rejects_a_manifest_that_disagrees_with_the_images(tmp_path, dataset, capsys):
     path = os.path.join(dataset, "manifest.json")
     manifest = json.loads(read_file(path))
-    for edit, match in (({"count": 7}, "count 7, but"), ({"format": "nonsense"}, "format must be")):
+    for edit, file, match in (
+            ({"count": 7}, os.path.join(dataset, "images", "00006.efbt"), "No such file"),
+            ({"count": 5}, os.path.join(dataset, "annotations.json"), "image_id 5 outside [0, 5)"),
+            ({"format": "tinydet-dataset-v1"}, path,
+             "format must be 'tinydet-dataset-v2', got 'tinydet-dataset-v1'")):
         with open(path, "w") as f:
             json.dump({**manifest, **edit}, f)
         assert main(["audit", "--data", dataset, "--out", str(tmp_path / "audit")]) == 1
         err = capsys.readouterr().err
-        assert err.startswith(f"error: {path}: ") and match in err, err
+        assert err.startswith(f"error: {file}: ") and match in err, err
 
 
 def test_cli_gen_matches_library(tmp_path):
@@ -482,12 +486,11 @@ def _set(path, value):
 def _image(shape):
     # returns an edit that replaces the first image file with one of ``shape``
     def edit(payload, directory):
-        write_tensor_file(os.path.join(directory, payload["images"][0]["file"]), np.zeros(shape))
+        write_tensor_file(os.path.join(directory, "images", "00000.efbt"), np.zeros(shape))
     return edit
 
 
 @pytest.mark.parametrize("edit, match", [
-    (_set(["images"], [5]), r"images\[0\]: expected an object"),
     (_set(["annotations", 0, "bbox"], 5), r"annotations\[0\]\.bbox: expected an array"),
     (_set(["annotations", 0, "bbox"], [0, 0, "a", 4]),
      r"annotations\[0\]\.bbox\[2\]: expected float"),
@@ -498,13 +501,13 @@ def _image(shape):
                  id=r"edit-annotations\[0\]\.category must be >= 0"),
     pytest.param(_set(["annotations", 0, "category"], True),
                  r"annotations\[0\]\.category: expected int", id="edit-must be an integer"),
-    (_set(["images", 0, "file"], "../../../etc/passwd"), "outside"),
-    (_set(["images", 0, "file"], "/etc/passwd"), "outside"),
     (_set(["annotations", 0, "bbox"], [0, 0, 10 ** 400, 4]),
      r"annotations\[0\]\.bbox\[2\]: the integer does not fit a float64"),
-    (_image((5,)), r"images\[0\]: image of shape \[5\], the record declares \[3, 128, 128\]"),
-    (_image((3, 64, 64)), r"image of shape \[3, 64, 64\], the record declares \[3, 128, 128\]"),
-    (_set(["images", 1, "id"], 0), "images repeat an id"),
+    # a box outside its image; test_scenes.py checks the whole message
+    (_set(["annotations", 0, "bbox"], [200, 200, 210, 210]), "outside"),
+    (_set(["annotations", 0, "bbox"], [-1, 0, 4, 4]), "outside"),
+    (_set(["annotations", 0, "image_id"], 6), r"annotations\[0\]: image_id 6 outside \[0, 6\)"),
+    (_image((5,)), r"images/00000\.efbt: expected a \[3, H, W\] image, got shape \[5\]"),
 ])
 def test_cli_train_rejects_bad_annotations(tmp_path, dataset, capsys, edit, match):
     ann = os.path.join(dataset, "annotations.json")
@@ -524,7 +527,7 @@ def test_cli_eval_rejects_bad_checkpoints(tmp_path, dataset, capsys):
                  "--out", str(tmp_path / "ev")]) == 1
     assert "manifest.json" in capsys.readouterr().err
     ckpt.mkdir()
-    (ckpt / "manifest.json").write_text(json.dumps({"format": "x"}))
+    (ckpt / "manifest.json").write_text(json.dumps({"format": "tinydet-checkpoint-v2"}))
     assert main(["eval", "--data", dataset, "--checkpoint", str(ckpt),
                  "--out", str(tmp_path / "ev")]) == 1
     assert "manifest.json: top level: missing key 'seed'" in capsys.readouterr().err
@@ -552,7 +555,10 @@ def test_cli_eval_rejects_checkpoint_faults_naming_the_file(tmp_path, dataset, c
                       "file": f"params/p{i:04d}.efbt"} for i, n in enumerate(names)]}
     repeated = {**manifest, "params": [names[0], names[3], *names[2:]]}
     argv = ["eval", "--data", dataset, "--checkpoint", str(ckpt), "--out", str(tmp_path / "ev")]
-    for payload, match in [(v1, r"manifest\.json: params\[0\]: expected str"),
+    for payload, match in [(v1, r"manifest\.json: format must be 'tinydet-checkpoint-v2', "
+                                r"got 'tinydet-checkpoint-v1'"),
+                           ({**manifest, "seed": -1},
+                            r"manifest\.json: top level: seed must be >= 0, got -1"),
                            (repeated, r"manifest\.json: top level: params\[3\]: "
                                        r"'backbone\.stem1\.b' is listed twice")]:
         (ckpt / "manifest.json").write_text(json.dumps(payload))
@@ -580,8 +586,8 @@ def test_cli_rejects_a_non_finite_image(tmp_path, dataset, capsys, command):
     assert main([command, "--data", dataset, *extra, "--config", cli_config(tmp_path),
                  "--out", str(out)]) == 1
     err = capsys.readouterr().err
-    assert re.search(r"^error: .*annotations\.json: images\[1\]: images/00001\.efbt "
-                     r"holds a non-finite value", err), err
+    assert re.search(r"^error: .*images/00001\.efbt: the image holds a non-finite value",
+                     err), err
     assert not (out / "checkpoint_train_last_good").exists()
 
 

@@ -21,7 +21,7 @@ from tinydet.scenes import (
     read_dataset,
     write_dataset,
 )
-from tinydet.tensor import write_tensor_file
+from tinydet.tensor import read_tensor_file, write_tensor_file
 
 SPEC = SceneSpec(seed=42)
 
@@ -157,6 +157,9 @@ def test_dataset_roundtrip(tmp_path):
     scenes, loaded_manifest = read_dataset(str(tmp_path))
     assert loaded_manifest == manifest
     assert asdict(loaded_manifest) == json.load(open(tmp_path / "manifest.json"))
+    # image i is images/{i:05d}.efbt, and annotations.json holds the boxes alone
+    assert sorted(os.listdir(tmp_path / "images")) == [f"{i:05d}.efbt" for i in range(4)]
+    assert list(json.load(open(tmp_path / "annotations.json"))) == ["annotations"]
     assert len(scenes) == 4
     for i, scene in enumerate(scenes):
         fresh = generate_scene(spec, i)
@@ -169,6 +172,20 @@ def test_dataset_roundtrip(tmp_path):
     assert len(read_dataset(str(tmp_path))[0]) == 4
 
 
+# SHA-256 of the two JSON files of write_dataset(SceneSpec(seed=3), 2, ...): the
+# dataset format is pinned, so that changing it is a deliberate act
+DATASET_JSON_SHA256 = {
+    "manifest.json": "e9dd97a7e417c02128750f1cf488bb62ba6d02802c3c32b2e6db960900e89492",
+    "annotations.json": "508af9ceaacabc32a32ad6e3067485433cd07f593db1588319fed06767ed6a12",
+}
+
+
+def test_dataset_json_bytes_are_pinned(tmp_path):
+    write_dataset(SceneSpec(seed=3), 2, str(tmp_path))
+    for name, expected in DATASET_JSON_SHA256.items():
+        assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == expected, name
+
+
 def test_read_dataset_diagnostics(tmp_path):
     with pytest.raises(ValueError, match="manifest.json"):
         read_dataset(str(tmp_path))
@@ -177,16 +194,18 @@ def test_read_dataset_diagnostics(tmp_path):
     payload = json.load(open(ann))
     payload["annotations"][0]["image_id"] = 99
     ann.write_text(json.dumps(payload))
-    with pytest.raises(ValueError, match="unknown image"):
+    with pytest.raises(ValueError, match=r"annotations\[0\]: image_id 99 outside \[0, 1\)"):
         read_dataset(str(tmp_path))
 
 
 @pytest.mark.parametrize("edit, match", [
-    ({"count": 7}, r"manifest\.json: count 7, but .*annotations\.json lists 2 images"),
-    ({"count": 1}, "count 1, but"),
-    ({"format": "nonsense"}, r"manifest\.json: top level: format must be 'tinydet-dataset-v1'"),
+    ({"count": 7}, r"images/00002\.efbt: No such file"),
+    ({"count": 1}, r"annotations\.json: annotations\[\d+\]: image_id 1 outside \[0, 1\)"),
+    ({"format": "tinydet-dataset-v1"},
+     r"manifest\.json: format must be 'tinydet-dataset-v2', got 'tinydet-dataset-v1'"),
     ({"count": "2"}, r"manifest\.json: count: expected int, got '2'"),
     ({"seed": 3}, r"manifest\.json: top level: unknown key 'seed'"),
+    ({"count": -1}, r"manifest\.json: top level: count must be >= 0, got -1"),
 ])
 def test_read_dataset_checks_the_manifest(tmp_path, edit, match):
     write_dataset(SceneSpec(seed=1), 2, str(tmp_path))
@@ -196,9 +215,20 @@ def test_read_dataset_checks_the_manifest(tmp_path, edit, match):
         read_dataset(str(tmp_path))
 
 
+def test_read_dataset_rejects_bad_image_files(tmp_path):
+    write_dataset(SceneSpec(seed=1), 2, str(tmp_path))
+    image = str(tmp_path / "images" / "00001.efbt")
+    shape = r"expected a \[3, H, W\] image, got shape "
+    for array, match in [(np.zeros((3, 128)), shape + r"\[3, 128\]"),
+                         (np.zeros((1, 128, 128)), shape + r"\[1, 128, 128\]"),
+                         (np.full((3, 128, 128), np.inf), "the image holds a non-finite value")]:
+        write_tensor_file(image, array)
+        with pytest.raises(ValueError, match=r"images/00001\.efbt: " + match):
+            read_dataset(str(tmp_path))
+
+
 def _good_annotations():
-    return {"images": [{"id": 0, "file": "images/00000.efbt", "height": 128, "width": 128}],
-            "annotations": [{"image_id": 0, "bbox": [0, 0, 4, 4], "category": 1}]}
+    return {"annotations": [{"image_id": 0, "bbox": [0, 0, 4, 4], "category": 1}]}
 
 
 def _with(path, value):
@@ -214,7 +244,7 @@ def _read_annotations(directory, payload):
     # a dataset directory holding one 128x128 image and ``payload`` as annotations.json
     os.makedirs(directory / "images", exist_ok=True)
     write_tensor_file(str(directory / "images" / "00000.efbt"), np.zeros((3, 128, 128)))
-    (directory / "manifest.json").write_text('{"format": "tinydet-dataset-v1", "count": 1}')
+    (directory / "manifest.json").write_text('{"format": "tinydet-dataset-v2", "count": 1}')
     (directory / "annotations.json").write_text(json.dumps(payload))
     return read_dataset(str(directory))[0]
 
@@ -225,50 +255,59 @@ def test_validate_annotations_diagnostics(tmp_path):
     # a category past the detector's class count is the detector's to reject
     [scene] = _read_annotations(tmp_path, _with(["annotations", 0, "category"], 7))
     assert scene.gts == [(Box(0, 0, 4, 4), 7)]
+    # a box may reach the image's edges
+    [scene] = _read_annotations(tmp_path, _with(["annotations", 0, "bbox"], [0, 0, 128, 128]))
+    assert scene.gts == [(Box(0, 0, 128, 128), 1)]
     payload = _good_annotations()
-    del payload["images"][0]["height"]
-    with pytest.raises(ValueError, match=r"annotations\.json: images\[0\]: missing key 'height'"):
-        _read_annotations(tmp_path, payload)
     del payload["annotations"][0]["bbox"]
-    payload["images"] = []
     with pytest.raises(ValueError, match=r"annotations\[0\]: missing key 'bbox'"):
         _read_annotations(tmp_path, payload)
 
 
+def _case(number, payload, match, name=None):
+    # a case keeps its test id when cases before it are deleted
+    return pytest.param(payload, match, id=f"payload{number}-{name or match}")
+
+
 BAD_ANNOTATIONS = [
     ([], r"annotations\.json: top level: expected an object, got \[\]"),
-    ({"images": []}, "top level: missing key 'annotations'"),
-    (_with(["images"], {}), r"images: expected an array, got \{\}"),
-    (_with(["images"], [5]), r"images\[0\]: expected an object, got 5"),
-    (_with(["images", 0, "id"], "0"), r"images\[0\]\.id: expected int, got '0'"),
-    (_with(["images", 0, "id"], 0.5), r"images\[0\]\.id: expected int, got 0\.5"),
-    (_with(["images", 0, "file"], 3), r"images\[0\]\.file: expected str, got 3"),
-    (_with(["images", 0, "height"], None), r"images\[0\]\.height: expected int, got None"),
-    pytest.param(_with(["annotations", 0, "bbox"], 5),
-                 r"annotations\[0\]\.bbox: expected an array",
-                 id=r"payload8-annotations\[0\]\.bbox must be an array"),
-    (_with(["annotations", 0, "bbox"], [0, 0, "a", 4]),
-     r"annotations\[0\]\.bbox\[2\]: expected float, got 'a'"),
-    (_with(["annotations", 0, "bbox"], [0, 0, True, 4]),
-     r"annotations\[0\]\.bbox\[2\]: expected float, got True"),
-    (_with(["annotations", 0, "bbox"], [0, 0, 4]),
-     r"annotations\[0\]: bbox must have 4 entries, got 3"),
-    (_with(["annotations", 0, "bbox"], [0, 0, 4, 4, 4]), "bbox must have 4 entries, got 5"),
-    (_with(["annotations", 0, "category"], -1), r"category must be >= 0, got -1"),
-    (_with(["annotations", 0, "category"], True),
-     r"annotations\[0\]\.category: expected int, got True"),
-    (_with(["annotations", 0, "image_id"], 1.5),
-     r"annotations\[0\]\.image_id: expected int, got 1\.5"),
+    ({}, "top level: missing key 'annotations'"),
+    _case(8, _with(["annotations", 0, "bbox"], 5), r"annotations\[0\]\.bbox: expected an array",
+          name=r"annotations\[0\]\.bbox must be an array"),
+    _case(9, _with(["annotations", 0, "bbox"], [0, 0, "a", 4]),
+          r"annotations\[0\]\.bbox\[2\]: expected float, got 'a'"),
+    _case(10, _with(["annotations", 0, "bbox"], [0, 0, True, 4]),
+          r"annotations\[0\]\.bbox\[2\]: expected float, got True"),
+    _case(11, _with(["annotations", 0, "bbox"], [0, 0, 4]),
+          r"annotations\[0\]: bbox must have 4 entries, got 3"),
+    _case(12, _with(["annotations", 0, "bbox"], [0, 0, 4, 4, 4]),
+          "bbox must have 4 entries, got 5"),
+    _case(13, _with(["annotations", 0, "category"], -1), r"category must be >= 0, got -1"),
+    _case(14, _with(["annotations", 0, "category"], True),
+          r"annotations\[0\]\.category: expected int, got True"),
+    _case(15, _with(["annotations", 0, "image_id"], 1.5),
+          r"annotations\[0\]\.image_id: expected int, got 1\.5"),
+    _case(18, _with(["annotations", 0, "bbox"], [0, 0, 10 ** 400, 4]),
+          r"annotations\[0\]\.bbox\[2\]: the integer does not fit a float64"),
+    _case(19, _with(["annotations", 0, "bbox"], [0, 0, float("nan"), 4]),
+          r"annotations\[0\]: bbox is not finite"),
+    _case(20, _with(["annotations", 0, "bbox"], [4, 0, 0, 4]),
+          r"annotations\[0\]\.bbox: degenerate box"),
+    _case(21, _with(["annotations", 0, "image_id"], 1),
+          r"annotations\[0\]: image_id 1 outside \[0, 1\)",
+          name=r"annotations\[0\] references unknown image 1"),
+    _case(22, _with(["annotations", 0, "image_id"], -1),
+          r"annotations\[0\]: image_id -1 outside \[0, 1\)"),
     # rejected since the records are read like a config: an integral float
-    # for an integer and an unknown key
-    (_with(["images", 0, "id"], 0.0), r"images\[0\]\.id: expected int, got 0\.0"),
-    (_with(["images", 0, "depth"], 3), r"images\[0\]: unknown key 'depth'"),
-    (_with(["annotations", 0, "bbox"], [0, 0, 10 ** 400, 4]),
-     r"annotations\[0\]\.bbox\[2\]: the integer does not fit a float64"),
-    (_with(["annotations", 0, "bbox"], [0, 0, float("nan"), 4]),
-     r"annotations\[0\]: bbox is not finite"),
-    (_with(["annotations", 0, "bbox"], [4, 0, 0, 4]), r"annotations\[0\]\.bbox: degenerate box"),
-    (_with(["annotations", 0, "image_id"], 1), r"annotations\[0\] references unknown image 1"),
+    # for an integer, and an unknown key such as the images list of v1
+    _case(23, _with(["annotations", 0, "image_id"], 0.0),
+          r"annotations\[0\]\.image_id: expected int, got 0\.0"),
+    _case(24, {**_good_annotations(), "images": []}, r"top level: unknown key 'images'"),
+    # a box must lie inside its image, as a detection must
+    *(_case(25 + i, _with(["annotations", 0, "bbox"], box),
+            r"annotations\.json: annotations\[0\]\.bbox: \[.*\] lies outside the 128x128 "
+            r"image images/00000\.efbt", name=f"box {box} outside the image")
+      for i, box in enumerate([[200, 200, 210, 210], [-1, 0, 4, 4], [0, 0, 4, 128.5]])),
 ]
 
 
@@ -276,18 +315,6 @@ BAD_ANNOTATIONS = [
 def test_validate_annotations_enforces_the_schema(tmp_path, payload, match):
     with pytest.raises(ValueError, match=match):
         _read_annotations(tmp_path, payload)
-
-
-def test_read_dataset_rejects_image_files_outside_the_directory(tmp_path):
-    write_dataset(SceneSpec(seed=1), 1, str(tmp_path / "data"))
-    ann = tmp_path / "data" / "annotations.json"
-    for file in ("../outside.efbt", "images/../../outside.efbt", str(tmp_path / "x.efbt")):
-        (tmp_path / "outside.efbt").write_bytes(b"")
-        payload = json.load(open(ann))
-        payload["images"][0]["file"] = file
-        ann.write_text(json.dumps(payload))
-        with pytest.raises(ValueError, match=r"images\[0\]: file .* is outside"):
-            read_dataset(str(tmp_path / "data"))
 
 
 @pytest.fixture(scope="module")
@@ -315,8 +342,14 @@ def test_read_dataset_fuzz_loads_or_raises_value_error(fuzz_dataset, data):
             scenes, _ = read_dataset(directory)
         except ValueError:
             return
-    # what loads is what the records declare
+    # what loads is the manifest's count of image files, each in the shape of its
+    # header, and every box of annotations.json, inside its image
+    manifest = doc if name == "manifest.json" else _load_json(fuzz_dataset, "manifest.json")
     records = doc if name == "annotations.json" else _load_json(fuzz_dataset, "annotations.json")
     assert [s.image.shape for s in scenes] == \
-        [(3, r["height"], r["width"]) for r in records["images"]]
+        [read_tensor_file(os.path.join(fuzz_dataset, "images", f"{i:05d}.efbt")).shape
+         for i in range(manifest["count"])]
     assert sum(len(s.gts) for s in scenes) == len(records["annotations"])
+    for scene in scenes:
+        _, h, w = scene.image.shape
+        assert all(0 <= b.x1 and 0 <= b.y1 and b.x2 <= w and b.y2 <= h for b, _ in scene.gts)
