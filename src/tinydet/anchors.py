@@ -1,4 +1,4 @@
-"""Anchor tiling, IoU and max-IoU label assignment.
+"""Pyramid level strides, anchor tiling, IoU and max-IoU label assignment.
 
 One square anchor per feature cell, side = base_size * stride, centered at
 (i + 0.5) * stride.  Assignment follows RPN conventions: IoU >= pos_thr is
@@ -13,9 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .pyramid import LEVEL_STRIDES
-
 __all__ = [
+    "LEVEL_STRIDES",
     "Box",
     "NEGATIVE",
     "IGNORED",
@@ -26,6 +25,7 @@ __all__ = [
     "pyramid_anchors",
 ]
 
+LEVEL_STRIDES = {"P2": 4, "P3": 8, "P4": 16, "P5": 32, "P6": 64}
 NEGATIVE = -1
 IGNORED = -2
 
@@ -83,9 +83,8 @@ def iou_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def assign_maxiou(anchors: np.ndarray, gts: np.ndarray, pos_thr: float,
                   neg_thr: float) -> np.ndarray:
     """Label each of the float64 [N,4] anchors against the [G,4] ground-truth
-    boxes: gt index (>= 0) if positive, NEGATIVE, or IGNORED."""
-    if not (0.0 <= neg_thr <= pos_thr <= 1.0):
-        raise ValueError(f"need 0 <= neg_thr <= pos_thr <= 1, got {neg_thr}, {pos_thr}")
+    boxes: gt index (>= 0) if positive, NEGATIVE, or IGNORED.  The thresholds
+    are taken as given; ``DetectorConfig`` checks 0 <= neg_thr <= pos_thr <= 1."""
     n = anchors.shape[0]
     labels = np.full(n, NEGATIVE, dtype=np.int64)
     if gts.shape[0] == 0:

@@ -15,6 +15,7 @@ import os
 import sys
 from dataclasses import dataclass, field
 
+from .anchors import LEVEL_STRIDES
 from .balanced_loss import verify_theorem1
 from .config import from_dict, read_json
 from .detector import DetectorConfig, DetectorModel
@@ -26,7 +27,7 @@ from .experiments import (
     run_variants,
     write_report,
 )
-from .scenes import SceneSpec, read_dataset, write_dataset
+from .scenes import _IMAGE_FILE, SceneSpec, read_dataset, write_dataset
 from .training import DivergenceError, TrainConfig, evaluate_model
 
 SECTIONS = {"scene": SceneSpec, "detector": DetectorConfig, "train": TrainConfig}
@@ -75,12 +76,27 @@ def _read_config(path: str | None, seed: int) -> dict:
     return cfg
 
 
-def _read_scenes(path: str):
+def _read_scenes(path: str, det_cfgs, sides: bool = True):
+    """The scenes of the dataset at ``path``, checked against each of the
+    ``det_cfgs`` before any work: every category below its ``num_classes``
+    and, with ``sides``, every image side a multiple of the coarsest level's
+    stride, as the backbone needs.  Every error names the file."""
     if not path or not os.path.isdir(path):
         raise ValueError(f"dataset directory not found: {path!r}")
     scenes = read_dataset(path)[0]
     if not scenes:
         raise ValueError(f"dataset {path} holds no images")
+    num_classes = min(c.num_classes for c in det_cfgs)
+    stride = max(LEVEL_STRIDES.values())
+    for i, scene in enumerate(scenes):
+        _, h, w = scene.image.shape
+        if sides and (h % stride or w % stride):
+            raise ValueError(f"{os.path.join(path, _IMAGE_FILE.format(i))}: the detector needs "
+                             f"image sides that are multiples of {stride}, got {w}x{h}")
+        for _, c in scene.gts:
+            if c >= num_classes:
+                raise ValueError(f"{os.path.join(path, 'annotations.json')}: image {i}: class {c} "
+                                 f"outside [0, {num_classes}) for a {num_classes}-class detector")
     return scenes
 
 
@@ -91,7 +107,7 @@ def cmd_gen(args, cfg):
 
 
 def cmd_audit(args, cfg):
-    scenes = _read_scenes(args.data)
+    scenes = _read_scenes(args.data, [cfg["detector"]], sides=False)
     for row in audit_positive_samples(scenes, cfg["detector"], args.out):
         print(f"{row['level']}: positives={row['positives']} negatives={row['negatives']} "
               f"ignored={row['ignored']}")
@@ -106,8 +122,8 @@ def cmd_verify_loss(args, cfg):
 
 
 def cmd_train(args, cfg):
-    scenes = _read_scenes(args.data)
-    val_scenes = _read_scenes(args.val_data) if args.val_data else []
+    scenes = _read_scenes(args.data, [cfg["detector"]])
+    val_scenes = _read_scenes(args.val_data, [cfg["detector"]]) if args.val_data else []
     _, metrics = run_training(scenes, val_scenes, cfg["detector"], cfg["train"], args.out)
     print(f"training finished; reports under {reports_dir(args.out)}")
     if metrics:
@@ -116,11 +132,11 @@ def cmd_train(args, cfg):
 
 
 def cmd_eval(args, cfg):
-    scenes = _read_scenes(args.data)
     model = DetectorModel.load(args.checkpoint)
     if args.config and cfg["detector"] != model.cfg:
         raise ValueError(f"--config {args.config}: detector section differs from the "
                          f"config of checkpoint {args.checkpoint}")
+    scenes = _read_scenes(args.data, [model.cfg])
     metrics = evaluate_model(model, scenes).as_dict()
     write_report(args.out, "metrics_eval", metrics)
     print(json.dumps(metrics, indent=2, sort_keys=True))
@@ -128,8 +144,9 @@ def cmd_eval(args, cfg):
 
 
 def cmd_ablate(args, cfg):
-    scenes = _read_scenes(args.data)
-    val_scenes = _read_scenes(args.val_data)
+    det_cfgs = [det_cfg for _, det_cfg, _ in cfg["variants"]]
+    scenes = _read_scenes(args.data, det_cfgs)
+    val_scenes = _read_scenes(args.val_data, det_cfgs)
     _, summary = run_variants(scenes, val_scenes, cfg["variants"], args.out, cfg["n_seeds"])
     print(json.dumps(summary, indent=2, sort_keys=True))
     return 0

@@ -18,14 +18,13 @@ from typing import Literal
 
 import numpy as np
 
-from .anchors import NEGATIVE, Box, assign_maxiou, boxes_array, pyramid_anchors
+from .anchors import LEVEL_STRIDES, NEGATIVE, Box, assign_maxiou, boxes_array, pyramid_anchors
 from .balanced_loss import DCLossParams, dcloss_term, smooth_l1_term
 from .config import read_json
 from .context import build_cem_params
 from .evaluation import Detection, nms
 from .gating import build_fbsm_params
 from .pyramid import (
-    LEVEL_STRIDES,
     backbone_forward,
     build_backbone_params,
     build_fpn,

@@ -24,16 +24,12 @@ from .tensor import (
 )
 
 __all__ = [
-    "LEVEL_STRIDES",
     "build_backbone_params",
     "backbone_forward",
     "build_fpn_params",
     "build_fpn",
     "efpn_bs_forward",
 ]
-
-LEVEL_STRIDES = {"P2": 4, "P3": 8, "P4": 16, "P5": 32, "P6": 64}
-
 
 def build_backbone_params(store: ParamStore, cfg):
     store.register_conv("backbone.stem0", cfg.stem_channels, 3, 3)
@@ -73,7 +69,7 @@ def build_fpn_params(store: ParamStore, cfg):
 def build_fpn(features, store: ParamStore) -> dict[str, Tensor]:
     """Standard top-down pyramid: lateral 1x1, upsample-and-add, 3x3 smoothing;
     P6 is a stride-2 max pool of P5.  Returns features keyed P2..P6 in order;
-    level strides are ``LEVEL_STRIDES``."""
+    level strides are ``anchors.LEVEL_STRIDES``."""
     if len(features) != 4:
         raise ValueError(f"build_fpn expects 4 backbone features, got {len(features)}")
     laterals = [conv2d(f, store[f"fpn.lateral{i + 2}.w"], store[f"fpn.lateral{i + 2}.b"])

@@ -54,8 +54,11 @@ class SceneSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if not (0 < self.side_min <= self.side_max):
-            raise ValueError("need 0 < side_min <= side_max")
+        if not (0 <= self.seed < 2**64):  # the Philox key is 64-bit
+            raise ValueError(f"seed must lie in [0, 2**64), got {self.seed}")
+        if not (0 < self.side_min <= self.side_max < math.inf):
+            raise ValueError(f"need 0 < side_min <= side_max < inf, got side_min "
+                             f"{self.side_min}, side_max {self.side_max}")
         if self.objects_min < 0 or self.objects_max < self.objects_min:
             raise ValueError("need 0 <= objects_min <= objects_max")
         if self.num_classes < 1:
@@ -92,8 +95,7 @@ def class_color(class_id: int) -> np.ndarray:
 
 
 def _scene_rng(seed: int, index: int) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(key=[seed & 0xFFFFFFFFFFFFFFFF,
-                                                     index & 0xFFFFFFFFFFFFFFFF]))
+    return np.random.Generator(np.random.Philox(key=np.array([seed, index], dtype=np.uint64)))
 
 
 def _smooth_texture(rng, h, w, amplitude):

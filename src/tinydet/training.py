@@ -41,6 +41,8 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.epochs < 1:
             raise ValueError("epochs must be >= 1")
         if not 0 < self.learning_rate < math.inf:

@@ -8,6 +8,7 @@ from oracles import assign_scalar, iou_scalar
 
 from tinydet.anchors import (
     IGNORED,
+    LEVEL_STRIDES,
     NEGATIVE,
     Box,
     assign_maxiou,
@@ -18,7 +19,6 @@ from tinydet.anchors import (
 )
 from tinydet.detector import DetectorConfig
 from tinydet.experiments import audit_positive_samples
-from tinydet.pyramid import LEVEL_STRIDES
 from tinydet.scenes import Scene
 
 rng = np.random.default_rng(3)
@@ -174,11 +174,6 @@ def test_assign_zero_overlap_best_not_forced():
     anchors = np.array([[0, 0, 4, 4]], dtype=float)
     labels = assign_maxiou(anchors, boxes_array([Box(50, 50, 60, 60)]), 0.5, 0.4)
     assert labels[0] == NEGATIVE
-
-
-def test_assign_threshold_validation():
-    with pytest.raises(ValueError):
-        assign_maxiou(random_boxes(4), boxes_array([Box(0, 0, 2, 2)]), pos_thr=0.3, neg_thr=0.4)
 
 
 def test_assign_matches_brute_force_oracle():

@@ -158,6 +158,23 @@ def test_verify_theorem1_report():
     assert '"lipschitz_bound"' in j and "Infinity" not in j
 
 
+def test_verify_theorem1_scans_the_second_derivative_once(monkeypatch):
+    import tinydet.balanced_loss as bl
+    calls = []
+    scan = bl._second_derivative
+    monkeypatch.setattr(bl, "_second_derivative", lambda eps, p: calls.append(eps) or scan(eps, p))
+    verify_theorem1(P)
+    assert len(calls) == 1 and calls[0].shape == (4000,)
+
+
+def test_verify_theorem1_default_scan_is_pinned():
+    # the 4000-point grid over (0, 3 lo] at k = 10, delta = 0.15: the observed
+    # convex region starts one grid step after the one inflection
+    rep = verify_theorem1(P)
+    assert rep.observed_convexity_intervals == [(0.21663144983909713, math.inf)]
+    assert rep.inflection_locations == [pytest.approx(0.2164978916, abs=1e-9)]
+
+
 def test_verify_theorem1_inflection_count_matches_fd_scan():
     for k, d in [(10.0, 0.15), (5.0, 0.3), (20.0, 0.1)]:
         p = DCLossParams(k=k, delta=d)

@@ -9,9 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tinydet import anchors, balanced_loss, detector, evaluation, experiments, pyramid, training
+from tinydet.anchors import LEVEL_STRIDES
 from tinydet.config import from_dict
 from tinydet.detector import DetectorConfig
-from tinydet.pyramid import LEVEL_STRIDES
 from tinydet.scenes import SceneSpec
 from tinydet.training import TrainConfig
 

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from jsonfuzz import edited
 
-from tinydet.anchors import IGNORED, NEGATIVE, Box, pyramid_anchors
+from tinydet.anchors import IGNORED, LEVEL_STRIDES, NEGATIVE, Box, pyramid_anchors
 from tinydet.balanced_loss import DCLossParams, dcloss_term, smooth_l1_term
 from tinydet.detector import (
     DetectorConfig,
@@ -26,7 +26,6 @@ from tinydet.detector import (
     head_forward,
 )
 from tinydet.evaluation import Detection
-from tinydet.pyramid import LEVEL_STRIDES
 from tinydet.scenes import SceneSpec, generate_scene
 from tinydet.tensor import ParamStore, Tensor, read_tensor_file
 

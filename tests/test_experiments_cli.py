@@ -348,6 +348,81 @@ def test_cli_gen_rejects_a_negative_count(tmp_path, capsys):
     assert not (out / "manifest.json").exists()
 
 
+@pytest.mark.parametrize("argv, match", [
+    (["gen", "--seed", "-1"], r"scene: seed must lie in \[0, 2\*\*64\), got -1"),
+    (["gen", "--seed", str(2 ** 64)], r"scene: seed must lie in \[0, 2\*\*64\)"),
+    (["train", "--seed", "-1", "--data", "{data}"],
+     r"scene: seed must lie in \[0, 2\*\*64\), got -1"),
+])
+def test_cli_rejects_a_seed_outside_the_64_bit_range(tmp_path, dataset, capsys, argv, match):
+    # a seed of -1 once wrote seed 0's scenes, and 2**63 + 1 those of 2**63
+    out = tmp_path / "o"
+    argv = [a.format(data=dataset) for a in argv]
+    assert main([*argv, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert re.search(f"^error: {match}", err), err
+    assert not (out / "manifest.json").exists() and not (out / "checkpoint_train").exists()
+
+
+# fault -> (scene section of a dataset the default detector cannot take, error)
+UNREADABLE = {
+    "side": ({"height": 96, "width": 96},
+             r"images/00000\.efbt: the detector needs image sides that are multiples of 64, "
+             r"got 96x96"),
+    "class": ({"num_classes": 5},
+              r"annotations\.json: image \d+: class [34] outside \[0, 3\) for a 3-class detector"),
+}
+
+
+def _dataset_the_detector_cannot_read(tmp_path, fault):
+    scene, match = UNREADABLE[fault]
+    path = str(tmp_path / f"bad_{fault}")
+    assert main(["gen", "--count", "6", "--config", cli_config(tmp_path, {"scene": scene}),
+                 "--out", path]) == 0
+    return path, match
+
+
+@pytest.mark.parametrize("fault", sorted(UNREADABLE))
+@pytest.mark.parametrize("command", ["train", "ablate", "eval"])
+def test_cli_checks_a_dataset_against_the_detector_before_training(tmp_path, dataset, capsys,
+                                                                    command, fault):
+    bad, match = _dataset_the_detector_cannot_read(tmp_path, fault)
+    ckpt = str(tmp_path / "ckpt")
+    DetectorModel(DetectorConfig(), seed=0).save(ckpt)
+    argv = {"train": ["--data", dataset, "--val-data", bad],
+            "ablate": ["--data", dataset, "--val-data", bad],
+            "eval": ["--data", bad, "--checkpoint", ckpt]}[command]
+    out = tmp_path / "o"
+    capsys.readouterr()
+    assert main([command, *argv, "--config", cli_config(tmp_path), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert re.search(f"^error: {re.escape(bad)}/{match}", err), err
+    assert not (out / "checkpoint_train").exists() and not (out / "reports").exists()
+
+
+def test_cli_checks_every_variant_against_the_dataset(tmp_path, dataset, capsys):
+    # the base detector reads 5 classes; the second variant, 3
+    bad, match = _dataset_the_detector_cannot_read(tmp_path, "class")
+    config = cli_config(tmp_path, {"detector": {"num_classes": 5},
+                                   "variants": [{"name": "five"},
+                                                {"name": "three", "detector": {"num_classes": 3}}]})
+    capsys.readouterr()
+    out = tmp_path / "o"
+    assert main(["ablate", "--data", dataset, "--val-data", bad, "--config", config,
+                 "--out", str(out)]) == 1
+    assert re.search(f"^error: {re.escape(bad)}/{match}", capsys.readouterr().err)
+    assert not (out / "reports").exists()
+
+
+def test_cli_audit_checks_categories_only(tmp_path, capsys):
+    for fault, code in (("side", 0), ("class", 1)):
+        bad, match = _dataset_the_detector_cannot_read(tmp_path, fault)
+        capsys.readouterr()
+        assert main(["audit", "--data", bad, "--out", str(tmp_path / fault)]) == code
+        if code:
+            assert re.search(f"^error: {re.escape(bad)}/{match}", capsys.readouterr().err)
+
+
 def test_cli_error_exit_codes(tmp_path, capsys):
     # missing dataset -> validation error (1)
     assert main(["audit", "--data", str(tmp_path / "nope"),
@@ -400,6 +475,7 @@ def test_cli_error_exit_codes(tmp_path, capsys):
     {"scene": {"height": 0}},
     {"scene": {"width": 8}},                    # below side_max: no object fits
     {"detector": {"backbone": {"pyramid_channels": 8}}},  # its fields are flat now
+    {"scene": {"objects_min": 0, "objects_max": 0, "side_max": float("inf")}},  # not JSON
 ])
 def test_cli_config_faults_exit_1(tmp_path, dataset, capsys, payload):
     path = tmp_path / "config.json"
@@ -675,7 +751,8 @@ def test_cli_eval_rejects_categories_the_checkpoint_lacks(tmp_path, capsys):
     capsys.readouterr()
     assert main(["eval", "--data", data, "--checkpoint", str(tmp_path / "ckpt"),
                  "--out", str(tmp_path / "ev")]) == 1
-    assert re.search(r"^error: ground-truth class [34] outside \[0, 3\)", capsys.readouterr().err)
+    assert re.search(r"^error: \S+/data/annotations\.json: image \d+: class [34] outside \[0, 3\)",
+                     capsys.readouterr().err)
     assert not os.path.exists(tmp_path / "ev" / "reports" / "metrics_eval.json")
 
 

@@ -3,11 +3,11 @@ import pytest
 
 from gradcheck import tensor_sum
 
+from tinydet.anchors import LEVEL_STRIDES
 from tinydet.context import build_cem_params
 from tinydet.detector import DetectorConfig
 from tinydet.gating import build_fbsm_params
 from tinydet.pyramid import (
-    LEVEL_STRIDES,
     backbone_forward,
     build_backbone_params,
     build_fpn,

@@ -14,6 +14,7 @@ from jsonfuzz import edited
 
 from tinydet.anchors import Box
 from tinydet.scenes import (
+    _scene_rng,
     Scene,
     SceneSpec,
     class_color,
@@ -41,6 +42,13 @@ def test_spec_validation():
            ({"width": -4}, "width"), ({"height": 12}, "height 12 is below side_max"),
            ({"width": 15, "side_max": 15.5}, "width 15 is below side_max")]
     for fields, match in bad:
+        with pytest.raises(ValueError, match=match):
+            SceneSpec(**fields)
+    for fields, match in [({"seed": -1}, r"seed must lie in \[0, 2\*\*64\), got -1"),
+                          ({"seed": 2**64}, r"seed must lie in \[0, 2\*\*64\)"),
+                          ({"objects_min": 0, "objects_max": 0, "side_max": float("inf")},
+                           "side_max inf"),
+                          ({"side_max": float("nan")}, "side_max nan")]:
         with pytest.raises(ValueError, match=match):
             SceneSpec(**fields)
     SceneSpec(height=1, width=1, objects_min=0, objects_max=0)  # nothing to place
@@ -110,6 +118,19 @@ def test_scene_bitwise_determinism_and_independence():
     # different seed or index changes the scene
     assert generate_scene(SceneSpec(seed=43), 7).image.tobytes() != a.image.tobytes()
     assert generate_scene(SPEC, 8).image.tobytes() != a.image.tobytes()
+
+
+def test_every_64_bit_seed_keys_its_own_stream():
+    # seeds at or above 2**63 once reached the Philox key through float64, so
+    # 2**63 and 2**63 + 1 drew the same scenes
+    scenes = [generate_scene(SceneSpec(seed=s), 0).image.tobytes()
+              for s in (2**63, 2**63 + 1, 2**64 - 1)]
+    assert len(set(scenes)) == 3
+    # below 2**63 the stream is the one a list key gives, as before
+    for seed in (0, 1, 1009, 2**62, 2**63 - 1):
+        for index in (0, 5, 31):
+            want = np.random.Generator(np.random.Philox(key=[seed, index])).random(8)
+            np.testing.assert_array_equal(_scene_rng(seed, index).random(8), want)
 
 
 def test_objects_are_brighter_than_background_locally():

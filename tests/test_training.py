@@ -30,6 +30,8 @@ def test_train_config_validation():
         TrainConfig(learning_rate=0.0)
     with pytest.raises(ValueError):
         TrainConfig(reg_loss="l2")
+    with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+        TrainConfig(seed=-1)
     with pytest.raises(ValueError):
         train([], SMALL_DET, TrainConfig())
 
