@@ -68,15 +68,18 @@ def boxes_array(boxes) -> np.ndarray:
 
 
 def iou_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Pairwise IoU of float64 [N,4] vs [M,4] corner arrays -> [N,M]."""
+    """Pairwise IoU of float64 [N,4] vs [M,4] corner arrays -> [N,M]; the
+    intersection and union reuse the far-corner temporaries."""
     x1 = np.maximum(a[:, None, 0], b[None, :, 0])
     y1 = np.maximum(a[:, None, 1], b[None, :, 1])
     x2 = np.minimum(a[:, None, 2], b[None, :, 2])
     y2 = np.minimum(a[:, None, 3], b[None, :, 3])
-    inter = np.clip(x2 - x1, 0, None) * np.clip(y2 - y1, 0, None)
+    inter = np.maximum(np.subtract(x2, x1, out=x2), 0, out=x2)
+    inter *= np.maximum(np.subtract(y2, y1, out=y2), 0, out=y2)
     area_a = (a[:, 2] - a[:, 0]) * (a[:, 3] - a[:, 1])
     area_b = (b[:, 2] - b[:, 0]) * (b[:, 3] - b[:, 1])
-    union = area_a[:, None] + area_b[None, :] - inter
+    union = np.add(area_a[:, None], area_b[None, :], out=y2)
+    union -= inter
     return np.divide(inter, union, out=np.zeros_like(inter), where=union > 0)
 
 

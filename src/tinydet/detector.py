@@ -38,6 +38,7 @@ from .tensor import (
     concat_columns,
     conv2d,
     gather_columns,
+    no_grad,
     read_tensor_file,
     sigmoid_array,
     weighted_bce_with_logits,
@@ -189,11 +190,11 @@ def decode_deltas(anchors: np.ndarray, deltas: np.ndarray, image_hw) -> np.ndarr
     ax, ay, aw, ah = _center_size(anchors)
     cx = ax + deltas[0] * aw
     cy = ay + deltas[1] * ah
-    w = aw * np.exp(np.clip(deltas[2], -6, 6))
-    h = ah * np.exp(np.clip(deltas[3], -6, 6))
+    w = aw * np.exp(np.minimum(np.maximum(deltas[2], -6), 6))
+    h = ah * np.exp(np.minimum(np.maximum(deltas[3], -6), 6))
     boxes = np.stack([cx - w / 2, cy - h / 2, cx + w / 2, cy + h / 2], axis=1)
-    boxes[:, 0::2] = np.clip(boxes[:, 0::2], 0, image_hw[1])
-    boxes[:, 1::2] = np.clip(boxes[:, 1::2], 0, image_hw[0])
+    for corners, side in ((boxes[:, 0::2], image_hw[1]), (boxes[:, 1::2], image_hw[0])):
+        np.minimum(np.maximum(corners, 0, out=corners), side, out=corners)
     return boxes
 
 
@@ -272,9 +273,12 @@ class DetectorModel:
         return model
 
     def pyramid(self, image: Tensor) -> dict[str, Tensor]:
+        """The pyramid levels, with each of ``enhance_levels`` that the head
+        reads enhanced; an enhanced level the head does not read is not built."""
         feats = backbone_forward(image, self.store, self.cfg)
         pyr = build_fpn(feats, self.store)
-        return efpn_bs_forward(pyr, self.store, self.cfg.enhance_levels)
+        read = [name for name in self.cfg.enhance_levels if name in self.cfg.levels]
+        return efpn_bs_forward(pyr, self.store, read)
 
     def forward(self, image: Tensor):
         """(class logits [K,N], box deltas [4,N]), see ``head_forward``."""
@@ -310,10 +314,12 @@ class DetectorModel:
         """Every anchor x class scoring at least ``score_floor`` with a box wider
         and taller than 1e-3, after class-wise NMS: at most ``max_detections``,
         ranked by (-score, class, anchor).  Raises DivergenceError when the
-        head's outputs are not finite, as a diverged model's are."""
+        head's outputs are not finite, as a diverged model's are.  The forward
+        runs under ``no_grad``, since nothing calls backward on it."""
         cfg = self.cfg
         h, w = image.data.shape[1:]
-        cls_out, reg_out = self.forward(image)
+        with no_grad():
+            cls_out, reg_out = self.forward(image)
         if not (np.isfinite(cls_out.data).all() and np.isfinite(reg_out.data).all()):
             raise DivergenceError("non-finite class logits or box deltas: "
                                   "the model has diverged", None)
@@ -321,8 +327,10 @@ class DetectorModel:
         scores = sigmoid_array(cls_out.data.astype(np.float64))
         boxes = decode_deltas(anchors, reg_out.data.astype(np.float64), (h, w))
         sized = (boxes[:, 2] - boxes[:, 0] > 1e-3) & (boxes[:, 3] - boxes[:, 1] > 1e-3)
-        cls, idx = np.nonzero((scores >= cfg.score_floor) & sized)  # class-major
-        kept = nms(boxes[idx], scores[cls, idx], cls, cfg.nms_iou, cfg.max_detections)
-        cls, idx = cls[kept], idx[kept]
+        flat = np.flatnonzero((scores >= cfg.score_floor) & sized)  # class-major
+        cls, idx = np.divmod(flat, scores.shape[1])
+        cand_scores = np.take(scores, flat)
+        kept = nms(np.take(boxes, idx, axis=0), cand_scores, cls, cfg.nms_iou, cfg.max_detections)
         return [Detection(Box(*row), c, s) for row, c, s in
-                zip(boxes[idx].tolist(), cls.tolist(), scores[cls, idx].tolist())]
+                zip(np.take(boxes, idx[kept], axis=0).tolist(), cls[kept].tolist(),
+                    cand_scores[kept].tolist())]

@@ -252,12 +252,13 @@ def average_precision(dets_per_image, gts_per_image, class_id: int,
 
 def evaluate_ap(dets_per_image, gts_per_image, num_classes: int) -> EvalResult:
     """Full metric set over matched detection/ground-truth image lists; the
-    class mean runs over classes ``0 .. num_classes - 1``, and a ground truth
-    of any other class raises ValueError."""
+    class mean runs over classes ``0 .. num_classes - 1``, and a detection or
+    ground truth of any other class raises ValueError."""
     dets, gts, spans = _read(dets_per_image, gts_per_image)
-    outside = gts[(gts[:, 4] < 0) | (gts[:, 4] >= num_classes), 4]
-    if len(outside):
-        raise ValueError(f"ground-truth class {int(outside[0])} outside [0, {num_classes})")
+    for what, rows in (("detection", dets), ("ground-truth", gts)):
+        outside = rows[(rows[:, 4] < 0) | (rows[:, 4] >= num_classes), 4]
+        if len(outside):
+            raise ValueError(f"{what} class {int(outside[0])} outside [0, {num_classes})")
     buckets = (None, SIZE_BUCKETS["vt"], SIZE_BUCKETS["t"])
     per_class = _ap_table(dets, gts, spans, range(num_classes), IOU_THRESHOLDS, buckets)
 

@@ -2,7 +2,8 @@
 
 A small reverse-mode engine over numpy arrays: each operation returns a new
 ``Tensor`` carrying a backward closure, and ``Tensor.backward()`` on a scalar
-replays the recorded tape in reverse topological order.  Storage defaults to
+replays the recorded tape in reverse topological order; inside ``no_grad``
+ops record nothing, so an inference pass holds no graph.  Storage defaults to
 float32; reductions accumulate in float64 before casting back, and the whole
 graph can be run in float64 (used by the finite-difference checks).
 
@@ -29,6 +30,7 @@ import numpy as np
 
 __all__ = [
     "Tensor",
+    "no_grad",
     "ParamStore",
     "conv2d",
     "sigmoid",
@@ -118,9 +120,32 @@ def _spent(g):
     raise ValueError("backward() already ran through this graph; build it again")
 
 
+class no_grad:
+    """Context in which ops record nothing: each op's output is a bare
+    ``Tensor`` with no parents and no backward closure, so no output keeps its
+    inputs, or what its op would keep for the backward, alive.  It restores
+    the mode it found on exit, also on an exception, so uses nest."""
+
+    def __enter__(self):
+        global _recording
+        self._outer, _recording = _recording, False
+        return self
+
+    def __exit__(self, *exc):
+        global _recording
+        _recording = self._outer
+        return False
+
+
+_recording = True  # False inside ``no_grad``
+
+
 def _make(data, parents, backward_fn):
-    """An op's output, whose node records only the parents that take a gradient."""
+    """An op's output, whose node records only the parents that take a
+    gradient, and nothing inside ``no_grad``."""
     out = Tensor(data)
+    if not _recording:
+        return out
     parents = tuple(p for p in parents if p.requires_grad)
     if parents:
         out.requires_grad = True
@@ -369,7 +394,10 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor, stride: int = 1,
     padded = _embed(x.data, (c, h + 2 * p + keep_padded, w + 2 * p), p, 1)
     cols = _windows(padded, k, oh, ow, stride)
     wmat = weight.data.reshape(co, ci * k * k)
-    out = (wmat @ cols + bias.data[:, None]).reshape(co, oh, ow)
+    # the bias is added in place, once the product is widened to its dtype
+    out = (wmat @ cols).astype(np.result_type(wmat, cols, bias.data), copy=False)
+    out += bias.data[:, None]
+    out = out.reshape(co, oh, ow)
     if relu:
         np.maximum(out, 0, out=out)
     kept = padded if keep_padded else cols  # the backward's closure holds this one only

@@ -58,7 +58,11 @@ def test_iou_hand_values():
 def test_iou_matrix_matches_scalar_oracle():
     a = random_boxes(12)
     b = random_boxes(9)
+    a_in, b_in = a.copy(), b.copy()
     m = iou_matrix(a, b)
+    # the widths, heights and intersection go into temporaries, not the inputs
+    np.testing.assert_array_equal(a, a_in)
+    np.testing.assert_array_equal(b, b_in)
     for i in range(12):
         for j in range(9):
             assert m[i, j] == pytest.approx(iou_scalar(a[i], b[j]), abs=1e-12)

@@ -1,4 +1,5 @@
 import copy
+import hashlib
 import json
 import os
 import shutil
@@ -12,6 +13,8 @@ from hypothesis import strategies as st
 
 from jsonfuzz import edited
 
+from tinydet import context, gating, pyramid
+from tinydet import detector as detector_module
 from tinydet.anchors import IGNORED, LEVEL_STRIDES, NEGATIVE, Box, pyramid_anchors
 from tinydet.balanced_loss import DCLossParams, dcloss_term, smooth_l1_term
 from tinydet.detector import (
@@ -245,6 +248,40 @@ def test_predict_contract():
         assert 0 <= d.box.y1 < d.box.y2 <= 128
 
 
+def test_predict_output_is_pinned_bitwise():
+    # scene 0 of SceneSpec(seed=0) on the seed-0 default model: every anchor x
+    # class clears the floor, so nms fills the 100 detections
+    scene, _ = scene_and_assignment()
+    dets = DetectorModel(CFG, seed=0).predict(Tensor(scene.image))
+    rows = np.array([(d.box.x1, d.box.y1, d.box.x2, d.box.y2, d.class_id, d.score)
+                     for d in dets], dtype=np.float64)
+    assert len(dets) == 100
+    assert hashlib.sha256(rows.tobytes()).hexdigest().startswith("acca22251a8b492f")
+
+
+def test_predict_records_no_graph_and_leaves_every_grad_none():
+    model = DetectorModel(CFG, seed=0)
+    outputs = []
+    forward = model.forward
+    model.forward = lambda image: outputs.append(forward(image)) or outputs[-1]
+    scene, _ = scene_and_assignment()
+    model.predict(Tensor(scene.image))
+    for out in outputs[0]:
+        assert not out.requires_grad
+        assert out._parents == () and out._backward is None
+    assert all(t.grad is None for t in model.store.tensors())
+
+
+def test_predict_restores_recording_after_an_error():
+    model = DetectorModel(CFG, seed=0)
+    with pytest.raises(ValueError, match="divisible by 64"):
+        model.predict(Tensor(np.zeros((3, 96, 96), np.float32)))
+    scene, asn = scene_and_assignment()
+    total, _, _ = model.loss(model.forward(Tensor(scene.image)), asn, dc_params=None)
+    total.backward()
+    assert all(t.grad is not None for t in model.store.tensors())
+
+
 @pytest.mark.parametrize("param", ["head.cls.b", "head.reg.b", "backbone.stem0.w"])
 def test_predict_raises_on_a_diverged_head(param):
     # NaN scores used to fall below the floor and give no detections; NaN box
@@ -310,6 +347,21 @@ def test_enhancement_flag_changes_p2_path_only():
     assert not np.array_equal(pyr_on["P2"].data, pyr_off["P2"].data)
     for name in ("P3", "P4", "P5", "P6"):
         assert pyr_on[name].data.tobytes() == pyr_off[name].data.tobytes()
+
+
+def test_an_enhanced_level_the_head_does_not_read_is_not_built(monkeypatch):
+    calls = []
+    for module in (pyramid, context, gating, detector_module):
+        original = module.conv2d
+        monkeypatch.setattr(module, "conv2d", lambda *a, _f=original, **k: calls.append(1) or _f(*a, **k))
+    scene, _ = scene_and_assignment()
+    outputs = []
+    for enhance in (("P2",), ()):
+        calls.clear()
+        model = DetectorModel(DetectorConfig(levels=("P3",), enhance_levels=enhance), seed=0)
+        outputs.append([t.data.tobytes() for t in model.forward(Tensor(scene.image))])
+        assert len(calls) == 16  # 5 backbone + 8 FPN + 3 head: no CEM or FBSM
+    assert outputs[0] == outputs[1]
 
 
 def test_checkpoint_roundtrip_preserves_predictions(tmp_path):

@@ -322,6 +322,16 @@ def test_evaluate_ap_rejects_a_ground_truth_class_outside_the_detector():
     assert evaluate_ap([[], []], gts, num_classes=3).ap == 0.0
 
 
+def test_evaluate_ap_rejects_a_detection_class_outside_the_detector():
+    # such a detection used to match nothing and score AP 0 without a word
+    gts = [[(Box(0, 0, 8, 8), 0)]]
+    for bad in (5, -1):
+        dets = [[Detection(Box(0, 0, 8, 8), 0, 0.9), Detection(Box(0, 0, 8, 8), bad, 0.8)]]
+        with pytest.raises(ValueError, match=rf"detection class {bad} outside \[0, 3\)"):
+            evaluate_ap(dets, gts, num_classes=3)
+    assert evaluate_ap([[Detection(Box(0, 0, 8, 8), 0, 0.9)]], gts, num_classes=3).ap == 1.0
+
+
 # ---------------------------------------------------------------------------
 # oracle agreement
 

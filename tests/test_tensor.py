@@ -26,6 +26,7 @@ from tinydet.tensor import (
     gather_columns,
     max_pool,
     mul,
+    no_grad,
     read_tensor_file,
     sigmoid,
     sigmoid_array,
@@ -532,6 +533,41 @@ def test_backward_frees_each_spent_node_during_the_walk():
     # a node the caller holds keeps its gradient
     np.testing.assert_array_equal(held.grad, np.ones((1, 3, 4)))
     np.testing.assert_array_equal(x.grad, 2.0 * (x.data > 0))
+
+
+def test_no_grad_records_no_graph_and_restores_the_mode_it_found():
+    x = rand64(2, 5, 5, requires_grad=True)
+    w, b = rand64(3, 2, 3, 3, requires_grad=True), rand64(3, requires_grad=True)
+    with no_grad():
+        outs = [conv2d(x, w, b, relu=True), add(x, 1.0), mul(x, x), sigmoid(x),
+                max_pool(x, (5, 5)), bilinear_upsample(x, (7, 7))]
+        with no_grad():  # an inner use hands the outer one back its mode
+            pass
+        outs.append(add(x, 1.0))
+    for out in outs:
+        assert not out.requires_grad
+        assert out._parents == () and out._backward is None
+    # the same values as with recording
+    np.testing.assert_array_equal(outs[0].data, conv2d(x, w, b, relu=True).data)
+    with pytest.raises(KeyError):
+        with no_grad():
+            raise KeyError("inside")
+    loss = tensor_sum(conv2d(x, w, b, relu=True))
+    assert loss.requires_grad
+    loss.backward()
+    assert all(t.grad is not None for t in (x, w, b))
+
+
+def test_conv2d_keeps_a_wider_bias_dtype():
+    # the bias is added in place, into the product widened first: a float64
+    # bias over float32 maps gives float64, the same values as a plain sum
+    x = Tensor(rng.standard_normal((2, 4, 4)).astype(np.float32))
+    w = Tensor(rng.standard_normal((3, 2, 3, 3)).astype(np.float32))
+    b = Tensor(np.array([0.1, -0.2, 1e-9]))
+    out = conv2d(x, w, b).data
+    assert out.dtype == np.float64
+    ref = conv2d(x, w, Tensor(np.zeros(3, np.float32))).data.astype(np.float64) + b.data[:, None, None]
+    np.testing.assert_array_equal(out, ref)
 
 
 def test_gather_concat_bce_gradients():
