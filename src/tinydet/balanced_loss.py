@@ -11,9 +11,9 @@ set, the loss node accumulates dL/dk and dL/ddelta into the params, and
 
 All scalar math here is float64.  Besides the loss itself the module provides
 closed-form gradients in eps, k and delta, the slope bound implied by a
-2-Lipschitz gradient, the closed-form convexity intervals, and a numeric
-verifier that cross-checks those formulas against finite differences and
-records any mismatch with the commonly stated phase behavior.
+2-Lipschitz gradient, the closed-form convexity intervals, and a verifier
+that finds the inflections exactly, from the closed-form sign of the second
+derivative, and records any mismatch with the stated phase behavior.
 """
 
 from __future__ import annotations
@@ -56,9 +56,12 @@ class DCLossParams:
     MIN_VALUE = 1e-3
 
     def __post_init__(self):
-        if not (0 < self.k < math.inf and 0 < self.delta < math.inf):
-            raise ValueError(f"k and delta must be finite and positive, got k={self.k}, "
-                             f"delta={self.delta}")
+        # the bounds keep k^2, 2/k^2, delta^2 and the verifier's other terms finite
+        for name in ("k", "delta"):
+            value = getattr(self, name)
+            if not 1e-9 <= value <= 1e9:
+                raise ValueError(f"k and delta must be finite and positive, in [1e-9, 1e9]; "
+                                 f"{name}={value} is not")
 
     def step(self, lr: float, momentum: float):
         """When learnable, one momentum step on (k, delta): v = m*v + g and
@@ -108,14 +111,15 @@ def dcloss_grad(eps, params: DCLossParams):
     return d_eps, d_k, d_delta
 
 
-def _second_derivative(eps, params: DCLossParams):
-    """Numeric d2L/deps2 via central differences of the closed-form gradient."""
-    h = 1e-6
-    lo = np.maximum(np.asarray(eps, dtype=np.float64) - h, 0.0)
-    hi = np.asarray(eps, dtype=np.float64) + h
-    g_lo, _, _ = dcloss_grad(lo, params)
-    g_hi, _, _ = dcloss_grad(hi, params)
-    return (np.asarray(g_hi) - np.asarray(g_lo)) / (hi - lo)
+def _curvature_factor(eps, params: DCLossParams):
+    """B(eps), where d2L/deps2 = a B and a = sigma(k (eps - delta)) > 0:
+    B = 2 + k b (4 eps - 2) + k^2 b (b - a) (eps^2 - eps), b = 1 - a.  It has
+    the curvature's sign, also where a underflows.  b is sigma(-k (eps - delta)),
+    not 1 - a, so that B keeps full precision where a is near 1."""
+    eps = np.asarray(eps, dtype=np.float64)
+    x = params.k * (eps - params.delta)
+    a, b = _sigma(x), _sigma(-x)
+    return 2.0 + params.k * b * (4.0 * eps - 2.0) + params.k**2 * b * (b - a) * (eps * eps - eps)
 
 
 def lipschitz_bound(delta: float) -> float:
@@ -167,12 +171,12 @@ def verify_theorem1(params: DCLossParams) -> TheoremReport:
     """Audit the stated gradient-phase properties against the implemented loss.
 
     Measures the small/large error gradient limits, fills in the slope bound
-    and convexity intervals, and scans the numeric second derivative once:
-    its sign changes up to delta + 2/k are the inflections, its positive runs
-    the observed convex regions.  Records every mismatch between the
-    measured behavior and the usual phase narrative ("quadratic for small
-    errors, linear for large ones").  Discrepancies are reported, never
-    silently patched.
+    and convexity intervals, and finds the roots of the curvature's sign
+    factor B: those up to delta + 2/k are the inflections, and the runs
+    between them where B > 0 the observed convex regions.  Records every
+    mismatch between the measured behavior and the usual phase narrative
+    ("quadratic for small errors, linear for large ones") or the closed-form
+    convexity interval.  Discrepancies are reported, never silently patched.
     """
     small_eps, large_eps = 1e-6, 1e3
     report = TheoremReport()
@@ -218,36 +222,31 @@ def verify_theorem1(params: DCLossParams) -> TheoremReport:
     report.convexity_intervals = convexity_region(params)
     [(lo, _)] = report.convexity_intervals
 
-    # one second-derivative scan over (0, max(1, 3 lo)]; it reaches past
-    # delta + 2/k, since lo > delta + sqrt(2)/k
-    grid_hi = max(1.0, 3.0 * lo)
-    grid = np.linspace(grid_hi / 4000, grid_hi, 4000)
-    d2 = _second_derivative(grid, params)
-    signs = np.sign(d2)
-    flips = np.nonzero((signs[1:] * signs[:-1] < 0)
-                       & (grid[1:] <= params.delta + 2.0 / params.k))[0]
-    report.inflection_locations = [float(0.5 * (grid[i] + grid[i + 1])) for i in flips]
+    # B's roots are the inflections.  The grid spans [0, max(1, 3 lo)], past
+    # delta + 2/k since lo > delta + sqrt(2)/k, plus steps of 1/(8k) within 64/k
+    # of delta, where two roots can lie closer than the even steps.  Brackets
+    # are bisected at once to the last float before each sign change of B.
+    hi = max(1.0, 3.0 * lo)
+    near = np.clip(params.delta + np.linspace(-64.0, 64.0, 1025) / params.k, 0.0, hi)
+    grid = np.union1d(np.linspace(0.0, hi, 4000), near)
+    convex = _curvature_factor(grid, params) > 0
+    i = np.flatnonzero(convex[1:] != convex[:-1])
+    left, right, side = grid[i], grid[i + 1], convex[i]
+    while True:
+        mid = 0.5 * (left + right)
+        if not np.any((left < mid) & (mid < right)):
+            break
+        same = (_curvature_factor(mid, params) > 0) == side
+        left, right = np.where(same, mid, left), np.where(same, right, mid)
+    roots = left.tolist()
+    report.inflection_locations = [r for r in roots if r <= params.delta + 2.0 / params.k]
 
-    # the observed convex regions are the scan's runs of positive d2
-    observed = []
-    start = None
-    for i, c in enumerate(d2 > 0):
-        if c and start is None:
-            start = grid[i]
-        elif not c and start is not None:
-            observed.append((float(start), float(grid[i - 1])))
-            start = None
-    if start is not None:
-        observed.append((float(start), math.inf))
-    report.observed_convexity_intervals = observed
-
-    # the closed-form interval, probed a quarter of the way to the grid's end
-    probe = lo + 0.25 * (grid_hi - lo)
-    if not any(a <= probe <= b for a, b in observed):
-        notes.append(
-            f"closed-form convexity interval ({lo:.6f}, inf) is not confirmed by the "
-            "numeric second derivative"
-        )
+    # the observed convex intervals run between the roots where B > 0
+    ends = [0.0] * bool(convex[0]) + roots + [math.inf] * bool(convex[-1])
+    observed = report.observed_convexity_intervals = list(zip(ends[::2], ends[1::2]))
+    if observed != report.convexity_intervals:
+        shown = ", ".join(f"({a:.6f}, {b:.6f})" for a, b in observed)
+        notes.append(f"the loss is convex on {shown}, the closed form says ({lo:.6f}, inf)")
 
     return report
 

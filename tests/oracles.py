@@ -321,3 +321,15 @@ def sigmoid_piecewise(d):
     e = np.exp(d[~p])
     out[~p] = e / (1.0 + e)
     return out
+
+
+def second_derivative_fd(eps, params):
+    """d2L/deps2 by central differences (h = 1e-6) of the closed-form gradient
+    ``dcloss_grad``, stepping no lower than 0.  Where |L''| is below about
+    1e-9 its sign is roundoff."""
+    from tinydet.balanced_loss import dcloss_grad
+
+    h = 1e-6
+    eps = np.asarray(eps, dtype=np.float64)
+    lo, hi = np.maximum(eps - h, 0.0), eps + h
+    return (dcloss_grad(hi, params)[0] - dcloss_grad(lo, params)[0]) / (hi - lo)

@@ -2,9 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tinydet.balanced_loss import (
     DCLossParams,
+    _curvature_factor,
     alpha,
     convexity_region,
     dcloss_grad,
@@ -16,6 +19,8 @@ from tinydet.balanced_loss import (
     verify_theorem1,
 )
 from tinydet.tensor import Tensor
+
+from oracles import second_derivative_fd
 
 rng = np.random.default_rng(0)
 
@@ -159,20 +164,104 @@ def test_verify_theorem1_report():
 
 
 def test_verify_theorem1_scans_the_second_derivative_once(monkeypatch):
+    # the sign factor B of the second derivative is evaluated once on the
+    # whole grid; every later call bisects the one bracket
     import tinydet.balanced_loss as bl
     calls = []
-    scan = bl._second_derivative
-    monkeypatch.setattr(bl, "_second_derivative", lambda eps, p: calls.append(eps) or scan(eps, p))
+    scan = bl._curvature_factor
+    monkeypatch.setattr(bl, "_curvature_factor", lambda eps, p: calls.append(eps) or scan(eps, p))
     verify_theorem1(P)
-    assert len(calls) == 1 and calls[0].shape == (4000,)
+    grid = calls[0]
+    assert grid[0] == 0.0 and grid.size >= 4000 and (np.diff(grid) > 0).all()
+    assert all(c.shape == (1,) for c in calls[1:])
 
 
 def test_verify_theorem1_default_scan_is_pinned():
-    # the 4000-point grid over (0, 3 lo] at k = 10, delta = 0.15: the observed
-    # convex region starts one grid step after the one inflection
+    # B's one root at k = 10, delta = 0.15, bisected to the last float before
+    # its sign change: the one inflection, and where the convex region starts
     rep = verify_theorem1(P)
-    assert rep.observed_convexity_intervals == [(0.21663144983909713, math.inf)]
-    assert rep.inflection_locations == [pytest.approx(0.2164978916, abs=1e-9)]
+    assert rep.observed_convexity_intervals == [(0.21655744588338433, math.inf)]
+    assert rep.inflection_locations == [0.21655744588338433]
+    assert ("the loss is convex on (0.216557, inf), the closed form says (0.356155, inf)"
+            in rep.discrepancy_notes)
+
+
+@pytest.mark.parametrize("k, d, inflections, observed", [
+    (40.0, 1.5, [0.951248, 1.506823], [(0.951248, 1.506823), (1.666886, math.inf)]),
+    (100.0, 3.0, [0.980200, 3.000335], [(0.980200, 3.000335), (3.103774, math.inf)]),
+    (10.0, 3.0, [0.819615, 3.034749], [(0.819615, 3.034749), (3.599800, math.inf)]),
+    (1e-8, 0.15, [], [(0.0, math.inf)]),  # convex on all of (0, inf)
+    # the two roots above delta lie 0.027 apart, inside one step of the even grid
+    (1000.0, 1000.0, [0.998002, 1000.0], [(0.998002, 1000.0), (1000.026937, math.inf)]),
+])
+def test_verify_theorem1_exact_where_the_fd_scan_failed(k, d, inflections, observed):
+    # the finite-difference scan reported six inflections at (40, 1.5), two
+    # of them bounding zero-width intervals, missed 0.980 at (100, 3), and
+    # started the k = 1e-8 convex region at its first grid point
+    rep = verify_theorem1(DCLossParams(k=k, delta=d))
+    assert rep.inflection_locations == pytest.approx(inflections, abs=1e-6)
+    assert len(rep.observed_convexity_intervals) == len(observed)
+    for (a, b), (ea, eb) in zip(rep.observed_convexity_intervals, observed):
+        assert a < b and a == pytest.approx(ea, abs=1e-6) and b == pytest.approx(eb, abs=1e-6)
+
+
+@pytest.mark.parametrize("k, d", [(40.0, 1.5), (100.0, 3.0), (10.0, 3.0)])
+def test_verify_theorem1_root_below_delta_solves_the_quadratic(k, d):
+    # where k delta >= 20, a = sigma(k (eps - delta)) is tiny below delta, and B
+    # is the quadratic Q = k^2 eps^2 + (4k - k^2) eps + 2 - 2k plus a dB/da;
+    # that term moves the root by about a |dB/da| / Q' (3e-11 relative at
+    # (40, 1.5), 1.3e-10 at (10, 3)), and not at all where a underflows
+    rep = verify_theorem1(DCLossParams(k=k, delta=d))
+    [root] = [r for r in rep.inflection_locations if r < d]
+    b, c = 4 * k - k * k, 2 - 2 * k
+    q = (-b + math.sqrt(b * b - 4 * k * k * c)) / (2 * k * k)
+    shift = sigma(k * (q - d)) * (abs(k * (4 * q - 2)) + 3 * k * k * abs(q * q - q)) \
+        / (2 * k * k * q + b)
+    assert abs(root - q) <= 1e-12 * q + 2 * shift
+    if (k, d) == (100.0, 3.0):
+        assert shift < 1e-80
+
+
+@pytest.mark.parametrize("k, d", [(10.0, 0.15), (5.0, 0.3), (20.0, 0.1), (40.0, 1.5),
+                                  (100.0, 3.0), (10.0, 3.0)])
+def test_curvature_factor_matches_the_fd_oracle(k, d):
+    # L'' = a B against central differences of the gradient; where |L''| is
+    # well above the difference's roundoff, B has its sign
+    p = DCLossParams(k=k, delta=d)
+    eps = np.linspace(1e-3, d + 2 / k + 1.0, 4001)
+    fd = second_derivative_fd(eps, p)
+    b = _curvature_factor(eps, p)
+    np.testing.assert_allclose(alpha(eps, p) * b, fd, rtol=1e-5, atol=1e-6)
+    sure = np.abs(fd) > 1e-6
+    assert (np.sign(b[sure]) == np.sign(fd[sure])).all()
+    # and every reported root is a sign change of B
+    for r in verify_theorem1(p).inflection_locations:
+        assert _curvature_factor(r, p) * _curvature_factor(np.nextafter(r, math.inf), p) <= 0
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.floats(-3.0, 3.0), st.floats(-3.0, 3.0))
+def test_verify_theorem1_report_is_consistent(log_k, log_delta):
+    p = DCLossParams(k=10.0 ** log_k, delta=10.0 ** log_delta)
+    rep = verify_theorem1(p)
+
+    def curvature(x):
+        return _curvature_factor(x, p)
+
+    scalars = [rep.small_eps_gradient, rep.large_eps_gradient_ratio, rep.lipschitz_bound]
+    assert all(math.isfinite(v) for v in scalars + rep.inflection_locations)
+    for intervals in (rep.convexity_intervals, rep.observed_convexity_intervals):
+        ends = [x for interval in intervals for x in interval]
+        assert all(math.isfinite(x) for x in ends[:-1]) and math.isinf(ends[-1])
+        assert ends == sorted(ends) and len(set(ends)) == len(ends)  # disjoint, rising
+    # each observed interval runs between consecutive roots of B: B changes
+    # sign at either end and is positive just inside it.  The inflections are
+    # those roots up to delta + 2/k
+    for a, b in rep.observed_convexity_intervals:
+        assert a == 0.0 or curvature(a) <= 0 < curvature(np.nextafter(a, math.inf))
+        assert b == math.inf or curvature(np.nextafter(b, math.inf)) <= 0 < curvature(b)
+    ends = [x for interval in rep.observed_convexity_intervals for x in interval]
+    assert rep.inflection_locations == [x for x in ends if 0 < x <= p.delta + 2 / p.k]
 
 
 def test_verify_theorem1_inflection_count_matches_fd_scan():
@@ -201,6 +290,14 @@ def test_params_validation_and_projection():
                      (math.inf, 0.15), (10.0, math.nan)]:
         with pytest.raises(ValueError, match="k and delta must be finite and positive"):
             DCLossParams(k=k, delta=delta)
+    # each of these made the verifier raise OverflowError or ZeroDivisionError;
+    # the error names the field out of [1e-9, 1e9]
+    for k, delta, field in [(1e300, 0.15, "k"), (1e-300, 0.15, "k"), (10.0, 1e300, "delta"),
+                            (1e200, 1e-200, "k"), (10.0, 1e-200, "delta")]:
+        with pytest.raises(ValueError, match=rf"in \[1e-9, 1e9\]; {field}="):
+            DCLossParams(k=k, delta=delta)
+    for k, delta in [(1e-9, 1e9), (1e9, 1e-9), (1e-8, 0.15)]:
+        DCLossParams(k=k, delta=delta)
     # a step that would take k and delta below zero stops at the floor
     p = DCLossParams(k=10.0, delta=0.15, learnable=True)
     p.grad_k, p.grad_delta = 1e4, 1e4

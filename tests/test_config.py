@@ -25,6 +25,7 @@ enhance_names = st.sampled_from([n for n, s in LEVEL_STRIDES.items() if s <= LEV
 unit = st.floats(0.0, 1.0)
 positive = st.floats(0.0, exclude_min=True, allow_infinity=False)
 non_negative = st.floats(0.0, allow_infinity=False)
+dc_range = st.floats(1e-9, 1e9)  # DCLossParams' bounds on k and delta
 
 
 def fitting_side(v):  # at least side_max, so that an object fits
@@ -73,8 +74,8 @@ TRAIN_FIELDS = {
     "decay_factor": st.floats(0.0, 1.0, exclude_min=True),
     "batch_size": sizes,
     "reg_loss": st.sampled_from(["smooth_l1", "dcloss"]),
-    "dc_k": positive,
-    "dc_delta": positive,
+    "dc_k": dc_range,
+    "dc_delta": dc_range,
     "dc_learnable": st.booleans(),
     "seed": st.integers(0, 2 ** 32),
 }
@@ -137,6 +138,8 @@ def test_asdict_then_from_dict_roundtrips_through_json(config):
     (TrainConfig, {"dc_delta": math.nan}, {}, "k and delta must be finite and positive"),
     (TrainConfig, {"dc_k": math.inf, "reg_loss": "smooth_l1"}, {}, "must be finite and positive"),
     (DetectorConfig, {"enhance_levels": ["P2", "P6"]}, {}, "enhance_levels names P6, which is coarser than the P5"),
+    (TrainConfig, {"dc_k": 1e300}, {}, r"in \[1e-9, 1e9\]; k=1e\+300 is not"),
+    (TrainConfig, {"dc_delta": 1e-300}, {}, r"in \[1e-9, 1e9\]; delta=1e-300 is not"),
 ])
 def test_from_dict_rejects(cls, payload, fixed, match):
     with pytest.raises(ValueError, match=match):

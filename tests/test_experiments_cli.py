@@ -476,6 +476,10 @@ def test_cli_error_exit_codes(tmp_path, capsys):
     {"scene": {"width": 8}},                    # below side_max: no object fits
     {"detector": {"backbone": {"pyramid_channels": 8}}},  # its fields are flat now
     {"scene": {"objects_min": 0, "objects_max": 0, "side_max": float("inf")}},  # not JSON
+    {"train": {"dc_k": 1e300}},                 # outside [1e-9, 1e9]: the verifier overflowed
+    {"train": {"dc_k": 1e-300}},
+    {"train": {"dc_delta": 1e300}},
+    {"train": {"dc_k": 1e200, "dc_delta": 1e-200}},
 ])
 def test_cli_config_faults_exit_1(tmp_path, dataset, capsys, payload):
     path = tmp_path / "config.json"
@@ -490,6 +494,11 @@ def test_cli_config_faults_exit_1(tmp_path, dataset, capsys, payload):
     ({"train": {"epochs": "4"}}, "train.epochs: expected int, got '4'"),
     ({"variants": [{"name": "a", "train": {"epoch": 1}}]}, "variants[0].train: unknown key 'epoch'"),
     ({"scene": {"tiny_only": True}}, "scene: unknown key 'tiny_only'"),  # side_max bounds sides
+    # verify-loss raised OverflowError or ZeroDivisionError on these
+    *(({"train": train}, f"train: k and delta must be finite and positive, in [1e-9, 1e9]; {bad}")
+      for train, bad in [({"dc_k": 1e300}, "k=1e+300 is not"), ({"dc_k": 1e-300}, "k=1e-300 is not"),
+                         ({"dc_delta": 1e300}, "delta=1e+300 is not"),
+                         ({"dc_k": 1e200, "dc_delta": 1e-200}, "k=1e+200 is not")]),
 ])
 def test_cli_config_section_errors_name_the_file(tmp_path, capsys, payload, where):
     path = tmp_path / "c.json"
