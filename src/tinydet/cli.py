@@ -44,7 +44,8 @@ class Variant:
 
 @dataclass
 class ConfigFile:
-    """The --config file; its sections are read on their own by ``_section``."""
+    """The --config file; its sections are read on their own by ``_section``,
+    and its own keys are checked here, before any dataset is read."""
 
     scene: dict = field(default_factory=dict)
     detector: dict = field(default_factory=dict)
@@ -52,6 +53,15 @@ class ConfigFile:
     variants: tuple[Variant, ...] = field(
         default_factory=lambda: tuple(Variant(**v) for v in DEFAULT_VARIANTS))
     n_seeds: int = 3
+
+    def __post_init__(self):
+        if self.n_seeds < 1:
+            raise ValueError(f"n_seeds must be >= 1, got {self.n_seeds}")
+        names = [v.name for v in self.variants]
+        if not names:
+            raise ValueError("variants must hold at least one config")
+        if len(set(names)) != len(names):
+            raise ValueError(f"variant names repeat: {names}")
 
 
 def _section(cls, payload, where: str, seed: int):

@@ -24,7 +24,7 @@ def global_context(p_high: Tensor, store: ParamStore) -> Tensor:
     a map that is not [C,H,W], and ``conv2d`` a channel count that the
     projection does not take."""
     pooled = max_pool(p_high, p_high.data.shape[1:])
-    return conv2d(pooled, store["cem.proj.w"], store["cem.proj.b"], relu=True)
+    return conv2d(pooled, *store.conv("cem.proj"), relu=True)
 
 
 def cem_forward(p_high_aligned: Tensor, p_low: Tensor, store: ParamStore) -> Tensor:

@@ -91,13 +91,15 @@ class DetectorConfig:
             if name not in LEVEL_STRIDES:
                 raise ValueError(f"unknown pyramid level {name!r}; levels are "
                                  f"{', '.join(LEVEL_STRIDES)}")
-        for name in self.enhance_levels:
-            if LEVEL_STRIDES[name] > LEVEL_STRIDES["P5"]:
-                raise ValueError(f"enhance_levels names {name}, which is coarser than the P5 it upsamples")
         for field_name in ("levels", "enhance_levels"):
             names = getattr(self, field_name)
             if len(set(names)) != len(names):
                 raise ValueError(f"{field_name} names a level twice: {list(names)}")
+        for name in self.enhance_levels:
+            if LEVEL_STRIDES[name] > LEVEL_STRIDES["P5"]:
+                raise ValueError(f"enhance_levels names {name}, which is coarser than the P5 it upsamples")
+            if name not in self.levels:
+                raise ValueError(f"enhance_levels names {name}, which levels does not hold for the head")
         if len(self.stage_channels) != 4:
             raise ValueError("backbone needs exactly 4 stages (strides 4/8/16/32)")
         counts = {"stem_channels": self.stem_channels, "pyramid_channels": self.pyramid_channels,
@@ -164,9 +166,9 @@ def head_forward(pyr: dict[str, Tensor], store: ParamStore, levels):
     """
     cls_maps, reg_maps = [], []
     for name in levels:
-        trunk = conv2d(pyr[name], store["head.trunk.w"], store["head.trunk.b"], relu=True)
-        cls_maps.append(conv2d(trunk, store["head.cls.w"], store["head.cls.b"]))
-        reg_maps.append(conv2d(trunk, store["head.reg.w"], store["head.reg.b"]))
+        trunk = conv2d(pyr[name], *store.conv("head.trunk"), relu=True)
+        cls_maps.append(conv2d(trunk, *store.conv("head.cls")))
+        reg_maps.append(conv2d(trunk, *store.conv("head.reg")))
     return concat_columns(cls_maps), concat_columns(reg_maps)
 
 
@@ -273,12 +275,9 @@ class DetectorModel:
         return model
 
     def pyramid(self, image: Tensor) -> dict[str, Tensor]:
-        """The pyramid levels, with each of ``enhance_levels`` that the head
-        reads enhanced; an enhanced level the head does not read is not built."""
+        """The pyramid levels, with each of ``enhance_levels`` enhanced."""
         feats = backbone_forward(image, self.store, self.cfg)
-        pyr = build_fpn(feats, self.store)
-        read = [name for name in self.cfg.enhance_levels if name in self.cfg.levels]
-        return efpn_bs_forward(pyr, self.store, read)
+        return efpn_bs_forward(build_fpn(feats, self.store), self.store, self.cfg.enhance_levels)
 
     def forward(self, image: Tensor):
         """(class logits [K,N], box deltas [4,N]), see ``head_forward``."""

@@ -40,8 +40,8 @@ def gate(x: Tensor, store: ParamStore, branch: str) -> Tensor:
     sigmoid(psi2(psi1(x))), psi1 with its ReLU folded into the conv; entries
     strictly in (0,1)."""
     p = f"fbsm.{branch}"
-    hidden = conv2d(x, store[f"{p}1.w"], store[f"{p}1.b"], relu=True)
-    return sigmoid(conv2d(hidden, store[f"{p}2.w"], store[f"{p}2.b"]))
+    hidden = conv2d(x, *store.conv(f"{p}1"), relu=True)
+    return sigmoid(conv2d(hidden, *store.conv(f"{p}2")))
 
 
 def fuse_gates(m_high: Tensor, m_low: Tensor, store: ParamStore) -> Tensor:
@@ -51,7 +51,7 @@ def fuse_gates(m_high: Tensor, m_low: Tensor, store: ParamStore) -> Tensor:
         raise ValueError(
             f"fuse_gates: shape mismatch {m_high.data.shape} vs {m_low.data.shape}"
         )
-    return sigmoid(conv2d(add(m_high, m_low), store["fbsm.phi_f.w"], store["fbsm.phi_f.b"]))
+    return sigmoid(conv2d(add(m_high, m_low), *store.conv("fbsm.phi_f")))
 
 
 def fbsm_forward(p_high_aligned: Tensor, c_enhanced: Tensor, store: ParamStore) -> Tensor:
@@ -60,11 +60,7 @@ def fbsm_forward(p_high_aligned: Tensor, c_enhanced: Tensor, store: ParamStore) 
 
     Output matches C_enh's shape and is non-negative (the folded ReLU).
     """
-    if p_high_aligned.data.shape[1:] != c_enhanced.data.shape[1:]:
-        raise ValueError(
-            f"fbsm_forward: spatial mismatch {p_high_aligned.data.shape} vs {c_enhanced.data.shape}"
-        )
     mask = fuse_gates(gate(p_high_aligned, store, "psi_h"), gate(c_enhanced, store, "psi_l"),
                       store)
     gated = mul(c_enhanced, mask)
-    return conv2d(gated, store["fbsm.phi_r.w"], store["fbsm.phi_r.b"], relu=True)
+    return conv2d(gated, *store.conv("fbsm.phi_r"), relu=True)

@@ -3,8 +3,8 @@
 The backbone is a four-stage strided conv stack standing in for a deep one.
 Its ``build_*_params`` functions and ``backbone_forward`` take the
 ``DetectorConfig`` and read its widths and ``input_offset`` by attribute,
-since this module cannot import ``detector``.  Levels P2..P6 at strides
-4/8/16/32/64, all with a shared channel width (``pyramid_channels``).  The
+since this module cannot import ``detector``.  Levels P2..P6 (strides in
+``anchors.LEVEL_STRIDES``) share one channel width (``pyramid_channels``).  The
 enhancement step upsamples P5 to each level of ``enhance_levels`` (P2 by
 default), feeds the aligned copy through the context and gating modules, and
 replaces that level; every other level passes through untouched.
@@ -12,6 +12,7 @@ replaces that level; every other level passes through untouched.
 
 from __future__ import annotations
 
+from .anchors import LEVEL_STRIDES
 from .context import cem_forward
 from .gating import fbsm_forward
 from .tensor import (
@@ -40,21 +41,21 @@ def build_backbone_params(store: ParamStore, cfg):
 
 
 def backbone_forward(image: Tensor, store: ParamStore, cfg):
-    """Image [3,H,W] (H, W divisible by 64) -> features C2..C5 at strides 4..32;
-    each stage is a stride-2 3x3 conv with its ReLU folded in, after
-    ``cfg.input_offset`` is subtracted to center the image's intensities."""
+    """Image [3,H,W] (H, W multiples of the coarsest stride) -> features C2..C5
+    at strides 4..32; each stage is a stride-2 3x3 conv with its ReLU folded in,
+    after ``cfg.input_offset`` is subtracted to center the image's intensities."""
     if image.data.ndim != 3 or image.data.shape[0] != 3:
         raise ValueError(f"backbone expects [3,H,W], got {image.data.shape}")
     h, w = image.data.shape[1:]
-    if h % 64 or w % 64:
-        raise ValueError(f"image dims must be divisible by 64, got {h}x{w}")
+    stride = max(LEVEL_STRIDES.values())
+    if h % stride or w % stride:
+        raise ValueError(f"image dims must be divisible by {stride}, got {h}x{w}")
     image = add(image, -cfg.input_offset)
-    x = conv2d(image, store["backbone.stem0.w"], store["backbone.stem0.b"], stride=2, relu=True)
-    x = conv2d(x, store["backbone.stem1.w"], store["backbone.stem1.b"], stride=2, relu=True)
+    x = conv2d(image, *store.conv("backbone.stem0"), stride=2, relu=True)
+    x = conv2d(x, *store.conv("backbone.stem1"), stride=2, relu=True)
     feats = [x]  # C2, stride 4
     for i in range(1, 4):
-        x = conv2d(x, store[f"backbone.stage{i}.w"], store[f"backbone.stage{i}.b"], stride=2,
-                   relu=True)
+        x = conv2d(x, *store.conv(f"backbone.stage{i}"), stride=2, relu=True)
         feats.append(x)
     return feats  # [C2, C3, C4, C5]
 
@@ -72,8 +73,7 @@ def build_fpn(features, store: ParamStore) -> dict[str, Tensor]:
     level strides are ``anchors.LEVEL_STRIDES``."""
     if len(features) != 4:
         raise ValueError(f"build_fpn expects 4 backbone features, got {len(features)}")
-    laterals = [conv2d(f, store[f"fpn.lateral{i + 2}.w"], store[f"fpn.lateral{i + 2}.b"])
-                for i, f in enumerate(features)]
+    laterals = [conv2d(f, *store.conv(f"fpn.lateral{i + 2}")) for i, f in enumerate(features)]
     merged = [None] * 4
     merged[3] = laterals[3]
     for i in (2, 1, 0):
@@ -81,8 +81,7 @@ def build_fpn(features, store: ParamStore) -> dict[str, Tensor]:
         merged[i] = add(laterals[i], up)
     pyr = {}
     for i, name in enumerate(("P2", "P3", "P4", "P5")):
-        pyr[name] = conv2d(merged[i], store[f"fpn.smooth{i + 2}.w"],
-                           store[f"fpn.smooth{i + 2}.b"])
+        pyr[name] = conv2d(merged[i], *store.conv(f"fpn.smooth{i + 2}"))
     pyr["P6"] = max_pool(pyr["P5"], (2, 2))
     return pyr
 

@@ -256,6 +256,8 @@ def read_dataset(directory: str):
         img = read_tensor_file(path)
         if img.ndim != 3 or img.shape[0] != 3:
             raise ValueError(f"{path}: expected a [3, H, W] image, got shape {list(img.shape)}")
+        if not img.size:
+            raise ValueError(f"{path}: the image has a zero side, got shape {list(img.shape)}")
         if not np.isfinite(img).all():
             raise ValueError(f"{path}: the image holds a non-finite value")
         scenes.append(Scene(image=img))

@@ -515,7 +515,7 @@ class ParamStore:
     def register_conv(self, name: str, c_out: int, c_in: int, k: int):
         """Register the weight ``<name>.w`` [c_out,c_in,k,k] (fan_in = c_in*k*k,
         fan_out = c_out*k*k) and the bias ``<name>.b`` [c_out]; returns
-        (weight, bias).  A name already in the store raises ValueError."""
+        ``conv(name)``.  A name already in the store raises ValueError."""
         a = float(np.sqrt(6.0 / ((c_in + c_out) * k * k)))
         for n, shape in ((f"{name}.w", (c_out, c_in, k, k)), (f"{name}.b", (c_out,))):
             if n in self.params:
@@ -529,6 +529,10 @@ class ParamStore:
             else:
                 data = self._rng.uniform(-a, a, size=shape).astype(np.float32)
             self.params[n] = Tensor(data, requires_grad=True)
+        return self.conv(name)
+
+    def conv(self, name: str) -> tuple[Tensor, Tensor]:
+        """The (weight, bias) of the conv registered as ``name``."""
         return self.params[f"{name}.w"], self.params[f"{name}.b"]
 
     def __getitem__(self, name: str) -> Tensor:

@@ -18,8 +18,13 @@ from tinydet.training import TrainConfig
 floats = st.floats(allow_nan=False, allow_infinity=False)
 sizes = st.integers(1, 512)
 level_names = st.sampled_from(list(LEVEL_STRIDES))
-# the enhancement upsamples P5 to each level it names, so none is coarser than P5
-enhance_names = st.sampled_from([n for n, s in LEVEL_STRIDES.items() if s <= LEVEL_STRIDES["P5"]])
+
+
+def enhance_names(v):
+    # the enhancement upsamples P5 to each level it names, so none is coarser
+    # than P5, and it enhances only levels the head reads
+    names = [n for n in v["levels"] if LEVEL_STRIDES[n] <= LEVEL_STRIDES["P5"]]
+    return st.lists(st.sampled_from(names), unique=True).map(tuple) if names else st.just(())
 
 
 unit = st.floats(0.0, 1.0)
@@ -56,7 +61,7 @@ DETECTOR_FIELDS = {
     "input_offset": floats,
     "num_classes": sizes,
     "levels": st.lists(level_names, min_size=1, unique=True).map(tuple),
-    "enhance_levels": st.lists(enhance_names, unique=True).map(tuple),
+    "enhance_levels": enhance_names,
     "head_channels": sizes,
     "base_anchor": positive,
     "neg_thr": unit,

@@ -13,8 +13,6 @@ from hypothesis import strategies as st
 
 from jsonfuzz import edited
 
-from tinydet import context, gating, pyramid
-from tinydet import detector as detector_module
 from tinydet.anchors import IGNORED, LEVEL_STRIDES, NEGATIVE, Box, pyramid_anchors
 from tinydet.balanced_loss import DCLossParams, dcloss_term, smooth_l1_term
 from tinydet.detector import (
@@ -349,21 +347,6 @@ def test_enhancement_flag_changes_p2_path_only():
         assert pyr_on[name].data.tobytes() == pyr_off[name].data.tobytes()
 
 
-def test_an_enhanced_level_the_head_does_not_read_is_not_built(monkeypatch):
-    calls = []
-    for module in (pyramid, context, gating, detector_module):
-        original = module.conv2d
-        monkeypatch.setattr(module, "conv2d", lambda *a, _f=original, **k: calls.append(1) or _f(*a, **k))
-    scene, _ = scene_and_assignment()
-    outputs = []
-    for enhance in (("P2",), ()):
-        calls.clear()
-        model = DetectorModel(DetectorConfig(levels=("P3",), enhance_levels=enhance), seed=0)
-        outputs.append([t.data.tobytes() for t in model.forward(Tensor(scene.image))])
-        assert len(calls) == 16  # 5 backbone + 8 FPN + 3 head: no CEM or FBSM
-    assert outputs[0] == outputs[1]
-
-
 def test_checkpoint_roundtrip_preserves_predictions(tmp_path):
     scene, _ = scene_and_assignment()
     for i, cfg in enumerate([CFG, DetectorConfig(levels=("P2", "P3"), enhance_levels=(),
@@ -515,6 +498,9 @@ def test_checkpoint_load_fuzz_loads_or_raises_value_error(fuzz_checkpoint, data)
     (DetectorConfig, {"base_anchor": -1.0}, "base_anchor must be finite and > 0"),
     (DetectorConfig, {"base_anchor": float("nan")}, "base_anchor must be finite and > 0"),
     (DetectorConfig, {"base_anchor": float("inf")}, "base_anchor must be finite and > 0"),
+    # the head would never read the enhanced level, so its weights would never train
+    (DetectorConfig, {"levels": ("P3",), "enhance_levels": ("P2",)},
+     "enhance_levels names P2, which levels does not hold"),
 ])
 def test_config_rejects_out_of_range_values(cls, kw, match):
     with pytest.raises(ValueError, match=match):

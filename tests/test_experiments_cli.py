@@ -67,7 +67,8 @@ def test_audit_counts_the_configured_levels(tmp_path):
     assert [s["positives"] + s["negatives"] + s["ignored"] for s in two] == \
         [len(scenes) * 32 * 32, len(scenes) * 16 * 16]
     # without P2 the forced best matches land on P3, as they do in training
-    p3 = audit_positive_samples(scenes, DetectorConfig(levels=("P3",)), str(tmp_path))
+    p3 = audit_positive_samples(scenes, DetectorConfig(levels=("P3",), enhance_levels=()),
+                                str(tmp_path))
     assert p3[0]["positives"] > two[1]["positives"]
 
 
@@ -480,14 +481,20 @@ def test_cli_error_exit_codes(tmp_path, capsys):
     {"train": {"dc_k": 1e-300}},
     {"train": {"dc_delta": 1e300}},
     {"train": {"dc_k": 1e200, "dc_delta": 1e-200}},
+    {"detector": {"levels": ["P3"], "enhance_levels": ["P2"]}},  # an enhanced level no head reads
+    {"variants": []},                           # the file's own keys, checked before
+    {"n_seeds": 0},                             # any dataset is read
+    {"variants": [{"name": "a"}, {"name": "a"}]},
 ])
 def test_cli_config_faults_exit_1(tmp_path, dataset, capsys, payload):
     path = tmp_path / "config.json"
     path.write_text(json.dumps(payload))
-    for argv in (["gen", "--count", "1"], ["train", "--data", dataset]):
+    for argv in (["gen", "--count", "1"], ["train", "--data", dataset],
+                 ["ablate", "--data", dataset, "--val-data", dataset]):
         assert main([*argv, "--config", str(path), "--out", str(tmp_path / "o")]) == 1
         assert capsys.readouterr().err.startswith(f"error: {path}: ")
     assert not os.path.exists(tmp_path / "o" / "images")
+    assert not os.path.exists(tmp_path / "o" / "reports")
 
 
 @pytest.mark.parametrize("payload, where", [
@@ -674,6 +681,18 @@ def test_cli_rejects_a_non_finite_image(tmp_path, dataset, capsys, command):
     assert re.search(r"^error: .*images/00001\.efbt: the image holds a non-finite value",
                      err), err
     assert not (out / "checkpoint_train_last_good").exists()
+
+
+@pytest.mark.parametrize("command", ["train", "audit"])
+def test_cli_rejects_an_image_with_a_zero_side(tmp_path, dataset, capsys, command):
+    # 0 is a multiple of every stride; the backbone used to fail naming no file
+    write_tensor_file(os.path.join(dataset, "images", "00001.efbt"), np.zeros((3, 0, 0)))
+    out = tmp_path / "o"
+    assert main([command, "--data", dataset, "--config", cli_config(tmp_path),
+                 "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert re.search(r"^error: .*images/00001\.efbt: the image has a zero side", err), err
+    assert not (out / "reports").exists()
 
 
 @pytest.mark.parametrize("argv", [

@@ -3,6 +3,7 @@ import importlib
 import inspect
 import os
 import pkgutil
+import re
 import subprocess
 import sys
 
@@ -46,3 +47,12 @@ def test_scenes_and_evaluation_load_no_network_module():
     loaded = ast.literal_eval(proc.stdout)
     assert "tinydet.scenes" in loaded and "tinydet.evaluation" in loaded
     assert not {"tinydet.pyramid", "tinydet.context", "tinydet.gating"} & set(loaded)
+
+
+def test_only_the_tensor_core_spells_a_conv_parameter_name():
+    # every module takes a conv's (weight, bias) from ParamStore.conv, so the
+    # ".w"/".b" suffixes of the stored names have one home
+    lookup = re.compile(r"""\[\s*f?["'][^"'\]]*\.[wb]["']\s*\]""")
+    found = [f"{name}: {m.group()}" for name in MODULES if name != "tensor"
+             for m in lookup.finditer(inspect.getsource(importlib.import_module(f"tinydet.{name}")))]
+    assert found == []

@@ -66,7 +66,8 @@ def test_zero_enhanced_input_gives_zero_output():
 
 def test_forward_rejects_spatial_mismatch():
     p = make_params(6, 4)
-    with pytest.raises(ValueError, match="spatial"):
+    # misaligned inputs give gates of two shapes, which fuse_gates rejects
+    with pytest.raises(ValueError, match="fuse_gates: shape mismatch"):
         fbsm_forward(rand(6, 8, 8), rand(4, 4, 4), p)
 
 

@@ -242,7 +242,9 @@ def test_read_dataset_rejects_bad_image_files(tmp_path):
     shape = r"expected a \[3, H, W\] image, got shape "
     for array, match in [(np.zeros((3, 128)), shape + r"\[3, 128\]"),
                          (np.zeros((1, 128, 128)), shape + r"\[1, 128, 128\]"),
-                         (np.full((3, 128, 128), np.inf), "the image holds a non-finite value")]:
+                         (np.full((3, 128, 128), np.inf), "the image holds a non-finite value"),
+                         (np.zeros((3, 0, 0)), r"the image has a zero side, got shape \[3, 0, 0\]"),
+                         (np.zeros((3, 128, 0)), r"the image has a zero side")]:
         write_tensor_file(image, array)
         with pytest.raises(ValueError, match=r"images/00001\.efbt: " + match):
             read_dataset(str(tmp_path))
